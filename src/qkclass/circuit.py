@@ -1,10 +1,17 @@
 """Swap-test circuit operators, expectation values, and shot sampling.
 
 The swap-test unitary is Hadamard on the ancilla, a controlled swap of every
-(test, train) copy pair, and a second Hadamard. ``build_swap_test_unitary``
-returns it as an explicit (cached, unitarity-checked) matrix for inspection;
-``apply_swap_test_unitary`` applies the same map through axis manipulation,
-which is what the classifiers use.
+(test, train) copy pair, and a second Hadamard. ``apply_swap_test_unitary``
+applies it through axis manipulation, which is what the classifiers use;
+``build_swap_test_unitary`` returns it as an explicit (cached,
+unitarity-checked) matrix for the reference checks.
+
+The measured observables (the ancilla-label parity, the ancilla-free
+swap-label observable and the register swap) are Pauli Z factors on named
+registers times a register permutation. They are stored in that form and
+applied to the reshaped state tensor, so measuring costs about the state,
+not its square; their dense matrices are built only when ``.matrix`` is
+read.
 """
 
 from __future__ import annotations
@@ -16,42 +23,108 @@ import numpy as np
 
 from .encoding import ClassifierState
 from .errors import DataError, DimensionError, NumericError
-from .qmath import (ATOL_DERIVED, ATOL_STRUCT, DENSE_MATRIX_CAP, HADAMARD,
-                    SIGMA_Z, DensityMatrix, HermitianSpectrum, QState,
-                    register_permutation_matrix)
+from .qmath import (ATOL_DERIVED, ATOL_STRUCT, HADAMARD, SIGMA_Z,
+                    DensityMatrix, HermitianSpectrum, QState,
+                    check_dense_budget, register_permutation_matrix)
 from .registers import (ANCILLA, LABEL, Register, RegisterLayout, TEST, TRAIN,
                         block_layout)
 
-_DENSE_CAP = 1024
+_Z_DIAGONAL = np.array([1.0, -1.0])
+_Z_DIAGONAL.setflags(write=False)
+
+
+def _check_hermitian(mat: np.ndarray):
+    if np.abs(mat - mat.conj().T).max() > ATOL_STRUCT:
+        raise NumericError("observable is not Hermitian within 1e-12")
 
 
 class Observable:
-    """Hermitian operator tied to a register layout, with a lazy spectrum."""
+    """Hermitian operator tied to a register layout, with a lazy spectrum.
 
-    __slots__ = ("matrix", "layout", "_spectrum", "_involutory")
+    An observable is either a dense matrix, as given to the constructor, or
+    structured (:meth:`z_permutation`): Pauli Z on some qubit registers,
+    then a register permutation. A structured observable is applied to the
+    reshaped state tensor by :func:`expectation`; its ``matrix`` is the
+    dense reference, built from the same description on first access.
+    """
+
+    __slots__ = ("layout", "z_registers", "order", "_matrix", "_spectrum",
+                 "_involutory")
 
     def __init__(self, matrix, layout: RegisterLayout | None = None, *,
                  involutory: bool | None = None):
         mat = np.asarray(matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionError(f"observable must be square, got shape {mat.shape}")
-        if np.abs(mat - mat.conj().T).max() > ATOL_STRUCT:
-            raise NumericError("observable is not Hermitian within 1e-12")
+        _check_hermitian(mat)
         if layout is not None and layout.dim != mat.shape[0]:
             raise DimensionError("observable dimension does not match its layout")
         mat = mat.copy()
         mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        self._init(layout, None, None, mat, involutory)
+
+    def _init(self, layout, z_registers, order, matrix, involutory):
         object.__setattr__(self, "layout", layout)
+        object.__setattr__(self, "z_registers", z_registers)
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "_matrix", matrix)
         object.__setattr__(self, "_spectrum", None)
         object.__setattr__(self, "_involutory", involutory)
+
+    @classmethod
+    def z_permutation(cls, layout: RegisterLayout, z_registers=(),
+                      order=None) -> "Observable":
+        """Pauli Z on each register in ``z_registers``, then the register
+        permutation ``order`` (``order[p]`` names the register that lands at
+        position ``p``, as in :func:`qkclass.qmath.permute_registers`).
+
+        ``order`` must be an involution between registers of equal dimension
+        that leaves the Z registers in place, so the two factors commute and
+        the product is Hermitian with eigenvalues +-1.
+        """
+        dims = layout.dims
+        n = len(dims)
+        z_registers = tuple(sorted(set(int(i) for i in z_registers)))
+        order = tuple(range(n)) if order is None else tuple(int(i) for i in order)
+        if sorted(order) != list(range(n)):
+            raise DimensionError(f"order {order} is not a permutation of 0..{n - 1}")
+        for p, src in enumerate(order):
+            if order[src] != p or dims[src] != dims[p]:
+                raise DimensionError(
+                    f"order {order} is not an involution between equal registers")
+        for i in z_registers:
+            if not 0 <= i < n or dims[i] != 2:
+                raise DimensionError(f"Pauli Z needs a qubit register, got register {i}")
+            if order[i] != i:
+                raise DimensionError(f"order {order} moves the Z register {i}")
+        obs = object.__new__(cls)
+        obs._init(layout, z_registers, order, None, True)
+        return obs
 
     def __setattr__(self, name, value):
         raise AttributeError("Observable is immutable")
 
     @property
+    def structured(self) -> bool:
+        return self.z_registers is not None
+
+    @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.layout.dim if self.structured else self._matrix.shape[0]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """Dense matrix; built from the structured form on first access."""
+        if self._matrix is None:
+            dim = self.layout.dim
+            check_dense_budget((dim, dim), "dense observable")
+            mat = embed_operators(self.layout, {i: SIGMA_Z for i in self.z_registers})
+            if self.order != tuple(range(len(self.order))):
+                mat = register_permutation_matrix(self.layout.dims, self.order) @ mat
+            _check_hermitian(mat)
+            mat.setflags(write=False)
+            object.__setattr__(self, "_matrix", mat)
+        return self._matrix
 
     @property
     def spectrum(self) -> HermitianSpectrum:
@@ -66,6 +139,26 @@ class Observable:
             ok = np.abs(sq - np.eye(self.dim)).max() <= ATOL_DERIVED
             object.__setattr__(self, "_involutory", bool(ok))
         return self._involutory
+
+    def _vector_value(self, vec: np.ndarray) -> complex:
+        """<psi|O|psi> as vdot(psi, (signs * psi).transpose(order))."""
+        t = vec.reshape(self.layout.dims)
+        acted = t
+        for i in self.z_registers:
+            shape = [1] * t.ndim
+            shape[i] = 2
+            acted = acted * _Z_DIAGONAL.reshape(shape)
+        return complex(np.vdot(t, acted.transpose(self.order)))
+
+    def _matrix_value(self, rho: np.ndarray) -> complex:
+        """Tr(O rho) = sum_a s(a) rho[a, order(a)], one einsum over the
+        reshaped rho with no operator matrix."""
+        n = len(self.order)
+        t = rho.reshape(self.layout.dims * 2)
+        operands = [t, list(range(n)) + list(self.order)]
+        for i in self.z_registers:
+            operands += [_Z_DIAGONAL, [i]]
+        return complex(np.einsum(*operands, []))
 
 
 @dataclass(frozen=True)
@@ -85,9 +178,7 @@ class ShotRecord:
 
 def embed_operators(layout: RegisterLayout, ops: dict[int, np.ndarray]) -> np.ndarray:
     """Tensor the given per-register operators with identities elsewhere."""
-    if layout.dim > DENSE_MATRIX_CAP:
-        raise DimensionError(
-            f"dense operator of dimension {layout.dim} exceeds {DENSE_MATRIX_CAP}")
+    check_dense_budget((layout.dim, layout.dim), "dense operator")
     factors = []
     for i, reg in enumerate(layout.registers):
         if i in ops:
@@ -111,11 +202,8 @@ def _pair_swap_order(layout: RegisterLayout) -> tuple[int, ...]:
 @lru_cache(maxsize=64)
 def ancilla_label_parity(layout: RegisterLayout) -> Observable:
     """Product of Pauli Z on the ancilla and on the label qubit."""
-    mat = embed_operators(layout, {
-        layout.index_of(ANCILLA): SIGMA_Z,
-        layout.index_of(LABEL): SIGMA_Z,
-    })
-    return Observable(mat, layout, involutory=True)
+    return Observable.z_permutation(
+        layout, (layout.index_of(ANCILLA), layout.index_of(LABEL)))
 
 
 @lru_cache(maxsize=64)
@@ -124,8 +212,7 @@ def swap_operator(dim: int) -> Observable:
     if dim < 1:
         raise DimensionError("swap operator needs dimension >= 1")
     layout = RegisterLayout((Register(TEST, dim, 1), Register(TRAIN, dim, 1)))
-    mat = register_permutation_matrix((dim, dim), (1, 0))
-    return Observable(mat, layout, involutory=True)
+    return Observable.z_permutation(layout, order=(1, 0))
 
 
 @lru_cache(maxsize=64)
@@ -135,12 +222,10 @@ def swap_label_observable(layout: RegisterLayout) -> Observable:
     This is the ancilla-free observable whose expectation reproduces the
     swap-test statistics; factors on any other register are identities.
     """
-    pairs = layout.pair_indices()
-    if not pairs:
+    if not layout.pair_indices():
         raise DimensionError("layout has no (test, train) pairs to swap")
-    swap = register_permutation_matrix(layout.dims, _pair_swap_order(layout))
-    zl = embed_operators(layout, {layout.index_of(LABEL): SIGMA_Z})
-    return Observable(swap @ zl, layout, involutory=True)
+    return Observable.z_permutation(
+        layout, (layout.index_of(LABEL),), _pair_swap_order(layout))
 
 
 def build_effective_observable(n: int, k: int) -> Observable:
@@ -148,10 +233,7 @@ def build_effective_observable(n: int, k: int) -> Observable:
     block register order [test x k | train x k | label]."""
     if n < 1 or k < 1:
         raise DimensionError("n and k must be positive")
-    layout = block_layout(2 ** n, k, ancilla=False)
-    if layout.dim > _DENSE_CAP * 4:
-        raise DimensionError(f"observable dimension {layout.dim} exceeds the dense cap")
-    return swap_label_observable(layout)
+    return swap_label_observable(block_layout(2 ** n, k, ancilla=False))
 
 
 @lru_cache(maxsize=32)
@@ -161,10 +243,7 @@ def build_swap_test_unitary(layout: RegisterLayout) -> np.ndarray:
     Only intended for explicit-matrix checks at small dimensions; the
     classifiers apply the same map with :func:`apply_swap_test_unitary`.
     """
-    if layout.dim > _DENSE_CAP:
-        raise DimensionError(
-            f"dense unitary of dimension {layout.dim} exceeds {_DENSE_CAP}; "
-            "use apply_swap_test_unitary instead")
+    check_dense_budget((layout.dim, layout.dim), "dense swap-test unitary")
     a = layout.index_of(ANCILLA)
     if not layout.pair_indices():
         raise DimensionError("layout has no (test, train) pairs to swap")
@@ -239,13 +318,14 @@ def run_swap_test(state: ClassifierState) -> ClassifierState:
     return ClassifierState(DensityMatrix(rho, check_psd=False), state.layout)
 
 
-def _state_matrix(state) -> np.ndarray:
+def _state_array(state) -> np.ndarray:
+    """State vector when the state is pure and held as one, else its matrix."""
     if isinstance(state, ClassifierState):
-        return state.rho.entries
+        return state.vector if state.vector is not None else state.rho.entries
     if isinstance(state, DensityMatrix):
         return state.entries
     if isinstance(state, QState):
-        return state.projector()
+        return state.vec
     return np.asarray(state, dtype=complex)
 
 
@@ -254,46 +334,51 @@ def expectation(obs, state) -> float:
 
     Accepts an Observable or a bare matrix, and a ClassifierState,
     DensityMatrix, QState, matrix, or state vector. A pure ClassifierState
-    is evaluated in the vector form, so its density matrix is never built.
+    is evaluated in the vector form, so its density matrix is never built. A
+    structured Observable acts on the reshaped state tensor: a sign mask and
+    a transpose for a vector, one einsum for a density matrix; no operator
+    matrix is formed. A bare matrix or a matrix-built Observable is applied
+    densely.
     """
-    mat = obs.matrix if isinstance(obs, Observable) else np.asarray(obs, dtype=complex)
-    if isinstance(state, ClassifierState) and state.vector is not None:
-        state = state.vector
-    elif isinstance(state, QState):
-        state = state.vec
-    if isinstance(state, np.ndarray) and state.ndim == 1:
-        if state.size != mat.shape[0]:
-            raise DimensionError(f"dimension mismatch: {mat.shape} vs {state.size}")
-        val = complex(np.vdot(state, mat @ state))
+    arr = _state_array(state)
+    if arr.ndim not in (1, 2) or (arr.ndim == 2 and arr.shape[0] != arr.shape[1]):
+        raise DimensionError(f"expected a state vector or square matrix, got {arr.shape}")
+    structured = isinstance(obs, Observable) and obs.structured
+    mat = None if structured else (
+        obs.matrix if isinstance(obs, Observable) else np.asarray(obs, dtype=complex))
+    dim = obs.dim if structured else mat.shape[0]
+    if arr.shape[0] != dim:
+        raise DimensionError(f"dimension mismatch: observable {dim} vs state {arr.shape}")
+    if structured:
+        val = obs._vector_value(arr) if arr.ndim == 1 else obs._matrix_value(arr)
+    elif arr.ndim == 1:
+        val = complex(np.vdot(arr, mat @ arr))
     else:
-        rho = _state_matrix(state)
-        if mat.shape != rho.shape:
-            raise DimensionError(f"dimension mismatch: {mat.shape} vs {rho.shape}")
-        val = complex(np.einsum("ij,ji->", mat, rho))
+        val = complex(np.einsum("ij,ji->", mat, arr))
     if abs(val.imag) > ATOL_DERIVED:
         raise NumericError(f"expectation has imaginary residual {val.imag}")
     return float(val.real)
 
 
 def outcome_probabilities(obs: Observable, state) -> dict[int, float]:
-    """Probabilities of the +1 / -1 outcomes via the spectral projectors
-    (identity +- obs) / 2 of an involutory observable."""
+    """Probabilities of the +1 / -1 outcomes of an involutory observable.
+
+    The spectral projectors are (identity +- obs) / 2, so the probabilities
+    are (Tr rho +- <obs>) / 2, with <obs> from :func:`expectation`; no
+    projector or identity matrix is built, and a pure ClassifierState stays
+    a vector. The state's trace (squared norm for a vector) must be 1 to
+    1e-10, which is the check that the two probabilities sum to 1.
+    """
     if not isinstance(obs, Observable) or not obs.has_pm_one_spectrum():
         raise NumericError("outcome probabilities require a +-1 spectrum observable")
-    rho = _state_matrix(state)
-    if rho.shape != obs.matrix.shape:
-        raise DimensionError(f"dimension mismatch: {obs.matrix.shape} vs {rho.shape}")
-    eye = np.eye(obs.dim)
-    probs = {}
-    for lam in (1, -1):
-        proj = (eye + lam * obs.matrix) / 2.0
-        p = complex(np.einsum("ij,ji->", proj, rho))
-        if abs(p.imag) > ATOL_DERIVED:
-            raise NumericError(f"outcome probability has imaginary residual {p.imag}")
-        probs[lam] = min(max(float(p.real), 0.0), 1.0)
-    if abs(probs[1] + probs[-1] - 1.0) > ATOL_DERIVED:
-        raise NumericError(f"outcome probabilities sum to {probs[1] + probs[-1]}")
-    return probs
+    value = expectation(obs, state)
+    arr = _state_array(state)
+    total = complex(np.vdot(arr, arr) if arr.ndim == 1 else np.trace(arr))
+    if abs(total.imag) > ATOL_DERIVED:
+        raise NumericError(f"state trace has imaginary residual {total.imag}")
+    if abs(total.real - 1.0) > ATOL_DERIVED:
+        raise NumericError(f"outcome probabilities sum to {total.real}")
+    return {lam: min(max((total.real + lam * value) / 2.0, 0.0), 1.0) for lam in (1, -1)}
 
 
 def sample_shots(obs: Observable, state, shots: int, seed: int) -> list[ShotRecord]:

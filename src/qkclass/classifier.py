@@ -203,9 +203,10 @@ def stc_classify_bias(ts: TrainingSet, test,
 
     The expectation equals (b + sum_m sign_m w_m kernel_m**k) / N with
     N = |b| + sum_m w_m. On every call the swap-test circuit is also
-    simulated on the bias-extended state vector (no density matrix is
-    built), and its ancilla-label parity must agree with the closed form to
-    1e-10.
+    simulated on the bias-extended state vector, and its ancilla-label
+    parity, applied as a sign mask, must agree with the closed form to
+    1e-10. Neither a density matrix nor a dense operator is built, so the
+    check costs about the state vector.
     """
     if ts.bias is None:
         raise DataError("training set has no bias; use stc_classify")

@@ -4,7 +4,9 @@ Subcommands: ``classify``, ``train-svm``, ``gram``, ``sample``, ``gen-toy``,
 ``emit-plot``. Every command reads datasets in the CSV/JSON formats described
 in :mod:`qkclass.datasets`, writes machine-readable JSON (or the plot CSV),
 and exits 0 on success, 2 on usage errors, 3 on data errors, and 4 on
-numeric or dimension errors. Errors print a JSON object to stderr.
+numeric or dimension errors, including a ``MemoryError`` or a numpy
+``LinAlgError`` raised by the computation. Errors print a JSON object to
+stderr.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import json
 import sys
 
 import click
+import numpy as np
 
 from . import datasets, experiment
 from .encoding import amplitude_encode
@@ -36,6 +39,9 @@ def handles_errors(fn):
         except QKClassError as exc:
             click.echo(json.dumps(experiment.error_payload(exc)), err=True)
             sys.exit(_exit_code(exc))
+        except (MemoryError, np.linalg.LinAlgError) as exc:
+            click.echo(json.dumps(experiment.error_payload(exc)), err=True)
+            sys.exit(EXIT_NUMERIC)
 
     return wrapper
 

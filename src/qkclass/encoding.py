@@ -199,7 +199,8 @@ class ClassifierState:
     ``vector`` is set when the state is pure (rank one). A pure state may be
     built from its vector alone (``rho=None``): the vector must match the
     layout dimension and have unit norm, and ``rho`` is then built from it,
-    with the usual :class:`DensityMatrix` checks, only when first asked for.
+    after the size check and with the usual :class:`DensityMatrix` checks,
+    only when first asked for.
     ``members`` carries the (probability, member state) decomposition of an
     ensemble whose members use different copy counts and therefore different
     layouts.
@@ -236,6 +237,7 @@ class ClassifierState:
     @property
     def rho(self) -> DensityMatrix:
         if self._rho is None:
+            qmath.check_dense_budget((self.layout.dim, self.layout.dim), "density matrix")
             rho = DensityMatrix(np.outer(self.vector, self.vector.conj()), check_psd=False)
             object.__setattr__(self, "_rho", rho)
         return self._rho
@@ -251,28 +253,26 @@ def _pure_state_vector(ts: TrainingSet, test: QState, weights: np.ndarray,
     """Superposition over index slots in the block layout.
 
     Slot 0 carries the bias branch (test data on the train register, label
-    y_b) when bias_prob > 0; training entries then occupy slots 1..M.
+    y_b) when bias_prob > 0; training entries then occupy slots 1..M. Each
+    branch is written into its (label, slot) block of one zero vector, so
+    assembly holds a single state-sized array.
     """
     k = ts.k
     offset = 1 if bias_prob > 0.0 else 0
-    idx_dim = index_register_dim(index_slots)
     test_block = tensor_power(test.vec, k)
-    parts = []
+    block = test_block.size
+    shape = (2 if with_ancilla else 1, block, block, 2, index_register_dim(index_slots))
+    qmath.check_dense_budget((math.prod(shape),), "assembled state vector")
+    vec = np.zeros(shape, dtype=complex)
     if bias_prob > 0.0:
         y_b = 0 if ts.bias > 0 else 1
-        parts.append(math.sqrt(bias_prob) * tensor(
-            test_block, test_block, basis_state(2, y_b), basis_state(idx_dim, 0)))
+        vec[0, :, :, y_b, 0] = math.sqrt(bias_prob) * np.outer(test_block, test_block)
     for m, (entry, w) in enumerate(zip(ts.entries, weights)):
         if w == 0.0:
             continue
         train_block = tensor_power(entry.state.vec, k)
-        parts.append(math.sqrt(w) * tensor(
-            test_block, train_block, basis_state(2, entry.label),
-            basis_state(idx_dim, m + offset)))
-    vec = np.sum(parts, axis=0)
-    if with_ancilla:
-        vec = tensor(basis_state(2, 0), vec)
-    return vec
+        vec[0, :, :, entry.label, m + offset] = math.sqrt(w) * np.outer(test_block, train_block)
+    return vec.reshape(-1)
 
 
 def assemble_pure_stc_input(ts: TrainingSet, test: QState, *,

@@ -23,7 +23,7 @@ from . import encoding
 from .circuit import empirical_expectation, sample_shots, swap_label_observable
 from .datasets import DatasetFile
 from .encoding import RawDatum, TrainingSet
-from .errors import DataError, QKClassError
+from .errors import DataError
 from .kernelsvm import KernelSpec, gram, svm_train
 from .qmath import QState
 
@@ -301,5 +301,4 @@ def emit_plot_data(payload: dict, path: str):
 
 
 def error_payload(exc: Exception) -> dict:
-    kind = type(exc).__name__ if isinstance(exc, QKClassError) else "InternalError"
-    return {"error": {"type": kind, "message": str(exc)}}
+    return {"error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -15,7 +15,8 @@ from qkclass.errors import DataError, DimensionError, NumericError
 from qkclass.qmath import (PAULIS, SIGMA_Z, QState, basis_state,
                            random_density_matrix, random_state_vector,
                            tensor, tensor_power)
-from qkclass.registers import block_layout, pair_layout
+from qkclass.registers import (ANCILLA, LABEL, TEST, Register, RegisterLayout,
+                               block_layout, pair_layout)
 
 
 def pauli_sum_swap():
@@ -283,6 +284,76 @@ class TestSampling:
         state = self._even_odds_state()
         with pytest.raises(DataError):
             sample_shots(swap_label_observable(state.layout), state, 0, seed=1)
+
+
+STRUCTURED_LAYOUTS = [
+    block_layout(2, 1), block_layout(2, 2), block_layout(4, 1),
+    block_layout(2, 1, index_slots=3), block_layout(2, 2, index_slots=2),
+    block_layout(2, 1, ancilla=False), block_layout(2, 2, ancilla=False),
+    block_layout(2, 2, ancilla=False, index_slots=3),
+    pair_layout(2, 1), pair_layout(2, 2), pair_layout(4, 1),
+    pair_layout(2, 2, ancilla=False),
+]
+
+
+def structured_observables():
+    for layout in STRUCTURED_LAYOUTS:
+        if layout.has(ANCILLA):
+            yield pytest.param(ancilla_label_parity(layout), id=f"parity-{layout.dims}")
+        yield pytest.param(swap_label_observable(layout), id=f"swap-label-{layout.dims}")
+    for dim in (2, 4, 8):
+        yield pytest.param(swap_operator(dim), id=f"swap-{dim}")
+
+
+class TestStructuredObservables:
+    """The matrix-free action against the dense ``.matrix`` reference."""
+
+    @pytest.mark.parametrize("obs", structured_observables())
+    def test_expectation_and_probabilities_match_dense(self, obs):
+        rng = np.random.default_rng(obs.dim)
+        mat = obs.matrix
+        eye = np.eye(obs.dim)
+        vec = random_state_vector(obs.dim, rng).vec
+        rho = random_density_matrix(obs.dim, rng, rank=3)
+        for state, dense in ((vec, lambda op: np.vdot(vec, op @ vec)),
+                             (rho, lambda op: np.einsum("ij,ji->", op, rho.entries))):
+            assert abs(expectation(obs, state) - dense(mat).real) < 1e-12
+            probs = outcome_probabilities(obs, state)
+            for lam in (1, -1):
+                assert abs(probs[lam] - dense((eye + lam * mat) / 2.0).real) < 1e-12
+
+    def test_applied_where_the_dense_matrix_is_refused(self):
+        layout = block_layout(8, 2, index_slots=2)
+        obs = ancilla_label_parity(layout)
+        with pytest.raises(DimensionError):
+            obs.matrix
+        with pytest.raises(DimensionError):
+            build_swap_test_unitary(layout)
+        vec = np.zeros(layout.dim, dtype=complex)
+        vec[layout.dim // 2 + 1] = 1.0       # ancilla |1>, label |0>
+        assert expectation(obs, vec) == pytest.approx(-1.0, abs=1e-12)
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(DimensionError):
+            expectation(swap_operator(2), np.ones(8) / np.sqrt(8))
+        with pytest.raises(DimensionError):
+            expectation(swap_operator(2), np.eye(8) / 8)
+
+    def test_unnormalized_state_rejected_by_probabilities(self):
+        with pytest.raises(NumericError):
+            outcome_probabilities(swap_operator(2), 2.0 * np.eye(4) / 4)
+
+    @pytest.mark.parametrize("z,order", [
+        ((), (1, 2, 0)),          # a 3-cycle is not an involution
+        ((), (1, 0, 2)),          # swaps registers of different dimension
+        ((1,), None),             # Pauli Z on a 4-dimensional register
+        ((0,), (2, 1, 0)),        # the permutation moves the Z register
+    ])
+    def test_invalid_structure_rejected(self, z, order):
+        layout = RegisterLayout((Register(ANCILLA, 2), Register(TEST, 4, 1),
+                                 Register(LABEL, 2)))
+        with pytest.raises(DimensionError):
+            Observable.z_permutation(layout, z, order)
 
 
 class TestEmbedding:

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkclass import classifier as classifier_module
 from qkclass.classifier import (TIE, ClassifierOutput, HelstromSpec,
@@ -12,10 +16,11 @@ from qkclass.classifier import (TIE, ClassifierOutput, HelstromSpec,
 from qkclass.classifier import TestMixture as Mixture
 from qkclass.circuit import ancilla_label_parity, expectation, run_swap_test
 from qkclass.encoding import (KEEP_NORMS, ClassifierState, RawDatum,
-                              TrainingSet, assemble_ensemble_exponents,
+                              TrainingSet, assemble_bias_extended,
+                              assemble_ensemble_exponents,
                               assemble_ensemble_weights,
                               assemble_mixed_stc_input)
-from qkclass.errors import DataError, NumericError
+from qkclass.errors import DataError, DimensionError, NumericError
 from qkclass.qmath import (DensityMatrix, QState, basis_state,
                            random_density_matrix, random_state_vector,
                            tensor_power)
@@ -90,6 +95,27 @@ class TestStcClassify:
         ts = (random_mixed_training if mixed else random_pure_training)(rng, m, 2**n, k)
         test = (random_density_matrix(2**n, rng) if mixed
                 else random_state_vector(2**n, rng))
+        values = [stc_classify(ts, test, mode=mode).expectation
+                  for mode in ("analytic", "ancilla-circuit", "minimal")]
+        assert abs(values[0] - values[1]) < 1e-10
+        assert abs(values[0] - values[2]) < 1e-10
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 2), k=st.integers(1, 2), m=st.integers(1, 4),
+           mixed=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_mode_agreement_property(self, n, k, m, mixed, seed):
+        rng = np.random.default_rng(seed)
+        dim = 2**n
+        if mixed:
+            data = [random_density_matrix(dim, rng, rank=int(rng.integers(1, dim + 1)))
+                    for _ in range(m)]
+            test = random_density_matrix(dim, rng, rank=int(rng.integers(1, dim + 1)))
+        else:
+            data = [random_state_vector(dim, rng) for _ in range(m)]
+            test = random_state_vector(dim, rng)
+        labels = rng.integers(0, 2, size=m)
+        weights = rng.random(m) + 0.05
+        ts = TrainingSet.from_states(list(zip(data, labels, weights)), k=k)
         values = [stc_classify(ts, test, mode=mode).expectation
                   for mode in ("analytic", "ancilla-circuit", "minimal")]
         assert abs(values[0] - values[1]) < 1e-10
@@ -207,6 +233,30 @@ class TestStcClassifyBias:
         monkeypatch.setattr(classifier_module, "run_swap_test", lambda state: state)
         with pytest.raises(NumericError):
             stc_classify_bias(ts, test)
+
+    def test_large_instance_costs_the_state_vector(self):
+        # m=100, dim=8: the bias-extended state has 32768 amplitudes
+        # (512 KiB); its density matrix, or a dense observable on it, would
+        # be 16 GiB.
+        rng = np.random.default_rng(2102)
+        states = [random_state_vector(8, rng) for _ in range(100)]
+        labels = [i % 2 for i in range(100)]
+        raw = 1.0 + rng.random(100)
+        ts = TrainingSet.from_states(list(zip(states, labels, raw)), bias=0.4)
+        test = random_state_vector(8, rng)
+        tracemalloc.start()
+        try:
+            out = stc_classify_bias(ts, test)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        w, b = raw / raw.sum(), 0.4 / raw.sum()
+        expect = (b + sum((1 - 2 * y) * wm * abs(test.overlap(s)) ** 2
+                          for s, y, wm in zip(states, labels, w))) / (abs(b) + 1.0)
+        assert out.expectation == pytest.approx(expect, abs=1e-12)
+        with pytest.raises(DimensionError):
+            assemble_bias_extended(ts, test).rho
 
 
 class TestHadamardClassifier:

@@ -1,12 +1,14 @@
 import csv
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qkclass import experiment
+from qkclass import cli, experiment
 from qkclass.cli import main
 from qkclass.datasets import (DatasetFile, format_complex, gen_toy, ingest,
                               parse_complex, write_dataset)
@@ -314,6 +316,22 @@ class TestCliCommands:
         assert error["error"]["type"] == "DimensionError"
         assert not (workdir / "out.json").exists()
 
+    @pytest.mark.parametrize("error", [
+        MemoryError("Unable to allocate 16.0 GiB for an array"),
+        np.linalg.LinAlgError("Eigenvalues did not converge"),
+    ])
+    def test_memory_and_linalg_errors_exit_numeric(self, runner, workdir, monkeypatch, error):
+        def failing_gram(*args, **kwargs):
+            raise error
+
+        write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])
+        monkeypatch.setattr(cli, "gram", failing_gram)
+        result = runner.invoke(main, ["gram", "train.csv", "-o", "gram.json"])
+        assert result.exit_code == 4
+        payload = json.loads(result.stderr)
+        assert payload["error"] == {"type": type(error).__name__, "message": str(error)}
+        assert not (workdir / "gram.json").exists()
+
     def test_empty_test_set(self, runner, workdir):
         write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])
         (workdir / "tests.json").write_text("[]")
@@ -354,3 +372,23 @@ class TestCliCommands:
         result = runner.invoke(main, ["classify", "train.csv", "--test", "tests.csv"])
         assert result.exit_code == 0
         assert json.loads(result.output)["results"][0]["predicted_label"] == 0
+
+
+def readme_round_trip() -> list[list[str]]:
+    """The commands of the README's round-trip block, continuation lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("A full round trip:", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+            if line.strip()]
+
+
+class TestReadme:
+    def test_round_trip_runs_as_written(self, runner, workdir):
+        commands = readme_round_trip()
+        assert [argv[:2] for argv in commands] == [
+            ["qkclass", "gen-toy"], ["qkclass", "train-svm"], ["qkclass", "classify"],
+            ["qkclass", "sample"], ["qkclass", "emit-plot"]]
+        for argv in commands:
+            result = runner.invoke(main, argv[1:])
+            assert result.exit_code == 0, (argv, result.output, result.stderr)
+        assert (workdir / "plot.csv").exists()

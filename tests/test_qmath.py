@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,16 @@ class TestTensor:
     def test_identity(self):
         assert np.array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
 
+    @pytest.mark.parametrize("shapes", [
+        [(2,), (4,), (2,)], [(2, 2), (8, 8)], [(4, 4), (4,)], [(3,), (2, 5), (3, 1)]])
+    def test_equals_numpy_kron(self, shapes):
+        rng = np.random.default_rng(len(shapes))
+        ops = [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
+        expect = ops[0]
+        for op in ops[1:]:
+            expect = np.kron(expect, op)
+        assert np.array_equal(tensor(*ops), expect)
+
     def test_zz_eigenvalue_on_11(self):
         zz = tensor(qmath.SIGMA_Z, qmath.SIGMA_Z)
         ket11 = tensor(basis_state(2, 1), basis_state(2, 1))
@@ -49,6 +61,21 @@ class TestTensor:
         big[0] = 1.0
         with pytest.raises(DimensionError):
             tensor(big, big)
+
+    def test_budget_checked_before_allocating(self):
+        # Zero-stride operands hold one element each; their products would
+        # be 2**18 x 2**18 complex entries, 2**40 bytes.
+        op = np.broadcast_to(np.complex128(1.0), (2**9, 2**9))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError):
+                tensor(op, op)
+            with pytest.raises(DimensionError):
+                qmath.register_permutation_matrix((2**9, 2**9), (1, 0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestPartialTrace:
