@@ -22,9 +22,9 @@ from .encoding import (ClassifierState, RawDatum, TrainingSet,
                        assemble_ensemble_exponents, assemble_ensemble_weights,
                        assemble_mixed_stc_input, assemble_pure_stc_input)
 from .errors import DataError, DimensionError, NumericError, QKClassError
-from .kernelsvm import (GramMatrix, KernelSpec, SvmModel, centroid_decision,
-                        gram, kernel_eval, overlap_gram, psd_certify,
-                        regression, svm_train)
+from .kernelsvm import (GramMatrix, KernelSpec, SvmModel, gram, kernel_eval,
+                        kernel_matrix, overlap_gram, psd_certify, regression,
+                        svm_train)
 from .qmath import (DensityMatrix, HermitianSpectrum, QState, fidelity,
                     hs_inner, partial_trace, tensor)
 
@@ -39,12 +39,11 @@ __all__ = [
     "assemble_ensemble_exponents", "assemble_ensemble_weights",
     "assemble_mixed_stc_input", "assemble_pure_stc_input",
     "build_effective_observable", "build_swap_test_unitary",
-    "centroid_decision", "classify_assembled", "empirical_expectation",
-    "expectation", "fidelity", "gram", "hadamard_classify",
-    "helstrom_operator", "hs_inner", "kernel_eval",
-    "misclassification_probability", "outcome_probabilities", "overlap_gram",
-    "partial_trace", "psd_certify", "qsvm_oracle_classify", "regression",
-    "run_swap_test", "sample_shots", "single_shot_classify", "stc_classify",
-    "stc_classify_bias", "svm_train", "swap_label_observable",
-    "swap_operator", "tensor",
+    "classify_assembled", "empirical_expectation", "expectation", "fidelity",
+    "gram", "hadamard_classify", "helstrom_operator", "hs_inner",
+    "kernel_eval", "kernel_matrix", "misclassification_probability",
+    "outcome_probabilities", "overlap_gram", "partial_trace", "psd_certify",
+    "qsvm_oracle_classify", "regression", "run_swap_test", "sample_shots",
+    "single_shot_classify", "stc_classify", "stc_classify_bias", "svm_train",
+    "swap_label_observable", "swap_operator", "tensor",
 ]

@@ -381,14 +381,20 @@ def outcome_probabilities(obs: Observable, state) -> dict[int, float]:
     return {lam: min(max((total.real + lam * value) / 2.0, 0.0), 1.0) for lam in (1, -1)}
 
 
-def sample_shots(obs: Observable, state, shots: int, seed: int) -> list[ShotRecord]:
-    """Independent draws from the outcome distribution, reproducible by seed."""
+def draw_shots(value: float, shots: int, seed: int) -> list[ShotRecord]:
+    """``shots`` seeded measurements of a +-1 observable with expectation
+    ``value``: the +1 count is one binomial draw with p(+1) = (1 + value)/2."""
     if shots < 1:
         raise DataError(f"shots must be >= 1, got {shots}")
-    probs = outcome_probabilities(obs, state)
-    rng = np.random.default_rng(seed)
-    n_plus = int(rng.binomial(shots, probs[1]))
+    p_plus = min(max((1.0 + value) / 2.0, 0.0), 1.0)
+    n_plus = int(np.random.default_rng(seed).binomial(shots, p_plus))
     return [ShotRecord(1, n_plus, seed), ShotRecord(-1, shots - n_plus, seed)]
+
+
+def sample_shots(obs: Observable, state, shots: int, seed: int) -> list[ShotRecord]:
+    """Independent draws from the outcome distribution, reproducible by seed."""
+    probs = outcome_probabilities(obs, state)
+    return draw_shots(probs[1] - probs[-1], shots, seed)
 
 
 def empirical_expectation(records: list[ShotRecord]) -> float:

@@ -27,6 +27,8 @@ from .circuit import (ancilla_label_parity, apply_swap_test_unitary,
                       swap_label_observable)
 from .encoding import ClassifierState, TrainingSet, amplitude_encode
 from .errors import DataError, DimensionError, NumericError
+from .kernelsvm import (HS_TRACE, REAL_OVERLAP, SQUARED_OVERLAP, KernelSpec,
+                        kernel_matrix)
 from .qmath import DensityMatrix, QState, basis_state, tensor, tensor_power
 from .registers import ANCILLA, block_layout, index_register_dim
 
@@ -100,37 +102,35 @@ def _as_test_density(test) -> DensityMatrix:
     return amplitude_encode(test).to_density()
 
 
-def _pure_kernels(ts: TrainingSet, test: QState) -> np.ndarray:
-    states = ts.pure_states()
-    if states and states[0].dim != test.dim:
-        raise DimensionError(f"test dim {test.dim} != training dim {states[0].dim}")
-    return np.array([abs(test.overlap(s)) ** 2 for s in states])
+def _terms(values: np.ndarray) -> tuple[tuple[int, float], ...]:
+    return tuple(enumerate(values.tolist()))
 
 
-def _mixed_kernels(ts: TrainingSet, test: DensityMatrix) -> np.ndarray:
-    return np.array([qmath.hs_inner(test, rho) for rho in ts.density_states()])
+def _stc_terms(ts: TrainingSet, test, weights: np.ndarray) -> tuple[tuple[int, float], ...]:
+    """Swap-test terms sign_m w_m kernel(x_m, test)**k: the squared overlap
+    on pure data, the trace inner product once either side is mixed."""
+    if ts.is_mixed or isinstance(test, DensityMatrix):
+        spec, train = KernelSpec(HS_TRACE, ts.k), ts.density_states()
+        test = _as_test_density(test)
+    else:
+        spec, train = KernelSpec(SQUARED_OVERLAP, ts.k), ts.pure_states()
+    return _terms((1 - 2 * ts.labels) * weights * kernel_matrix(spec, train, [test])[:, 0])
 
 
-def _per_term(ts: TrainingSet, kernels: np.ndarray,
-              weights: np.ndarray) -> tuple[tuple[int, float], ...]:
-    signs = np.array([label_sign(e.label) for e in ts.entries])
-    return tuple((m, float(signs[m] * weights[m] * kernels[m] ** ts.k))
-                 for m in range(len(ts)))
+def _real_overlaps(ts: TrainingSet, test: QState) -> np.ndarray:
+    """Re<x_m|test> for every training entry."""
+    return kernel_matrix(KernelSpec(REAL_OVERLAP), ts.pure_states(), [test])[:, 0]
+
+
+def _mixed_data(ts: TrainingSet) -> list:
+    return list(zip(ts.density_states(), ts.labels, ts.effective_weights()))
 
 
 def minimal_input_state(ts: TrainingSet, test) -> ClassifierState:
-    if ts.is_mixed or isinstance(test, DensityMatrix):
-        data = list(zip(ts.density_states(), ts.labels, ts.effective_weights()))
-        return encoding.assemble_mixed_stc_input(_as_test_density(test), data, ts.k,
-                                                 with_ancilla=False)
-    return encoding.assemble_pure_stc_input(ts, test, with_ancilla=False)
-
-
-def _ancilla_state(ts: TrainingSet, test) -> ClassifierState:
-    if ts.is_mixed or isinstance(test, DensityMatrix):
-        data = list(zip(ts.density_states(), ts.labels, ts.effective_weights()))
-        return encoding.assemble_mixed_stc_input(_as_test_density(test), data, ts.k)
-    return encoding.assemble_pure_stc_input(ts, test)
+    """Ancilla-free swap-test input as a density matrix; the circuit modes
+    use it for mixed data (pure data is evolved entry by entry as vectors)."""
+    return encoding.assemble_mixed_stc_input(_as_test_density(test), _mixed_data(ts),
+                                             ts.k, with_ancilla=False)
 
 
 def _pure_component_vectors(ts: TrainingSet, test: QState, with_ancilla: bool):
@@ -163,7 +163,8 @@ def _circuit_mode_value(ts: TrainingSet, test, minimal: bool) -> float:
     if minimal:
         assembled = minimal_input_state(ts, test)
         return expectation(swap_label_observable(assembled.layout), assembled)
-    assembled = run_swap_test(_ancilla_state(ts, test))
+    assembled = run_swap_test(encoding.assemble_mixed_stc_input(
+        _as_test_density(test), _mixed_data(ts), ts.k))
     return expectation(ancilla_label_parity(assembled.layout), assembled)
 
 
@@ -182,14 +183,9 @@ def stc_classify(ts: TrainingSet, test, mode: str = "analytic",
         raise DataError("training set carries a bias; use stc_classify_bias")
     if not ts.entries:
         raise DataError("empty training set")
-    weights = ts.effective_weights()
-    if ts.is_mixed or isinstance(test, DensityMatrix):
-        kernels = _mixed_kernels(ts, _as_test_density(test))
-    else:
-        state, _ = _coerce_test_pure(test, ts)
-        kernels = _pure_kernels(ts, state)
-        test = state
-    terms = _per_term(ts, kernels, weights)
+    if not (ts.is_mixed or isinstance(test, DensityMatrix)):
+        test, _ = _coerce_test_pure(test, ts)
+    terms = _stc_terms(ts, test, ts.effective_weights())
     if mode == "analytic":
         value = float(sum(v for _, v in terms))
     else:
@@ -212,8 +208,7 @@ def stc_classify_bias(ts: TrainingSet, test,
         raise DataError("training set has no bias; use stc_classify")
     state, _ = _coerce_test_pure(test, ts)
     bias_term, weights = ts.effective_bias_and_weights()
-    kernels = _pure_kernels(ts, state) if ts.entries else np.zeros(0)
-    terms = _per_term(ts, kernels, weights)
+    terms = _stc_terms(ts, state, weights) if ts.entries else ()
     value = bias_term + float(sum(v for _, v in terms))
     assembled = run_swap_test(encoding.assemble_bias_extended(ts, state))
     simulated = expectation(ancilla_label_parity(assembled.layout), assembled)
@@ -298,11 +293,8 @@ def hadamard_classify(ts: TrainingSet, test, with_bias: bool = False,
         raise DimensionError(f"test dim {state.dim} != training dim {ts.data_dim}")
     u, x, n_u, n_x, bias = _hc_sides(ts, state, test_norm, with_bias)
     scale = 1.0 / math.sqrt(n_u * n_x)
-    terms = []
-    for m, (s, entry) in enumerate(zip(ts.pure_states(), ts.entries)):
-        re_overlap = float(np.real(s.overlap(state)))
-        terms.append((m, scale * label_sign(entry.label) * entry.weight
-                      * test_norm * entry.norm * re_overlap))
+    terms = _terms(scale * (1 - 2 * ts.labels) * ts.weights * test_norm * ts.norms
+                   * _real_overlaps(ts, state))
     bias_term = scale * bias
     value = bias_term + sum(v for _, v in terms)
     simulated = _interference_pair_expectation(
@@ -310,8 +302,7 @@ def hadamard_classify(ts: TrainingSet, test, with_bias: bool = False,
     if abs(simulated - value) > MODE_AGREEMENT_ATOL:
         raise NumericError(
             f"Hadamard circuit value {simulated} disagrees with the closed form {value}")
-    return ClassifierOutput(value, decide(value, tie_eps), tuple(terms),
-                            bias_term=bias_term)
+    return ClassifierOutput(value, decide(value, tie_eps), terms, bias_term=bias_term)
 
 
 def qsvm_oracle_classify(alphas: Sequence[float], b: float, ts: TrainingSet,
@@ -336,8 +327,7 @@ def qsvm_oracle_classify(alphas: Sequence[float], b: float, ts: TrainingSet,
     idx_dim = index_register_dim(len(ts) + 1)
     u = b * tensor(basis_state(idx_dim, 0), basis_state(dim, 0))
     x = 1.0 * tensor(basis_state(idx_dim, 0), basis_state(dim, 0))
-    states = ts.pure_states()
-    for m, (s, entry) in enumerate(zip(states, ts.entries)):
+    for m, (s, entry) in enumerate(zip(ts.pure_states(), ts.entries)):
         u = u + alphas[m] * entry.norm * tensor(basis_state(idx_dim, m + 1), s.vec)
         x = x + test_norm * tensor(basis_state(idx_dim, m + 1), state.vec)
     n_u = float(np.vdot(u, u).real)
@@ -345,9 +335,7 @@ def qsvm_oracle_classify(alphas: Sequence[float], b: float, ts: TrainingSet,
     if n_u <= 0.0:
         raise DataError("degenerate oracle: training branch has zero norm")
     scale = 1.0 / math.sqrt(n_u * n_x)
-    terms = tuple(
-        (m, scale * alphas[m] * e.norm * test_norm * float(np.real(s.overlap(state))))
-        for m, (s, e) in enumerate(zip(states, ts.entries)))
+    terms = _terms(scale * alphas * ts.norms * test_norm * _real_overlaps(ts, state))
     bias_term = scale * b
     value = bias_term + sum(v for _, v in terms)
     simulated = _interference_pair_expectation(
@@ -378,11 +366,15 @@ def classify_assembled(state: ClassifierState,
 
 
 def single_shot_classify(ts: TrainingSet, test, seed: int) -> int:
-    """One projective-measurement draw, mapped to a label by (1 - outcome)/2."""
-    assembled = minimal_input_state(ts, test)
-    probs = outcome_probabilities(swap_label_observable(assembled.layout), assembled)
+    """One projective-measurement draw, mapped to a label by (1 - outcome)/2.
+
+    The swap-label observable squares to the identity, so p(+1) = (1 + E)/2
+    with E the analytic expectation; the draw is ``random() < p(+1)`` on a
+    generator seeded with ``seed``.
+    """
+    value = stc_classify(ts, test).expectation
     rng = np.random.default_rng(seed)
-    outcome = 1 if rng.random() < probs[1] else -1
+    outcome = 1 if rng.random() < (1.0 + value) / 2.0 else -1
     return outcome_to_label(outcome)
 
 
@@ -411,10 +403,7 @@ def misclassification_probability(ts: TrainingSet, mix: TestMixture) -> float:
     """
     if not ts.entries:
         raise DataError("empty training set")
-    weights = ts.effective_weights()
-    rhos = ts.density_states()
-    labels = ts.labels
-    data = list(zip(rhos, labels, weights))
+    data = _mixed_data(ts)
 
     def error_given(test_rho: DensityMatrix, wrong_outcome: int) -> float:
         state = encoding.assemble_mixed_stc_input(test_rho, data, ts.k,
@@ -425,11 +414,12 @@ def misclassification_probability(ts: TrainingSet, mix: TestMixture) -> float:
     # Outcome +1 decides class 0, so a class-0 test point errs on -1.
     projector_value = mix.p0 * error_given(mix.rho0, -1) + mix.p1 * error_given(mix.rho1, +1)
     if ts.k == 1:
-        helstrom_like_0 = mix.p0 * mix.rho0.entries - mix.p1 * mix.rho1.entries
-        closed = 0.5
-        for rho_m, label, w in data:
-            signed = -helstrom_like_0 if label == 0 else helstrom_like_0
-            closed += 0.5 * w * float(np.einsum("ij,ji->", signed, rho_m.entries).real)
+        # Tr((p0 rho0 - p1 rho1) rho_m) from the trace kernel of each class state.
+        kernels = kernel_matrix(KernelSpec(HS_TRACE), [mix.rho0, mix.rho1],
+                                [rho for rho, _, _ in data])
+        helstrom = mix.p0 * kernels[0] - mix.p1 * kernels[1]
+        closed = 0.5 - 0.5 * float(np.sum((1 - 2 * ts.labels) * ts.effective_weights()
+                                          * helstrom))
         if abs(closed - projector_value) > MODE_AGREEMENT_ATOL:
             raise NumericError(
                 f"projector error rate {projector_value} disagrees with "

@@ -19,9 +19,8 @@ import click
 import numpy as np
 
 from . import datasets, experiment
-from .encoding import amplitude_encode
 from .errors import DataError, QKClassError
-from .kernelsvm import KERNEL_KINDS, KernelSpec, gram, psd_certify, svm_train
+from .kernelsvm import KERNEL_KINDS, KernelSpec, psd_certify, svm_train
 
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
@@ -48,7 +47,8 @@ def handles_errors(fn):
 
 def _write_json(payload: dict, out: str | None):
     if out is None:
-        click.echo(json.dumps(experiment.jsonable(payload), indent=2, sort_keys=True))
+        click.echo(json.dumps(payload, indent=2, sort_keys=True,
+                              default=experiment.jsonable))
     else:
         experiment.write_results(payload, out)
 
@@ -145,8 +145,7 @@ def classify(dataset, test_path, labeled_tests, fmt, out, config_path, **cli_val
 def train_svm(dataset, kernel, k, box_c, fmt, out):
     """Train the dual SVM on a dataset and emit the model."""
     ds = datasets.ingest(dataset, fmt)
-    states = [amplitude_encode(row) for row in ds.features]
-    g = gram(KernelSpec(kernel, k=k), states)
+    g = experiment.dataset_gram(ds, KernelSpec(kernel, k=k))
     model = svm_train(g, ds.labels, C=box_c)
     payload = {
         "schema_version": experiment.SCHEMA_VERSION,
@@ -174,8 +173,7 @@ def train_svm(dataset, kernel, k, box_c, fmt, out):
 def gram_command(dataset, kernel, k, fmt, out):
     """Gram matrix, its eigenvalues, and the PSD certificate."""
     ds = datasets.ingest(dataset, fmt)
-    states = [amplitude_encode(row) for row in ds.features]
-    g = gram(KernelSpec(kernel, k=k), states)
+    g = experiment.dataset_gram(ds, KernelSpec(kernel, k=k))
     cert = psd_certify(g)
     payload = {
         "schema_version": experiment.SCHEMA_VERSION,

@@ -20,11 +20,11 @@ import numpy as np
 
 from . import classifier as clf
 from . import encoding
-from .circuit import empirical_expectation, sample_shots, swap_label_observable
+from .circuit import draw_shots, empirical_expectation
 from .datasets import DatasetFile
 from .encoding import RawDatum, TrainingSet
 from .errors import DataError
-from .kernelsvm import KernelSpec, gram, svm_train
+from .kernelsvm import HS_TRACE, GramMatrix, KernelSpec, gram, svm_train
 from .qmath import QState
 
 SCHEMA_VERSION = 1
@@ -112,10 +112,20 @@ def merge_config(cli_values: dict, file_values: dict) -> ExperimentConfig:
     return ExperimentConfig(**merged)
 
 
+def dataset_gram(dataset: DatasetFile, spec: KernelSpec) -> GramMatrix:
+    """Gram matrix of the amplitude-encoded rows; hs-trace takes them as
+    density matrices (on pure states it equals the squared overlap)."""
+    states = [encoding.amplitude_encode(row) for row in dataset.features]
+    if spec.kind == HS_TRACE:
+        states = [s.to_density() for s in states]
+    return gram(spec, states)
+
+
 def build_training_set(config: ExperimentConfig, dataset: DatasetFile):
-    """Training set plus the trained model (when weights mode is trained)."""
+    """Training set, plus the trained model and the Gram matrix it was
+    trained on (both None unless the weights mode is trained)."""
     mode = encoding.KEEP_NORMS if config.keep_norms else encoding.UNIT_VECTORS
-    model = None
+    model = g = None
     if config.weights == "uniform":
         weights = np.ones(len(dataset))
     elif config.weights == "explicit":
@@ -124,9 +134,8 @@ def build_training_set(config: ExperimentConfig, dataset: DatasetFile):
                             f"for {len(dataset)} rows")
         weights = np.asarray(config.explicit_weights, dtype=float)
     else:
-        states = [encoding.amplitude_encode(row) for row in dataset.features]
-        spec = KernelSpec(config.kernel, k=config.k)
-        model = svm_train(gram(spec, states), dataset.labels, C=config.box_c)
+        g = dataset_gram(dataset, KernelSpec(config.kernel, k=config.k))
+        model = svm_train(g, dataset.labels, C=config.box_c)
         weights = np.asarray(model.multipliers, dtype=float)
         if weights.sum() <= 0:
             raise DataError("trained multipliers are all zero")
@@ -142,7 +151,7 @@ def build_training_set(config: ExperimentConfig, dataset: DatasetFile):
     data = [RawDatum(row, int(label), float(w))
             for row, label, w in zip(dataset.features, dataset.labels, weights)]
     ts = TrainingSet.from_raw(data, k=config.k, bias=bias, mode=mode)
-    return ts, model
+    return ts, model, g
 
 
 def _alphas_for_oracle(config: ExperimentConfig, ts: TrainingSet, model) -> np.ndarray:
@@ -177,7 +186,7 @@ def run_experiment(config: ExperimentConfig, dataset: DatasetFile,
     start = time.monotonic()
     if config.shots > 0 and config.classifier not in ("stc", "stc-bias"):
         raise DataError("shot sampling is defined for the swap-test classifiers only")
-    ts, model = build_training_set(config, dataset)
+    ts, model, g = build_training_set(config, dataset)
     if config.classifier == "stc-bias" and ts.bias is None:
         raise DataError("stc-bias requires a nonzero bias (explicit or trained)")
     point_seeds = np.random.SeedSequence(config.seed).generate_state(
@@ -196,9 +205,7 @@ def run_experiment(config: ExperimentConfig, dataset: DatasetFile,
         if test_labels is not None:
             entry["true_label"] = int(test_labels[i])
         if config.shots > 0:
-            assembled = clf.minimal_input_state(ts, test)
-            records = sample_shots(swap_label_observable(assembled.layout), assembled,
-                                   config.shots, int(point_seeds[i]))
+            records = draw_shots(out.expectation, config.shots, int(point_seeds[i]))
             counts = {r.outcome: r.count for r in records}
             entry["shots"] = {
                 "seed": int(point_seeds[i]),
@@ -222,8 +229,6 @@ def run_experiment(config: ExperimentConfig, dataset: DatasetFile,
             "support_indices": list(model.support_indices),
             "kernel": {"kind": model.kernel.kind, "k": model.kernel.k},
         }
-        states = [encoding.amplitude_encode(row) for row in dataset.features]
-        g = gram(KernelSpec(config.kernel, k=config.k), states)
         payload["gram_summary"] = {
             "min_eigenvalue": float(g.eigenvalues[0]),
             "max_eigenvalue": float(g.eigenvalues[-1]),
@@ -251,20 +256,18 @@ def _atomic_write(path: str, writer):
 
 
 def jsonable(value):
+    """``default`` hook of the JSON encoder: numpy scalars and arrays as
+    Python values. The payload itself is encoded as it stands, not copied."""
     if isinstance(value, (np.floating, np.integer)):
         return value.item()
     if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    return value
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def write_results(payload: dict, path: str):
     def writer(handle):
-        json.dump(jsonable(payload), handle, indent=2, sort_keys=True)
+        json.dump(payload, handle, indent=2, sort_keys=True, default=jsonable)
         handle.write("\n")
 
     _atomic_write(path, writer)

@@ -2,10 +2,12 @@
 trainer whose multipliers and bias feed the quantum classifiers.
 
 Both kernels offered for training are positive semi-definite: the squared
-overlap of pure states and the trace inner product of density matrices. The
-trainer is a self-contained SMO solver (maximal-violating-pair working-set
-selection, two-variable analytic updates) adequate up to a few thousand
-points.
+overlap of pure states and the trace inner product of density matrices.
+:func:`kernel_matrix` is the one kernel path: it evaluates a kernel over
+stacked inputs, and the single value, the Gram matrix, the regression and
+every classifier's kernel sum are read from it. The trainer is a
+self-contained SMO solver (maximal-violating-pair working-set selection,
+two-variable analytic updates) adequate up to a few thousand points.
 """
 
 from __future__ import annotations
@@ -15,10 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import qmath
-from .encoding import TrainingSet
 from .errors import DataError, DimensionError, NumericError
-from .qmath import DensityMatrix, QState
+from .qmath import ATOL_STRUCT, DensityMatrix, QState
 
 SQUARED_OVERLAP = "squared-overlap"
 HS_TRACE = "hs-trace"
@@ -43,27 +43,56 @@ class KernelSpec:
             raise DataError(f"kernel copy exponent must be >= 1, got {self.k}")
 
 
-def _base_kernel(kind: str, a, b) -> float:
-    if kind == HS_TRACE:
-        if not isinstance(a, DensityMatrix) or not isinstance(b, DensityMatrix):
-            raise DataError("hs-trace kernel requires DensityMatrix inputs")
-        return qmath.hs_inner(a, b)
-    if not isinstance(a, QState) or not isinstance(b, QState):
-        raise DataError(f"{kind} kernel requires QState inputs")
-    overlap = a.overlap(b)
-    if kind == SQUARED_OVERLAP:
-        return abs(overlap) ** 2
-    return overlap.real
+def _stack(kind: str, states: Sequence) -> np.ndarray:
+    """The inputs as one array (vectors, or density matrices for hs-trace),
+    after checking their type and that they share one dimension."""
+    want = DensityMatrix if kind == HS_TRACE else QState
+    if len(states) == 0:
+        raise DataError(f"{kind} kernel needs at least one state")
+    if not all(isinstance(s, want) for s in states):
+        raise DataError(f"{kind} kernel requires homogeneous {want.__name__} inputs")
+    dims = {s.dim for s in states}
+    if len(dims) > 1:
+        raise DimensionError(f"dimension mismatch: {sorted(dims)}")
+    return np.stack([s.entries if kind == HS_TRACE else s.vec for s in states])
+
+
+def kernel_matrix(spec: KernelSpec, rows: Sequence, cols: Sequence) -> np.ndarray:
+    """K[i, j] = kernel(rows[i], cols[j]) ** spec.k over the stacked inputs.
+
+    Squared overlap |A^H B|**2 and real overlap Re(A^H B) take QStates;
+    hs-trace takes DensityMatrices, Tr(rows[i] cols[j]) by one einsum with
+    an imaginary residual of at most 1e-12. Squared-overlap and hs-trace
+    values must lie in [0, 1] (to -1e-12 / +1e-10) and are clamped there.
+    """
+    a = _stack(spec.kind, rows)
+    b = a if cols is rows else _stack(spec.kind, cols)
+    if a.shape[1:] != b.shape[1:]:
+        raise DimensionError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    if spec.kind == HS_TRACE:
+        prod = np.einsum("aij,bji->ab", a, b)
+        residual = max(prod.imag.max(), -prod.imag.min())
+        if residual > ATOL_STRUCT:
+            raise NumericError(f"trace inner product has imaginary residual {residual}")
+        values = prod.real.copy()
+    else:
+        prod = a.conj() @ b.T
+        values = prod.real.copy() if spec.kind == REAL_OVERLAP else np.abs(prod)
+    if spec.kind == SQUARED_OVERLAP:
+        np.square(values, out=values)
+    if spec.kind != REAL_OVERLAP:
+        lo, hi = values.min(), values.max()
+        if hi > 1.0 + 1e-10 or lo < -1e-12:
+            raise NumericError(f"{spec.kind} kernel values [{lo}, {hi}] outside [0, 1]")
+        np.clip(values, 0.0, 1.0, out=values)
+    if spec.k > 1:
+        np.power(values, spec.k, out=values)
+    return values
 
 
 def kernel_eval(spec: KernelSpec, a, b) -> float:
     """Kernel value, raised to the copy exponent ``spec.k``."""
-    value = _base_kernel(spec.kind, a, b)
-    if spec.kind in (SQUARED_OVERLAP, HS_TRACE):
-        if value > 1.0 + 1e-10 or value < -1e-12:
-            raise NumericError(f"{spec.kind} kernel value {value} outside [0, 1]")
-        value = min(max(value, 0.0), 1.0)
-    return value ** spec.k
+    return float(kernel_matrix(spec, [a], [b])[0, 0])
 
 
 @dataclass(frozen=True)
@@ -89,17 +118,11 @@ class GramMatrix:
 
 def gram(spec: KernelSpec, states: Sequence) -> GramMatrix:
     """Symmetric Gram matrix G[n, m] = kernel(states[n], states[m])."""
-    if not states:
-        raise DataError("gram() needs at least one state")
-    want = DensityMatrix if spec.kind == HS_TRACE else QState
-    if not all(isinstance(s, want) for s in states):
-        raise DataError(f"{spec.kind} kernel requires homogeneous {want.__name__} inputs")
-    m = len(states)
-    g = np.zeros((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            val = kernel_eval(spec, states[i], states[j])
-            g[i, j] = g[j, i] = val
+    g = kernel_matrix(spec, states, states)
+    # The product's two triangles can differ in the last bit; their mean is
+    # exactly symmetric.
+    g += g.T
+    g *= 0.5
     eigs = np.linalg.eigvalsh(g)
     g.setflags(write=False)
     eigs.setflags(write=False)
@@ -112,12 +135,8 @@ def overlap_gram(states: Sequence[QState]) -> np.ndarray:
     Not a training kernel; its entrywise product with its own conjugate is
     the squared-overlap Gram matrix.
     """
-    m = len(states)
-    g = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        for j in range(m):
-            g[i, j] = states[i].overlap(states[j])
-    return g
+    a = _stack(SQUARED_OVERLAP, states)
+    return a.conj() @ a.T
 
 
 @dataclass(frozen=True)
@@ -249,23 +268,5 @@ def regression(model: SvmModel, train_states: Sequence, test,
         raise DataError(f"kernel mismatch: model trained with {model.kernel}, got {spec}")
     if len(train_states) != model.multipliers.size:
         raise DataError(f"{len(train_states)} states for {model.multipliers.size} multipliers")
-    value = model.bias
-    for a_signed, state in zip(model.signed_multipliers, train_states):
-        if a_signed != 0.0:
-            value += a_signed * kernel_eval(spec, state, test)
-    return float(value)
-
-
-def centroid_decision(ts: TrainingSet, test, spec: KernelSpec) -> float:
-    """Difference of mean kernel similarity to each class centroid.
-
-    Identical to the analytic swap-test expectation when the kernel matches
-    the data type and ``spec.k == ts.k``.
-    """
-    weights = ts.effective_weights()
-    value = 0.0
-    for entry, w in zip(ts.entries, weights):
-        kernel_input = entry.state
-        sign = 1.0 if entry.label == 0 else -1.0
-        value += sign * w * kernel_eval(spec, kernel_input, test)
-    return float(value)
+    kernels = kernel_matrix(spec, train_states, [test])[:, 0]
+    return float(model.bias + model.signed_multipliers @ kernels)

@@ -168,10 +168,6 @@ class DensityMatrix:
         DensityMatrix(self.entries, check_psd=True)
 
     @classmethod
-    def from_state(cls, state: QState) -> "DensityMatrix":
-        return state.to_density()
-
-    @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
         return cls(np.eye(dim) / dim, check_psd=False)
 

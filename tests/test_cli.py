@@ -109,6 +109,12 @@ class TestToyGeneration:
             gen_toy("spiral", 5, 2, seed=0)
 
 
+def gen_toy_file(runner, *options):
+    result = runner.invoke(main, ["gen-toy", "--kind", "separable", "--seed", "3",
+                                  *options, "-o", "toy.csv"])
+    assert result.exit_code == 0, result.output
+
+
 def two_point_dataset():
     return DatasetFile(np.array([[1.0, 0.0], [0.0, 1.0]], dtype=complex),
                        np.array([0, 1]))
@@ -325,7 +331,7 @@ class TestCliCommands:
             raise error
 
         write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])
-        monkeypatch.setattr(cli, "gram", failing_gram)
+        monkeypatch.setattr(experiment, "gram", failing_gram)
         result = runner.invoke(main, ["gram", "train.csv", "-o", "gram.json"])
         assert result.exit_code == 4
         payload = json.loads(result.stderr)
@@ -365,6 +371,52 @@ class TestCliCommands:
         payload = json.loads((workdir / "gram.json").read_text())
         assert payload["certified_psd"] is True
         assert np.allclose(payload["matrix"], np.eye(2))
+
+    def test_hs_trace_gram_equals_squared_overlap(self, runner, workdir):
+        gen_toy_file(runner, "--m", "8", "--dim", "4")
+        matrices = {}
+        for kind in ("hs-trace", "squared-overlap"):
+            result = runner.invoke(main, ["gram", "toy.csv", "--kernel", kind,
+                                          "-o", f"{kind}.json"])
+            assert result.exit_code == 0, result.output
+            payload = json.loads((workdir / f"{kind}.json").read_text())
+            matrices[kind] = np.array(payload["matrix"])
+        assert np.abs(matrices["hs-trace"] - matrices["squared-overlap"]).max() <= 1e-12
+
+    def test_hs_trace_training(self, runner, workdir):
+        gen_toy_file(runner, "--m", "8", "--dim", "4")
+        result = runner.invoke(main, ["train-svm", "toy.csv", "--kernel", "hs-trace",
+                                      "-o", "model.json"])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["classify", "toy.csv", "--test", "toy.csv",
+                                      "--labeled-tests", "--kernel", "hs-trace",
+                                      "--weights", "trained", "-o", "out.json"])
+        assert result.exit_code == 0, result.output
+
+    def test_sample_stc_bias(self, runner, workdir):
+        write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])
+        write_lines(workdir / "tests.csv", ["0.6,0.8"])
+        shots = 10_000
+        result = runner.invoke(main, ["sample", "train.csv", "--test", "tests.csv",
+                                      "--classifier", "stc-bias", "--bias", "0.3",
+                                      "--shots", str(shots), "--seed", "3", "-o", "out.json"])
+        assert result.exit_code == 0, result.output
+        record = json.loads((workdir / "out.json").read_text())["results"][0]
+        e = record["expectation"]
+        assert record["bias_term"] != 0.0
+        assert record["shots"]["plus"] + record["shots"]["minus"] == shots
+        sigma = math.sqrt((1 - e * e) / shots)
+        assert abs(record["shots"]["empirical_expectation"] - e) < 5 * sigma
+
+    def test_sample_two_copies_of_dim_eight(self, runner, workdir):
+        gen_toy_file(runner, "--m", "8", "--dim", "8")
+        result = runner.invoke(main, ["sample", "toy.csv", "--test", "toy.csv",
+                                      "--labeled-tests", "--k", "2", "--shots", "1000",
+                                      "--seed", "1", "-o", "out.json"])
+        assert result.exit_code == 0, result.output
+        records = json.loads((workdir / "out.json").read_text())["results"]
+        assert len(records) == 8
+        assert all(r["shots"]["total"] == 1000 for r in records)
 
     def test_stdout_when_no_output_path(self, runner, workdir):
         write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])

@@ -228,9 +228,9 @@ class TestVectorState:
 
     def test_indexed_rho_is_outer_product(self):
         rng = np.random.default_rng(11)
-        xs = [random_state_vector(4, rng) for _ in range(3)]
+        xs = [random_state_vector(2, rng) for _ in range(3)]
         ts = TrainingSet.from_states([(x, i % 2, 1.0) for i, x in enumerate(xs)], k=2)
-        state = assemble_pure_stc_input(ts, random_state_vector(4, rng), with_index=True)
+        state = assemble_pure_stc_input(ts, random_state_vector(2, rng), with_index=True)
         vec = state.vector
         assert np.allclose(state.rho.entries, np.outer(vec, vec.conj()), rtol=0, atol=1e-12)
         state.rho.validate()

@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qkclass.classifier import stc_classify, stc_classify_bias
 from qkclass.encoding import TrainingSet
-from qkclass.errors import DataError, NumericError
-from qkclass.kernelsvm import (DEFAULT_C, HS_TRACE, REAL_OVERLAP,
-                               SQUARED_OVERLAP, GramMatrix, KernelSpec,
-                               centroid_decision, gram, kernel_eval,
-                               overlap_gram, psd_certify, regression,
-                               svm_train)
-from qkclass.qmath import (DensityMatrix, QState, basis_state,
+from qkclass.errors import DataError, DimensionError, NumericError
+from qkclass.kernelsvm import (DEFAULT_C, HS_TRACE, KERNEL_KINDS, REAL_OVERLAP,
+                               SQUARED_OVERLAP, GramMatrix, KernelSpec, gram,
+                               kernel_eval, kernel_matrix, overlap_gram,
+                               psd_certify, regression, svm_train)
+from qkclass.qmath import (DensityMatrix, QState, basis_state, hs_inner,
                            random_density_matrix, random_state_vector)
 
 KET0 = QState(basis_state(2, 0))
@@ -19,6 +20,25 @@ PLUS = QState(np.array([1, 1]) / np.sqrt(2))
 
 def bloch_state(theta):
     return QState(np.array([np.cos(theta), np.sin(theta)], dtype=complex))
+
+
+def random_inputs(kind, rng, m, dim):
+    if kind == HS_TRACE:
+        return [random_density_matrix(dim, rng, rank=int(rng.integers(1, dim + 1)))
+                for _ in range(m)]
+    return [random_state_vector(dim, rng) for _ in range(m)]
+
+
+def reference_kernel(kind, a, b):
+    """Per-pair base kernel from QState.overlap and hs_inner."""
+    if kind == HS_TRACE:
+        return hs_inner(a, b)
+    overlap = a.overlap(b)
+    return abs(overlap) ** 2 if kind == SQUARED_OVERLAP else overlap.real
+
+
+def with_phase(state, theta):
+    return QState(np.exp(1j * theta) * state.vec)
 
 
 def separable_toy(thetas0, thetas1):
@@ -57,6 +77,69 @@ class TestKernelEval:
             KernelSpec("polynomial")
         with pytest.raises(DataError):
             KernelSpec(SQUARED_OVERLAP, k=0)
+
+
+class TestKernelMatrix:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    @settings(max_examples=15, deadline=None, derandomize=True, database=None)
+    @given(m=st.integers(1, 5), n=st.integers(1, 5), dim=st.sampled_from([2, 4, 8]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_per_pair_references(self, kind, k, m, n, dim, seed):
+        rng = np.random.default_rng(seed)
+        rows, cols = random_inputs(kind, rng, m, dim), random_inputs(kind, rng, n, dim)
+        got = kernel_matrix(KernelSpec(kind, k=k), rows, cols)
+        want = np.array([[reference_kernel(kind, r, c) ** k for c in cols] for r in rows])
+        assert got.shape == (m, n)
+        assert np.abs(got - want).max() <= 1e-12
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(KERNEL_KINDS), k=st.integers(1, 3), m=st.integers(1, 12),
+           dim=st.sampled_from([2, 4, 8]), seed=st.integers(0, 2**32 - 1))
+    def test_gram_symmetric_and_psd(self, kind, k, m, dim, seed):
+        states = random_inputs(kind, np.random.default_rng(seed), m, dim)
+        g = gram(KernelSpec(kind, k=k), states)
+        assert np.array_equal(g.matrix, g.matrix.T)
+        assert psd_certify(g).certified
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(k=st.integers(1, 3), m=st.integers(1, 4), dim=st.sampled_from([2, 4]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_global_phase_invariance(self, k, m, dim, seed):
+        rng = np.random.default_rng(seed)
+        states = [random_state_vector(dim, rng) for _ in range(m + 1)]
+        phased = [with_phase(s, t) for s, t in zip(states, rng.uniform(0, 2 * np.pi, m + 1))]
+        for kind, convert in ((SQUARED_OVERLAP, lambda s: s),
+                              (HS_TRACE, lambda s: s.to_density())):
+            spec = KernelSpec(kind, k=k)
+            base = kernel_matrix(spec, [convert(s) for s in states],
+                                 [convert(s) for s in states])
+            moved = kernel_matrix(spec, [convert(s) for s in phased],
+                                  [convert(s) for s in phased])
+            assert np.abs(base - moved).max() <= 1e-12
+        labels = [i % 2 for i in range(m)]
+        weights = rng.random(m) + 0.1
+        value = stc_classify(TrainingSet.from_states(
+            list(zip(states[:m], labels, weights)), k=k), states[m]).expectation
+        moved = stc_classify(TrainingSet.from_states(
+            list(zip(phased[:m], labels, weights)), k=k), phased[m]).expectation
+        assert abs(value - moved) <= 1e-12
+
+    def test_dimension_mismatch_rejected(self):
+        with pytest.raises(DimensionError):
+            kernel_matrix(KernelSpec(SQUARED_OVERLAP), [KET0], [QState(basis_state(4, 0))])
+        with pytest.raises(DimensionError):
+            kernel_matrix(KernelSpec(SQUARED_OVERLAP), [KET0, QState(basis_state(4, 0))],
+                          [KET0])
+
+    def test_empty_input_rejected(self):
+        with pytest.raises(DataError):
+            kernel_matrix(KernelSpec(SQUARED_OVERLAP), [], [KET0])
+
+    def test_value_outside_unit_interval_rejected(self):
+        not_psd = DensityMatrix(np.diag([1.5, -0.5]), check_psd=False)
+        with pytest.raises(NumericError):
+            kernel_matrix(KernelSpec(HS_TRACE), [not_psd], [not_psd])
 
 
 class TestGram:
@@ -229,27 +312,13 @@ class TestRegression:
             assert out.predicted_label == (0 if f > 0 else 1)
 
 
-class TestCentroidDecision:
-    def test_matches_stc_analytic(self):
-        rng = np.random.default_rng(604)
-        for _ in range(20):
-            m = int(rng.integers(2, 5))
-            k = int(rng.integers(1, 3))
-            states = [random_state_vector(2, rng) for _ in range(m)]
-            labels = [int(rng.integers(0, 2)) for _ in range(m)]
-            weights = rng.random(m) + 0.1
-            ts = TrainingSet.from_states(list(zip(states, labels, weights)), k=k)
-            test = random_state_vector(2, rng)
-            spec = KernelSpec(SQUARED_OVERLAP, k=k)
-            assert abs(centroid_decision(ts, test, spec)
-                       - stc_classify(ts, test).expectation) < 1e-12
+class TestStcKernelSum:
+    """Hand-derived values of the swap-test classifier's weighted kernel sum."""
 
     def test_single_datum_per_class_orthogonal(self):
         ts = TrainingSet.from_states([(KET0, 0, 0.5), (KET1, 1, 0.5)])
-        value = centroid_decision(ts, KET0, KernelSpec(SQUARED_OVERLAP))
-        assert value == pytest.approx(0.5)
+        assert stc_classify(ts, KET0).expectation == pytest.approx(0.5)
 
     def test_symmetric_instance_is_zero(self):
         ts = TrainingSet.from_states([(KET0, 0, 0.5), (KET1, 1, 0.5)])
-        value = centroid_decision(ts, PLUS, KernelSpec(SQUARED_OVERLAP))
-        assert abs(value) < 1e-12
+        assert abs(stc_classify(ts, PLUS).expectation) < 1e-12
