@@ -2,11 +2,14 @@
 
 The swap-test unitary is Hadamard on the ancilla, a controlled swap of every
 (test, train) copy pair, and a second Hadamard. ``apply_swap_test_unitary``
-applies it through axis manipulation, which is what the classifiers use;
-``build_swap_test_unitary`` returns it as an explicit (cached,
-unitarity-checked) matrix for the reference checks.
+applies it through axis manipulation to a state vector or, along a leading
+batch axis, to every row of a stack of component vectors; that is what the
+classifiers use. ``build_swap_test_unitary`` returns it as an explicit
+(cached, unitarity-checked) matrix for the reference checks.
 
-The measured observables (the ancilla-label parity, the ancilla-free
+Assembled states are stacks of component vectors with
+rho = sum_i |v_i><v_i|, so a measured value is a sum over the rows. The
+measured observables (the ancilla-label parity, the ancilla-free
 swap-label observable and the register swap) are Pauli Z factors on named
 registers times a register permutation. They are stored in that form and
 applied to the reshaped state tensor, so measuring costs about the state,
@@ -26,8 +29,7 @@ from .errors import DataError, DimensionError, NumericError
 from .qmath import (ATOL_DERIVED, ATOL_STRUCT, HADAMARD, SIGMA_Z,
                     DensityMatrix, HermitianSpectrum, QState,
                     check_dense_budget, register_permutation_matrix)
-from .registers import (ANCILLA, LABEL, Register, RegisterLayout, TEST, TRAIN,
-                        block_layout)
+from .registers import ANCILLA, LABEL, Register, RegisterLayout, TEST, TRAIN
 
 _Z_DIAGONAL = np.array([1.0, -1.0])
 _Z_DIAGONAL.setflags(write=False)
@@ -141,14 +143,15 @@ class Observable:
         return self._involutory
 
     def _vector_value(self, vec: np.ndarray) -> complex:
-        """<psi|O|psi> as vdot(psi, (signs * psi).transpose(order))."""
-        t = vec.reshape(self.layout.dims)
+        """sum_i <v_i|O|v_i> over the rows of a stack (or one vector), as
+        vdot(V, (signs * V).transpose(order)) with a leading batch axis."""
+        t = vec.reshape((-1,) + self.layout.dims)
         acted = t
         for i in self.z_registers:
             shape = [1] * t.ndim
-            shape[i] = 2
+            shape[i + 1] = 2
             acted = acted * _Z_DIAGONAL.reshape(shape)
-        return complex(np.vdot(t, acted.transpose(self.order)))
+        return complex(np.vdot(t, acted.transpose((0,) + tuple(1 + i for i in self.order))))
 
     def _matrix_value(self, rho: np.ndarray) -> complex:
         """Tr(O rho) = sum_a s(a) rho[a, order(a)], one einsum over the
@@ -228,14 +231,6 @@ def swap_label_observable(layout: RegisterLayout) -> Observable:
         layout, (layout.index_of(LABEL),), _pair_swap_order(layout))
 
 
-def build_effective_observable(n: int, k: int) -> Observable:
-    """Ancilla-free classifier observable for ``k`` copies of ``n``-qubit data,
-    block register order [test x k | train x k | label]."""
-    if n < 1 or k < 1:
-        raise DimensionError("n and k must be positive")
-    return swap_label_observable(block_layout(2 ** n, k, ancilla=False))
-
-
 @lru_cache(maxsize=32)
 def build_swap_test_unitary(layout: RegisterLayout) -> np.ndarray:
     """Dense swap-test unitary for the given layout, verified unitary.
@@ -260,101 +255,82 @@ def build_swap_test_unitary(layout: RegisterLayout) -> np.ndarray:
     return v
 
 
-def _apply_left(tensor_arr: np.ndarray, op: np.ndarray, axis: int) -> np.ndarray:
-    return np.moveaxis(np.tensordot(op, tensor_arr, axes=([1], [axis])), 0, axis)
-
-
-def _apply_right_dagger(tensor_arr: np.ndarray, op: np.ndarray, axis: int) -> np.ndarray:
-    return np.moveaxis(np.tensordot(tensor_arr, op.conj().T, axes=([axis], [0])), -1, axis)
-
-
-def _controlled_select(plain: np.ndarray, swapped: np.ndarray, axis: int) -> np.ndarray:
-    return np.stack(
-        [np.take(plain, 0, axis=axis), np.take(swapped, 1, axis=axis)], axis=axis)
-
-
 def apply_swap_test_unitary(x: np.ndarray, layout: RegisterLayout) -> np.ndarray:
-    """Apply the swap-test unitary to a state vector, or conjugate a density
-    matrix by it, without materializing the dense operator."""
+    """Apply the swap-test unitary to a state vector, or to each row of a
+    stack of component vectors, without materializing the dense operator.
+
+    With t0, t1 the ancilla-0 and ancilla-1 halves and S the swap of every
+    (test, train) pair, Hadamard, controlled swap and Hadamard give
+    out0 = (t0 + t1 + S(t0 - t1)) / 2 and out1 = (t0 + t1 - S(t0 - t1)) / 2.
+    """
     dims = layout.dims
-    r = len(dims)
     a = layout.index_of(ANCILLA)
     order = _pair_swap_order(layout)
-    if order == tuple(range(r)):
+    if order == tuple(range(len(dims))):
         raise DimensionError("layout has no (test, train) pairs to swap")
     arr = np.asarray(x, dtype=complex)
-    if arr.ndim == 1:
-        if arr.size != layout.dim:
-            raise DimensionError(f"vector size {arr.size} != layout dim {layout.dim}")
-        t = arr.reshape(dims)
-        t = _apply_left(t, HADAMARD, a)
-        t = _controlled_select(t, t.transpose(order), a)
-        t = _apply_left(t, HADAMARD, a)
-        return t.reshape(-1)
-    if arr.shape != (layout.dim, layout.dim):
-        raise DimensionError(f"matrix shape {arr.shape} != layout dim {layout.dim}")
-    row_order = list(order) + list(range(r, 2 * r))
-    col_order = list(range(r)) + [r + i for i in order]
-    t = arr.reshape(dims + dims)
-    t = _apply_left(t, HADAMARD, a)
-    t = _apply_right_dagger(t, HADAMARD, r + a)
-    t = _controlled_select(t, t.transpose(row_order), a)
-    t = _controlled_select(t, t.transpose(col_order), r + a)
-    t = _apply_left(t, HADAMARD, a)
-    t = _apply_right_dagger(t, HADAMARD, r + a)
-    return t.reshape(layout.dim, layout.dim)
+    if arr.ndim not in (1, 2) or arr.shape[-1] != layout.dim:
+        raise DimensionError(f"state shape {arr.shape} does not match layout dim {layout.dim}")
+    rest = [i for i in range(len(dims)) if i != a]
+    swap = (0,) + tuple(1 + rest.index(order[i]) for i in rest)
+    t = np.moveaxis(arr.reshape((-1,) + dims), 1 + a, 1)
+    plus = t[:, 0] + t[:, 1]
+    swapped = (t[:, 0] - t[:, 1]).transpose(swap)
+    out = np.empty(t.shape, dtype=complex)
+    np.add(plus, swapped, out=out[:, 0])
+    np.subtract(plus, swapped, out=out[:, 1])
+    out *= 0.5
+    return np.moveaxis(out, 1, 1 + a).reshape(arr.shape)
 
 
 def run_swap_test(state: ClassifierState) -> ClassifierState:
-    """Swap-test circuit applied to an assembled state (vector kept if pure).
-
-    A pure state is evolved as a vector and returned as one, without its
-    density matrix; a mixed state's density matrix is conjugated.
-    """
-    if state.vector is not None:
-        vec = apply_swap_test_unitary(state.vector, state.layout)
-        return ClassifierState(None, state.layout, vector=vec)
-    rho = apply_swap_test_unitary(state.rho.entries, state.layout)
-    return ClassifierState(DensityMatrix(rho, check_psd=False), state.layout)
+    """Swap-test circuit applied to every row of an assembled state's stack;
+    the result is a stack on the same layout."""
+    return ClassifierState(None, state.layout,
+                           vector=apply_swap_test_unitary(state.stack, state.layout))
 
 
-def _state_array(state) -> np.ndarray:
-    """State vector when the state is pure and held as one, else its matrix."""
+def _state_array(state) -> tuple[np.ndarray, bool]:
+    """(array, is_matrix): a stack of component vectors, or the density
+    matrix that a DensityMatrix or a square array is."""
     if isinstance(state, ClassifierState):
-        return state.vector if state.vector is not None else state.rho.entries
+        return state.stack, False
     if isinstance(state, DensityMatrix):
-        return state.entries
+        return state.entries, True
     if isinstance(state, QState):
-        return state.vec
-    return np.asarray(state, dtype=complex)
+        return state.vec[None], False
+    arr = np.asarray(state, dtype=complex)
+    if arr.ndim == 1:
+        return arr[None], False
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+        raise DimensionError(f"expected a state vector or square matrix, got {arr.shape}")
+    return arr, True
 
 
 def expectation(obs, state) -> float:
-    """Tr(obs rho), or <psi|obs|psi> for a state vector; checked real to 1e-10.
+    """Tr(obs rho) as sum_i <v_i|obs|v_i> over the rows of a stack, or
+    Tr(obs rho) of a density matrix; checked real to 1e-10.
 
-    Accepts an Observable or a bare matrix, and a ClassifierState,
-    DensityMatrix, QState, matrix, or state vector. A pure ClassifierState
-    is evaluated in the vector form, so its density matrix is never built. A
-    structured Observable acts on the reshaped state tensor: a sign mask and
-    a transpose for a vector, one einsum for a density matrix; no operator
-    matrix is formed. A bare matrix or a matrix-built Observable is applied
-    densely.
+    Accepts an Observable or a bare matrix, and a ClassifierState (its
+    stack; the density matrix is never built), DensityMatrix, QState, state
+    vector or square matrix. A structured Observable acts on the reshaped
+    state tensor: a sign mask and a transpose for a stack, one einsum for a
+    density matrix; no operator matrix is formed. A bare matrix or a
+    matrix-built Observable is applied densely.
     """
-    arr = _state_array(state)
-    if arr.ndim not in (1, 2) or (arr.ndim == 2 and arr.shape[0] != arr.shape[1]):
-        raise DimensionError(f"expected a state vector or square matrix, got {arr.shape}")
+    arr, is_matrix = _state_array(state)
     structured = isinstance(obs, Observable) and obs.structured
     mat = None if structured else (
         obs.matrix if isinstance(obs, Observable) else np.asarray(obs, dtype=complex))
     dim = obs.dim if structured else mat.shape[0]
-    if arr.shape[0] != dim:
+    if arr.shape[-1] != dim:
         raise DimensionError(f"dimension mismatch: observable {dim} vs state {arr.shape}")
     if structured:
-        val = obs._vector_value(arr) if arr.ndim == 1 else obs._matrix_value(arr)
-    elif arr.ndim == 1:
-        val = complex(np.vdot(arr, mat @ arr))
-    else:
+        val = obs._matrix_value(arr) if is_matrix else obs._vector_value(arr)
+    elif is_matrix:
         val = complex(np.einsum("ij,ji->", mat, arr))
+    else:
+        val = complex(np.vdot(arr, arr @ mat.T))
     if abs(val.imag) > ATOL_DERIVED:
         raise NumericError(f"expectation has imaginary residual {val.imag}")
     return float(val.real)
@@ -365,15 +341,15 @@ def outcome_probabilities(obs: Observable, state) -> dict[int, float]:
 
     The spectral projectors are (identity +- obs) / 2, so the probabilities
     are (Tr rho +- <obs>) / 2, with <obs> from :func:`expectation`; no
-    projector or identity matrix is built, and a pure ClassifierState stays
-    a vector. The state's trace (squared norm for a vector) must be 1 to
-    1e-10, which is the check that the two probabilities sum to 1.
+    projector or identity matrix is built, and a ClassifierState stays a
+    stack. The state's trace (the summed squared norms of a stack) must be
+    1 to 1e-10, which is the check that the two probabilities sum to 1.
     """
     if not isinstance(obs, Observable) or not obs.has_pm_one_spectrum():
         raise NumericError("outcome probabilities require a +-1 spectrum observable")
     value = expectation(obs, state)
-    arr = _state_array(state)
-    total = complex(np.vdot(arr, arr) if arr.ndim == 1 else np.trace(arr))
+    arr, is_matrix = _state_array(state)
+    total = complex(np.trace(arr) if is_matrix else np.vdot(arr, arr))
     if abs(total.imag) > ATOL_DERIVED:
         raise NumericError(f"state trace has imaginary residual {total.imag}")
     if abs(total.real - 1.0) > ATOL_DERIVED:

@@ -22,15 +22,15 @@ from typing import Sequence
 import numpy as np
 
 from . import encoding, qmath
-from .circuit import (ancilla_label_parity, apply_swap_test_unitary,
-                      expectation, outcome_probabilities, run_swap_test,
+from .circuit import (ancilla_label_parity, expectation,
+                      outcome_probabilities, run_swap_test,
                       swap_label_observable)
 from .encoding import ClassifierState, TrainingSet, amplitude_encode
 from .errors import DataError, DimensionError, NumericError
 from .kernelsvm import (HS_TRACE, REAL_OVERLAP, SQUARED_OVERLAP, KernelSpec,
                         kernel_matrix)
-from .qmath import DensityMatrix, QState, basis_state, tensor, tensor_power
-from .registers import ANCILLA, block_layout, index_register_dim
+from .qmath import DensityMatrix, QState, basis_state, tensor
+from .registers import ANCILLA, index_register_dim
 
 TIE_EPS = 1e-12
 MODE_AGREEMENT_ATOL = 1e-10
@@ -94,24 +94,15 @@ def _coerce_test_pure(test, ts: TrainingSet) -> tuple[QState, float]:
     return state, (norm if ts.mode == encoding.KEEP_NORMS else 1.0)
 
 
-def _as_test_density(test) -> DensityMatrix:
-    if isinstance(test, DensityMatrix):
-        return test
-    if isinstance(test, QState):
-        return test.to_density()
-    return amplitude_encode(test).to_density()
-
-
 def _terms(values: np.ndarray) -> tuple[tuple[int, float], ...]:
     return tuple(enumerate(values.tolist()))
 
 
 def _stc_terms(ts: TrainingSet, test, weights: np.ndarray) -> tuple[tuple[int, float], ...]:
     """Swap-test terms sign_m w_m kernel(x_m, test)**k: the squared overlap
-    on pure data, the trace inner product once either side is mixed."""
-    if ts.is_mixed or isinstance(test, DensityMatrix):
+    on pure data, the trace inner product for a density-matrix test state."""
+    if isinstance(test, DensityMatrix):
         spec, train = KernelSpec(HS_TRACE, ts.k), ts.density_states()
-        test = _as_test_density(test)
     else:
         spec, train = KernelSpec(SQUARED_OVERLAP, ts.k), ts.pure_states()
     return _terms((1 - 2 * ts.labels) * weights * kernel_matrix(spec, train, [test])[:, 0])
@@ -126,46 +117,16 @@ def _mixed_data(ts: TrainingSet) -> list:
     return list(zip(ts.density_states(), ts.labels, ts.effective_weights()))
 
 
-def minimal_input_state(ts: TrainingSet, test) -> ClassifierState:
-    """Ancilla-free swap-test input as a density matrix; the circuit modes
-    use it for mixed data (pure data is evolved entry by entry as vectors)."""
-    return encoding.assemble_mixed_stc_input(_as_test_density(test), _mixed_data(ts),
-                                             ts.k, with_ancilla=False)
-
-
-def _pure_component_vectors(ts: TrainingSet, test: QState, with_ancilla: bool):
-    """The assembled pure-data state is a classical mixture of product
-    states, one per training entry; yield its (weight, vector) components."""
-    test_block = tensor_power(test.vec, ts.k)
-    for state, entry, w in zip(ts.pure_states(), ts.entries, ts.effective_weights()):
-        if w == 0.0:
-            continue
-        parts = [test_block, tensor_power(state.vec, ts.k),
-                 basis_state(2, entry.label)]
-        if with_ancilla:
-            parts.insert(0, basis_state(2, 0))
-        yield w, tensor(*parts)
-
-
 def _circuit_mode_value(ts: TrainingSet, test, minimal: bool) -> float:
-    """Swap-test measurement value through the circuit or the ancilla-free
-    observable; pure mixtures are evolved component by component."""
-    mixed = ts.is_mixed or isinstance(test, DensityMatrix)
-    if not mixed:
-        layout = block_layout(test.dim, ts.k, ancilla=not minimal)
-        if minimal:
-            obs = swap_label_observable(layout)
-            return sum(w * expectation(obs, vec)
-                       for w, vec in _pure_component_vectors(ts, test, False))
-        obs = ancilla_label_parity(layout)
-        return sum(w * expectation(obs, apply_swap_test_unitary(vec, layout))
-                   for w, vec in _pure_component_vectors(ts, test, True))
-    if minimal:
-        assembled = minimal_input_state(ts, test)
-        return expectation(swap_label_observable(assembled.layout), assembled)
-    assembled = run_swap_test(encoding.assemble_mixed_stc_input(
-        _as_test_density(test), _mixed_data(ts), ts.k))
-    return expectation(ancilla_label_parity(assembled.layout), assembled)
+    """Swap-test measurement value of the assembled input stack: one row
+    per training entry for pure data, label-grouped eigen-factor products
+    for a density-matrix test state."""
+    if isinstance(test, DensityMatrix):
+        state = encoding.assemble_mixed_stc_input(test, _mixed_data(ts), ts.k,
+                                                  with_ancilla=not minimal)
+    else:
+        state = encoding.assemble_pure_stc_input(ts, test, with_ancilla=not minimal)
+    return classify_assembled(state).expectation
 
 
 def stc_classify(ts: TrainingSet, test, mode: str = "analytic",
@@ -175,7 +136,9 @@ def stc_classify(ts: TrainingSet, test, mode: str = "analytic",
     The three modes are numerically interchangeable: ``analytic`` sums the
     signed, weighted kernel powers directly; ``ancilla-circuit`` runs the
     swap-test circuit and measures the ancilla-label parity; ``minimal``
-    measures the ancilla-free swap observable on the bare input state.
+    measures the ancilla-free swap observable on the bare input state. The
+    circuit modes return the simulated value, checked against the kernel sum
+    to 1e-10. With mixed training data the test is taken as a density matrix.
     """
     if mode not in STC_MODES:
         raise DataError(f"unknown mode {mode!r}, expected one of {STC_MODES}")
@@ -183,13 +146,18 @@ def stc_classify(ts: TrainingSet, test, mode: str = "analytic",
         raise DataError("training set carries a bias; use stc_classify_bias")
     if not ts.entries:
         raise DataError("empty training set")
-    if not (ts.is_mixed or isinstance(test, DensityMatrix)):
+    if not isinstance(test, DensityMatrix):
         test, _ = _coerce_test_pure(test, ts)
+        if ts.is_mixed:
+            test = test.to_density()
     terms = _stc_terms(ts, test, ts.effective_weights())
-    if mode == "analytic":
-        value = float(sum(v for _, v in terms))
-    else:
-        value = _circuit_mode_value(ts, test, minimal=(mode == "minimal"))
+    value = float(sum(v for _, v in terms))
+    if mode != "analytic":
+        simulated = _circuit_mode_value(ts, test, minimal=(mode == "minimal"))
+        if abs(simulated - value) > MODE_AGREEMENT_ATOL:
+            raise NumericError(
+                f"{mode} circuit value {simulated} disagrees with the kernel sum {value}")
+        value = simulated
     return ClassifierOutput(value, decide(value, tie_eps), terms)
 
 
@@ -351,7 +319,7 @@ def classify_assembled(state: ClassifierState,
     """Expectation-value classification of an already assembled state.
 
     Ensembles whose members use different copy counts are evaluated member
-    by member and combined linearly; otherwise the state is measured through
+    by member and combined linearly; otherwise the stack is measured through
     the circuit (with ancilla) or the swap observable (without).
     """
     if state.members is not None:
@@ -397,9 +365,10 @@ class TestMixture:
 def misclassification_probability(ts: TrainingSet, mix: TestMixture) -> float:
     """Single-shot error probability for test data drawn from ``mix``.
 
-    Computed from the measurement projectors; at k=1 the equivalent closed
-    form in terms of trace inner products is evaluated as well and both must
-    agree to 1e-10.
+    Computed from the measurement projectors on the assembled stacks of the
+    two class states, and checked to 1e-10, at every copy count k, against
+    the closed form 1/2 (p0 + p1) - 1/2 (p0 E_0 - p1 E_1) with
+    E_c = sum_m sign_m w_m Tr(rho_c rho_m)**k.
     """
     if not ts.entries:
         raise DataError("empty training set")
@@ -413,55 +382,30 @@ def misclassification_probability(ts: TrainingSet, mix: TestMixture) -> float:
 
     # Outcome +1 decides class 0, so a class-0 test point errs on -1.
     projector_value = mix.p0 * error_given(mix.rho0, -1) + mix.p1 * error_given(mix.rho1, +1)
-    if ts.k == 1:
-        # Tr((p0 rho0 - p1 rho1) rho_m) from the trace kernel of each class state.
-        kernels = kernel_matrix(KernelSpec(HS_TRACE), [mix.rho0, mix.rho1],
-                                [rho for rho, _, _ in data])
-        helstrom = mix.p0 * kernels[0] - mix.p1 * kernels[1]
-        closed = 0.5 - 0.5 * float(np.sum((1 - 2 * ts.labels) * ts.effective_weights()
-                                          * helstrom))
-        if abs(closed - projector_value) > MODE_AGREEMENT_ATOL:
-            raise NumericError(
-                f"projector error rate {projector_value} disagrees with "
-                f"the closed form {closed}")
-        value = closed
-    else:
-        value = projector_value
+    kernels = kernel_matrix(KernelSpec(HS_TRACE, ts.k), [mix.rho0, mix.rho1],
+                            [rho for rho, _, _ in data])
+    signed = (1 - 2 * ts.labels) * ts.effective_weights()
+    value = 0.5 * (mix.p0 + mix.p1) - 0.5 * float(
+        signed @ (mix.p0 * kernels[0] - mix.p1 * kernels[1]))
+    if abs(value - projector_value) > MODE_AGREEMENT_ATOL:
+        raise NumericError(
+            f"projector error rate {projector_value} disagrees with "
+            f"the closed form {value}")
     if not -1e-10 <= value <= 1.0 + 1e-10:
         raise NumericError(f"error probability {value} outside [0, 1]")
     return min(max(value, 0.0), 1.0)
 
 
-@dataclass(frozen=True)
-class HelstromSpec:
-    """Class priors and class-conditional training states (k-fold copies)."""
-
-    p0: float
-    p1: float
-    rho0: DensityMatrix
-    rho1: DensityMatrix
-
-    @classmethod
-    def from_training_set(cls, ts: TrainingSet) -> "HelstromSpec":
-        weights = ts.effective_weights()
-        labels = ts.labels
-        p = [float(weights[labels == c].sum()) for c in (0, 1)]
-        if p[0] <= 0.0 or p[1] <= 0.0:
-            raise DataError("both classes must be present in the training set")
-        dim = ts.data_dim ** ts.k
-        blocks = {c: np.zeros((dim, dim), dtype=complex) for c in (0, 1)}
-        for rho, label, w in zip(ts.density_states(), labels, weights):
-            blocks[label] += (w / p[label]) * tensor_power(rho.entries, ts.k)
-        return cls(p[0], p[1],
-                   DensityMatrix(blocks[0], check_psd=False),
-                   DensityMatrix(blocks[1], check_psd=False))
-
-
 def helstrom_operator(ts: TrainingSet) -> np.ndarray:
-    """p0 rho0 - p1 rho1 over the k-fold training registers.
+    """p0 rho0 - p1 rho1 = sum_m sign_m w_m rho_m^(x)k over the k-fold
+    training registers, with p_c the prior and rho_c the class-conditional
+    state of class c.
 
     Its trace against the k-fold test state reproduces the analytic
     swap-test expectation.
     """
-    spec = HelstromSpec.from_training_set(ts)
-    return spec.p0 * spec.rho0.entries - spec.p1 * spec.rho1.entries
+    weights, labels = ts.effective_weights(), ts.labels
+    if not (np.any(weights[labels == 0] > 0) and np.any(weights[labels == 1] > 0)):
+        raise DataError("both classes must be present in the training set")
+    mats = np.stack([rho.entries for rho in ts.density_states()])
+    return qmath.power_mixture(mats, (1 - 2 * labels) * weights, ts.k)

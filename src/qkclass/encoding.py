@@ -6,9 +6,18 @@ Register order conventions (big-endian, first factor most significant):
 * block layout   [ancilla | test x k | train x k | label | index]
 * pair layout    [ancilla | (test, train) x k | label]
 
-Pure-state assemblies use the block layout; density-matrix assemblies use
-the pair layout. The two are related by the fixed permutation returned by
-:func:`block_to_pair_order`.
+Assemblies of pure data use the block layout; assemblies of density-matrix
+data use the pair layout. The two are related by the fixed permutation
+returned by :func:`block_to_pair_order`.
+
+Every assembled state is a stack of component vectors v_i with
+rho = sum_i |v_i><v_i|: one row for a pure superposition, a purification
+for a mixture. The circuit is linear, so it acts row by row with the
+statistics of rho, and the dense rho is built only when read. The mixed
+input sum_y rho_t^(x)k (x) sigma_y (x) |y><y|, with
+sigma_y = sum_{m: y_m = y} w_m rho_m^(x)k, has as rows the products of the
+eigen-factor rows of rho_t^(x)k and of sigma_y, in pair order: at most
+2 rank(rho_t^(x)k) rank(sigma_y) rows, whatever the number of entries.
 """
 
 from __future__ import annotations
@@ -21,9 +30,9 @@ import numpy as np
 
 from . import qmath
 from .errors import DataError, DimensionError, NumericError
-from .qmath import DensityMatrix, QState, basis_state, tensor, tensor_power
-from .registers import (RegisterLayout, block_layout, index_register_dim,
-                        pair_layout)
+from .qmath import DensityMatrix, QState, tensor_power
+from .registers import (ANCILLA, RegisterLayout, block_layout,
+                        index_register_dim, pair_layout)
 
 UNIT_VECTORS = "unit-vectors"
 KEEP_NORMS = "keep-norms"
@@ -196,17 +205,19 @@ class TrainingSet:
 class ClassifierState:
     """An assembled joint state, its register layout, and optional extras.
 
-    ``vector`` is set when the state is pure (rank one). A pure state may be
-    built from its vector alone (``rho=None``): the vector must match the
-    layout dimension and have unit norm, and ``rho`` is then built from it,
-    after the size check and with the usual :class:`DensityMatrix` checks,
-    only when first asked for.
+    The state is a stack of component vectors V, shape (r, layout.dim), with
+    rho = V^T conj(V) = sum_i |v_i><v_i|. ``vector`` gives the stack, or one
+    1-D vector as a stack of one; the squared norms must sum to 1 within
+    1e-12. A state given by its density matrix alone is eigen-factored into
+    a stack. The stack is held as a read-only view, not a copy; ``rho`` is
+    built from it, after the size check and with the usual
+    :class:`DensityMatrix` checks, only when first asked for.
     ``members`` carries the (probability, member state) decomposition of an
     ensemble whose members use different copy counts and therefore different
     layouts.
     """
 
-    __slots__ = ("layout", "vector", "members", "_rho")
+    __slots__ = ("layout", "stack", "members", "_rho")
 
     def __init__(self, rho: DensityMatrix | None, layout: RegisterLayout,
                  vector: np.ndarray | None = None,
@@ -216,35 +227,104 @@ class ClassifierState:
         if rho is not None and layout.dim != rho.dim:
             raise DimensionError(
                 f"layout dim {layout.dim} does not match state dim {rho.dim}")
-        if vector is not None:
-            vector = qmath.as_cvec(vector)
-            if vector.size != layout.dim:
-                raise DimensionError(
-                    f"layout dim {layout.dim} does not match vector size {vector.size}")
-            norm_sq = float(np.vdot(vector, vector).real)
-            if abs(norm_sq - 1.0) > qmath.ATOL_STRUCT:
-                raise NumericError(
-                    f"state vector squared norm {norm_sq!r} is not 1 within "
-                    f"{qmath.ATOL_STRUCT}")
+        stack = np.asarray(qmath.eigen_factor(rho, "density matrix") if vector is None
+                           else vector, dtype=complex)
+        if stack.ndim not in (1, 2) or stack.size == 0 or stack.shape[-1] != layout.dim:
+            raise DimensionError(
+                f"layout dim {layout.dim} does not match vector shape {stack.shape}")
+        stack = stack.reshape(-1, layout.dim)
+        stack.setflags(write=False)
+        norm_sq = float(np.vdot(stack, stack).real)
+        if not abs(norm_sq - 1.0) <= qmath.ATOL_STRUCT:
+            raise NumericError(
+                f"state squared norm {norm_sq!r} is not 1 within {qmath.ATOL_STRUCT}")
         object.__setattr__(self, "_rho", rho)
+        object.__setattr__(self, "stack", stack)
         object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "vector", vector)
         object.__setattr__(self, "members", members)
 
     def __setattr__(self, name, value):
         raise AttributeError("ClassifierState is immutable")
 
     @property
+    def vector(self) -> np.ndarray | None:
+        """The state vector when the stack is one row (a pure state), else None."""
+        return self.stack[0] if self.stack.shape[0] == 1 else None
+
+    @property
     def rho(self) -> DensityMatrix:
         if self._rho is None:
             qmath.check_dense_budget((self.layout.dim, self.layout.dim), "density matrix")
-            rho = DensityMatrix(np.outer(self.vector, self.vector.conj()), check_psd=False)
-            object.__setattr__(self, "_rho", rho)
+            v = self.stack
+            object.__setattr__(self, "_rho", DensityMatrix(v.T @ v.conj(), check_psd=False))
         return self._rho
 
     def __repr__(self):
-        kind = "pure" if self.vector is not None else "mixed"
-        return f"ClassifierState(dim={self.layout.dim}, {kind})"
+        return f"ClassifierState(dim={self.layout.dim}, rows={self.stack.shape[0]})"
+
+
+def _stack_state(layout: RegisterLayout, count: int, blocks,
+                 members=None) -> ClassifierState:
+    """State of ``count`` rows, filled from blocks (label, rows over the data
+    registers) with the ancilla, if any, in |0> and the label qubit in
+    |label>. The budget check runs before the stack or any block exists."""
+    qmath.check_dense_budget((count, layout.dim), "assembled state stack")
+    anc = 2 if layout.has(ANCILLA) else 1
+    out = np.zeros((count, anc, layout.dim // (2 * anc), 2), dtype=complex)
+    start = 0
+    for label, rows in blocks:
+        out[start:start + rows.shape[0], 0, :, label] = rows
+        start += rows.shape[0]
+    return ClassifierState(None, layout, vector=out.reshape(count, layout.dim),
+                           members=members)
+
+
+def _row_power(rows: np.ndarray, k: int) -> np.ndarray:
+    """Row i of the result is rows[i] tensored with itself k times."""
+    out = rows
+    for _ in range(k - 1):
+        out = (out[:, :, None] * rows[:, None, :]).reshape(rows.shape[0], -1)
+    return out
+
+
+def _mixed_factors(test: DensityMatrix, train, k: int, layout: RegisterLayout,
+                   pad_rank: int = 1):
+    """Eigen-factors of rho_t^(x)k and of each label's sigma_y: the test rows
+    and one (label, rows) pair per label present.
+
+    Before anything of size d**k x d**k is built, the stack they span on
+    ``layout`` is planned against the size budget, with rank(sigma_y) <= d**k
+    and ``pad_rank`` rows for each pair slot of ``layout`` beyond ``k``.
+    """
+    test_factor = qmath.eigen_factor(test, "test state")
+    mats = np.stack([rho.entries for rho, _, _ in train])
+    labels = np.array([label for _, label, _ in train])
+    weights = np.array([w for _, _, w in train], dtype=float)
+    groups = [(y, (labels == y) & (weights > 0.0)) for y in (0, 1)
+              if np.any((labels == y) & (weights > 0.0))]
+    bound = ((test_factor.shape[0] * test.dim) ** k * len(groups)
+             * pad_rank ** (len(layout.pair_indices()) - k))
+    qmath.check_dense_budget((bound, layout.dim), "assembled state stack")
+    factors = [(y, qmath.eigen_factor(qmath.power_mixture(mats[mask], weights[mask], k),
+                                      f"label-{y} training mixture"))
+               for y, mask in groups]
+    return tensor_power(test_factor, k), factors
+
+
+def _pair_rows(dim: int, k: int, test_rows: np.ndarray, train_rows: np.ndarray,
+               pad_rows: np.ndarray | None = None, pads: int = 0) -> np.ndarray:
+    """Products a (x) b (x) p_1 (x) ... (x) p_pads in pair register order,
+    for a in test_rows (k test copies), b in train_rows (k train copies) and
+    each p in pad_rows (one (test, train) pair), by one einsum."""
+    col = 2 + pads  # einsum labels: rows first, then registers in pair order
+    operands = [test_rows.reshape((-1,) + (dim,) * k), [0] + [col + 2 * i for i in range(k)],
+                train_rows.reshape((-1,) + (dim,) * k),
+                [1] + [col + 2 * i + 1 for i in range(k)]]
+    for j in range(pads):
+        pair = col + 2 * (k + j)
+        operands += [pad_rows.reshape(-1, dim, dim), [2 + j, pair, pair + 1]]
+    out = np.einsum(*operands, list(range(col + 2 * (k + pads))))
+    return out.reshape(-1, dim ** (2 * (k + pads)))
 
 
 def _pure_state_vector(ts: TrainingSet, test: QState, weights: np.ndarray,
@@ -267,11 +347,11 @@ def _pure_state_vector(ts: TrainingSet, test: QState, weights: np.ndarray,
     if bias_prob > 0.0:
         y_b = 0 if ts.bias > 0 else 1
         vec[0, :, :, y_b, 0] = math.sqrt(bias_prob) * np.outer(test_block, test_block)
-    for m, (entry, w) in enumerate(zip(ts.entries, weights)):
-        if w == 0.0:
-            continue
-        train_block = tensor_power(entry.state.vec, k)
-        vec[0, :, :, entry.label, m + offset] = math.sqrt(w) * np.outer(test_block, train_block)
+    if ts.entries:
+        vecs = np.stack([s.vec for s in ts.pure_states()])
+        train = np.sqrt(weights)[:, None] * _row_power(vecs, k)
+        slots = offset + np.arange(len(ts))
+        vec[0, :, :, ts.labels, slots] = test_block[None, :, None] * train[:, None, :]
     return vec.reshape(-1)
 
 
@@ -281,9 +361,10 @@ def assemble_pure_stc_input(ts: TrainingSet, test: QState, *,
     """Joint input state of the swap-test classifier for pure training data.
 
     With an index register the state is the pure superposition over training
-    slots, stored with its vector only (its density matrix is built on first
-    access to ``rho``); without one it is the equivalent mixture over
-    training entries, which yields the same measurement statistics.
+    slots, one row. Without one it is the equivalent mixture over training
+    entries, which yields the same measurement statistics: the index slots of
+    that superposition, one row sqrt(w_m) |test>^k |x_m>^k |y_m> per entry
+    of nonzero weight.
     """
     if not ts.entries:
         raise DataError("cannot assemble a classifier state from an empty training set")
@@ -291,31 +372,25 @@ def assemble_pure_stc_input(ts: TrainingSet, test: QState, *,
         raise DataError("training set carries a bias; use assemble_bias_extended")
     if test.dim != ts.data_dim:
         raise DimensionError(f"test dim {test.dim} != training dim {ts.data_dim}")
-    states = ts.pure_states()
     weights = ts.effective_weights()
-    k = ts.k
+    slots = len(ts) if with_index else None
+    layout = block_layout(test.dim, ts.k, ancilla=with_ancilla, index_slots=slots)
+    vec = _pure_state_vector(ts, test, weights, with_ancilla, len(ts))
     if with_index:
-        layout = block_layout(test.dim, k, ancilla=with_ancilla, index_slots=len(ts))
-        vec = _pure_state_vector(ts, test, weights, with_ancilla, len(ts))
         return ClassifierState(None, layout, vector=vec)
-    layout = block_layout(test.dim, k, ancilla=with_ancilla)
-    test_block = tensor_power(test.projector(), k)
-    mix = np.zeros((ts.data_dim ** k * 2,) * 2, dtype=complex)
-    for state, entry, w in zip(states, ts.entries, weights):
-        if w == 0.0:
-            continue
-        mix += w * tensor(tensor_power(state.projector(), k),
-                          np.outer(basis_state(2, entry.label), basis_state(2, entry.label)))
-    rho = tensor(test_block, mix)
-    if with_ancilla:
-        rho = tensor(np.outer(basis_state(2, 0), basis_state(2, 0)), rho)
-    return ClassifierState(DensityMatrix(rho, check_psd=False), layout)
+    # Tracing out the index leaves one component row per training slot.
+    return ClassifierState(None, layout,
+                           vector=vec.reshape(layout.dim, -1).T[:len(ts)][weights > 0.0])
 
 
 def assemble_mixed_stc_input(test: DensityMatrix,
                              train: Sequence[tuple[DensityMatrix, int, float]],
                              k: int, *, with_ancilla: bool = True) -> ClassifierState:
-    """Joint input state for density-matrix data, pair register order."""
+    """Joint input state for density-matrix data, pair register order.
+
+    The state is sum_y rho_t^(x)k (x) sigma_y (x) |y><y|, held as the
+    products of the eigen-factor rows of rho_t^(x)k and of each sigma_y.
+    """
     if not train:
         raise DataError("empty training data")
     if k < 1:
@@ -326,23 +401,16 @@ def assemble_mixed_stc_input(test: DensityMatrix,
     if abs(weights.sum() - 1.0) > 1e-9:
         raise DataError("training weights must form a distribution")
     dim = test.dim
-    layout = pair_layout(dim, k, ancilla=with_ancilla)
-    total = np.zeros((layout.dim if not with_ancilla else layout.dim // 2,) * 2,
-                     dtype=complex)
-    for rho_m, label, w in train:
+    for rho_m, label, _ in train:
         if label not in (0, 1):
             raise DataError(f"label must be 0 or 1, got {label!r}")
         if rho_m.dim != dim:
             raise DimensionError(f"training dim {rho_m.dim} != test dim {dim}")
-        if w == 0.0:
-            continue
-        pair = tensor(test.entries, rho_m.entries)
-        block = tensor_power(pair, k)
-        lbl = np.outer(basis_state(2, label), basis_state(2, label))
-        total += w * tensor(block, lbl)
-    if with_ancilla:
-        total = tensor(np.outer(basis_state(2, 0), basis_state(2, 0)), total)
-    return ClassifierState(DensityMatrix(total, check_psd=False), layout)
+    layout = pair_layout(dim, k, ancilla=with_ancilla)
+    test_rows, factors = _mixed_factors(test, train, k, layout)
+    count = test_rows.shape[0] * sum(f.shape[0] for _, f in factors)
+    return _stack_state(layout, count,
+                        ((y, _pair_rows(dim, k, test_rows, f)) for y, f in factors))
 
 
 def assemble_bias_extended(ts: TrainingSet, test: QState) -> ClassifierState:
@@ -351,8 +419,8 @@ def assemble_bias_extended(ts: TrainingSet, test: QState) -> ClassifierState:
     The bias occupies index slot 0 with the test data standing in on the
     train registers (its swap-test kernel is exactly 1), label
     y_b = (1 - sgn(bias)) / 2, and amplitude sqrt(|bias| / N). The state is
-    pure and is stored with its vector only; its density matrix is built on
-    first access to ``rho``.
+    pure, a stack of one row; its density matrix is built only when ``rho``
+    is read.
     """
     if ts.bias is None:
         raise DataError("training set has no bias; use assemble_pure_stc_input")
@@ -372,23 +440,30 @@ def _check_model_distribution(qs: np.ndarray, name: str):
         raise DataError(f"{name} must be a probability distribution")
 
 
+def _model_weights(models, train) -> list[np.ndarray]:
+    """Each model's weight vector, after checking that the model
+    probabilities and every weight vector over ``train`` are distributions."""
+    if not models:
+        raise DataError("ensemble needs at least one model")
+    _check_model_distribution(np.array([m[0] for m in models], dtype=float),
+                              "model probabilities")
+    out = []
+    for model in models:
+        a_s = np.array(model[1], dtype=float)
+        if a_s.size != len(train):
+            raise DataError("model weight vector length does not match training data")
+        _check_model_distribution(a_s, "model weights")
+        out.append(a_s)
+    return out
+
+
 def assemble_ensemble_weights(test: DensityMatrix,
                               models: Sequence[tuple[float, Sequence[float]]],
                               train: Sequence[tuple[DensityMatrix, int]],
                               k: int, *, with_ancilla: bool = True) -> ClassifierState:
     """Mixture over weight-vector models; equals a single mixed assembly with
     the convex-combined weights."""
-    if not models:
-        raise DataError("ensemble needs at least one model")
-    qs = np.array([q for q, _ in models], dtype=float)
-    _check_model_distribution(qs, "model probabilities")
-    eff = np.zeros(len(train))
-    for q, a_s in models:
-        a_s = np.array(a_s, dtype=float)
-        if a_s.size != len(train):
-            raise DataError("model weight vector length does not match training data")
-        _check_model_distribution(a_s, "model weights")
-        eff += q * a_s
+    eff = sum(q * a_s for (q, _), a_s in zip(models, _model_weights(models, train)))
     data = [(rho, label, w) for (rho, label), w in zip(train, eff)]
     return assemble_mixed_stc_input(test, data, k, with_ancilla=with_ancilla)
 
@@ -401,10 +476,7 @@ def _pad_pair_state(data_dim: int, kind: str) -> np.ndarray:
     if kind == "symmetric":
         # Uniform state on the symmetric subspace: swap-invariant, so a swap
         # test on a padded slot contributes a factor of exactly 1.
-        swap = np.zeros((d2, d2), dtype=complex)
-        for a in range(data_dim):
-            for b in range(data_dim):
-                swap[b * data_dim + a, a * data_dim + b] = 1.0
+        swap = np.eye(d2).reshape(data_dim, data_dim, d2).transpose(1, 0, 2).reshape(d2, d2)
         proj = (np.eye(d2) + swap) / 2.0
         return proj / np.trace(proj).real
     raise DataError(f"unknown padding kind {kind!r}")
@@ -419,45 +491,32 @@ def assemble_ensemble_exponents(test: DensityMatrix,
 
     Each member state occupies its k_s (test, train) pair slots; the unused
     slots are filled with a constant pair state so every member lives on the
-    same registers. The default maximally mixed padding is not swap
-    invariant, so ensemble expectation values are evaluated member by member
-    (the ``members`` field); ``padding="symmetric"`` additionally makes the
-    full swap-test circuit over all slots reproduce the same value.
+    same registers. The padding state is eigen-factored like the data, so
+    the joint state is a stack too. The default maximally mixed padding is
+    not swap invariant, so ensemble expectation values are evaluated member
+    by member (the ``members`` field); ``padding="symmetric"`` additionally
+    makes the full swap-test circuit over all slots reproduce the same value.
     """
-    if not models:
-        raise DataError("ensemble needs at least one model")
-    qs = np.array([q for q, _, _ in models], dtype=float)
-    _check_model_distribution(qs, "model probabilities")
+    weights = _model_weights(models, train)
     dim = test.dim
-    pad = _pad_pair_state(dim, padding)
+    pad = qmath.eigen_factor(_pad_pair_state(dim, padding), f"{padding} padding state")
     layout = pair_layout(dim, max_copies, ancilla=True)
-    joint = np.zeros((layout.dim, layout.dim), dtype=complex)
-    members = []
-    for q, a_s, k_s in models:
+    members, terms = [], []
+    for (q, _, k_s), a_s in zip(models, weights):
         k_s = int(k_s)
         if not 1 <= k_s <= max_copies:
             raise DataError(f"model copy count {k_s} outside 1..{max_copies}")
-        a_s = np.array(a_s, dtype=float)
-        if a_s.size != len(train):
-            raise DataError("model weight vector length does not match training data")
-        _check_model_distribution(a_s, "model weights")
         data = [(rho, label, w) for (rho, label), w in zip(train, a_s)]
-        member = assemble_mixed_stc_input(test, data, k_s)
-        members.append((float(q), member))
+        members.append((float(q), assemble_mixed_stc_input(test, data, k_s)))
         if q == 0.0:
             continue
-        body = np.zeros((layout.dim // 2, layout.dim // 2), dtype=complex)
-        for (rho_m, label), w in zip(train, a_s):
-            if w == 0.0:
-                continue
-            block = tensor_power(tensor(test.entries, rho_m.entries), k_s)
-            for _ in range(max_copies - k_s):
-                block = tensor(block, pad)
-            lbl = np.outer(basis_state(2, label), basis_state(2, label))
-            body += w * tensor(block, lbl)
-        joint += q * tensor(np.outer(basis_state(2, 0), basis_state(2, 0)), body)
-    return ClassifierState(DensityMatrix(joint, check_psd=False), layout,
-                           members=tuple(members))
+        test_rows, factors = _mixed_factors(test, data, k_s, layout, pad.shape[0])
+        terms += [(y, k_s, test_rows, math.sqrt(q) * f) for y, f in factors]
+    count = sum(t.shape[0] * f.shape[0] * pad.shape[0] ** (max_copies - k_s)
+                for _, k_s, t, f in terms)
+    blocks = ((y, _pair_rows(dim, k_s, t, f, pad, max_copies - k_s))
+              for y, k_s, t, f in terms)
+    return _stack_state(layout, count, blocks, members=tuple(members))
 
 
 def block_to_pair_order(k: int, *, ancilla: bool = True) -> tuple[int, ...]:

@@ -129,16 +129,6 @@ def gram(spec: KernelSpec, states: Sequence) -> GramMatrix:
     return GramMatrix(g, spec, eigs)
 
 
-def overlap_gram(states: Sequence[QState]) -> np.ndarray:
-    """Complex matrix of plain overlaps <x_n|x_m>.
-
-    Not a training kernel; its entrywise product with its own conjugate is
-    the squared-overlap Gram matrix.
-    """
-    a = _stack(SQUARED_OVERLAP, states)
-    return a.conj() @ a.T
-
-
 @dataclass(frozen=True)
 class PsdCertificate:
     certified: bool

@@ -31,6 +31,9 @@ DENSE_BYTES_BUDGET = 2**28
 ATOL_STRUCT = 1e-12
 ATOL_DERIVED = 1e-10
 PSD_FLOOR = -1e-10
+# Eigenvalues at or below this are dropped from an eigen-factor (round-off
+# of a rank-deficient state).
+EIGEN_CUT = 1e-14
 
 SIGMA_I = np.eye(2, dtype=complex)
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -257,6 +260,34 @@ def hs_inner(a, b) -> float:
     if abs(val.imag) > ATOL_STRUCT:
         raise NumericError(f"trace inner product has imaginary residual {val.imag}")
     return float(val.real)
+
+
+def eigen_factor(mat, what: str = "matrix") -> np.ndarray:
+    """Rows F with mat = F^T conj(F) = sum_i |f_i><f_i| for a Hermitian PSD
+    matrix: f_i is sqrt(lambda_i) times eigenvector i, for each eigenvalue
+    above ``EIGEN_CUT`` (a dropped one moves no entry by more than its size).
+    The rebuilt matrix must match ``mat`` to 1e-12 in every entry, which
+    also rejects a matrix that is not PSD to that tolerance.
+    """
+    m = _as_matrix(mat)
+    vals, vecs = np.linalg.eigh(m)
+    keep = vals > EIGEN_CUT
+    rows = (vecs[:, keep] * np.sqrt(vals[keep])).T
+    err = float(np.abs(rows.T @ rows.conj() - m).max())
+    if err > ATOL_STRUCT:
+        raise NumericError(f"eigen-factor of the {what} rebuilds it only to {err}")
+    return rows
+
+
+def power_mixture(mats: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
+    """sum_m weights[m] mats[m]^(x)k over a stack of square matrices, by one
+    einsum with no per-entry tensor power."""
+    d = mats.shape[1]
+    check_dense_budget((d ** k, d ** k), "tensor-power mixture")
+    operands = [weights, [0]]
+    for i in range(k):
+        operands += [mats, [0, 1 + i, 1 + k + i]]
+    return np.einsum(*operands, list(range(1, 2 * k + 1))).reshape(d ** k, d ** k)
 
 
 def hermitian_sqrt(mat: np.ndarray, zero_tol: float = 0.0) -> np.ndarray:

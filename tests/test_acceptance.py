@@ -10,11 +10,10 @@ import time
 
 import numpy as np
 
-from qkclass.circuit import (ancilla_label_parity, build_effective_observable,
-                             build_swap_test_unitary, empirical_expectation,
-                             expectation, outcome_probabilities,
-                             run_swap_test, sample_shots,
-                             swap_label_observable)
+from qkclass.circuit import (ancilla_label_parity, build_swap_test_unitary,
+                             empirical_expectation, expectation,
+                             outcome_probabilities, run_swap_test,
+                             sample_shots, swap_label_observable)
 from qkclass.classifier import (TestMixture as Mixture,
                                 hadamard_classify,
                                 misclassification_probability, stc_classify,
@@ -25,8 +24,7 @@ from qkclass.encoding import (TrainingSet, amplitude_encode,
                               assemble_ensemble_weights,
                               assemble_mixed_stc_input)
 from qkclass.kernelsvm import (HS_TRACE, SQUARED_OVERLAP, KernelSpec, gram,
-                               overlap_gram, psd_certify, regression,
-                               svm_train)
+                               psd_certify, regression, svm_train)
 from qkclass.qmath import (SIGMA_Z, DensityMatrix, QState, basis_state,
                            fidelity, hs_inner, random_density_matrix,
                            random_state_vector, tensor)
@@ -106,7 +104,8 @@ def test_criterion_03_effective_observable_identity():
         layout = block_layout(2 ** n, k)
         v = build_swap_test_unitary(layout)
         conjugated = v.conj().T @ ancilla_label_parity(layout).matrix @ v
-        effective = tensor(SIGMA_Z, build_effective_observable(n, k).matrix)
+        bare = block_layout(2 ** n, k, ancilla=False)
+        effective = tensor(SIGMA_Z, swap_label_observable(bare).matrix)
         worst = max(worst, float(np.linalg.norm(conjugated - effective)))
     assert worst < 1e-12
     seeds = np.random.SeedSequence(20240303).generate_state(60)
@@ -123,7 +122,7 @@ def test_criterion_03_effective_observable_identity():
 
 
 def test_criterion_04_spectral_check():
-    spec = build_effective_observable(1, 1).spectrum
+    spec = swap_label_observable(block_layout(2, 1, ancilla=False)).spectrum
     counts = {1.0: 0, -1.0: 0}
     for lam in spec.eigenvalues:
         key = 1.0 if abs(lam - 1) < 1e-10 else -1.0
@@ -250,7 +249,8 @@ def test_criterion_08_psd_property():
     assert worst >= -1e-8
     states = [random_state_vector(4, rng) for _ in range(8)]
     g = gram(KernelSpec(SQUARED_OVERLAP), states)
-    overlaps = overlap_gram(states)
+    vecs = np.stack([s.vec for s in states])
+    overlaps = vecs.conj() @ vecs.T
     schur_gap = float(np.abs(g.matrix - (overlaps * overlaps.conj()).real).max())
     assert schur_gap < 1e-12
     print(f"\n[criterion 08] PASS PSD kernels: min Gram eigenvalue = {worst:.2e}, "

@@ -4,7 +4,6 @@ import pytest
 from qkclass import qmath
 from qkclass.circuit import (Observable, ancilla_label_parity,
                              apply_swap_test_unitary,
-                             build_effective_observable,
                              build_swap_test_unitary, embed_operators,
                              empirical_expectation, expectation,
                              outcome_probabilities, run_swap_test,
@@ -17,6 +16,12 @@ from qkclass.qmath import (PAULIS, SIGMA_Z, QState, basis_state,
                            tensor, tensor_power)
 from qkclass.registers import (ANCILLA, LABEL, TEST, Register, RegisterLayout,
                                block_layout, pair_layout)
+
+
+def effective_observable(n, k):
+    """Ancilla-free classifier observable for k copies of n-qubit data,
+    block order [test x k | train x k | label]."""
+    return swap_label_observable(block_layout(2 ** n, k, ancilla=False))
 
 
 def pauli_sum_swap():
@@ -58,9 +63,22 @@ class TestSwapTestUnitary:
         assert np.abs(v @ v.conj().T - np.eye(layout.dim)).max() < 1e-12
         vec = random_state_vector(layout.dim, rng).vec
         assert np.allclose(apply_swap_test_unitary(vec, layout), v @ vec, atol=1e-12)
+        # A mixed state evolves as the stack of its eigen-factor rows; the
+        # rebuilt rho' = V'^T conj(V') is U rho U^dagger.
         rho = random_density_matrix(layout.dim, rng, rank=3)
-        assert np.allclose(apply_swap_test_unitary(rho.entries, layout),
-                           v @ rho.entries @ v.conj().T, atol=1e-12)
+        out = apply_swap_test_unitary(qmath.eigen_factor(rho), layout)
+        assert np.allclose(out.T @ out.conj(), v @ rho.entries @ v.conj().T, atol=1e-12)
+
+    def test_batch_axis_matches_row_by_row(self):
+        rng = np.random.default_rng(2)
+        layout = pair_layout(2, 2)
+        stack = np.stack([random_state_vector(layout.dim, rng).vec for _ in range(5)])
+        out = apply_swap_test_unitary(stack, layout)
+        assert out.shape == stack.shape
+        for row, got in zip(stack, out):
+            assert np.allclose(got, apply_swap_test_unitary(row, layout), rtol=0, atol=1e-15)
+        with pytest.raises(DimensionError):
+            apply_swap_test_unitary(stack[:, :-1], layout)
 
     def test_swap_invariant_input_unchanged(self):
         rng = np.random.default_rng(1)
@@ -121,7 +139,7 @@ class TestSwapTestUnitary:
 
 class TestEffectiveObservable:
     def test_expected_eigenvector_table(self):
-        obs = build_effective_observable(1, 1)
+        obs = effective_observable(1, 1)
         spec = obs.spectrum
         assert np.allclose(sorted(spec.eigenvalues), [-1] * 4 + [1] * 4, atol=1e-10)
         s2 = 1 / np.sqrt(2)
@@ -146,7 +164,7 @@ class TestEffectiveObservable:
         rng = np.random.default_rng(2)
         x = random_state_vector(2, rng)
         state = tensor(x.vec, x.vec, basis_state(2, 0))
-        obs = build_effective_observable(1, 1)
+        obs = effective_observable(1, 1)
         assert abs(expectation(obs.matrix, np.outer(state, state.conj())) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (2, 1)])
@@ -155,7 +173,7 @@ class TestEffectiveObservable:
         v = build_swap_test_unitary(layout)
         zal = ancilla_label_parity(layout).matrix
         conjugated = v.conj().T @ zal @ v
-        effective = tensor(SIGMA_Z, build_effective_observable(n, k).matrix)
+        effective = tensor(SIGMA_Z, effective_observable(n, k).matrix)
         assert np.linalg.norm(conjugated - effective) < 1e-12
 
     @pytest.mark.parametrize("n,k", [(1, 1), (1, 2)])
@@ -169,7 +187,7 @@ class TestEffectiveObservable:
         assert np.linalg.norm(conjugated - effective) < 1e-12
 
     def test_observables_square_to_identity(self):
-        for obs in (build_effective_observable(1, 2), swap_operator(4),
+        for obs in (effective_observable(1, 2), swap_operator(4),
                     ancilla_label_parity(block_layout(2, 1))):
             sq = obs.matrix @ obs.matrix
             assert np.abs(sq - np.eye(obs.dim)).max() < 1e-10

@@ -6,24 +6,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkclass import classifier as classifier_module
-from qkclass.classifier import (TIE, ClassifierOutput, HelstromSpec,
-                                classify_assembled, decide,
-                                hadamard_classify, helstrom_operator,
+from qkclass.classifier import (TIE, ClassifierOutput, classify_assembled,
+                                decide, hadamard_classify, helstrom_operator,
                                 label_sign, misclassification_probability,
                                 outcome_to_label, qsvm_oracle_classify,
                                 single_shot_classify, stc_classify,
                                 stc_classify_bias)
 from qkclass.classifier import TestMixture as Mixture
-from qkclass.circuit import ancilla_label_parity, expectation, run_swap_test
+from qkclass.circuit import (Observable, ancilla_label_parity, expectation,
+                             run_swap_test)
 from qkclass.encoding import (KEEP_NORMS, ClassifierState, RawDatum,
                               TrainingSet, assemble_bias_extended,
                               assemble_ensemble_exponents,
                               assemble_ensemble_weights,
                               assemble_mixed_stc_input)
 from qkclass.errors import DataError, DimensionError, NumericError
-from qkclass.qmath import (DensityMatrix, QState, basis_state,
+from qkclass.qmath import (DensityMatrix, QState, basis_state, hs_inner,
                            random_density_matrix, random_state_vector,
                            tensor_power)
+from qkclass.registers import LABEL
 
 KET0 = QState(basis_state(2, 0))
 KET1 = QState(basis_state(2, 1))
@@ -102,14 +103,17 @@ class TestStcClassify:
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(1, 2), k=st.integers(1, 2), m=st.integers(1, 4),
-           mixed=st.booleans(), seed=st.integers(0, 2**32 - 1))
-    def test_mode_agreement_property(self, n, k, m, mixed, seed):
+           mixed=st.booleans(), full_rank=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    def test_mode_agreement_property(self, n, k, m, mixed, full_rank, seed):
         rng = np.random.default_rng(seed)
         dim = 2**n
+
+        def rank():
+            return dim if full_rank else int(rng.integers(1, dim + 1))
+
         if mixed:
-            data = [random_density_matrix(dim, rng, rank=int(rng.integers(1, dim + 1)))
-                    for _ in range(m)]
-            test = random_density_matrix(dim, rng, rank=int(rng.integers(1, dim + 1)))
+            data = [random_density_matrix(dim, rng, rank=rank()) for _ in range(m)]
+            test = random_density_matrix(dim, rng, rank=rank())
         else:
             data = [random_state_vector(dim, rng) for _ in range(m)]
             test = random_state_vector(dim, rng)
@@ -120,6 +124,63 @@ class TestStcClassify:
                   for mode in ("analytic", "ancilla-circuit", "minimal")]
         assert abs(values[0] - values[1]) < 1e-10
         assert abs(values[0] - values[2]) < 1e-10
+        if not mixed:
+            return
+        # Ensembles through classify_assembled, against the kernel sums.
+        kernels = np.array([np.trace(test.entries @ s.entries).real for s in data])
+        signs = 1 - 2 * labels
+        a1, a2 = rng.random(m) + 0.05, rng.random(m) + 0.05
+        a1, a2 = a1 / a1.sum(), a2 / a2.sum()
+        pairs = list(zip(data, labels))
+        expect = float(np.sum(signs * (0.3 * a1 + 0.7 * a2) * kernels ** k))
+        for with_ancilla in (True, False):
+            ens = assemble_ensemble_weights(test, [(0.3, a1), (0.7, a2)], pairs, k,
+                                            with_ancilla=with_ancilla)
+            assert abs(classify_assembled(ens).expectation - expect) < 1e-10
+        expect = float(np.sum(signs * (0.3 * a1 * kernels + 0.7 * a2 * kernels ** 2)))
+        for padding in ("maximally-mixed", "symmetric"):
+            ens = assemble_ensemble_exponents(test, [(0.3, a1, 1), (0.7, a2, 2)], pairs, 2,
+                                              padding=padding)
+            assert abs(classify_assembled(ens).expectation - expect) < 1e-10
+        joint = ClassifierState(None, ens.layout, vector=ens.stack)
+        assert abs(classify_assembled(joint).expectation - expect) < 1e-10
+
+    def test_circuit_modes_are_checked_against_the_kernel_sum(self, monkeypatch):
+        # Skipping the swap test, or measuring Z on the label without the
+        # swap, leaves sum_m sign_m w_m instead of the kernel sum, which the
+        # 1e-10 cross-check must reject.
+        rng = np.random.default_rng(1100)
+        cases = [(random_pure_training(rng, 3, 2, k=2), random_state_vector(2, rng)),
+                 (random_mixed_training(rng, 3, 2, k=2), random_density_matrix(2, rng))]
+        for ts, test in cases:
+            for mode in ("ancilla-circuit", "minimal"):
+                stc_classify(ts, test, mode=mode)
+            with monkeypatch.context() as patch:
+                patch.setattr(classifier_module, "run_swap_test", lambda state: state)
+                with pytest.raises(NumericError, match="kernel sum"):
+                    stc_classify(ts, test, mode="ancilla-circuit")
+            with monkeypatch.context() as patch:
+                patch.setattr(classifier_module, "swap_label_observable",
+                              lambda layout: Observable.z_permutation(
+                                  layout, (layout.index_of(LABEL),)))
+                with pytest.raises(NumericError, match="kernel sum"):
+                    stc_classify(ts, test, mode="minimal")
+
+    def test_mixed_ancilla_circuit_memory(self):
+        # m=32, dim=4, k=2, rank-2 data: the input is a stack of 128 rows of
+        # 1024 amplitudes (2 MiB); its dense rho alone would be 16 MiB.
+        rng = np.random.default_rng(1200)
+        states = [random_density_matrix(4, rng, rank=2) for _ in range(32)]
+        ts = TrainingSet.from_states([(s, i % 2, 1.0) for i, s in enumerate(states)], k=2)
+        test = random_density_matrix(4, rng, rank=2)
+        tracemalloc.start()
+        try:
+            out = stc_classify(ts, test, mode="ancilla-circuit")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert abs(out.expectation - stc_classify(ts, test).expectation) < 1e-10
 
     def test_per_term_decomposition(self):
         ts = TrainingSet.from_states([(PLUS, 0, 0.7), (KET1, 1, 0.3)], k=2)
@@ -415,7 +476,7 @@ class TestMisclassification:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_projector_route_agrees_with_closed_form(self, seed):
-        # the dual-route assertion lives inside the function at k=1
+        # the dual-route assertion lives inside the function, at every k
         rng = np.random.default_rng(4000 + seed)
         ts = random_mixed_training(rng, 3, 2)
         mix = Mixture(0.3, 0.7, random_density_matrix(2, rng),
@@ -436,6 +497,50 @@ class TestMisclassification:
         freq = errors / n
         sigma = np.sqrt(0.25 * 0.75 / n)
         assert abs(freq - 0.25) < 3 * sigma
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_closed_form_at_every_k(self, k):
+        rng = np.random.default_rng(4200 + k)
+        ts = random_mixed_training(rng, 3, 2, k=k)
+        mix = Mixture(0.3, 0.7, random_density_matrix(2, rng), random_density_matrix(2, rng))
+        signed = (1 - 2 * ts.labels) * ts.effective_weights()
+        e = [sum(s * hs_inner(rho, r) ** k for s, r in zip(signed, ts.density_states()))
+             for rho in (mix.rho0, mix.rho1)]
+        expect = 0.5 - 0.5 * (mix.p0 * e[0] - mix.p1 * e[1])
+        assert abs(misclassification_probability(ts, mix) - expect) < 1e-12
+
+    def test_corrupted_projector_value_trips_the_check(self, monkeypatch):
+        rng = np.random.default_rng(4300)
+        ts = random_mixed_training(rng, 3, 2, k=2)
+        mix = Mixture(0.5, 0.5, random_density_matrix(2, rng), random_density_matrix(2, rng))
+        misclassification_probability(ts, mix)
+        real = classifier_module.outcome_probabilities
+        monkeypatch.setattr(classifier_module, "outcome_probabilities",
+                            lambda obs, state: {lam: p + 1e-9
+                                                for lam, p in real(obs, state).items()})
+        with pytest.raises(NumericError, match="closed form"):
+            misclassification_probability(ts, mix)
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(n=st.integers(1, 2), k=st.integers(1, 2), m=st.integers(1, 4),
+           p0=st.floats(0.05, 0.95), seed=st.integers(0, 2**32 - 1))
+    def test_helstrom_bound_property(self, n, k, m, p0, seed):
+        # The single-shot classifier is a two-outcome measurement on the k
+        # test copies, so its error is at least the Helstrom bound
+        # (1 - ||p0 rho0^(x)k - p1 rho1^(x)k||_1) / 2.
+        rng = np.random.default_rng(seed)
+        dim = 2**n
+
+        def draw():
+            return random_density_matrix(dim, rng, rank=int(rng.integers(1, dim + 1)))
+
+        ts = TrainingSet.from_states(
+            [(draw(), int(rng.integers(0, 2)), rng.random() + 0.05) for _ in range(m)], k=k)
+        mix = Mixture(p0, 1.0 - p0, draw(), draw())
+        gamma = (mix.p0 * tensor_power(mix.rho0.entries, k)
+                 - mix.p1 * tensor_power(mix.rho1.entries, k))
+        bound = 0.5 * (1.0 - np.abs(np.linalg.eigvalsh(gamma)).sum())
+        assert misclassification_probability(ts, mix) >= bound - 1e-10
 
     def test_k2_uses_projector_route(self):
         rng = np.random.default_rng(32)
@@ -474,11 +579,12 @@ class TestHelstrom:
         with pytest.raises(DataError):
             helstrom_operator(ts)
 
-    def test_spec_from_training_set(self):
+    def test_class_priors_from_training_set(self):
+        # orthogonal classes: the eigenvalues are p0 and -p1
         ts = TrainingSet.from_states([(KET0, 0, 0.25), (KET1, 1, 0.75)])
-        spec = HelstromSpec.from_training_set(ts)
-        assert spec.p0 == pytest.approx(0.25)
-        assert spec.p1 == pytest.approx(0.75)
+        vals = np.linalg.eigvalsh(helstrom_operator(ts))
+        assert vals[1] == pytest.approx(0.25)
+        assert -vals[0] == pytest.approx(0.75)
 
 
 class TestEnsembleLinearity:

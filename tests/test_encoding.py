@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from dense_reference import (dense_ensemble_exponents, dense_mixed_input,
+                             dense_pure_mixture)
 
-from qkclass import encoding
+from qkclass import encoding, qmath
+from qkclass.circuit import expectation, swap_label_observable
 from qkclass.encoding import (ClassifierState, RawDatum, TrainingSet,
                               amplitude_encode, assemble_bias_extended,
                               assemble_ensemble_exponents,
@@ -11,10 +15,10 @@ from qkclass.encoding import (ClassifierState, RawDatum, TrainingSet,
                               assemble_mixed_stc_input,
                               assemble_pure_stc_input, block_to_pair_order)
 from qkclass.errors import DataError, DimensionError, NumericError
-from qkclass.qmath import (QState, basis_state, partial_trace,
+from qkclass.qmath import (DensityMatrix, QState, basis_state, partial_trace,
                            permute_registers, random_density_matrix,
                            random_state_vector, tensor)
-from qkclass.registers import block_layout
+from qkclass.registers import block_layout, pair_layout
 
 
 def ket(*amps):
@@ -290,3 +294,133 @@ class TestEnsembles:
         train = [(random_density_matrix(2, rng), 0)]
         with pytest.raises(DataError):
             assemble_ensemble_weights(test, [(0.7, [1.0])], train, k=1)
+
+
+def max_gap(state, reference) -> float:
+    return float(np.abs(state.rho.entries - reference).max())
+
+
+def random_train(rng, m, dim, rank=None):
+    states = [random_density_matrix(dim, rng, rank=rank) for _ in range(m)]
+    labels = [i % 2 for i in range(m)]
+    weights = rng.random(m) + 0.1
+    return [(s, y, w) for s, y, w in zip(states, labels, weights / weights.sum())]
+
+
+class TestStacks:
+    """Every assembled state is a stack whose rho matches the dense
+    tensor-sum reference to 1e-12."""
+
+    @pytest.mark.parametrize("with_ancilla", [True, False])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("dim,rank", [(2, 1), (2, 2), (4, 2), (4, 4)])
+    def test_mixed_input_matches_dense_reference(self, with_ancilla, k, dim, rank):
+        rng = np.random.default_rng(100 * dim + 10 * rank + k)
+        test = random_density_matrix(dim, rng, rank=rank)
+        train = random_train(rng, 5, dim, rank=rank)
+        state = assemble_mixed_stc_input(test, train, k, with_ancilla=with_ancilla)
+        assert max_gap(state, dense_mixed_input(test, train, k,
+                                                with_ancilla=with_ancilla)) < 1e-12
+        # At most 2 rank(rho_t)**k d**k rows: never more entries than the
+        # dense rho, and at most half of them with the ancilla.
+        rows = state.stack.shape[0]
+        assert rows <= 2 * rank ** k * dim ** k
+        assert rows <= state.layout.dim // (2 if with_ancilla else 1)
+
+    @pytest.mark.parametrize("with_ancilla", [True, False])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_index_free_pure_mixture_has_one_row_per_entry(self, with_ancilla, k):
+        rng = np.random.default_rng(20 + k)
+        xs = [random_state_vector(4, rng) for _ in range(5)]
+        weights = [0.3, 0.0, 0.2, 0.4, 0.1]
+        ts = TrainingSet.from_states([(x, i % 2, w) for i, (x, w) in enumerate(zip(xs, weights))],
+                                     k=k)
+        test = random_state_vector(4, rng)
+        state = assemble_pure_stc_input(ts, test, with_ancilla=with_ancilla)
+        assert state.stack.shape == (4, state.layout.dim)  # the zero-weight entry is dropped
+        assert max_gap(state, dense_pure_mixture(ts, test, with_ancilla=with_ancilla)) < 1e-12
+
+    def test_weight_ensemble_matches_dense_reference(self):
+        rng = np.random.default_rng(30)
+        test = random_density_matrix(2, rng)
+        train = [(s, y) for s, y, _ in random_train(rng, 3, 2)]
+        models = [(0.25, [0.2, 0.3, 0.5]), (0.75, [0.6, 0.1, 0.3])]
+        for k in (1, 2):
+            ens = assemble_ensemble_weights(test, models, train, k=k)
+            mean = [(s, y, 0.25 * a + 0.75 * b)
+                    for (s, y), a, b in zip(train, models[0][1], models[1][1])]
+            assert max_gap(ens, dense_mixed_input(test, mean, k)) < 1e-12
+
+    @pytest.mark.parametrize("padding", ["maximally-mixed", "symmetric"])
+    def test_exponent_ensemble_matches_dense_reference(self, padding):
+        rng = np.random.default_rng(31)
+        test = random_density_matrix(2, rng, rank=1)
+        train = [(s, y) for s, y, _ in random_train(rng, 3, 2)]
+        models = [(0.4, [0.2, 0.3, 0.5], 1), (0.6, [0.6, 0.1, 0.3], 2)]
+        ens = assemble_ensemble_exponents(test, models, train, max_copies=2, padding=padding)
+        assert max_gap(ens, dense_ensemble_exponents(test, models, train, 2, padding)) < 1e-12
+        for (q, a, k), (p, member) in zip(models, ens.members):
+            data = [(s, y, w) for (s, y), w in zip(train, a)]
+            assert p == q
+            assert max_gap(member, dense_mixed_input(test, data, k)) < 1e-12
+
+    def test_over_budget_stack_raises_before_allocating(self):
+        # d=16, k=2, full rank: 131072 rows of 131072 amplitudes (256 GiB),
+        # and the dense rho would be as large.
+        rng = np.random.default_rng(32)
+        test = random_density_matrix(16, rng)
+        train = random_train(rng, 2, 16)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError, match="assembled state stack"):
+                assemble_mixed_stc_input(test, train, 2, with_ancilla=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+
+class TestClassifierStateStack:
+    def test_vector_is_a_stack_of_one(self):
+        layout = block_layout(2, 1, ancilla=True)
+        vec = np.zeros(layout.dim, dtype=complex)
+        vec[3] = 1.0
+        state = ClassifierState(None, layout, vector=vec)
+        assert state.stack.shape == (1, layout.dim)
+        assert np.array_equal(state.vector, vec)
+        assert not state.stack.flags.writeable
+
+    def test_stack_norms_must_sum_to_one(self):
+        layout = pair_layout(2, 1, ancilla=False)
+        stack = np.zeros((2, layout.dim), dtype=complex)
+        stack[0, 0] = stack[1, 5] = math.sqrt(0.5)
+        state = ClassifierState(None, layout, vector=stack)
+        assert state.vector is None
+        assert np.allclose(np.diag(state.rho.entries)[[0, 5]], [0.5, 0.5], atol=1e-15)
+        with pytest.raises(NumericError):
+            ClassifierState(None, layout, vector=stack * (1.0 + 1e-9))
+        with pytest.raises(NumericError):
+            ClassifierState(None, layout, vector=np.full((2, layout.dim), np.nan))
+        with pytest.raises(DimensionError):
+            ClassifierState(None, layout, vector=np.zeros((0, layout.dim)))
+
+    def test_density_matrix_state_is_factored_on_demand(self):
+        rng = np.random.default_rng(33)
+        layout = pair_layout(2, 1, ancilla=False)
+        rho = random_density_matrix(layout.dim, rng, rank=3)
+        state = ClassifierState(rho, layout)
+        assert state.vector is None
+        v = state.stack
+        assert v.shape == (3, layout.dim)
+        assert np.abs(v.T @ v.conj() - rho.entries).max() < 1e-12
+        # measured on the rows, structured or dense, it is Tr(O rho)
+        obs = swap_label_observable(layout)
+        expect = float(np.trace(obs.matrix @ rho.entries).real)
+        assert abs(expectation(obs, state) - expect) < 1e-12
+        assert abs(expectation(obs.matrix, state) - expect) < 1e-12
+
+    def test_eigen_factor_rejects_non_psd(self):
+        with pytest.raises(NumericError):
+            qmath.eigen_factor(np.diag([1.0 + 1e-9, -1e-9]))
+        rho = DensityMatrix(np.diag([0.75, 0.25, 0.0, 0.0]).astype(complex))
+        assert qmath.eigen_factor(rho).shape == (2, 4)

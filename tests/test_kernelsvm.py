@@ -8,8 +8,8 @@ from qkclass.encoding import TrainingSet
 from qkclass.errors import DataError, DimensionError, NumericError
 from qkclass.kernelsvm import (DEFAULT_C, HS_TRACE, KERNEL_KINDS, REAL_OVERLAP,
                                SQUARED_OVERLAP, GramMatrix, KernelSpec, gram,
-                               kernel_eval, kernel_matrix, overlap_gram,
-                               psd_certify, regression, svm_train)
+                               kernel_eval, kernel_matrix, psd_certify,
+                               regression, svm_train)
 from qkclass.qmath import (DensityMatrix, QState, basis_state, hs_inner,
                            random_density_matrix, random_state_vector)
 
@@ -172,7 +172,8 @@ class TestGram:
         rng = np.random.default_rng(601)
         states = [random_state_vector(4, rng) for _ in range(5)]
         g = gram(KernelSpec(SQUARED_OVERLAP), states)
-        overlaps = overlap_gram(states)
+        vecs = np.stack([s.vec for s in states])
+        overlaps = vecs.conj() @ vecs.T  # plain overlaps <x_n|x_m>
         schur = (overlaps * overlaps.conj()).real
         assert np.abs(g.matrix - schur).max() < 1e-12
 
