@@ -2,14 +2,16 @@
 
 The swap-test unitary is Hadamard on the ancilla, a controlled swap of every
 (test, train) copy pair, and a second Hadamard. ``apply_swap_test_unitary``
-applies it through axis manipulation to a state vector or, along a leading
-batch axis, to every row of a stack of component vectors; that is what the
-classifiers use. ``build_swap_test_unitary`` returns it as an explicit
-(cached, unitarity-checked) matrix for the reference checks.
+applies it through axis manipulation to a state vector or, with
+``rows=True``, along a leading batch axis to every row of a stack of
+component vectors; that is what the classifiers use. A bare 2-D array is
+never read as a stack unless asked: elsewhere in this module it is a
+density matrix. ``build_swap_test_unitary`` returns the unitary as an
+explicit (cached, unitarity-checked) matrix for the reference checks.
 
-Assembled states are stacks of component vectors with
-rho = sum_i |v_i><v_i|, so a measured value is a sum over the rows. The
-measured observables (the ancilla-label parity, the ancilla-free
+Assembled states are stacks of component vectors with row signs,
+rho = sum_i s_i |v_i><v_i|, so a measured value is a signed sum over the
+rows. The measured observables (the ancilla-label parity, the ancilla-free
 swap-label observable and the register swap) are Pauli Z factors on named
 registers times a register permutation. They are stored in that form and
 applied to the reshaped state tensor, so measuring costs about the state,
@@ -142,16 +144,20 @@ class Observable:
             object.__setattr__(self, "_involutory", bool(ok))
         return self._involutory
 
-    def _vector_value(self, vec: np.ndarray) -> complex:
-        """sum_i <v_i|O|v_i> over the rows of a stack (or one vector), as
-        vdot(V, (signs * V).transpose(order)) with a leading batch axis."""
+    def _vector_value(self, vec: np.ndarray, signs: np.ndarray | None = None) -> complex:
+        """sum_i s_i <v_i|O|v_i> over the rows of a stack (or one vector),
+        as vdot(s V, z * V.transpose(order)) with a leading batch axis, z
+        the Pauli Z diagonals and s the row signs (all +1 when None). The
+        Z registers stay in place, so z applies after the transpose, in
+        place on the one copy that the transpose needs."""
         t = vec.reshape((-1,) + self.layout.dims)
-        acted = t
+        acted = np.empty(t.shape, dtype=complex)
+        np.copyto(acted, t.transpose((0,) + tuple(1 + i for i in self.order)))
         for i in self.z_registers:
             shape = [1] * t.ndim
             shape[i + 1] = 2
-            acted = acted * _Z_DIAGONAL.reshape(shape)
-        return complex(np.vdot(t, acted.transpose((0,) + tuple(1 + i for i in self.order))))
+            acted *= _Z_DIAGONAL.reshape(shape)
+        return complex(np.vdot(_signed(t, signs), acted))
 
     def _matrix_value(self, rho: np.ndarray) -> complex:
         """Tr(O rho) = sum_a s(a) rho[a, order(a)], one einsum over the
@@ -162,6 +168,13 @@ class Observable:
         for i in self.z_registers:
             operands += [_Z_DIAGONAL, [i]]
         return complex(np.einsum(*operands, []))
+
+
+def _signed(rows: np.ndarray, signs: np.ndarray | None) -> np.ndarray:
+    """Rows (leading axis) times their signs; the rows themselves when None."""
+    if signs is None:
+        return rows
+    return rows * signs.reshape((-1,) + (1,) * (rows.ndim - 1))
 
 
 @dataclass(frozen=True)
@@ -255,9 +268,13 @@ def build_swap_test_unitary(layout: RegisterLayout) -> np.ndarray:
     return v
 
 
-def apply_swap_test_unitary(x: np.ndarray, layout: RegisterLayout) -> np.ndarray:
-    """Apply the swap-test unitary to a state vector, or to each row of a
-    stack of component vectors, without materializing the dense operator.
+def apply_swap_test_unitary(x: np.ndarray, layout: RegisterLayout, *,
+                            rows: bool = False) -> np.ndarray:
+    """Apply the swap-test unitary to a state vector, or with ``rows=True``
+    to each row of a stack of component vectors, without materializing the
+    dense operator. Any other 2-D input, a density matrix in particular, is
+    rejected: evolve a density matrix as a :class:`ClassifierState` through
+    :func:`run_swap_test`, or with :func:`build_swap_test_unitary`.
 
     With t0, t1 the ancilla-0 and ancilla-1 halves and S the swap of every
     (test, train) pair, Hadamard, controlled swap and Hadamard give
@@ -269,8 +286,10 @@ def apply_swap_test_unitary(x: np.ndarray, layout: RegisterLayout) -> np.ndarray
     if order == tuple(range(len(dims))):
         raise DimensionError("layout has no (test, train) pairs to swap")
     arr = np.asarray(x, dtype=complex)
-    if arr.ndim not in (1, 2) or arr.shape[-1] != layout.dim:
-        raise DimensionError(f"state shape {arr.shape} does not match layout dim {layout.dim}")
+    if arr.ndim != (2 if rows else 1) or arr.shape[-1] != layout.dim:
+        what = "stack of rows" if rows else "state vector"
+        raise DimensionError(
+            f"expected a {what} of layout dim {layout.dim}, got shape {arr.shape}")
     rest = [i for i in range(len(dims)) if i != a]
     swap = (0,) + tuple(1 + rest.index(order[i]) for i in rest)
     t = np.moveaxis(arr.reshape((-1,) + dims), 1 + a, 1)
@@ -285,30 +304,31 @@ def apply_swap_test_unitary(x: np.ndarray, layout: RegisterLayout) -> np.ndarray
 
 def run_swap_test(state: ClassifierState) -> ClassifierState:
     """Swap-test circuit applied to every row of an assembled state's stack;
-    the result is a stack on the same layout."""
-    return ClassifierState(None, state.layout,
-                           vector=apply_swap_test_unitary(state.stack, state.layout))
+    the result is a stack on the same layout, with the same row signs."""
+    after = apply_swap_test_unitary(state.stack, state.layout, rows=True)
+    return ClassifierState(None, state.layout, vector=after, signs=state.signs)
 
 
-def _state_array(state) -> tuple[np.ndarray, bool]:
-    """(array, is_matrix): a stack of component vectors, or the density
-    matrix that a DensityMatrix or a square array is."""
+def _state_array(state) -> tuple[np.ndarray, np.ndarray | None, bool]:
+    """(array, row signs, is_matrix): the stack and signs of a
+    ClassifierState, a pure state as a stack of one, or the density matrix
+    that a DensityMatrix or a square array is."""
     if isinstance(state, ClassifierState):
-        return state.stack, False
+        return state.stack, state.signs, False
     if isinstance(state, DensityMatrix):
-        return state.entries, True
+        return state.entries, None, True
     if isinstance(state, QState):
-        return state.vec[None], False
+        return state.vec[None], None, False
     arr = np.asarray(state, dtype=complex)
     if arr.ndim == 1:
-        return arr[None], False
+        return arr[None], None, False
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a state vector or square matrix, got {arr.shape}")
-    return arr, True
+    return arr, None, True
 
 
 def expectation(obs, state) -> float:
-    """Tr(obs rho) as sum_i <v_i|obs|v_i> over the rows of a stack, or
+    """Tr(obs rho) as sum_i s_i <v_i|obs|v_i> over the signed rows of a stack, or
     Tr(obs rho) of a density matrix; checked real to 1e-10.
 
     Accepts an Observable or a bare matrix, and a ClassifierState (its
@@ -318,7 +338,7 @@ def expectation(obs, state) -> float:
     density matrix; no operator matrix is formed. A bare matrix or a
     matrix-built Observable is applied densely.
     """
-    arr, is_matrix = _state_array(state)
+    arr, signs, is_matrix = _state_array(state)
     structured = isinstance(obs, Observable) and obs.structured
     mat = None if structured else (
         obs.matrix if isinstance(obs, Observable) else np.asarray(obs, dtype=complex))
@@ -326,11 +346,11 @@ def expectation(obs, state) -> float:
     if arr.shape[-1] != dim:
         raise DimensionError(f"dimension mismatch: observable {dim} vs state {arr.shape}")
     if structured:
-        val = obs._matrix_value(arr) if is_matrix else obs._vector_value(arr)
+        val = obs._matrix_value(arr) if is_matrix else obs._vector_value(arr, signs)
     elif is_matrix:
         val = complex(np.einsum("ij,ji->", mat, arr))
     else:
-        val = complex(np.vdot(arr, arr @ mat.T))
+        val = complex(np.vdot(_signed(arr, signs), arr @ mat.T))
     if abs(val.imag) > ATOL_DERIVED:
         raise NumericError(f"expectation has imaginary residual {val.imag}")
     return float(val.real)
@@ -342,14 +362,15 @@ def outcome_probabilities(obs: Observable, state) -> dict[int, float]:
     The spectral projectors are (identity +- obs) / 2, so the probabilities
     are (Tr rho +- <obs>) / 2, with <obs> from :func:`expectation`; no
     projector or identity matrix is built, and a ClassifierState stays a
-    stack. The state's trace (the summed squared norms of a stack) must be
-    1 to 1e-10, which is the check that the two probabilities sum to 1.
+    stack. The state's trace (the signed sum of a stack's squared row
+    norms) must be 1 to 1e-10, which is the check that the two
+    probabilities sum to 1.
     """
     if not isinstance(obs, Observable) or not obs.has_pm_one_spectrum():
         raise NumericError("outcome probabilities require a +-1 spectrum observable")
     value = expectation(obs, state)
-    arr, is_matrix = _state_array(state)
-    total = complex(np.trace(arr) if is_matrix else np.vdot(arr, arr))
+    arr, signs, is_matrix = _state_array(state)
+    total = complex(np.trace(arr) if is_matrix else np.vdot(_signed(arr, signs), arr))
     if abs(total.imag) > ATOL_DERIVED:
         raise NumericError(f"state trace has imaginary residual {total.imag}")
     if abs(total.real - 1.0) > ATOL_DERIVED:

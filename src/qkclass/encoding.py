@@ -10,20 +10,26 @@ Assemblies of pure data use the block layout; assemblies of density-matrix
 data use the pair layout. The two are related by the fixed permutation
 returned by :func:`block_to_pair_order`.
 
-Every assembled state is a stack of component vectors v_i with
-rho = sum_i |v_i><v_i|: one row for a pure superposition, a purification
-for a mixture. The circuit is linear, so it acts row by row with the
-statistics of rho, and the dense rho is built only when read. The mixed
-input sum_y rho_t^(x)k (x) sigma_y (x) |y><y|, with
+Every assembled state is a stack of component vectors v_i with row signs
+s_i, rho = sum_i s_i |v_i><v_i|: one row for a pure superposition, a
+purification for a mixture. A sign is -1 only for the round-off negative
+eigen-part that a validated density matrix may carry, so the stack
+reproduces the given state exactly. The circuit is linear, so it acts row
+by row with the statistics of rho, and the dense rho is built only when
+read. The mixed input sum_y rho_t^(x)k (x) sigma_y (x) |y><y|, with
 sigma_y = sum_{m: y_m = y} w_m rho_m^(x)k, has as rows the products of the
 eigen-factor rows of rho_t^(x)k and of sigma_y, in pair order: at most
-2 rank(rho_t^(x)k) rank(sigma_y) rows, whatever the number of entries.
+2 rank(rho_t^(x)k) rank(sigma_y) rows, whatever the number of entries. The
+index-free pure input has one row per entry; :func:`pure_stc_parts` yields
+it in parts of bounded size, so that measuring it needs memory independent
+of the number of entries.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -206,45 +212,76 @@ class ClassifierState:
     """An assembled joint state, its register layout, and optional extras.
 
     The state is a stack of component vectors V, shape (r, layout.dim), with
-    rho = V^T conj(V) = sum_i |v_i><v_i|. ``vector`` gives the stack, or one
-    1-D vector as a stack of one; the squared norms must sum to 1 within
-    1e-12. A state given by its density matrix alone is eigen-factored into
-    a stack. The stack is held as a read-only view, not a copy; ``rho`` is
-    built from it, after the size check and with the usual
-    :class:`DensityMatrix` checks, only when first asked for.
+    row signs s: rho = V^T diag(s) conj(V) = sum_i s_i |v_i><v_i|. Every
+    sign is +1 (``signs`` is None) unless the state carries the round-off
+    negative eigen-part that a validated density matrix may have (see
+    :func:`qkclass.qmath.eigen_factor`). ``vector`` gives the stack, or one
+    1-D vector as a stack of one; the signed squared norms must sum to 1
+    within 1e-12. A state given by its density matrix alone is
+    eigen-factored into a stack. The stack is held as a read-only view, not
+    a copy; ``rho`` is built from it, after the size check and with the
+    usual :class:`DensityMatrix` checks, only when first asked for.
     ``members`` carries the (probability, member state) decomposition of an
-    ensemble whose members use different copy counts and therefore different
-    layouts.
+    ensemble whose members use different copy counts and therefore
+    different layouts; such a state may be given ``build`` instead of a
+    stack, a function returning (stack, signs) that runs on the first read.
     """
 
-    __slots__ = ("layout", "stack", "members", "_rho")
+    __slots__ = ("layout", "members", "_stack", "_signs", "_build", "_rho")
 
     def __init__(self, rho: DensityMatrix | None, layout: RegisterLayout,
                  vector: np.ndarray | None = None,
-                 members: tuple[tuple[float, "ClassifierState"], ...] | None = None):
-        if rho is None and vector is None:
+                 members: tuple[tuple[float, "ClassifierState"], ...] | None = None,
+                 signs: np.ndarray | None = None, build=None):
+        if rho is None and vector is None and build is None:
             raise DataError("a classifier state needs a density matrix or a vector")
         if rho is not None and layout.dim != rho.dim:
             raise DimensionError(
                 f"layout dim {layout.dim} does not match state dim {rho.dim}")
-        stack = np.asarray(qmath.eigen_factor(rho, "density matrix") if vector is None
-                           else vector, dtype=complex)
-        if stack.ndim not in (1, 2) or stack.size == 0 or stack.shape[-1] != layout.dim:
-            raise DimensionError(
-                f"layout dim {layout.dim} does not match vector shape {stack.shape}")
-        stack = stack.reshape(-1, layout.dim)
+        for name, value in (("layout", layout), ("members", members), ("_rho", rho),
+                            ("_build", build), ("_stack", None), ("_signs", None)):
+            object.__setattr__(self, name, value)
+        if build is None and vector is None:
+            vector, signs = qmath.eigen_factor(rho, "density matrix")
+        if build is None:
+            self._set_stack(vector, signs)
+
+    def _set_stack(self, vector, signs):
+        stack = np.asarray(vector, dtype=complex)
+        dim = self.layout.dim
+        if stack.ndim not in (1, 2) or stack.size == 0 or stack.shape[-1] != dim:
+            raise DimensionError(f"layout dim {dim} does not match vector shape {stack.shape}")
+        stack = stack.reshape(-1, dim)
         stack.setflags(write=False)
-        norm_sq = float(np.vdot(stack, stack).real)
+        if signs is None:
+            norm_sq = float(np.vdot(stack, stack).real)
+        else:
+            signs = np.array(signs, dtype=float)
+            if signs.shape != stack.shape[:1] or not np.all(np.abs(signs) == 1.0):
+                raise DataError("row signs must be one +1 or -1 per stack row")
+            signs.setflags(write=False)
+            norm_sq = float(signs @ np.linalg.norm(stack, axis=1) ** 2)
         if not abs(norm_sq - 1.0) <= qmath.ATOL_STRUCT:
             raise NumericError(
                 f"state squared norm {norm_sq!r} is not 1 within {qmath.ATOL_STRUCT}")
-        object.__setattr__(self, "_rho", rho)
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "_signs", signs)
 
     def __setattr__(self, name, value):
         raise AttributeError("ClassifierState is immutable")
+
+    @property
+    def stack(self) -> np.ndarray:
+        if self._stack is None:
+            self._set_stack(*self._build())
+        return self._stack
+
+    @property
+    def signs(self) -> np.ndarray | None:
+        """Row signs, or None when every row counts +1."""
+        if self._stack is None:
+            self._set_stack(*self._build())
+        return self._signs
 
     @property
     def vector(self) -> np.ndarray | None:
@@ -255,28 +292,45 @@ class ClassifierState:
     def rho(self) -> DensityMatrix:
         if self._rho is None:
             qmath.check_dense_budget((self.layout.dim, self.layout.dim), "density matrix")
-            v = self.stack
-            object.__setattr__(self, "_rho", DensityMatrix(v.T @ v.conj(), check_psd=False))
+            v, s = self.stack, self.signs
+            rho = (v.T if s is None else v.T * s) @ v.conj()
+            object.__setattr__(self, "_rho", DensityMatrix(rho, check_psd=False))
         return self._rho
 
     def __repr__(self):
-        return f"ClassifierState(dim={self.layout.dim}, rows={self.stack.shape[0]})"
+        rows = "deferred" if self._stack is None else self._stack.shape[0]
+        return f"ClassifierState(dim={self.layout.dim}, rows={rows})"
 
 
-def _stack_state(layout: RegisterLayout, count: int, blocks,
-                 members=None) -> ClassifierState:
+def _product_signs(factors) -> np.ndarray | None:
+    """Signs of the row products of eigen-factors (rows, signs), first
+    factor's row index most significant; None when every sign is +1."""
+    if all(s is None for _, s in factors):
+        return None
+    out = np.ones(1)
+    for rows, s in factors:
+        out = np.multiply.outer(out, np.ones(rows.shape[0]) if s is None else s).ravel()
+    return out
+
+
+def _stack_state(layout: RegisterLayout, count: int, blocks) -> ClassifierState:
     """State of ``count`` rows, filled from blocks (label, rows over the data
-    registers) with the ancilla, if any, in |0> and the label qubit in
-    |label>. The budget check runs before the stack or any block exists."""
+    registers, row signs) with the ancilla, if any, in |0> and the label
+    qubit in |label>. The budget check runs before the stack or any block
+    exists."""
     qmath.check_dense_budget((count, layout.dim), "assembled state stack")
     anc = 2 if layout.has(ANCILLA) else 1
     out = np.zeros((count, anc, layout.dim // (2 * anc), 2), dtype=complex)
+    signs = np.ones(count)
     start = 0
-    for label, rows in blocks:
-        out[start:start + rows.shape[0], 0, :, label] = rows
-        start += rows.shape[0]
+    for label, rows, row_signs in blocks:
+        stop = start + rows.shape[0]
+        out[start:stop, 0, :, label] = rows
+        if row_signs is not None:
+            signs[start:stop] = row_signs
+        start = stop
     return ClassifierState(None, layout, vector=out.reshape(count, layout.dim),
-                           members=members)
+                           signs=None if np.all(signs > 0) else signs)
 
 
 def _row_power(rows: np.ndarray, k: int) -> np.ndarray:
@@ -287,14 +341,12 @@ def _row_power(rows: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _mixed_factors(test: DensityMatrix, train, k: int, layout: RegisterLayout,
-                   pad_rank: int = 1):
-    """Eigen-factors of rho_t^(x)k and of each label's sigma_y: the test rows
-    and one (label, rows) pair per label present.
+def _mixed_factors(test: DensityMatrix, train, k: int, layout: RegisterLayout):
+    """Eigen-factors (rows, signs) of rho_t^(x)k and of each label's sigma_y:
+    the test factor and one (label, factor) pair per label present.
 
     Before anything of size d**k x d**k is built, the stack they span on
-    ``layout`` is planned against the size budget, with rank(sigma_y) <= d**k
-    and ``pad_rank`` rows for each pair slot of ``layout`` beyond ``k``.
+    ``layout`` is planned against the size budget, with rank(sigma_y) <= d**k.
     """
     test_factor = qmath.eigen_factor(test, "test state")
     mats = np.stack([rho.entries for rho, _, _ in train])
@@ -302,29 +354,30 @@ def _mixed_factors(test: DensityMatrix, train, k: int, layout: RegisterLayout,
     weights = np.array([w for _, _, w in train], dtype=float)
     groups = [(y, (labels == y) & (weights > 0.0)) for y in (0, 1)
               if np.any((labels == y) & (weights > 0.0))]
-    bound = ((test_factor.shape[0] * test.dim) ** k * len(groups)
-             * pad_rank ** (len(layout.pair_indices()) - k))
+    bound = (test_factor[0].shape[0] * test.dim) ** k * len(groups)
     qmath.check_dense_budget((bound, layout.dim), "assembled state stack")
     factors = [(y, qmath.eigen_factor(qmath.power_mixture(mats[mask], weights[mask], k),
                                       f"label-{y} training mixture"))
                for y, mask in groups]
-    return tensor_power(test_factor, k), factors
+    power = (tensor_power(test_factor[0], k), _product_signs([test_factor] * k))
+    return power, factors
 
 
-def _pair_rows(dim: int, k: int, test_rows: np.ndarray, train_rows: np.ndarray,
-               pad_rows: np.ndarray | None = None, pads: int = 0) -> np.ndarray:
-    """Products a (x) b (x) p_1 (x) ... (x) p_pads in pair register order,
-    for a in test_rows (k test copies), b in train_rows (k train copies) and
-    each p in pad_rows (one (test, train) pair), by one einsum."""
-    col = 2 + pads  # einsum labels: rows first, then registers in pair order
-    operands = [test_rows.reshape((-1,) + (dim,) * k), [0] + [col + 2 * i for i in range(k)],
-                train_rows.reshape((-1,) + (dim,) * k),
-                [1] + [col + 2 * i + 1 for i in range(k)]]
-    for j in range(pads):
-        pair = col + 2 * (k + j)
-        operands += [pad_rows.reshape(-1, dim, dim), [2 + j, pair, pair + 1]]
-    out = np.einsum(*operands, list(range(col + 2 * (k + pads))))
-    return out.reshape(-1, dim ** (2 * (k + pads)))
+def _pair_rows(dim: int, k: int, test_rows: np.ndarray, train_rows: np.ndarray) -> np.ndarray:
+    """Products a (x) b in pair register order, for a in test_rows (k test
+    copies) and b in train_rows (k train copies), by one einsum."""
+    out = np.einsum(test_rows.reshape((-1,) + (dim,) * k), [0] + [2 + 2 * i for i in range(k)],
+                    train_rows.reshape((-1,) + (dim,) * k), [1] + [3 + 2 * i for i in range(k)],
+                    list(range(2 + 2 * k)))
+    return out.reshape(-1, dim ** (2 * k))
+
+
+def _branches(test: QState, vecs: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
+    """sqrt(w_m) |test>^k (x) |x_m>^k for each row x_m of ``vecs``, shaped
+    (entries, d**k, d**k)."""
+    test_block = tensor_power(test.vec, k)
+    train = np.sqrt(weights)[:, None] * _row_power(vecs, k)
+    return test_block[None, :, None] * train[:, None, :]
 
 
 def _pure_state_vector(ts: TrainingSet, test: QState, weights: np.ndarray,
@@ -339,20 +392,32 @@ def _pure_state_vector(ts: TrainingSet, test: QState, weights: np.ndarray,
     """
     k = ts.k
     offset = 1 if bias_prob > 0.0 else 0
-    test_block = tensor_power(test.vec, k)
-    block = test_block.size
+    block = test.dim ** k
     shape = (2 if with_ancilla else 1, block, block, 2, index_register_dim(index_slots))
     qmath.check_dense_budget((math.prod(shape),), "assembled state vector")
     vec = np.zeros(shape, dtype=complex)
     if bias_prob > 0.0:
         y_b = 0 if ts.bias > 0 else 1
-        vec[0, :, :, y_b, 0] = math.sqrt(bias_prob) * np.outer(test_block, test_block)
+        vec[0, :, :, y_b, 0] = _branches(test, test.vec[None], np.array([bias_prob]), k)[0]
     if ts.entries:
         vecs = np.stack([s.vec for s in ts.pure_states()])
-        train = np.sqrt(weights)[:, None] * _row_power(vecs, k)
         slots = offset + np.arange(len(ts))
-        vec[0, :, :, ts.labels, slots] = test_block[None, :, None] * train[:, None, :]
+        vec[0, :, :, ts.labels, slots] = _branches(test, vecs, weights, k)
     return vec.reshape(-1)
+
+
+def _check_pure_input(ts: TrainingSet, test: QState):
+    ts.pure_states()
+    if not ts.entries:
+        raise DataError("cannot assemble a classifier state from an empty training set")
+    if ts.bias is not None:
+        raise DataError("training set carries a bias; use assemble_bias_extended")
+    if test.dim != ts.data_dim:
+        raise DimensionError(f"test dim {test.dim} != training dim {ts.data_dim}")
+
+
+# Largest stack of rows, in bytes, that pure_stc_parts puts in one part.
+PART_BYTES = 2**21
 
 
 def assemble_pure_stc_input(ts: TrainingSet, test: QState, *,
@@ -362,25 +427,45 @@ def assemble_pure_stc_input(ts: TrainingSet, test: QState, *,
 
     With an index register the state is the pure superposition over training
     slots, one row. Without one it is the equivalent mixture over training
-    entries, which yields the same measurement statistics: the index slots of
-    that superposition, one row sqrt(w_m) |test>^k |x_m>^k |y_m> per entry
-    of nonzero weight.
+    entries, which yields the same measurement statistics: one row
+    sqrt(w_m) |test>^k |x_m>^k |y_m> per entry of nonzero weight.
     """
-    if not ts.entries:
-        raise DataError("cannot assemble a classifier state from an empty training set")
-    if ts.bias is not None:
-        raise DataError("training set carries a bias; use assemble_bias_extended")
-    if test.dim != ts.data_dim:
-        raise DimensionError(f"test dim {test.dim} != training dim {ts.data_dim}")
+    if not with_index:
+        [(_, state)] = pure_stc_parts(ts, test, with_ancilla=with_ancilla, part_bytes=None)
+        return state
+    _check_pure_input(ts, test)
+    layout = block_layout(test.dim, ts.k, ancilla=with_ancilla, index_slots=len(ts))
+    return ClassifierState(None, layout, vector=_pure_state_vector(
+        ts, test, ts.effective_weights(), with_ancilla, len(ts)))
+
+
+def pure_stc_parts(ts: TrainingSet, test: QState, *, with_ancilla: bool = True,
+                   part_bytes: int | None = PART_BYTES):
+    """The index-free pure input of :func:`assemble_pure_stc_input` as a
+    convex mixture of parts, built one at a time.
+
+    Yields (p, state) for runs of consecutive entries of nonzero weight:
+    ``state`` holds their rows with the weights renormalized to the run, and
+    p is the run's total weight, so sum p * value(state) is the value of the
+    whole input. A part holds at most ``part_bytes`` of rows (at least one
+    row; all rows in one part when None), so memory need not grow with the
+    number of entries.
+    """
+    _check_pure_input(ts, test)
     weights = ts.effective_weights()
-    slots = len(ts) if with_index else None
-    layout = block_layout(test.dim, ts.k, ancilla=with_ancilla, index_slots=slots)
-    vec = _pure_state_vector(ts, test, weights, with_ancilla, len(ts))
-    if with_index:
-        return ClassifierState(None, layout, vector=vec)
-    # Tracing out the index leaves one component row per training slot.
-    return ClassifierState(None, layout,
-                           vector=vec.reshape(layout.dim, -1).T[:len(ts)][weights > 0.0])
+    layout = block_layout(test.dim, ts.k, ancilla=with_ancilla)
+    entries = np.flatnonzero(weights > 0.0)
+    size = entries.size if part_bytes is None else max(1, part_bytes // (16 * layout.dim))
+    block = test.dim ** ts.k
+    for start in range(0, entries.size, size):
+        part = entries[start:start + size]
+        qmath.check_dense_budget((part.size, layout.dim), "assembled state stack")
+        p = float(weights[part].sum())
+        vecs = np.stack([ts.entries[m].state.vec for m in part])
+        out = np.zeros((part.size, 2 if with_ancilla else 1, block, block, 2), dtype=complex)
+        out[np.arange(part.size), 0, :, :, ts.labels[part]] = _branches(
+            test, vecs, weights[part] / p, ts.k)
+        yield p, ClassifierState(None, layout, vector=out.reshape(part.size, layout.dim))
 
 
 def assemble_mixed_stc_input(test: DensityMatrix,
@@ -407,10 +492,11 @@ def assemble_mixed_stc_input(test: DensityMatrix,
         if rho_m.dim != dim:
             raise DimensionError(f"training dim {rho_m.dim} != test dim {dim}")
     layout = pair_layout(dim, k, ancilla=with_ancilla)
-    test_rows, factors = _mixed_factors(test, train, k, layout)
-    count = test_rows.shape[0] * sum(f.shape[0] for _, f in factors)
-    return _stack_state(layout, count,
-                        ((y, _pair_rows(dim, k, test_rows, f)) for y, f in factors))
+    test_factor, factors = _mixed_factors(test, train, k, layout)
+    count = test_factor[0].shape[0] * sum(f[0].shape[0] for _, f in factors)
+    return _stack_state(layout, count, (
+        (y, _pair_rows(dim, k, test_factor[0], f[0]), _product_signs([test_factor, f]))
+        for y, f in factors))
 
 
 def assemble_bias_extended(ts: TrainingSet, test: QState) -> ClassifierState:
@@ -482,6 +568,26 @@ def _pad_pair_state(data_dim: int, kind: str) -> np.ndarray:
     raise DataError(f"unknown padding kind {kind!r}")
 
 
+def _padded_joint(layout: RegisterLayout, members, pad, max_copies: int):
+    """Stack and signs of sum_s q_s member_s with the padding rows on each
+    member's unused pair slots, between its pairs and its label: row
+    (i, j) of a member's block is sqrt(q_s) member row i with pad-product
+    row j inserted. The budget check runs before any block exists."""
+    members = [(q, m, max_copies - len(m.layout.pair_indices())) for q, m in members if q]
+    count = sum(m.stack.shape[0] * pad[0].shape[0] ** n for _, m, n in members)
+    qmath.check_dense_budget((count, layout.dim), "assembled state stack")
+    blocks, signs = [], []
+    for q, member, n in members:
+        pads = reduce(np.kron, [pad[0]] * n, np.full((1, 1), math.sqrt(q)))
+        rows = member.stack.reshape(member.stack.shape[0], -1, 2)  # ancilla+pairs, label
+        blocks.append(np.einsum("iay,jp->ijapy", rows, pads).reshape(-1, layout.dim))
+        signs.append(_product_signs([(member.stack, member.signs)] + [pad] * n))
+    if all(s is None for s in signs):
+        return np.concatenate(blocks), None
+    return np.concatenate(blocks), np.concatenate(
+        [np.ones(b.shape[0]) if s is None else s for b, s in zip(blocks, signs)])
+
+
 def assemble_ensemble_exponents(test: DensityMatrix,
                                 models: Sequence[tuple[float, Sequence[float], int]],
                                 train: Sequence[tuple[DensityMatrix, int]],
@@ -491,32 +597,26 @@ def assemble_ensemble_exponents(test: DensityMatrix,
 
     Each member state occupies its k_s (test, train) pair slots; the unused
     slots are filled with a constant pair state so every member lives on the
-    same registers. The padding state is eigen-factored like the data, so
-    the joint state is a stack too. The default maximally mixed padding is
-    not swap invariant, so ensemble expectation values are evaluated member
-    by member (the ``members`` field); ``padding="symmetric"`` additionally
-    makes the full swap-test circuit over all slots reproduce the same value.
+    same registers. The default maximally mixed padding is not swap
+    invariant, so ensemble expectation values are evaluated member by
+    member (the ``members`` field); ``padding="symmetric"`` additionally
+    makes the full swap-test circuit over all slots reproduce the same
+    value. The joint state is deferred: its stack, the member rows times
+    the eigen-factor rows of the padding, is built only when read.
     """
     weights = _model_weights(models, train)
     dim = test.dim
     pad = qmath.eigen_factor(_pad_pair_state(dim, padding), f"{padding} padding state")
-    layout = pair_layout(dim, max_copies, ancilla=True)
-    members, terms = [], []
+    members = []
     for (q, _, k_s), a_s in zip(models, weights):
         k_s = int(k_s)
         if not 1 <= k_s <= max_copies:
             raise DataError(f"model copy count {k_s} outside 1..{max_copies}")
         data = [(rho, label, w) for (rho, label), w in zip(train, a_s)]
         members.append((float(q), assemble_mixed_stc_input(test, data, k_s)))
-        if q == 0.0:
-            continue
-        test_rows, factors = _mixed_factors(test, data, k_s, layout, pad.shape[0])
-        terms += [(y, k_s, test_rows, math.sqrt(q) * f) for y, f in factors]
-    count = sum(t.shape[0] * f.shape[0] * pad.shape[0] ** (max_copies - k_s)
-                for _, k_s, t, f in terms)
-    blocks = ((y, _pair_rows(dim, k_s, t, f, pad, max_copies - k_s))
-              for y, k_s, t, f in terms)
-    return _stack_state(layout, count, blocks, members=tuple(members))
+    layout = pair_layout(dim, max_copies, ancilla=True)
+    return ClassifierState(None, layout, members=tuple(members),
+                           build=lambda: _padded_joint(layout, members, pad, max_copies))
 
 
 def block_to_pair_order(k: int, *, ancilla: bool = True) -> tuple[int, ...]:

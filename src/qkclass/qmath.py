@@ -31,8 +31,8 @@ DENSE_BYTES_BUDGET = 2**28
 ATOL_STRUCT = 1e-12
 ATOL_DERIVED = 1e-10
 PSD_FLOOR = -1e-10
-# Eigenvalues at or below this are dropped from an eigen-factor (round-off
-# of a rank-deficient state).
+# Eigenvalues of at most this size are dropped from an eigen-factor
+# (round-off of a rank-deficient state).
 EIGEN_CUT = 1e-14
 
 SIGMA_I = np.eye(2, dtype=complex)
@@ -262,21 +262,29 @@ def hs_inner(a, b) -> float:
     return float(val.real)
 
 
-def eigen_factor(mat, what: str = "matrix") -> np.ndarray:
-    """Rows F with mat = F^T conj(F) = sum_i |f_i><f_i| for a Hermitian PSD
-    matrix: f_i is sqrt(lambda_i) times eigenvector i, for each eigenvalue
-    above ``EIGEN_CUT`` (a dropped one moves no entry by more than its size).
-    The rebuilt matrix must match ``mat`` to 1e-12 in every entry, which
-    also rejects a matrix that is not PSD to that tolerance.
+def eigen_factor(mat, what: str = "matrix") -> tuple[np.ndarray, np.ndarray | None]:
+    """Rows F and signs s with mat = F^T diag(s) conj(F) = sum_i s_i |f_i><f_i|
+    for a Hermitian matrix that is PSD up to ``PSD_FLOOR``, the floor
+    :class:`DensityMatrix` accepts.
+
+    f_i is sqrt(|lambda_i|) times eigenvector i and s_i the sign of
+    lambda_i, for each eigenvalue with |lambda_i| above ``EIGEN_CUT`` (a
+    dropped one moves no entry by more than its size). A round-off negative
+    eigenvalue is kept with sign -1, so the rows rebuild ``mat`` itself;
+    ``signs`` is None when every sign is +1. An eigenvalue below the floor,
+    or a rebuild off by more than 1e-12 in any entry, raises NumericError.
     """
     m = _as_matrix(mat)
     vals, vecs = np.linalg.eigh(m)
-    keep = vals > EIGEN_CUT
-    rows = (vecs[:, keep] * np.sqrt(vals[keep])).T
-    err = float(np.abs(rows.T @ rows.conj() - m).max())
+    if vals.size and vals[0] < PSD_FLOOR:
+        raise NumericError(f"{what} has eigenvalue {vals[0]} below {PSD_FLOOR}")
+    keep = np.abs(vals) > EIGEN_CUT
+    rows = (vecs[:, keep] * np.sqrt(np.abs(vals[keep]))).T
+    signs = np.sign(vals[keep])
+    err = float(np.abs((rows.T * signs) @ rows.conj() - m).max())
     if err > ATOL_STRUCT:
         raise NumericError(f"eigen-factor of the {what} rebuilds it only to {err}")
-    return rows
+    return rows, (None if np.all(signs > 0) else signs)
 
 
 def power_mixture(mats: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:

@@ -9,7 +9,8 @@ from qkclass.circuit import (Observable, ancilla_label_parity,
                              outcome_probabilities, run_swap_test,
                              sample_shots, swap_label_observable,
                              swap_operator)
-from qkclass.encoding import TrainingSet, assemble_mixed_stc_input, assemble_pure_stc_input
+from qkclass.encoding import (ClassifierState, TrainingSet, assemble_mixed_stc_input,
+                              assemble_pure_stc_input)
 from qkclass.errors import DataError, DimensionError, NumericError
 from qkclass.qmath import (PAULIS, SIGMA_Z, QState, basis_state,
                            random_density_matrix, random_state_vector,
@@ -66,19 +67,40 @@ class TestSwapTestUnitary:
         # A mixed state evolves as the stack of its eigen-factor rows; the
         # rebuilt rho' = V'^T conj(V') is U rho U^dagger.
         rho = random_density_matrix(layout.dim, rng, rank=3)
-        out = apply_swap_test_unitary(qmath.eigen_factor(rho), layout)
-        assert np.allclose(out.T @ out.conj(), v @ rho.entries @ v.conj().T, atol=1e-12)
+        out = run_swap_test(ClassifierState(rho, layout)).rho.entries
+        assert np.allclose(out, v @ rho.entries @ v.conj().T, atol=1e-12)
 
     def test_batch_axis_matches_row_by_row(self):
         rng = np.random.default_rng(2)
         layout = pair_layout(2, 2)
         stack = np.stack([random_state_vector(layout.dim, rng).vec for _ in range(5)])
-        out = apply_swap_test_unitary(stack, layout)
+        out = apply_swap_test_unitary(stack, layout, rows=True)
         assert out.shape == stack.shape
         for row, got in zip(stack, out):
             assert np.allclose(got, apply_swap_test_unitary(row, layout), rtol=0, atol=1e-15)
         with pytest.raises(DimensionError):
-            apply_swap_test_unitary(stack[:, :-1], layout)
+            apply_swap_test_unitary(stack[:, :-1], layout, rows=True)
+        with pytest.raises(DimensionError):
+            apply_swap_test_unitary(stack[0], layout, rows=True)
+
+    @pytest.mark.parametrize("rank", [3, 16])
+    def test_bare_2d_input_is_rejected(self, rank):
+        # A bare square array is a density matrix, never a stack: the
+        # vector form rejects it instead of returning rho U^T, and a stack
+        # of full rank (as many rows as the layout has amplitudes) has to be
+        # named as rows.
+        rng = np.random.default_rng(3)
+        layout = pair_layout(2, 1)
+        rho = random_density_matrix(layout.dim, rng, rank=rank)
+        with pytest.raises(DimensionError, match="state vector"):
+            apply_swap_test_unitary(rho.entries, layout)
+        rows, signs = qmath.eigen_factor(rho)
+        assert signs is None
+        with pytest.raises(DimensionError, match="state vector"):
+            apply_swap_test_unitary(rows, layout)
+        out = apply_swap_test_unitary(rows, layout, rows=True)
+        u = build_swap_test_unitary(layout)
+        assert np.allclose(out.T @ out.conj(), u @ rho.entries @ u.conj().T, atol=1e-12)
 
     def test_swap_invariant_input_unchanged(self):
         rng = np.random.default_rng(1)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkclass import classifier as classifier_module
-from qkclass.classifier import (TIE, ClassifierOutput, classify_assembled,
+from qkclass import qmath
+from qkclass.classifier import (STC_MODES, TIE, ClassifierOutput, classify_assembled,
                                 decide, hadamard_classify, helstrom_operator,
                                 label_sign, misclassification_probability,
                                 outcome_to_label, qsvm_oracle_classify,
@@ -142,13 +143,13 @@ class TestStcClassify:
             ens = assemble_ensemble_exponents(test, [(0.3, a1, 1), (0.7, a2, 2)], pairs, 2,
                                               padding=padding)
             assert abs(classify_assembled(ens).expectation - expect) < 1e-10
-        joint = ClassifierState(None, ens.layout, vector=ens.stack)
+        joint = ClassifierState(None, ens.layout, vector=ens.stack, signs=ens.signs)
         assert abs(classify_assembled(joint).expectation - expect) < 1e-10
 
     def test_circuit_modes_are_checked_against_the_kernel_sum(self, monkeypatch):
         # Skipping the swap test, or measuring Z on the label without the
         # swap, leaves sum_m sign_m w_m instead of the kernel sum, which the
-        # 1e-10 cross-check must reject.
+        # output's 1e-12 per-term check must reject.
         rng = np.random.default_rng(1100)
         cases = [(random_pure_training(rng, 3, 2, k=2), random_state_vector(2, rng)),
                  (random_mixed_training(rng, 3, 2, k=2), random_density_matrix(2, rng))]
@@ -157,13 +158,13 @@ class TestStcClassify:
                 stc_classify(ts, test, mode=mode)
             with monkeypatch.context() as patch:
                 patch.setattr(classifier_module, "run_swap_test", lambda state: state)
-                with pytest.raises(NumericError, match="kernel sum"):
+                with pytest.raises(NumericError, match="per-term sum"):
                     stc_classify(ts, test, mode="ancilla-circuit")
             with monkeypatch.context() as patch:
                 patch.setattr(classifier_module, "swap_label_observable",
                               lambda layout: Observable.z_permutation(
                                   layout, (layout.index_of(LABEL),)))
-                with pytest.raises(NumericError, match="kernel sum"):
+                with pytest.raises(NumericError, match="per-term sum"):
                     stc_classify(ts, test, mode="minimal")
 
     def test_mixed_ancilla_circuit_memory(self):
@@ -181,6 +182,25 @@ class TestStcClassify:
             tracemalloc.stop()
         assert peak < 16 * 2**20
         assert abs(out.expectation - stc_classify(ts, test).expectation) < 1e-10
+
+    @pytest.mark.parametrize("mode,rows_in_layout", [("ancilla-circuit", 5), ("minimal", 5)])
+    def test_pure_circuit_memory_does_not_grow_with_m(self, mode, rows_in_layout):
+        # m=100, dim=16, k=2: one input row is 2 * 256 * 256 * 2 amplitudes
+        # (4 MiB) with the ancilla, 2 MiB without; all 100 rows would be
+        # 400 MiB, over the size budget. The rows are measured part by
+        # part, so the peak stays within a few rows.
+        rng = np.random.default_rng(1300)
+        ts = random_pure_training(rng, 100, 16, k=2)
+        test = random_state_vector(16, rng)
+        row_bytes = 16 * 256 * 256 * 2 * (2 if mode == "ancilla-circuit" else 1)
+        tracemalloc.start()
+        try:
+            out = stc_classify(ts, test, mode=mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < rows_in_layout * row_bytes
+        assert abs(out.expectation - stc_classify(ts, test).expectation) < 1e-12
 
     def test_per_term_decomposition(self):
         ts = TrainingSet.from_states([(PLUS, 0, 0.7), (KET1, 1, 0.3)], k=2)
@@ -220,6 +240,64 @@ class TestStcClassify:
         ts = TrainingSet.from_states([(KET0, 0, 1.0)], bias=0.5)
         with pytest.raises(DataError):
             stc_classify(ts, KET0)
+
+
+# Validated (DensityMatrix accepts eigenvalues down to -1e-10), with a
+# round-off negative eigenvalue of -5e-11 on |2>.
+SLIGHTLY_NEGATIVE = np.diag([0.5 + 5e-11, 0.5, -5e-11, 0.0]).astype(complex)
+
+
+class TestRoundOffNegativeEigenvalues:
+    """The stacks carry a validated state's round-off negative eigen-part
+    with sign -1, so every path reproduces the closed form to 1e-12."""
+
+    @staticmethod
+    def _training(k):
+        states = [DensityMatrix(np.diag(d).astype(complex))
+                  for d in ([0.1, 0.2, 0.6, 0.1], [0.4, 0.1, 0.3, 0.2])]
+        states.append(DensityMatrix(SLIGHTLY_NEGATIVE))
+        labels, weights = [0, 1, 1], [0.5, 0.3, 0.2]
+        return TrainingSet.from_states(list(zip(states, labels, weights)), k=k), \
+            [(s, y, w) for s, y, w in zip(states, labels, weights)]
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_every_stc_mode_reproduces_the_closed_form(self, k):
+        test = DensityMatrix(SLIGHTLY_NEGATIVE)
+        assert test.min_eigenvalue() < -1e-11
+        ts, data = self._training(k)
+        expect = sum((1 - 2 * y) * w * np.trace(test.entries @ s.entries).real ** k
+                     for s, y, w in data)
+        for mode in STC_MODES:
+            assert abs(stc_classify(ts, test, mode=mode).expectation - expect) < 1e-12
+        single = TrainingSet.from_states([(QState(basis_state(4, 0)), 0, 1.0)])
+        for mode in STC_MODES:
+            out = stc_classify(single, test, mode=mode)
+            assert abs(out.expectation - (0.5 + 5e-11)) < 1e-15
+
+    def test_ensembles_and_misclassification(self):
+        test = DensityMatrix(SLIGHTLY_NEGATIVE)
+        _, data = self._training(1)
+        pairs = [(s, y) for s, y, _ in data]
+        kernels = np.array([np.trace(test.entries @ s.entries).real for s, _ in pairs])
+        signs = np.array([1 - 2 * y for _, y in pairs])
+        a1, a2 = np.array([0.2, 0.5, 0.3]), np.array([0.6, 0.1, 0.3])
+        ens = assemble_ensemble_weights(test, [(0.4, a1), (0.6, a2)], pairs, 2)
+        expect = float(np.sum(signs * (0.4 * a1 + 0.6 * a2) * kernels ** 2))
+        assert abs(classify_assembled(ens).expectation - expect) < 1e-12
+        ens = assemble_ensemble_exponents(test, [(0.4, a1, 1), (0.6, a2, 2)], pairs, 2,
+                                          padding="symmetric")
+        expect = float(np.sum(signs * (0.4 * a1 * kernels + 0.6 * a2 * kernels ** 2)))
+        assert abs(classify_assembled(ens).expectation - expect) < 1e-12
+        after = run_swap_test(ens)
+        assert abs(expectation(ancilla_label_parity(ens.layout), after) - expect) < 1e-12
+        ts, _ = self._training(2)
+        mix = Mixture(0.5, 0.5, test, DensityMatrix(np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)))
+        assert 0.0 <= misclassification_probability(ts, mix) <= 1.0
+
+    def test_below_the_floor_is_rejected(self):
+        bad = np.diag([0.5 + 2e-10, 0.5, -2e-10, 0.0]).astype(complex)
+        with pytest.raises(NumericError, match="below"):
+            qmath.eigen_factor(bad, "test state")
 
 
 class TestStcClassifyBias:
@@ -624,6 +702,20 @@ class TestEnsembleLinearity:
         parts = sum(q * classify_assembled(member).expectation
                     for q, member in ens.members)
         assert abs(classify_assembled(ens).expectation - parts) < 1e-12
+
+    def test_exponent_joint_stack_is_built_only_when_read(self):
+        # Classification evaluates the members; the padded joint stack is
+        # built on the first read of stack or rho, and then matches rho.
+        rng = np.random.default_rng(45)
+        test = random_density_matrix(2, rng)
+        train = [(random_density_matrix(2, rng), 0), (random_density_matrix(2, rng), 1)]
+        models = [(0.6, [0.5, 0.5], 1), (0.4, [0.1, 0.9], 3)]
+        ens = assemble_ensemble_exponents(test, models, train, max_copies=3)
+        classify_assembled(ens)
+        assert "deferred" in repr(ens)
+        v = ens.stack
+        assert "deferred" not in repr(ens) and ens.stack is v
+        assert np.abs(v.T @ v.conj() - ens.rho.entries).max() < 1e-15
 
     def test_symmetric_padding_supports_full_circuit(self):
         # With swap-invariant padding the single circuit over all slots

@@ -7,7 +7,8 @@ from dense_reference import (dense_ensemble_exponents, dense_mixed_input,
                              dense_pure_mixture)
 
 from qkclass import encoding, qmath
-from qkclass.circuit import expectation, swap_label_observable
+from qkclass.circuit import (ancilla_label_parity, expectation, outcome_probabilities,
+                             run_swap_test, swap_label_observable)
 from qkclass.encoding import (ClassifierState, RawDatum, TrainingSet,
                               amplitude_encode, assemble_bias_extended,
                               assemble_ensemble_exponents,
@@ -380,6 +381,74 @@ class TestStacks:
         assert peak < 2**20
 
 
+class TestSignedStacks:
+    """A validated density matrix may have eigenvalues down to -1e-10; the
+    round-off negative part is kept as rows of sign -1, so every stack
+    still rebuilds its dense reference to 1e-12."""
+
+    NEGATIVE = np.diag([0.5 + 5e-11, 0.5, -5e-11, 0.0]).astype(complex)
+
+    def test_eigen_factor_keeps_the_negative_part(self):
+        rows, signs = qmath.eigen_factor(self.NEGATIVE)
+        assert rows.shape == (3, 4)
+        assert sorted(signs.tolist()) == [-1.0, 1.0, 1.0]
+        assert np.abs((rows.T * signs) @ rows.conj() - self.NEGATIVE).max() < 1e-12
+
+    @pytest.mark.parametrize("with_ancilla", [True, False])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_mixed_input_matches_dense_reference(self, with_ancilla, k):
+        rng = np.random.default_rng(60 + k)
+        test = DensityMatrix(self.NEGATIVE)
+        train = [(random_density_matrix(4, rng, rank=2), 0, 0.5),
+                 (random_density_matrix(4, rng, rank=2), 1, 0.3), (test, 1, 0.2)]
+        state = assemble_mixed_stc_input(test, train, k, with_ancilla=with_ancilla)
+        assert state.signs is not None and np.any(state.signs < 0)
+        assert max_gap(state, dense_mixed_input(test, train, k,
+                                                with_ancilla=with_ancilla)) < 1e-12
+
+    @pytest.mark.parametrize("padding", ["maximally-mixed", "symmetric"])
+    def test_exponent_ensemble_matches_dense_reference(self, padding):
+        rng = np.random.default_rng(62)
+        test = DensityMatrix(self.NEGATIVE)
+        train = [(s, y) for s, y, _ in random_train(rng, 3, 4, rank=2)]
+        models = [(0.4, [0.2, 0.3, 0.5], 1), (0.6, [0.6, 0.1, 0.3], 2)]
+        ens = assemble_ensemble_exponents(test, models, train, max_copies=2, padding=padding)
+        assert max_gap(ens, dense_ensemble_exponents(test, models, train, 2, padding)) < 1e-12
+
+    @pytest.mark.parametrize("with_ancilla", [True, False])
+    def test_measurements_count_the_signs(self, with_ancilla):
+        # Structured and dense observables and the outcome probabilities of
+        # a signed stack equal their dense values on the rebuilt rho.
+        rng = np.random.default_rng(63)
+        test = DensityMatrix(self.NEGATIVE)
+        train = [(random_density_matrix(4, rng), 0, 0.6), (test, 1, 0.4)]
+        state = assemble_mixed_stc_input(test, train, 2, with_ancilla=with_ancilla)
+        if with_ancilla:
+            state = run_swap_test(state)
+            obs = ancilla_label_parity(state.layout)
+        else:
+            obs = swap_label_observable(state.layout)
+        assert np.any(state.signs < 0)
+        dense = float(np.trace(obs.matrix @ state.rho.entries).real)
+        assert abs(expectation(obs, state) - dense) < 1e-12
+        assert abs(expectation(obs.matrix, state) - dense) < 1e-12
+        probs = outcome_probabilities(obs, state)
+        assert abs(probs[1] - (1 + dense) / 2) < 1e-12
+
+    def test_signs_are_checked(self):
+        layout = pair_layout(2, 1, ancilla=False)
+        stack = np.zeros((3, layout.dim), dtype=complex)
+        stack[0, 0], stack[1, 5], stack[2, 6] = 1.0, 0.5, 0.5
+        state = ClassifierState(None, layout, vector=stack, signs=[1.0, 1.0, -1.0])
+        assert np.allclose(np.diag(state.rho.entries)[[0, 5, 6]], [1.0, 0.25, -0.25])
+        with pytest.raises(NumericError):
+            ClassifierState(None, layout, vector=stack)
+        with pytest.raises(DataError):
+            ClassifierState(None, layout, vector=stack, signs=[1.0, 1.0, -0.5])
+        with pytest.raises(DataError):
+            ClassifierState(None, layout, vector=stack, signs=[1.0, -1.0])
+
+
 class TestClassifierStateStack:
     def test_vector_is_a_stack_of_one(self):
         layout = block_layout(2, 1, ancilla=True)
@@ -423,4 +492,5 @@ class TestClassifierStateStack:
         with pytest.raises(NumericError):
             qmath.eigen_factor(np.diag([1.0 + 1e-9, -1e-9]))
         rho = DensityMatrix(np.diag([0.75, 0.25, 0.0, 0.0]).astype(complex))
-        assert qmath.eigen_factor(rho).shape == (2, 4)
+        rows, signs = qmath.eigen_factor(rho)
+        assert rows.shape == (2, 4) and signs is None
