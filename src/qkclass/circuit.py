@@ -68,12 +68,9 @@ class Observable:
         self._init(layout, None, None, mat, involutory)
 
     def _init(self, layout, z_registers, order, matrix, involutory):
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "z_registers", z_registers)
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "_matrix", matrix)
-        object.__setattr__(self, "_spectrum", None)
-        object.__setattr__(self, "_involutory", involutory)
+        for name, value in zip(self.__slots__, (layout, z_registers, order, matrix, None,
+                                                involutory)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def z_permutation(cls, layout: RegisterLayout, z_registers=(),

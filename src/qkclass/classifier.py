@@ -25,7 +25,7 @@ from . import encoding, qmath
 from .circuit import (ancilla_label_parity, expectation,
                       outcome_probabilities, run_swap_test,
                       swap_label_observable)
-from .encoding import ClassifierState, TrainingSet, amplitude_encode
+from .encoding import ClassifierState, TrainingSet
 from .errors import DataError, DimensionError, NumericError
 from .kernelsvm import (HS_TRACE, REAL_OVERLAP, SQUARED_OVERLAP, KernelSpec,
                         kernel_matrix)
@@ -88,10 +88,8 @@ def _coerce_test_pure(test, ts: TrainingSet) -> tuple[QState, float]:
         return test, 1.0
     if isinstance(test, DensityMatrix):
         raise DataError("this classifier accepts pure test states only")
-    vec = qmath.as_cvec(test)
-    norm = float(np.linalg.norm(vec))
-    state = amplitude_encode(vec)
-    return state, (norm if ts.mode == encoding.KEEP_NORMS else 1.0)
+    vecs, norms = encoding.encode_rows(qmath.as_cvec(test)[None])
+    return QState(vecs[0]), (float(norms[0]) if ts.mode == encoding.KEEP_NORMS else 1.0)
 
 
 def _terms(values: np.ndarray) -> tuple[tuple[int, float], ...]:
@@ -102,19 +100,15 @@ def _stc_terms(ts: TrainingSet, test, weights: np.ndarray) -> tuple[tuple[int, f
     """Swap-test terms sign_m w_m kernel(x_m, test)**k: the squared overlap
     on pure data, the trace inner product for a density-matrix test state."""
     if isinstance(test, DensityMatrix):
-        spec, train = KernelSpec(HS_TRACE, ts.k), ts.density_states()
+        spec, train = KernelSpec(HS_TRACE, ts.k), ts.density_matrices()
     else:
-        spec, train = KernelSpec(SQUARED_OVERLAP, ts.k), ts.pure_states()
+        spec, train = KernelSpec(SQUARED_OVERLAP, ts.k), ts.states
     return _terms((1 - 2 * ts.labels) * weights * kernel_matrix(spec, train, [test])[:, 0])
 
 
 def _real_overlaps(ts: TrainingSet, test: QState) -> np.ndarray:
     """Re<x_m|test> for every training entry."""
-    return kernel_matrix(KernelSpec(REAL_OVERLAP), ts.pure_states(), [test])[:, 0]
-
-
-def _mixed_data(ts: TrainingSet) -> list:
-    return list(zip(ts.density_states(), ts.labels, ts.effective_weights()))
+    return kernel_matrix(KernelSpec(REAL_OVERLAP), ts.states, [test])[:, 0]
 
 
 def _circuit_mode_value(ts: TrainingSet, test, minimal: bool) -> float:
@@ -123,8 +117,7 @@ def _circuit_mode_value(ts: TrainingSet, test, minimal: bool) -> float:
     for pure data one row per training entry, measured part by part so that
     memory does not grow with the number of entries."""
     if isinstance(test, DensityMatrix):
-        state = encoding.assemble_mixed_stc_input(test, _mixed_data(ts), ts.k,
-                                                  with_ancilla=not minimal)
+        state = encoding.mixed_stc_state(ts, test, with_ancilla=not minimal)
         return classify_assembled(state).expectation
     return sum(p * classify_assembled(part).expectation
                for p, part in encoding.pure_stc_parts(ts, test, with_ancilla=not minimal))
@@ -146,7 +139,7 @@ def stc_classify(ts: TrainingSet, test, mode: str = "analytic",
         raise DataError(f"unknown mode {mode!r}, expected one of {STC_MODES}")
     if ts.bias is not None:
         raise DataError("training set carries a bias; use stc_classify_bias")
-    if not ts.entries:
+    if not len(ts):
         raise DataError("empty training set")
     if not isinstance(test, DensityMatrix):
         test, _ = _coerce_test_pure(test, ts)
@@ -174,7 +167,7 @@ def stc_classify_bias(ts: TrainingSet, test,
         raise DataError("training set has no bias; use stc_classify")
     state, _ = _coerce_test_pure(test, ts)
     bias_term, weights = ts.effective_bias_and_weights()
-    terms = _stc_terms(ts, state, weights) if ts.entries else ()
+    terms = _stc_terms(ts, state, weights) if len(ts) else ()
     value = bias_term + float(sum(v for _, v in terms))
     assembled = run_swap_test(encoding.assemble_bias_extended(ts, state))
     simulated = expectation(ancilla_label_parity(assembled.layout), assembled)
@@ -184,45 +177,32 @@ def stc_classify_bias(ts: TrainingSet, test,
     return ClassifierOutput(value, decide(value, tie_eps), terms, bias_term=bias_term)
 
 
-def _interference_pair_expectation(left: np.ndarray, right: np.ndarray,
-                                   measure_label: bool) -> float:
-    """Simulate the one-gate interference circuit.
+def _interference(u: np.ndarray, x: np.ndarray, coefficients: np.ndarray,
+                  overlaps: np.ndarray, bias: float, measure_label: bool, what: str,
+                  tie_eps: float) -> ClassifierOutput:
+    """Closed form and simulation of the one-gate interference circuit with
+    training branch ``u`` and test branch ``x``.
 
-    Prepares (|0>|left> + |1>|right>)/sqrt(2), applies a Hadamard to the
-    ancilla, and measures Z on the ancilla (times Z on the trailing label
-    qubit when ``measure_label`` is set). Both branches must be normalized.
+    The closed form is (bias + sum_m coefficients_m overlaps_m) / (|u| |x|).
+    The circuit prepares (|0>|u> + |1>|x>)/sqrt(2) with both branches
+    normalized, applies a Hadamard to the ancilla, and measures Z on the
+    ancilla (times Z on the trailing label qubit when ``measure_label`` is
+    set); the two must agree to 1e-10, with no imaginary part above it.
     """
-    psi = np.stack([left, right]) / math.sqrt(2.0)
-    psi = qmath.HADAMARD @ psi
-    if measure_label:
-        rest = psi.reshape(2, -1, 2)
-        measured = rest @ qmath.SIGMA_Z.T
-        measured = measured.reshape(2, -1)
-    else:
-        measured = psi
-    value = complex(np.vdot(psi[0], measured[0]) - np.vdot(psi[1], measured[1]))
-    if abs(value.imag) > MODE_AGREEMENT_ATOL:
-        raise NumericError(f"interference expectation has imaginary part {value.imag}")
-    return float(value.real)
-
-
-def _hc_sides(ts: TrainingSet, test: QState, test_norm: float,
-              with_bias: bool) -> tuple[np.ndarray, np.ndarray, float, float, float]:
-    """Training-side and test-side interference vectors of the Hadamard
-    classifier on registers [index | data | label], with their squared norms.
-    Every branch is written into its (slot, label) block of one zero array."""
-    offset = 1 if with_bias else 0
-    u = np.zeros((index_register_dim(len(ts) + offset), ts.data_dim, 2), dtype=complex)
-    x = np.zeros_like(u)
-    bias = ts.bias if with_bias else 0.0
-    if with_bias:
-        u[0, 0, 0 if bias > 0 else 1] = x[0, 0, 0 if bias > 0 else 1] = math.sqrt(abs(bias))
-    slots, amp = offset + np.arange(len(ts)), np.sqrt(ts.weights)
-    vecs = np.stack([s.vec for s in ts.pure_states()])
-    u[slots, :, ts.labels] = (amp * ts.norms)[:, None] * vecs
-    x[slots, :, ts.labels] = (amp * test_norm)[:, None] * test.vec
-    u, x = u.reshape(-1), x.reshape(-1)
-    return u, x, float(np.vdot(u, u).real), float(np.vdot(x, x).real), bias
+    n_u, n_x = float(np.vdot(u, u).real), float(np.vdot(x, x).real)
+    if n_u <= 0.0:
+        raise DataError(f"degenerate {what}: training branch has zero norm")
+    scale = 1.0 / math.sqrt(n_u * n_x)
+    terms = _terms(scale * coefficients * overlaps)
+    bias_term = scale * bias
+    value = bias_term + sum(v for _, v in terms)
+    psi = qmath.HADAMARD @ (np.stack([u / math.sqrt(n_u), x / math.sqrt(n_x)]) / math.sqrt(2.0))
+    measured = (psi.reshape(2, -1, 2) @ qmath.SIGMA_Z.T).reshape(2, -1) if measure_label else psi
+    simulated = complex(np.vdot(psi[0], measured[0]) - np.vdot(psi[1], measured[1]))
+    if max(abs(simulated.imag), abs(simulated.real - value)) > MODE_AGREEMENT_ATOL:
+        raise NumericError(
+            f"{what} circuit value {simulated} disagrees with the closed form {value}")
+    return ClassifierOutput(value, decide(value, tie_eps), terms, bias_term=bias_term)
 
 
 def hadamard_classify(ts: TrainingSet, test, with_bias: bool = False,
@@ -242,23 +222,23 @@ def hadamard_classify(ts: TrainingSet, test, with_bias: bool = False,
         raise DataError("with_bias=True requires a training-set bias")
     if not with_bias and ts.bias is not None:
         raise DataError("training set carries a bias; call with with_bias=True")
-    if not ts.entries:
+    if not len(ts):
         raise DataError("empty training set")
     state, test_norm = _coerce_test_pure(test, ts)
     if state.dim != ts.data_dim:
         raise DimensionError(f"test dim {state.dim} != training dim {ts.data_dim}")
-    u, x, n_u, n_x, bias = _hc_sides(ts, state, test_norm, with_bias)
-    scale = 1.0 / math.sqrt(n_u * n_x)
-    terms = _terms(scale * (1 - 2 * ts.labels) * ts.weights * test_norm * ts.norms
-                   * _real_overlaps(ts, state))
-    bias_term = scale * bias
-    value = bias_term + sum(v for _, v in terms)
-    simulated = _interference_pair_expectation(
-        u / math.sqrt(n_u), x / math.sqrt(n_x), measure_label=True)
-    if abs(simulated - value) > MODE_AGREEMENT_ATOL:
-        raise NumericError(
-            f"Hadamard circuit value {simulated} disagrees with the closed form {value}")
-    return ClassifierOutput(value, decide(value, tie_eps), terms, bias_term=bias_term)
+    # Branches on [index | data | label]: slot 0 holds the bias (amplitude 0
+    # without one), slot 1 + m entry m in its label block.
+    bias = ts.bias if with_bias else 0.0
+    u = np.zeros((index_register_dim(len(ts) + 1), ts.data_dim, 2), dtype=complex)
+    x = np.zeros_like(u)
+    u[0, 0, int(bias < 0)] = x[0, 0, int(bias < 0)] = math.sqrt(abs(bias))
+    slots, amp = 1 + np.arange(len(ts)), np.sqrt(ts.weights)
+    u[slots, :, ts.labels] = (amp * ts.norms)[:, None] * ts.states
+    x[slots, :, ts.labels] = (amp * test_norm)[:, None] * state.vec
+    return _interference(u.reshape(-1), x.reshape(-1),
+                         (1 - 2 * ts.labels) * ts.weights * test_norm * ts.norms,
+                         _real_overlaps(ts, state), bias, True, "Hadamard", tie_eps)
 
 
 def qsvm_oracle_classify(alphas: Sequence[float], b: float, ts: TrainingSet,
@@ -277,28 +257,15 @@ def qsvm_oracle_classify(alphas: Sequence[float], b: float, ts: TrainingSet,
     state, test_norm = _coerce_test_pure(test, ts)
     if not np.any(alphas) and b == 0.0:
         raise DataError("degenerate oracle: all multipliers and the bias are zero")
-    if ts.entries and state.dim != ts.data_dim:
+    if len(ts) and state.dim != ts.data_dim:
         raise DimensionError(f"test dim {state.dim} != training dim {ts.data_dim}")
     u = np.zeros((index_register_dim(len(ts) + 1), ts.data_dim), dtype=complex)
     x = np.zeros_like(u)
     u[0, 0], x[0, 0] = b, 1.0
-    u[1:len(ts) + 1] = (alphas * ts.norms)[:, None] * np.stack([s.vec for s in ts.pure_states()])
+    u[1:len(ts) + 1] = (alphas * ts.norms)[:, None] * ts.states
     x[1:len(ts) + 1] = test_norm * state.vec
-    u, x = u.reshape(-1), x.reshape(-1)
-    n_u = float(np.vdot(u, u).real)
-    n_x = float(np.vdot(x, x).real)
-    if n_u <= 0.0:
-        raise DataError("degenerate oracle: training branch has zero norm")
-    scale = 1.0 / math.sqrt(n_u * n_x)
-    terms = _terms(scale * alphas * ts.norms * test_norm * _real_overlaps(ts, state))
-    bias_term = scale * b
-    value = bias_term + sum(v for _, v in terms)
-    simulated = _interference_pair_expectation(
-        u / math.sqrt(n_u), x / math.sqrt(n_x), measure_label=False)
-    if abs(simulated - value) > MODE_AGREEMENT_ATOL:
-        raise NumericError(
-            f"oracle circuit value {simulated} disagrees with the closed form {value}")
-    return ClassifierOutput(value, decide(value, tie_eps), terms, bias_term=bias_term)
+    return _interference(u.reshape(-1), x.reshape(-1), alphas * ts.norms * test_norm,
+                         _real_overlaps(ts, state), b, False, "oracle", tie_eps)
 
 
 def classify_assembled(state: ClassifierState,
@@ -357,20 +324,18 @@ def misclassification_probability(ts: TrainingSet, mix: TestMixture) -> float:
     the closed form 1/2 (p0 + p1) - 1/2 (p0 E_0 - p1 E_1) with
     E_c = sum_m sign_m w_m Tr(rho_c rho_m)**k.
     """
-    if not ts.entries:
+    if not len(ts):
         raise DataError("empty training set")
-    data = _mixed_data(ts)
 
     def error_given(test_rho: DensityMatrix, wrong_outcome: int) -> float:
-        state = encoding.assemble_mixed_stc_input(test_rho, data, ts.k,
-                                                  with_ancilla=False)
+        state = encoding.mixed_stc_state(ts, test_rho, with_ancilla=False)
         probs = outcome_probabilities(swap_label_observable(state.layout), state)
         return probs[wrong_outcome]
 
     # Outcome +1 decides class 0, so a class-0 test point errs on -1.
     projector_value = mix.p0 * error_given(mix.rho0, -1) + mix.p1 * error_given(mix.rho1, +1)
     kernels = kernel_matrix(KernelSpec(HS_TRACE, ts.k), [mix.rho0, mix.rho1],
-                            [rho for rho, _, _ in data])
+                            ts.density_matrices())
     signed = (1 - 2 * ts.labels) * ts.effective_weights()
     value = 0.5 * (mix.p0 + mix.p1) - 0.5 * float(
         signed @ (mix.p0 * kernels[0] - mix.p1 * kernels[1]))
@@ -394,5 +359,4 @@ def helstrom_operator(ts: TrainingSet) -> np.ndarray:
     weights, labels = ts.effective_weights(), ts.labels
     if not (np.any(weights[labels == 0] > 0) and np.any(weights[labels == 1] > 0)):
         raise DataError("both classes must be present in the training set")
-    mats = np.stack([rho.entries for rho in ts.density_states()])
-    return qmath.power_mixture(mats, (1 - 2 * labels) * weights, ts.k)
+    return qmath.power_mixture(ts.density_matrices(), (1 - 2 * labels) * weights, ts.k)

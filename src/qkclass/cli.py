@@ -26,10 +26,6 @@ EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
 
-def _exit_code(exc: QKClassError) -> int:
-    return EXIT_DATA if isinstance(exc, DataError) else EXIT_NUMERIC
-
-
 def handles_errors(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
@@ -37,7 +33,7 @@ def handles_errors(fn):
             return fn(*args, **kwargs)
         except QKClassError as exc:
             click.echo(json.dumps(experiment.error_payload(exc)), err=True)
-            sys.exit(_exit_code(exc))
+            sys.exit(EXIT_DATA if isinstance(exc, DataError) else EXIT_NUMERIC)
         except (MemoryError, np.linalg.LinAlgError) as exc:
             click.echo(json.dumps(experiment.error_payload(exc)), err=True)
             sys.exit(EXIT_NUMERIC)
@@ -127,7 +123,10 @@ def _merged_config(config_path, **cli_values) -> experiment.ExperimentConfig:
 @handles_errors
 def classify(dataset, test_path, labeled_tests, fmt, out, config_path, **cli_values):
     """Classify test points against a labelled dataset."""
-    config = _merged_config(config_path, **cli_values)
+    _run(_merged_config(config_path, **cli_values), dataset, test_path, labeled_tests, fmt, out)
+
+
+def _run(config, dataset, test_path, labeled_tests, fmt, out):
     ds = datasets.ingest(dataset, fmt)
     tests, test_labels = datasets.load_test_points(test_path, labeled=labeled_tests)
     payload = experiment.run_experiment(config, ds, tests, test_labels)
@@ -202,10 +201,7 @@ def sample(dataset, test_path, labeled_tests, fmt, out, config_path, **cli_value
     config = _merged_config(config_path, **cli_values)
     if config.shots < 1:
         raise DataError("sample requires shots >= 1 (pass --shots)")
-    ds = datasets.ingest(dataset, fmt)
-    tests, test_labels = datasets.load_test_points(test_path, labeled=labeled_tests)
-    payload = experiment.run_experiment(config, ds, tests, test_labels)
-    _write_json(payload, out)
+    _run(config, dataset, test_path, labeled_tests, fmt, out)
 
 
 @main.command("gen-toy")
@@ -232,11 +228,7 @@ def gen_toy(kind, m, dim, seed, noise, out):
 @handles_errors
 def emit_plot(results, out):
     """Flatten a results JSON file into plot-ready CSV."""
-    with open(results) as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid results file: {exc}") from exc
+    payload = datasets.read_json(results, "results file")
     experiment.emit_plot_data(payload, out)
     click.echo(json.dumps({"written": out, "rows": len(payload.get("results", []))}))
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -86,16 +87,20 @@ def _infer_format(path: str, fmt: str | None) -> str:
     raise DataError(f"cannot infer dataset format from {path!r}; pass csv or json")
 
 
+def _features(rows: list[list[complex]]) -> np.ndarray:
+    lengths = {len(r) for r in rows}
+    if len(lengths) > 1:
+        raise DataError(f"inhomogeneous feature lengths: {sorted(lengths)}")
+    return np.array(rows, dtype=complex)
+
+
 def _finish(rows: list[list[complex]], labels: list[int],
             weights: list[float] | None) -> DatasetFile:
     if not rows:
         raise DataError("dataset has no rows")
-    lengths = {len(r) for r in rows}
-    if len(lengths) != 1:
-        raise DataError(f"inhomogeneous feature lengths: {sorted(lengths)}")
-    if next(iter(lengths)) == 0:
+    features = _features(rows)
+    if features.shape[1] == 0:
         raise DataError("rows carry no feature columns")
-    features = np.array(rows, dtype=complex)
     labels_arr = np.array(labels, dtype=int)
     weights_arr = None
     if weights is not None:
@@ -105,18 +110,36 @@ def _finish(rows: list[list[complex]], labels: list[int],
     return DatasetFile(features, labels_arr, weights_arr)
 
 
-def _ingest_csv(path: str) -> DatasetFile:
-    rows, labels = [], []
+def read_json(path: str, what: str):
+    """The parsed content of a JSON file; invalid JSON raises DataError
+    naming ``what``."""
+    with open(path) as handle:
+        try:
+            return json.load(handle)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"invalid {what}: {exc}") from exc
+
+
+def _csv_records(path: str):
+    """(1-based row number, nonblank cells) of each CSV row that has any."""
     with open(path, newline="") as handle:
         for r, record in enumerate(csv.reader(handle), start=1):
-            record = [c for c in record if c.strip() != ""] if record else []
-            if not record:
-                continue
-            if len(record) < 2:
-                raise DataError(f"row {r}: need at least one feature and a label")
-            rows.append([parse_complex(tok, r, c) for c, tok in
-                         enumerate(record[:-1], start=1)])
-            labels.append(_parse_label(record[-1].strip(), r))
+            record = [c for c in record if c.strip() != ""]
+            if record:
+                yield r, record
+
+
+def _parse_row(parse, tokens, row: int) -> list[complex]:
+    return [parse(tok, row, c) for c, tok in enumerate(tokens, start=1)]
+
+
+def _ingest_csv(path: str) -> DatasetFile:
+    rows, labels = [], []
+    for r, record in _csv_records(path):
+        if len(record) < 2:
+            raise DataError(f"row {r}: need at least one feature and a label")
+        rows.append(_parse_row(parse_complex, record[:-1], r))
+        labels.append(_parse_label(record[-1].strip(), r))
     return _finish(rows, labels, None)
 
 
@@ -130,11 +153,7 @@ def _parse_json_feature(entry, row: int, col: int) -> complex:
 
 
 def _ingest_json(path: str) -> DatasetFile:
-    with open(path) as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid JSON dataset: {exc}") from exc
+    payload = read_json(path, "JSON dataset")
     if not isinstance(payload, list):
         raise DataError("JSON dataset must be a list of rows")
     rows, labels, weights = [], [], []
@@ -145,13 +164,13 @@ def _ingest_json(path: str) -> DatasetFile:
         feats = record[0]
         if not isinstance(feats, list) or not feats:
             raise DataError(f"row {r}: features must be a nonempty list")
-        rows.append([_parse_json_feature(f, r, c) for c, f in enumerate(feats, start=1)])
+        rows.append(_parse_row(_parse_json_feature, feats, r))
         labels.append(_parse_label(record[1], r))
-        if len(record) == 3:
-            any_weight = True
-            weights.append(float(record[2]))
-        else:
-            weights.append(1.0)
+        weight = record[2] if len(record) == 3 else 1.0
+        if type(weight) not in (int, float) or not math.isfinite(weight):
+            raise DataError(f"row {r}: weight must be a finite number, got {weight!r}")
+        any_weight = any_weight or len(record) == 3
+        weights.append(float(weight))
     return _finish(rows, labels, weights if any_weight else None)
 
 
@@ -172,30 +191,14 @@ def load_test_points(path: str, fmt: str | None = None, labeled: bool = False):
         ds = ingest(path, fmt)
         return ds.features, ds.labels
     if fmt == "csv":
-        rows = []
-        with open(path, newline="") as handle:
-            for r, record in enumerate(csv.reader(handle), start=1):
-                record = [c for c in record if c.strip() != ""] if record else []
-                if not record:
-                    continue
-                rows.append([parse_complex(tok, r, c)
-                             for c, tok in enumerate(record, start=1)])
+        rows = [_parse_row(parse_complex, record, r) for r, record in _csv_records(path)]
     else:
-        with open(path) as handle:
-            try:
-                payload = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"invalid JSON test file: {exc}") from exc
+        payload = read_json(path, "JSON test file")
         if not isinstance(payload, list):
             raise DataError("JSON test file must be a list of feature lists")
-        rows = [[_parse_json_feature(f, r, c) for c, f in enumerate(feats, start=1)]
+        rows = [_parse_row(_parse_json_feature, feats, r)
                 for r, feats in enumerate(payload, start=1)]
-    if not rows:
-        return np.zeros((0, 0), dtype=complex), None
-    lengths = {len(r) for r in rows}
-    if len(lengths) != 1:
-        raise DataError(f"inhomogeneous feature lengths: {sorted(lengths)}")
-    return np.array(rows, dtype=complex), None
+    return (_features(rows) if rows else np.zeros((0, 0), dtype=complex)), None
 
 
 def write_dataset(ds: DatasetFile, path: str, fmt: str | None = None):

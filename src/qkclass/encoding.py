@@ -1,5 +1,9 @@
-"""Classical data -> quantum registers: amplitude encoding and the assembly
-of the joint states the classifiers measure.
+"""Classical data -> quantum registers: amplitude encoding, the training
+set, and the assembly of the joint states the classifiers measure.
+
+A :class:`TrainingSet` holds its entries as stacked, read-only arrays
+(states, labels, weights, norms), checked once at construction; every
+assembly below reads those arrays and builds no per-entry state object.
 
 Register order conventions (big-endian, first factor most significant):
 
@@ -37,27 +41,34 @@ import numpy as np
 from . import qmath
 from .errors import DataError, DimensionError, NumericError
 from .qmath import DensityMatrix, QState, tensor_power
-from .registers import (ANCILLA, RegisterLayout, block_layout,
-                        index_register_dim, pair_layout)
+from .registers import ANCILLA, RegisterLayout, block_layout, pair_layout
 
 UNIT_VECTORS = "unit-vectors"
 KEEP_NORMS = "keep-norms"
 
 
 def amplitude_encode(x) -> QState:
-    """Encode a raw complex vector in the amplitudes of a normalized state.
+    """Encode a raw complex vector in the amplitudes of a normalized state
+    (one row of :func:`encode_rows`)."""
+    return QState(encode_rows(qmath.as_cvec(x)[None])[0][0])
 
-    The vector is zero-padded to the next power-of-two dimension; the added
-    amplitudes are exactly 0 and never contribute to an overlap.
+
+def encode_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitude-encode each row of a 2-D array: the unit vectors, zero-padded
+    to the next power-of-two dimension, and the raw row norms.
+
+    The added amplitudes are exactly 0 and never contribute to an overlap.
     """
-    vec = qmath.as_cvec(x)
-    norm = np.linalg.norm(vec)
-    if norm == 0.0:
+    rows = np.asarray(rows, dtype=complex)
+    # Each norm as np.linalg.norm of the row alone, so a row encodes to the
+    # same bits in a batch as on its own.
+    norms = np.array([np.linalg.norm(row) for row in rows])
+    if np.any(norms == 0.0):
         raise DataError("cannot amplitude-encode the zero vector")
-    dim = 1 << max(0, math.ceil(math.log2(vec.size)))
-    padded = np.zeros(dim, dtype=complex)
-    padded[: vec.size] = vec / norm
-    return QState(padded)
+    out = np.zeros((rows.shape[0], 1 << max(0, math.ceil(math.log2(rows.shape[1])))),
+                   dtype=complex)
+    out[:, :rows.shape[1]] = rows / norms[:, None]
+    return out, norms
 
 
 @dataclass(frozen=True)
@@ -76,112 +87,113 @@ class RawDatum:
             raise DataError(f"weight must be nonnegative, got {self.weight!r}")
 
 
-@dataclass(frozen=True)
-class TrainingEntry:
-    state: QState | DensityMatrix
-    label: int
-    weight: float  # canonical: entry weights sum to 1 over the set
-    norm: float = 1.0
-
-
 class TrainingSet:
-    """Labelled, weighted collection of encoded data plus the copy count ``k``.
+    """Labelled, weighted training data plus the copy count ``k``, held as
+    read-only stacked arrays that are checked once, at construction:
 
-    Weights are renormalized to sum to 1 at construction; when a bias is
-    present it is rescaled by the same factor, which keeps the sign of any
-    downstream regression value unchanged. In keep-norms mode the raw vector
-    norms are retained per entry and folded into the effective weights as
-    ``weight * norm**(2k)``.
+    * ``states``: (M, d) unit vectors, or (M, d, d) density matrices when
+      any entry is mixed;
+    * ``labels``: (M,) labels 0 or 1;
+    * ``weights``: (M,) nonnegative weights, renormalized to sum to 1;
+    * ``norms``: (M,) raw vector norms in keep-norms mode, else all 1.
+
+    When a bias is present it is rescaled by the weights' normalization
+    factor, which keeps the sign of any downstream regression value
+    unchanged. In keep-norms mode the norms are folded into the effective
+    weights as ``weight * norm**(2k)``. The constructor takes the arrays
+    (``norms`` is read in keep-norms mode only); :meth:`from_raw` and
+    :meth:`from_states` build them from raw features or state objects.
     """
 
-    __slots__ = ("entries", "k", "bias", "mode")
+    __slots__ = ("states", "labels", "weights", "norms", "k", "bias", "mode")
 
-    def __init__(self, entries: Sequence[TrainingEntry], *, k: int = 1,
+    def __init__(self, states, labels, weights, *, norms=None, k: int = 1,
                  bias: float | None = None, mode: str = UNIT_VECTORS):
-        entries = tuple(entries)
+        states = np.array(states, dtype=complex)
+        labels, weights = np.asarray(labels), np.array(weights, dtype=float)
+        norms = (np.ones(weights.shape) if norms is None or mode == UNIT_VECTORS
+                 else np.array(norms, dtype=float))
         if k < 1:
             raise DataError(f"copies k must be >= 1, got {k}")
         if mode not in (UNIT_VECTORS, KEEP_NORMS):
             raise DataError(f"unknown normalization mode {mode!r}")
-        if bias is not None and bias == 0.0:
+        if bias == 0.0:
             raise DataError("bias 0 is not encodable; omit the bias instead")
-        if not entries and bias is None:
+        if not labels.size and bias is None:
             raise DataError("training set is empty and has no bias")
-        dims = {e.state.dim for e in entries}
-        if len(dims) > 1:
-            raise DimensionError(f"mixed data dimensions in training set: {sorted(dims)}")
-        if entries:
-            total = sum(e.weight for e in entries)
-            if total <= 0.0:
-                raise DataError("training weights must have a positive sum")
-            scale = 1.0 / total
-            entries = tuple(
-                TrainingEntry(e.state, e.label, e.weight * scale, e.norm) for e in entries
-            )
-            if bias is not None:
-                bias = bias * scale
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "k", int(k))
-        object.__setattr__(self, "bias", bias)
-        object.__setattr__(self, "mode", mode)
+        if not (states.ndim in (2, 3) and len(states) == labels.size == weights.size == norms.size):
+            raise DimensionError(f"need a label, weight and norm per state, got {states.shape}")
+        if not np.all(np.isin(labels, (0, 1))):
+            raise DataError(f"labels must be 0 or 1, got {sorted(set(labels.tolist()))}")
+        if not np.all(weights >= 0.0):
+            raise DataError(f"weights must be nonnegative, got {weights.min()}")
+        size = (np.linalg.norm(states, axis=1) if states.ndim == 2
+                else np.trace(states, axis1=1, axis2=2))
+        if np.any(np.abs(size - 1.0) > qmath.ATOL_STRUCT):
+            raise NumericError("training states must be unit vectors or unit-trace matrices")
+        if labels.size and not weights.sum() > 0.0:
+            raise DataError("training weights must have a positive sum")
+        scale = 1.0 / weights.sum() if labels.size else 1.0
+        weights, bias = weights * scale, None if bias is None else bias * scale
+        for name, value in (("states", states), ("labels", labels.astype(int)),
+                            ("weights", weights), ("norms", norms), ("k", int(k)),
+                            ("bias", bias), ("mode", mode)):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("TrainingSet is immutable")
 
     @classmethod
+    def _of(cls, items, **kwargs) -> "TrainingSet":
+        """From (QState or DensityMatrix, label, weight) triples, stacked
+        once: vectors, or density matrices for all entries when any is mixed."""
+        dims = {s.dim for s, _, _ in items}
+        if len(dims) > 1:
+            raise DimensionError(f"mixed data dimensions in training set: {sorted(dims)}")
+        mixed = any(isinstance(s, DensityMatrix) for s, _, _ in items)
+        rows = [s.entries if isinstance(s, DensityMatrix) else s.projector() if mixed
+                else s.vec for s, _, _ in items]
+        return cls(np.stack(rows) if rows else np.zeros((0, 1)), [int(y) for _, y, _ in items],
+                   [float(w) for _, _, w in items], **kwargs)
+
+    @classmethod
     def from_raw(cls, data: Sequence[RawDatum], *, k: int = 1,
                  bias: float | None = None, mode: str = UNIT_VECTORS) -> "TrainingSet":
-        entries = []
-        for d in data:
-            norm = float(np.linalg.norm(d.features)) if mode == KEEP_NORMS else 1.0
-            entries.append(TrainingEntry(amplitude_encode(d.features), d.label, d.weight, norm))
-        return cls(entries, k=k, bias=bias, mode=mode)
+        norms = [np.linalg.norm(d.features) for d in data]
+        return cls._of([(amplitude_encode(d.features), d.label, d.weight) for d in data],
+                       norms=norms, k=k, bias=bias, mode=mode)
 
     @classmethod
     def from_states(cls, states: Sequence[tuple[QState | DensityMatrix, int, float]],
                     *, k: int = 1, bias: float | None = None) -> "TrainingSet":
-        entries = [TrainingEntry(s, int(y), float(w)) for s, y, w in states]
-        for e in entries:
-            if e.label not in (0, 1):
-                raise DataError(f"label must be 0 or 1, got {e.label!r}")
-            if not (e.weight >= 0.0):
-                raise DataError(f"weight must be nonnegative, got {e.weight!r}")
-        return cls(entries, k=k, bias=bias)
+        return cls._of(list(states), k=k, bias=bias)
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.labels.size
 
     @property
     def data_dim(self) -> int:
-        if not self.entries:
+        if not len(self):
             raise DataError("bias-only training set carries no data register")
-        return self.entries[0].state.dim
+        return self.states.shape[1]
 
     @property
     def is_mixed(self) -> bool:
-        return any(isinstance(e.state, DensityMatrix) for e in self.entries)
+        return self.states.ndim == 3
 
-    @property
-    def labels(self) -> np.ndarray:
-        return np.array([e.label for e in self.entries], dtype=int)
-
-    @property
-    def weights(self) -> np.ndarray:
-        return np.array([e.weight for e in self.entries], dtype=float)
-
-    @property
-    def norms(self) -> np.ndarray:
-        return np.array([e.norm for e in self.entries], dtype=float)
+    def density_matrices(self) -> np.ndarray:
+        """(M, d, d) density matrices: ``states`` for mixed data, else the
+        projectors of the vectors."""
+        return self.states if self.is_mixed else qmath.projectors(self.states)
 
     def effective_weights(self) -> np.ndarray:
         """Probability weights of the assembled state: weight * norm**(2k), normalized."""
-        if not self.entries:
-            return np.zeros(0)
         w = self.weights * self.norms ** (2 * self.k)
-        total = w.sum()
-        if total <= 0.0:
+        if len(self) and w.sum() <= 0.0:
             raise DataError("effective training weights are all zero")
-        return w / total
+        return w / w.sum() if len(self) else w
 
     def effective_bias_and_weights(self) -> tuple[float, np.ndarray]:
         """Bias term and per-entry weights of the bias-extended state.
@@ -191,21 +203,9 @@ class TrainingSet:
         """
         if self.bias is None:
             raise DataError("training set has no bias")
-        w = self.weights * self.norms ** (2 * self.k) if self.entries else np.zeros(0)
+        w = self.weights * self.norms ** (2 * self.k)
         n = abs(self.bias) + w.sum()
         return self.bias / n, w / n
-
-    def pure_states(self) -> list[QState]:
-        out = []
-        for e in self.entries:
-            if not isinstance(e.state, QState):
-                raise DataError("operation requires pure-state training data")
-            out.append(e.state)
-        return out
-
-    def density_states(self) -> list[DensityMatrix]:
-        return [e.state.to_density() if isinstance(e.state, QState) else e.state
-                for e in self.entries]
 
 
 class ClassifierState:
@@ -341,7 +341,8 @@ def _row_power(rows: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
-def _mixed_factors(test: DensityMatrix, train, k: int, layout: RegisterLayout):
+def _mixed_factors(test: DensityMatrix, mats: np.ndarray, labels: np.ndarray,
+                   weights: np.ndarray, k: int, layout: RegisterLayout):
     """Eigen-factors (rows, signs) of rho_t^(x)k and of each label's sigma_y:
     the test factor and one (label, factor) pair per label present.
 
@@ -349,9 +350,6 @@ def _mixed_factors(test: DensityMatrix, train, k: int, layout: RegisterLayout):
     ``layout`` is planned against the size budget, with rank(sigma_y) <= d**k.
     """
     test_factor = qmath.eigen_factor(test, "test state")
-    mats = np.stack([rho.entries for rho, _, _ in train])
-    labels = np.array([label for _, label, _ in train])
-    weights = np.array([w for _, _, w in train], dtype=float)
     groups = [(y, (labels == y) & (weights > 0.0)) for y in (0, 1)
               if np.any((labels == y) & (weights > 0.0))]
     bound = (test_factor[0].shape[0] * test.dim) ** k * len(groups)
@@ -380,35 +378,24 @@ def _branches(test: QState, vecs: np.ndarray, weights: np.ndarray, k: int) -> np
     return test_block[None, :, None] * train[:, None, :]
 
 
-def _pure_state_vector(ts: TrainingSet, test: QState, weights: np.ndarray,
-                       with_ancilla: bool, index_slots: int,
-                       bias_prob: float = 0.0) -> np.ndarray:
-    """Superposition over index slots in the block layout.
-
-    Slot 0 carries the bias branch (test data on the train register, label
-    y_b) when bias_prob > 0; training entries then occupy slots 1..M. Each
-    branch is written into its (label, slot) block of one zero vector, so
-    assembly holds a single state-sized array.
+def _indexed_state(test: QState, vecs: np.ndarray, labels: np.ndarray, weights: np.ndarray,
+                   k: int, with_ancilla: bool) -> ClassifierState:
+    """sum_m sqrt(w_m) |test>^k |x_m>^k |y_m> |m> over index slots m in the
+    block layout, one row. Each branch is written into its (label, slot)
+    block of one zero vector, so assembly holds a single state-sized array.
     """
-    k = ts.k
-    offset = 1 if bias_prob > 0.0 else 0
+    layout = block_layout(test.dim, k, ancilla=with_ancilla, index_slots=len(weights))
+    qmath.check_dense_budget((layout.dim,), "assembled state vector")
     block = test.dim ** k
-    shape = (2 if with_ancilla else 1, block, block, 2, index_register_dim(index_slots))
-    qmath.check_dense_budget((math.prod(shape),), "assembled state vector")
-    vec = np.zeros(shape, dtype=complex)
-    if bias_prob > 0.0:
-        y_b = 0 if ts.bias > 0 else 1
-        vec[0, :, :, y_b, 0] = _branches(test, test.vec[None], np.array([bias_prob]), k)[0]
-    if ts.entries:
-        vecs = np.stack([s.vec for s in ts.pure_states()])
-        slots = offset + np.arange(len(ts))
-        vec[0, :, :, ts.labels, slots] = _branches(test, vecs, weights, k)
-    return vec.reshape(-1)
+    vec = np.zeros((2 if with_ancilla else 1, block, block, 2, layout.dims[-1]), dtype=complex)
+    vec[0, :, :, labels, np.arange(len(weights))] = _branches(test, vecs, weights, k)
+    return ClassifierState(None, layout, vector=vec.reshape(-1))
 
 
 def _check_pure_input(ts: TrainingSet, test: QState):
-    ts.pure_states()
-    if not ts.entries:
+    if ts.is_mixed:
+        raise DataError("operation requires pure-state training data")
+    if not len(ts):
         raise DataError("cannot assemble a classifier state from an empty training set")
     if ts.bias is not None:
         raise DataError("training set carries a bias; use assemble_bias_extended")
@@ -434,9 +421,7 @@ def assemble_pure_stc_input(ts: TrainingSet, test: QState, *,
         [(_, state)] = pure_stc_parts(ts, test, with_ancilla=with_ancilla, part_bytes=None)
         return state
     _check_pure_input(ts, test)
-    layout = block_layout(test.dim, ts.k, ancilla=with_ancilla, index_slots=len(ts))
-    return ClassifierState(None, layout, vector=_pure_state_vector(
-        ts, test, ts.effective_weights(), with_ancilla, len(ts)))
+    return _indexed_state(test, ts.states, ts.labels, ts.effective_weights(), ts.k, with_ancilla)
 
 
 def pure_stc_parts(ts: TrainingSet, test: QState, *, with_ancilla: bool = True,
@@ -461,42 +446,49 @@ def pure_stc_parts(ts: TrainingSet, test: QState, *, with_ancilla: bool = True,
         part = entries[start:start + size]
         qmath.check_dense_budget((part.size, layout.dim), "assembled state stack")
         p = float(weights[part].sum())
-        vecs = np.stack([ts.entries[m].state.vec for m in part])
         out = np.zeros((part.size, 2 if with_ancilla else 1, block, block, 2), dtype=complex)
         out[np.arange(part.size), 0, :, :, ts.labels[part]] = _branches(
-            test, vecs, weights[part] / p, ts.k)
+            test, ts.states[part], weights[part] / p, ts.k)
         yield p, ClassifierState(None, layout, vector=out.reshape(part.size, layout.dim))
+
+
+def mixed_stc_state(ts: TrainingSet, test: DensityMatrix, weights: np.ndarray | None = None,
+                    k: int | None = None, *, with_ancilla: bool = True) -> ClassifierState:
+    """Joint input state for density-matrix data, pair register order, of
+    the entries of ``ts`` with the weight distribution ``weights`` and k
+    copies (by default those of ``ts``).
+
+    The state is sum_y rho_t^(x)k (x) sigma_y (x) |y><y|, held as the
+    products of the eigen-factor rows of rho_t^(x)k and of each sigma_y.
+    """
+    weights = ts.effective_weights() if weights is None else weights
+    k = ts.k if k is None else k
+    dim = test.dim
+    if dim != ts.data_dim:
+        raise DimensionError(f"training dim {ts.data_dim} != test dim {dim}")
+    layout = pair_layout(dim, k, ancilla=with_ancilla)
+    test_factor, factors = _mixed_factors(test, ts.density_matrices(), ts.labels, weights,
+                                          k, layout)
+    count = test_factor[0].shape[0] * sum(f[0].shape[0] for _, f in factors)
+    return _stack_state(layout, count, (
+        (y, _pair_rows(dim, k, test_factor[0], f[0]), _product_signs([test_factor, f]))
+        for y, f in factors))
+
+
+def _pairs_set(train, k: int = 1) -> TrainingSet:
+    """(density matrix, label, ...) tuples as a training set of unit weights."""
+    return TrainingSet.from_states([(t[0], t[1], 1.0) for t in train], k=k)
 
 
 def assemble_mixed_stc_input(test: DensityMatrix,
                              train: Sequence[tuple[DensityMatrix, int, float]],
                              k: int, *, with_ancilla: bool = True) -> ClassifierState:
-    """Joint input state for density-matrix data, pair register order.
-
-    The state is sum_y rho_t^(x)k (x) sigma_y (x) |y><y|, held as the
-    products of the eigen-factor rows of rho_t^(x)k and of each sigma_y.
-    """
-    if not train:
-        raise DataError("empty training data")
-    if k < 1:
-        raise DataError(f"copies k must be >= 1, got {k}")
+    """:func:`mixed_stc_state` of (density matrix, label, weight) tuples
+    whose weights form a distribution."""
     weights = np.array([w for _, _, w in train], dtype=float)
-    if np.any(weights < 0) or weights.sum() <= 0:
-        raise DataError("training weights must be nonnegative with a positive sum")
-    if abs(weights.sum() - 1.0) > 1e-9:
+    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
         raise DataError("training weights must form a distribution")
-    dim = test.dim
-    for rho_m, label, _ in train:
-        if label not in (0, 1):
-            raise DataError(f"label must be 0 or 1, got {label!r}")
-        if rho_m.dim != dim:
-            raise DimensionError(f"training dim {rho_m.dim} != test dim {dim}")
-    layout = pair_layout(dim, k, ancilla=with_ancilla)
-    test_factor, factors = _mixed_factors(test, train, k, layout)
-    count = test_factor[0].shape[0] * sum(f[0].shape[0] for _, f in factors)
-    return _stack_state(layout, count, (
-        (y, _pair_rows(dim, k, test_factor[0], f[0]), _product_signs([test_factor, f]))
-        for y, f in factors))
+    return mixed_stc_state(_pairs_set(train, k), test, weights, k, with_ancilla=with_ancilla)
 
 
 def assemble_bias_extended(ts: TrainingSet, test: QState) -> ClassifierState:
@@ -510,20 +502,14 @@ def assemble_bias_extended(ts: TrainingSet, test: QState) -> ClassifierState:
     """
     if ts.bias is None:
         raise DataError("training set has no bias; use assemble_pure_stc_input")
-    if ts.entries and ts.is_mixed:
+    if len(ts) and ts.is_mixed:
         raise DataError("bias-extended assembly requires pure training data")
-    if ts.entries and test.dim != ts.data_dim:
+    if len(ts) and test.dim != ts.data_dim:
         raise DimensionError(f"test dim {test.dim} != training dim {ts.data_dim}")
     bias_term, weights = ts.effective_bias_and_weights()
-    slots = len(ts) + 1
-    layout = block_layout(test.dim, ts.k, ancilla=True, index_slots=slots)
-    vec = _pure_state_vector(ts, test, weights, True, slots, bias_prob=abs(bias_term))
-    return ClassifierState(None, layout, vector=vec)
-
-
-def _check_model_distribution(qs: np.ndarray, name: str):
-    if np.any(qs < 0) or abs(qs.sum() - 1.0) > 1e-9:
-        raise DataError(f"{name} must be a probability distribution")
+    vecs = np.concatenate([test.vec[None], ts.states.reshape(-1, test.dim)])
+    return _indexed_state(test, vecs, np.append(int(ts.bias < 0), ts.labels),
+                          np.append(abs(bias_term), weights), ts.k, True)
 
 
 def _model_weights(models, train) -> list[np.ndarray]:
@@ -531,15 +517,13 @@ def _model_weights(models, train) -> list[np.ndarray]:
     probabilities and every weight vector over ``train`` are distributions."""
     if not models:
         raise DataError("ensemble needs at least one model")
-    _check_model_distribution(np.array([m[0] for m in models], dtype=float),
-                              "model probabilities")
-    out = []
-    for model in models:
-        a_s = np.array(model[1], dtype=float)
-        if a_s.size != len(train):
-            raise DataError("model weight vector length does not match training data")
-        _check_model_distribution(a_s, "model weights")
-        out.append(a_s)
+    probs = np.array([model[0] for model in models], dtype=float)
+    out = [np.array(model[1], dtype=float) for model in models]
+    if any(a_s.size != len(train) for a_s in out):
+        raise DataError("model weight vector length does not match training data")
+    for name, qs in zip(["model probabilities"] + ["model weights"] * len(out), [probs] + out):
+        if np.any(qs < 0) or abs(qs.sum() - 1.0) > 1e-9:
+            raise DataError(f"{name} must be a probability distribution")
     return out
 
 
@@ -549,9 +533,9 @@ def assemble_ensemble_weights(test: DensityMatrix,
                               k: int, *, with_ancilla: bool = True) -> ClassifierState:
     """Mixture over weight-vector models; equals a single mixed assembly with
     the convex-combined weights."""
+    ts = _pairs_set(train, k)
     eff = sum(q * a_s for (q, _), a_s in zip(models, _model_weights(models, train)))
-    data = [(rho, label, w) for (rho, label), w in zip(train, eff)]
-    return assemble_mixed_stc_input(test, data, k, with_ancilla=with_ancilla)
+    return mixed_stc_state(ts, test, eff, k, with_ancilla=with_ancilla)
 
 
 def _pad_pair_state(data_dim: int, kind: str) -> np.ndarray:
@@ -604,6 +588,7 @@ def assemble_ensemble_exponents(test: DensityMatrix,
     value. The joint state is deferred: its stack, the member rows times
     the eigen-factor rows of the padding, is built only when read.
     """
+    ts = _pairs_set(train)
     weights = _model_weights(models, train)
     dim = test.dim
     pad = qmath.eigen_factor(_pad_pair_state(dim, padding), f"{padding} padding state")
@@ -612,8 +597,7 @@ def assemble_ensemble_exponents(test: DensityMatrix,
         k_s = int(k_s)
         if not 1 <= k_s <= max_copies:
             raise DataError(f"model copy count {k_s} outside 1..{max_copies}")
-        data = [(rho, label, w) for (rho, label), w in zip(train, a_s)]
-        members.append((float(q), assemble_mixed_stc_input(test, data, k_s)))
+        members.append((float(q), mixed_stc_state(ts, test, a_s, k_s)))
     layout = pair_layout(dim, max_copies, ancilla=True)
     return ClassifierState(None, layout, members=tuple(members),
                            build=lambda: _padded_joint(layout, members, pad, max_copies))

@@ -21,17 +21,25 @@ import numpy as np
 from . import classifier as clf
 from . import encoding
 from .circuit import draw_shots, empirical_expectation
-from .datasets import DatasetFile
-from .encoding import RawDatum, TrainingSet
+from .datasets import DatasetFile, read_json
+from .encoding import TrainingSet
 from .errors import DataError
-from .kernelsvm import HS_TRACE, GramMatrix, KernelSpec, gram, svm_train
-from .qmath import QState
+from .kernelsvm import (HS_TRACE, KERNEL_KINDS, GramMatrix, KernelSpec, gram,
+                        svm_train)
+from .qmath import QState, projectors
 
 SCHEMA_VERSION = 1
 SEED_ENV_VAR = "QKCLASS_SEED"
 
 CLASSIFIERS = ("stc", "stc-bias", "hc", "qsvm")
 WEIGHT_MODES = ("uniform", "explicit", "trained")
+# Types of the typed config fields; a bool is not taken as a number.
+_FIELD_TYPES = (("k", int), ("shots", int), ("seed", int), ("box_c", float),
+                ("tie_as_zero", bool), ("keep_norms", bool))
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -50,12 +58,22 @@ class ExperimentConfig:
     keep_norms: bool = False
 
     def __post_init__(self):
-        if self.classifier not in CLASSIFIERS:
-            raise DataError(f"unknown classifier {self.classifier!r}")
-        if self.mode not in clf.STC_MODES:
-            raise DataError(f"unknown mode {self.mode!r}")
-        if self.weights not in WEIGHT_MODES:
-            raise DataError(f"unknown weights mode {self.weights!r}")
+        for name, kind in _FIELD_TYPES:
+            value = getattr(self, name)
+            if not (isinstance(value, bool) if kind is bool
+                    else _is_number(value) and (kind is float or isinstance(value, int))):
+                raise DataError(f"{name} must be of type {kind.__name__}, got {value!r}")
+        weights = self.explicit_weights
+        if weights is not None:
+            if not (isinstance(weights, (list, tuple)) and all(map(_is_number, weights))):
+                raise DataError("explicit weights must be a list of numbers")
+            object.__setattr__(self, "explicit_weights", tuple(map(float, weights)))
+        if not (self.bias is None or self.bias == "trained" or _is_number(self.bias)):
+            raise DataError(f"bias must be a number, null, or 'trained', got {self.bias!r}")
+        for name, allowed in (("classifier", CLASSIFIERS), ("mode", clf.STC_MODES),
+                              ("weights", WEIGHT_MODES), ("kernel", KERNEL_KINDS)):
+            if getattr(self, name) not in allowed:
+                raise DataError(f"unknown {name} {getattr(self, name)!r}")
         if self.k < 1:
             raise DataError("k must be >= 1")
         if self.shots < 0:
@@ -66,8 +84,6 @@ class ExperimentConfig:
             w = np.asarray(self.explicit_weights, dtype=float)
             if np.any(w < 0) or w.sum() <= 0:
                 raise DataError("explicit weights must be nonnegative with positive sum")
-        if isinstance(self.bias, str) and self.bias != "trained":
-            raise DataError(f"bias must be a number, null, or 'trained', got {self.bias!r}")
 
     def echo(self) -> dict:
         payload = asdict(self)
@@ -80,11 +96,7 @@ _CONFIG_KEYS = tuple(ExperimentConfig.__dataclass_fields__)
 
 
 def load_config_file(path: str) -> dict:
-    with open(path) as handle:
-        try:
-            payload = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid config file: {exc}") from exc
+    payload = read_json(path, "config file")
     if not isinstance(payload, dict):
         raise DataError("config file must hold a JSON object")
     unknown = set(payload) - set(_CONFIG_KEYS)
@@ -107,24 +119,25 @@ def merge_config(cli_values: dict, file_values: dict) -> ExperimentConfig:
             merged["seed"] = int(os.environ[SEED_ENV_VAR])
         except ValueError:
             raise DataError(f"{SEED_ENV_VAR} must be an integer")
-    if isinstance(merged.get("explicit_weights"), list):
-        merged["explicit_weights"] = tuple(float(v) for v in merged["explicit_weights"])
     return ExperimentConfig(**merged)
 
 
+def _gram(vecs: np.ndarray, spec: KernelSpec) -> GramMatrix:
+    """Gram matrix of encoded rows; hs-trace takes them as density matrices
+    (on pure states it equals the squared overlap)."""
+    return gram(spec, projectors(vecs) if spec.kind == HS_TRACE else vecs)
+
+
 def dataset_gram(dataset: DatasetFile, spec: KernelSpec) -> GramMatrix:
-    """Gram matrix of the amplitude-encoded rows; hs-trace takes them as
-    density matrices (on pure states it equals the squared overlap)."""
-    states = [encoding.amplitude_encode(row) for row in dataset.features]
-    if spec.kind == HS_TRACE:
-        states = [s.to_density() for s in states]
-    return gram(spec, states)
+    """Gram matrix of the amplitude-encoded rows."""
+    return _gram(encoding.encode_rows(dataset.features)[0], spec)
 
 
 def build_training_set(config: ExperimentConfig, dataset: DatasetFile):
     """Training set, plus the trained model and the Gram matrix it was
-    trained on (both None unless the weights mode is trained)."""
-    mode = encoding.KEEP_NORMS if config.keep_norms else encoding.UNIT_VECTORS
+    trained on (both None unless the weights mode is trained). The rows are
+    amplitude-encoded once, for both."""
+    vecs, norms = encoding.encode_rows(dataset.features)
     model = g = None
     if config.weights == "uniform":
         weights = np.ones(len(dataset))
@@ -134,7 +147,7 @@ def build_training_set(config: ExperimentConfig, dataset: DatasetFile):
                             f"for {len(dataset)} rows")
         weights = np.asarray(config.explicit_weights, dtype=float)
     else:
-        g = dataset_gram(dataset, KernelSpec(config.kernel, k=config.k))
+        g = _gram(vecs, KernelSpec(config.kernel, k=config.k))
         model = svm_train(g, dataset.labels, C=config.box_c)
         weights = np.asarray(model.multipliers, dtype=float)
         if weights.sum() <= 0:
@@ -148,17 +161,15 @@ def build_training_set(config: ExperimentConfig, dataset: DatasetFile):
         bias = model.bias
     if bias == 0.0:
         bias = None
-    data = [RawDatum(row, int(label), float(w))
-            for row, label, w in zip(dataset.features, dataset.labels, weights)]
-    ts = TrainingSet.from_raw(data, k=config.k, bias=bias, mode=mode)
+    mode = encoding.KEEP_NORMS if config.keep_norms else encoding.UNIT_VECTORS
+    ts = TrainingSet(vecs, dataset.labels, weights, norms=norms, k=config.k, bias=bias, mode=mode)
     return ts, model, g
 
 
-def _alphas_for_oracle(config: ExperimentConfig, ts: TrainingSet, model) -> np.ndarray:
+def _alphas_for_oracle(ts: TrainingSet, model) -> np.ndarray:
     if model is not None:
         return np.asarray(model.signed_multipliers, dtype=float)
-    signs = 1 - 2 * ts.labels
-    return ts.weights * signs
+    return ts.weights * (1 - 2 * ts.labels)
 
 
 def _classify_point(config: ExperimentConfig, ts: TrainingSet, model,
@@ -170,7 +181,7 @@ def _classify_point(config: ExperimentConfig, ts: TrainingSet, model,
     if config.classifier == "hc":
         return clf.hadamard_classify(ts, test, with_bias=ts.bias is not None)
     bias = ts.bias if ts.bias is not None else 0.0
-    return clf.qsvm_oracle_classify(_alphas_for_oracle(config, ts, model), bias, ts, test)
+    return clf.qsvm_oracle_classify(_alphas_for_oracle(ts, model), bias, ts, test)
 
 
 def _label_payload(label, tie_as_zero: bool):

@@ -44,9 +44,14 @@ class KernelSpec:
 
 
 def _stack(kind: str, states: Sequence) -> np.ndarray:
-    """The inputs as one array (vectors, or density matrices for hs-trace),
-    after checking their type and that they share one dimension."""
+    """The inputs as one array (vectors, or density matrices for hs-trace):
+    a stack as it is given, state objects after checking their type and that
+    they share one dimension."""
     want = DensityMatrix if kind == HS_TRACE else QState
+    if isinstance(states, np.ndarray):
+        if states.ndim != (3 if kind == HS_TRACE else 2):
+            raise DimensionError(f"{kind} kernel cannot take a stack of shape {states.shape}")
+        return states
     if len(states) == 0:
         raise DataError(f"{kind} kernel needs at least one state")
     if not all(isinstance(s, want) for s in states):
@@ -60,9 +65,10 @@ def _stack(kind: str, states: Sequence) -> np.ndarray:
 def kernel_matrix(spec: KernelSpec, rows: Sequence, cols: Sequence) -> np.ndarray:
     """K[i, j] = kernel(rows[i], cols[j]) ** spec.k over the stacked inputs.
 
-    Squared overlap |A^H B|**2 and real overlap Re(A^H B) take QStates;
-    hs-trace takes DensityMatrices, Tr(rows[i] cols[j]) by one einsum with
-    an imaginary residual of at most 1e-12. Squared-overlap and hs-trace
+    Squared overlap |A^H B|**2 and real overlap Re(A^H B) take QStates or
+    an (n, d) stack of unit vectors; hs-trace takes DensityMatrices or an
+    (n, d, d) stack of them, Tr(rows[i] cols[j]) by one einsum with an
+    imaginary residual of at most 1e-12. Squared-overlap and hs-trace
     values must lie in [0, 1] (to -1e-12 / +1e-10) and are clamped there.
     """
     a = _stack(spec.kind, rows)
@@ -111,13 +117,10 @@ class GramMatrix:
     def min_eigenvalue(self) -> float:
         return float(self.eigenvalues[0])
 
-    @property
-    def spectral_norm(self) -> float:
-        return float(np.abs(self.eigenvalues).max())
-
 
 def gram(spec: KernelSpec, states: Sequence) -> GramMatrix:
-    """Symmetric Gram matrix G[n, m] = kernel(states[n], states[m])."""
+    """Symmetric Gram matrix G[n, m] = kernel(states[n], states[m]), over
+    the inputs :func:`kernel_matrix` takes."""
     g = kernel_matrix(spec, states, states)
     # The product's two triangles can differ in the last bit; their mean is
     # exactly symmetric.

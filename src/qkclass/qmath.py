@@ -83,10 +83,6 @@ def check_dense_budget(shape: Sequence[int], what: str = "dense array") -> None:
             f"{DENSE_BYTES_BUDGET}-byte budget")
 
 
-def is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 class QState:
     """Normalized pure state on a power-of-two dimensional register."""
 
@@ -97,7 +93,7 @@ class QState:
         norm = np.linalg.norm(vec)
         if abs(norm - 1.0) > ATOL_STRUCT:
             raise NumericError(f"state vector norm {norm!r} is not 1 within {ATOL_STRUCT}")
-        if not is_power_of_two(vec.size):
+        if vec.size & (vec.size - 1):
             raise DimensionError(f"state dimension {vec.size} is not a power of 2")
         object.__setattr__(self, "vec", vec)
 
@@ -107,10 +103,6 @@ class QState:
     @property
     def dim(self) -> int:
         return self.vec.size
-
-    @property
-    def n_qubits(self) -> int:
-        return self.dim.bit_length() - 1
 
     def overlap(self, other: "QState") -> complex:
         if self.dim != other.dim:
@@ -178,20 +170,14 @@ class DensityMatrix:
         return f"DensityMatrix(dim={self.dim})"
 
 
-def _as_matrix(x) -> np.ndarray:
+def _as_array(x, matrix: bool = False) -> np.ndarray:
+    """The entries of a state; a QState as its projector when ``matrix``."""
     if isinstance(x, DensityMatrix):
         return x.entries
     if isinstance(x, QState):
-        return x.projector()
+        return x.projector() if matrix else x.vec
     return np.asarray(x, dtype=complex)
 
-
-def _as_array(x) -> np.ndarray:
-    if isinstance(x, DensityMatrix):
-        return x.entries
-    if isinstance(x, QState):
-        return x.vec
-    return np.asarray(x, dtype=complex)
 
 
 def tensor(*operands) -> np.ndarray:
@@ -231,7 +217,7 @@ def partial_trace(rho, dims: Sequence[int], keep: Sequence[int]):
     ``dims`` lists every subsystem dimension; their product must equal the
     matrix dimension. Returns a DensityMatrix when given one, else an array.
     """
-    mat = _as_matrix(rho)
+    mat = _as_array(rho, True)
     dims = tuple(int(d) for d in dims)
     keep = sorted(set(int(i) for i in keep))
     n = len(dims)
@@ -253,7 +239,7 @@ def partial_trace(rho, dims: Sequence[int], keep: Sequence[int]):
 
 def hs_inner(a, b) -> float:
     """Trace inner product Tr(a b) of two equal-dimension density matrices."""
-    ma, mb = _as_matrix(a), _as_matrix(b)
+    ma, mb = _as_array(a, True), _as_array(b, True)
     if ma.shape != mb.shape:
         raise DimensionError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
     val = complex(np.einsum("ij,ji->", ma, mb))
@@ -274,7 +260,7 @@ def eigen_factor(mat, what: str = "matrix") -> tuple[np.ndarray, np.ndarray | No
     ``signs`` is None when every sign is +1. An eigenvalue below the floor,
     or a rebuild off by more than 1e-12 in any entry, raises NumericError.
     """
-    m = _as_matrix(mat)
+    m = _as_array(mat, True)
     vals, vecs = np.linalg.eigh(m)
     if vals.size and vals[0] < PSD_FLOOR:
         raise NumericError(f"{what} has eigenvalue {vals[0]} below {PSD_FLOOR}")
@@ -285,6 +271,11 @@ def eigen_factor(mat, what: str = "matrix") -> tuple[np.ndarray, np.ndarray | No
     if err > ATOL_STRUCT:
         raise NumericError(f"eigen-factor of the {what} rebuilds it only to {err}")
     return rows, (None if np.all(signs > 0) else signs)
+
+
+def projectors(vecs: np.ndarray) -> np.ndarray:
+    """|v><v| for each row v of a stack of vectors, shape (M, d, d)."""
+    return vecs[:, :, None] * vecs[:, None, :].conj()
 
 
 def power_mixture(mats: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
@@ -317,7 +308,7 @@ def hermitian_sqrt(mat: np.ndarray, zero_tol: float = 0.0) -> np.ndarray:
 
 def fidelity(a, b) -> float:
     """Uhlmann fidelity Tr(sqrt(sqrt(a) b sqrt(a)))**2, in [0, 1]."""
-    ma, mb = _as_matrix(a), _as_matrix(b)
+    ma, mb = _as_array(a, True), _as_array(b, True)
     if ma.shape != mb.shape:
         raise DimensionError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
     root = hermitian_sqrt(ma, zero_tol=1e-13)
@@ -337,7 +328,7 @@ class HermitianSpectrum:
 
     @classmethod
     def of(cls, mat) -> "HermitianSpectrum":
-        m = _as_matrix(mat)
+        m = _as_array(mat, True)
         if np.abs(m - m.conj().T).max() > ATOL_STRUCT:
             raise NumericError("spectral decomposition requires a Hermitian matrix")
         vals, vecs = np.linalg.eigh(m)

@@ -54,10 +54,7 @@ class RegisterLayout:
 
     @property
     def dim(self) -> int:
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
+        return math.prod(self.dims)
 
     def has(self, role: str) -> bool:
         return any(r.role == role for r in self.registers)
@@ -87,24 +84,18 @@ class RegisterLayout:
 def block_layout(data_dim: int, k: int, *, ancilla: bool = True,
                  index_slots: int | None = None) -> RegisterLayout:
     """All test copies, then all train copies, then label (and index)."""
-    regs: list[Register] = []
-    if ancilla:
-        regs.append(Register(ANCILLA, 2))
-    regs += [Register(TEST, data_dim, copy=i) for i in range(1, k + 1)]
-    regs += [Register(TRAIN, data_dim, copy=i) for i in range(1, k + 1)]
-    regs.append(Register(LABEL, 2))
-    if index_slots is not None:
-        regs.append(Register(INDEX, index_register_dim(index_slots)))
-    return RegisterLayout(tuple(regs))
+    copies = [Register(role, data_dim, copy=i) for role in (TEST, TRAIN) for i in range(1, k + 1)]
+    index = [] if index_slots is None else [Register(INDEX, index_register_dim(index_slots))]
+    return _layout(ancilla, copies, index)
 
 
 def pair_layout(data_dim: int, k: int, *, ancilla: bool = True) -> RegisterLayout:
     """Interleaved (test, train) pairs per copy, then the label qubit."""
-    regs: list[Register] = []
-    if ancilla:
-        regs.append(Register(ANCILLA, 2))
-    for i in range(1, k + 1):
-        regs.append(Register(TEST, data_dim, copy=i))
-        regs.append(Register(TRAIN, data_dim, copy=i))
-    regs.append(Register(LABEL, 2))
-    return RegisterLayout(tuple(regs))
+    return _layout(ancilla, [Register(role, data_dim, copy=i)
+                             for i in range(1, k + 1) for role in (TEST, TRAIN)])
+
+
+def _layout(ancilla: bool, copies: list[Register], index=()) -> RegisterLayout:
+    """[ancilla |] copies | label [| index]."""
+    anc = [Register(ANCILLA, 2)] if ancilla else []
+    return RegisterLayout(tuple(anc + copies + [Register(LABEL, 2)] + list(index)))

@@ -25,8 +25,8 @@ def dense_pure_mixture(ts, test, *, with_ancilla=True) -> np.ndarray:
     |test><test|^k (x) sum_m w_m |x_m><x_m|^k (x) |y_m><y_m|."""
     k = ts.k
     mix = np.zeros((ts.data_dim ** k * 2,) * 2, dtype=complex)
-    for state, entry, w in zip(ts.pure_states(), ts.entries, ts.effective_weights()):
-        mix += w * tensor(tensor_power(state.projector(), k), label_projector(entry.label))
+    for vec, label, w in zip(ts.states, ts.labels, ts.effective_weights()):
+        mix += w * tensor(tensor_power(np.outer(vec, vec.conj()), k), label_projector(label))
     return _with_ancilla(tensor(tensor_power(test.projector(), k), mix), with_ancilla)
 
 

@@ -582,7 +582,7 @@ class TestMisclassification:
         ts = random_mixed_training(rng, 3, 2, k=k)
         mix = Mixture(0.3, 0.7, random_density_matrix(2, rng), random_density_matrix(2, rng))
         signed = (1 - 2 * ts.labels) * ts.effective_weights()
-        e = [sum(s * hs_inner(rho, r) ** k for s, r in zip(signed, ts.density_states()))
+        e = [sum(s * hs_inner(rho, r) ** k for s, r in zip(signed, ts.states))
              for rho in (mix.rho0, mix.rho1)]
         expect = 0.5 - 0.5 * (mix.p0 * e[0] - mix.p1 * e[1])
         assert abs(misclassification_probability(ts, mix) - expect) < 1e-12

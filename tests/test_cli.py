@@ -364,6 +364,32 @@ class TestCliCommands:
         assert payload["results"][0]["expectation"] == pytest.approx(
             0.5 * 0.36**2 - 0.5 * 0.64**2, abs=1e-12)
 
+    @pytest.mark.parametrize("config", [
+        {"k": "two"}, {"box_c": "x", "weights": "trained"}, {"seed": "abc"},
+        {"weights": "explicit", "explicit_weights": [1, "a"]},
+        {"shots": 1.5}, {"k": 2.5}, {"tie_as_zero": "no"},
+    ])
+    def test_config_file_value_types_checked(self, runner, workdir, config):
+        write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])
+        write_lines(workdir / "tests.csv", ["0.6,0.8"])
+        (workdir / "conf.json").write_text(json.dumps(config))
+        result = runner.invoke(main, ["classify", "train.csv", "--test", "tests.csv",
+                                      "--config", "conf.json", "-o", "out.json"])
+        assert result.exit_code == 3, (result.output, result.stderr)
+        assert json.loads(result.stderr)["error"]["type"] == "DataError"
+        assert not (workdir / "out.json").exists()
+
+    @pytest.mark.parametrize("weight", ["abc", None, [1.0]])
+    def test_json_dataset_weight_must_be_a_number(self, runner, workdir, weight):
+        (workdir / "train.json").write_text(json.dumps(
+            [[[1.0, 0.0], 0, 1.0], [[0.0, 1.0], 1, weight]]))
+        write_lines(workdir / "tests.csv", ["0.6,0.8"])
+        result = runner.invoke(main, ["classify", "train.json", "--test", "tests.csv",
+                                      "-o", "out.json"])
+        assert result.exit_code == 3, (result.output, result.stderr)
+        error = json.loads(result.stderr)["error"]
+        assert error["type"] == "DataError" and "row 2" in error["message"]
+
     def test_gram_command(self, runner, workdir):
         write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])
         result = runner.invoke(main, ["gram", "train.csv", "-o", "gram.json"])
@@ -434,7 +460,18 @@ def readme_round_trip() -> list[list[str]]:
             if line.strip()]
 
 
+def readme_quick_start() -> str:
+    """The README's "Library quick start" Python block, as written."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return text.split("## Library quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+
+
 class TestReadme:
+    def test_library_quick_start_runs_as_written(self, capsys):
+        exec(compile(readme_quick_start(), "README.md", "exec"), {})
+        value, label = capsys.readouterr().out.splitlines()[0].split()
+        assert abs(float(value) - (-0.14)) <= 1e-12 and label == "1"
+
     def test_round_trip_runs_as_written(self, runner, workdir):
         commands = readme_round_trip()
         assert [argv[:2] for argv in commands] == [
