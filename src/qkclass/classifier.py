@@ -96,14 +96,21 @@ def _terms(values: np.ndarray) -> tuple[tuple[int, float], ...]:
     return tuple(enumerate(values.tolist()))
 
 
-def _stc_terms(ts: TrainingSet, test, weights: np.ndarray) -> tuple[tuple[int, float], ...]:
-    """Swap-test terms sign_m w_m kernel(x_m, test)**k: the squared overlap
-    on pure data, the trace inner product for a density-matrix test state."""
-    if isinstance(test, DensityMatrix):
+def _stc_terms(ts: TrainingSet, tests, weights: np.ndarray) -> np.ndarray:
+    """Swap-test terms T[n, m] = sign_m w_m kernel(tests[n], x_m)**k: the
+    squared overlap of pure tests, the trace inner product of density matrices."""
+    if isinstance(tests[0], DensityMatrix):
         spec, train = KernelSpec(HS_TRACE, ts.k), ts.density_matrices()
     else:
         spec, train = KernelSpec(SQUARED_OVERLAP, ts.k), ts.states
-    return _terms((1 - 2 * ts.labels) * weights * kernel_matrix(spec, train, [test])[:, 0])
+    return kernel_matrix(spec, tests, train) * ((1 - 2 * ts.labels) * weights)
+
+
+def _kernel_output(terms: np.ndarray, tie_eps: float, bias_term: float = 0.0) -> ClassifierOutput:
+    """Output whose value is the bias term plus the sum of one row of terms."""
+    per_term = _terms(terms)
+    value = bias_term + float(sum(v for _, v in per_term))
+    return ClassifierOutput(value, decide(value, tie_eps), per_term, bias_term=bias_term)
 
 
 def _real_overlaps(ts: TrainingSet, test: QState) -> np.ndarray:
@@ -137,19 +144,27 @@ def stc_classify(ts: TrainingSet, test, mode: str = "analytic",
     """
     if mode not in STC_MODES:
         raise DataError(f"unknown mode {mode!r}, expected one of {STC_MODES}")
-    if ts.bias is not None:
-        raise DataError("training set carries a bias; use stc_classify_bias")
-    if not len(ts):
-        raise DataError("empty training set")
     if not isinstance(test, DensityMatrix):
         test, _ = _coerce_test_pure(test, ts)
         if ts.is_mixed:
             test = test.to_density()
-    terms = _stc_terms(ts, test, ts.effective_weights())
-    value = float(sum(v for _, v in terms))
-    if mode != "analytic":
-        value = _circuit_mode_value(ts, test, minimal=(mode == "minimal"))
-    return ClassifierOutput(value, decide(value, tie_eps), terms)
+    out = next(stc_classify_batch(ts, [test], tie_eps))
+    if mode == "analytic":
+        return out
+    value = _circuit_mode_value(ts, test, minimal=(mode == "minimal"))
+    return ClassifierOutput(value, decide(value, tie_eps), out.per_term)
+
+
+def stc_classify_batch(ts: TrainingSet, tests, tie_eps: float = TIE_EPS):
+    """Analytic swap-test outputs of N test states (QStates or an (N, d)
+    stack of unit vectors; DensityMatrices for mixed data): the terms from
+    one :func:`kernel_matrix` call, each output made as it is iterated."""
+    if ts.bias is not None:
+        raise DataError("training set carries a bias; use stc_classify_bias")
+    if not len(ts):
+        raise DataError("empty training set")
+    return (_kernel_output(row, tie_eps)
+            for row in _stc_terms(ts, tests, ts.effective_weights()))
 
 
 def stc_classify_bias(ts: TrainingSet, test,
@@ -167,14 +182,14 @@ def stc_classify_bias(ts: TrainingSet, test,
         raise DataError("training set has no bias; use stc_classify")
     state, _ = _coerce_test_pure(test, ts)
     bias_term, weights = ts.effective_bias_and_weights()
-    terms = _stc_terms(ts, state, weights) if len(ts) else ()
-    value = bias_term + float(sum(v for _, v in terms))
+    out = _kernel_output(_stc_terms(ts, [state], weights)[0] if len(ts) else np.zeros(0),
+                         tie_eps, bias_term)
     assembled = run_swap_test(encoding.assemble_bias_extended(ts, state))
     simulated = expectation(ancilla_label_parity(assembled.layout), assembled)
-    if abs(simulated - value) > MODE_AGREEMENT_ATOL:
-        raise NumericError(
-            f"bias circuit value {simulated} disagrees with the closed form {value}")
-    return ClassifierOutput(value, decide(value, tie_eps), terms, bias_term=bias_term)
+    if abs(simulated - out.expectation) > MODE_AGREEMENT_ATOL:
+        raise NumericError(f"bias circuit value {simulated} disagrees with "
+                           f"the closed form {out.expectation}")
+    return out
 
 
 def _interference(u: np.ndarray, x: np.ndarray, coefficients: np.ndarray,

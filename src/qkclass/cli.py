@@ -31,20 +31,16 @@ def handles_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except QKClassError as exc:
+        except (QKClassError, MemoryError, np.linalg.LinAlgError) as exc:
             click.echo(json.dumps(experiment.error_payload(exc)), err=True)
             sys.exit(EXIT_DATA if isinstance(exc, DataError) else EXIT_NUMERIC)
-        except (MemoryError, np.linalg.LinAlgError) as exc:
-            click.echo(json.dumps(experiment.error_payload(exc)), err=True)
-            sys.exit(EXIT_NUMERIC)
 
     return wrapper
 
 
 def _write_json(payload: dict, out: str | None):
     if out is None:
-        click.echo(json.dumps(payload, indent=2, sort_keys=True,
-                              default=experiment.jsonable))
+        datasets.dump_json(payload, sys.stdout, default=experiment.jsonable)
     else:
         experiment.write_results(payload, out)
 
@@ -150,10 +146,10 @@ def train_svm(dataset, kernel, k, box_c, fmt, out):
         "schema_version": experiment.SCHEMA_VERSION,
         "kernel": {"kind": kernel, "k": k},
         "box_c": box_c,
-        "multipliers": [float(a) for a in model.multipliers],
+        "multipliers": model.multipliers.tolist(),
         "bias": model.bias,
         "support_indices": list(model.support_indices),
-        "labels": [int(y) for y in model.labels],
+        "labels": model.labels.tolist(),
         "gram_summary": {
             "min_eigenvalue": float(g.eigenvalues[0]),
             "max_eigenvalue": float(g.eigenvalues[-1]),
@@ -177,8 +173,8 @@ def gram_command(dataset, kernel, k, fmt, out):
     payload = {
         "schema_version": experiment.SCHEMA_VERSION,
         "kernel": {"kind": kernel, "k": k},
-        "matrix": [[float(v) for v in row] for row in g.matrix],
-        "eigenvalues": [float(v) for v in g.eigenvalues],
+        "matrix": g.matrix.tolist(),
+        "eigenvalues": g.eigenvalues.tolist(),
         "certified_psd": cert.certified,
         "min_eigenvalue": cert.min_eigenvalue,
         "threshold": cert.threshold,

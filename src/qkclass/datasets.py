@@ -98,16 +98,8 @@ def _finish(rows: list[list[complex]], labels: list[int],
             weights: list[float] | None) -> DatasetFile:
     if not rows:
         raise DataError("dataset has no rows")
-    features = _features(rows)
-    if features.shape[1] == 0:
-        raise DataError("rows carry no feature columns")
-    labels_arr = np.array(labels, dtype=int)
-    weights_arr = None
-    if weights is not None:
-        weights_arr = np.array(weights, dtype=float)
-        if np.any(weights_arr < 0):
-            raise DataError("weights must be nonnegative")
-    return DatasetFile(features, labels_arr, weights_arr)
+    return DatasetFile(_features(rows), np.array(labels, dtype=int),
+                       None if weights is None else np.array(weights, dtype=float))
 
 
 def read_json(path: str, what: str):
@@ -120,6 +112,30 @@ def read_json(path: str, what: str):
             raise DataError(f"invalid {what}: {exc}") from exc
 
 
+def dump_json(payload: dict | list, handle, default=None):
+    """Stream a dict or list as JSON: a list, or a dict key's list of lists or
+    dicts, one item per line; a dict one sorted key per line. Each piece is
+    ``json.dumps(piece, sort_keys=True, default=default)``, written as made."""
+    encode = json.JSONEncoder(sort_keys=True, default=default).encode
+
+    def lines(items, brackets: str = "[]"):
+        handle.write(brackets[0])
+        for n, (prefix, value) in enumerate(items):
+            handle.write((",\n" if n else "\n") + prefix)
+            if prefix and isinstance(value, list) and value and all(
+                    isinstance(v, (list, dict)) for v in value):
+                lines(("", v) for v in value)
+            else:
+                handle.write(encode(value))
+        handle.write("\n" + brackets[1])
+
+    if isinstance(payload, dict):
+        lines(((encode(key) + ": ", payload[key]) for key in sorted(payload)), "{}")
+    else:
+        lines(("", item) for item in payload)
+    handle.write("\n")
+
+
 def _csv_records(path: str):
     """(1-based row number, nonblank cells) of each CSV row that has any."""
     with open(path, newline="") as handle:
@@ -130,6 +146,8 @@ def _csv_records(path: str):
 
 
 def _parse_row(parse, tokens, row: int) -> list[complex]:
+    if not isinstance(tokens, list) or not tokens:
+        raise DataError(f"row {row}: features must be a nonempty list")
     return [parse(tok, row, c) for c, tok in enumerate(tokens, start=1)]
 
 
@@ -157,21 +175,17 @@ def _ingest_json(path: str) -> DatasetFile:
     if not isinstance(payload, list):
         raise DataError("JSON dataset must be a list of rows")
     rows, labels, weights = [], [], []
-    any_weight = False
     for r, record in enumerate(payload, start=1):
         if not isinstance(record, list) or len(record) not in (2, 3):
             raise DataError(f"row {r}: expected [features, label] or [features, label, weight]")
-        feats = record[0]
-        if not isinstance(feats, list) or not feats:
-            raise DataError(f"row {r}: features must be a nonempty list")
-        rows.append(_parse_row(_parse_json_feature, feats, r))
+        rows.append(_parse_row(_parse_json_feature, record[0], r))
         labels.append(_parse_label(record[1], r))
         weight = record[2] if len(record) == 3 else 1.0
-        if type(weight) not in (int, float) or not math.isfinite(weight):
-            raise DataError(f"row {r}: weight must be a finite number, got {weight!r}")
-        any_weight = any_weight or len(record) == 3
+        if type(weight) not in (int, float) or not 0 <= weight < math.inf:
+            raise DataError(f"row {r}: weight must be a finite nonnegative number, "
+                            f"got {weight!r}")
         weights.append(float(weight))
-    return _finish(rows, labels, weights if any_weight else None)
+    return _finish(rows, labels, weights if any(len(r) == 3 for r in payload) else None)
 
 
 def ingest(path: str, fmt: str | None = None) -> DatasetFile:
@@ -211,17 +225,11 @@ def write_dataset(ds: DatasetFile, path: str, fmt: str | None = None):
             for feats, label in zip(ds.features, ds.labels):
                 writer.writerow([format_complex(complex(f)) for f in feats] + [int(label)])
         return
-    rows = []
-    for i, (feats, label) in enumerate(zip(ds.features, ds.labels)):
-        encoded = [[f.real, f.imag] if f.imag != 0.0 else f.real
-                   for f in map(complex, feats)]
-        row = [encoded, int(label)]
-        if ds.weights is not None:
-            row.append(float(ds.weights[i]))
-        rows.append(row)
+    rows = ([[[f.real, f.imag] if f.imag != 0.0 else f.real for f in map(complex, feats)],
+             int(label)] + ([] if ds.weights is None else [float(ds.weights[i])])
+            for i, (feats, label) in enumerate(zip(ds.features, ds.labels)))
     with open(path, "w") as handle:
-        json.dump(rows, handle, indent=2)
-        handle.write("\n")
+        dump_json(rows, handle)
 
 
 def gen_toy(kind: str, m: int, dim: int, seed: int, noise: float = 0.25) -> DatasetFile:

@@ -10,8 +10,8 @@ files behind.
 from __future__ import annotations
 
 import csv
-import json
 import os
+import sys
 import tempfile
 import time
 from dataclasses import asdict, dataclass
@@ -21,7 +21,7 @@ import numpy as np
 from . import classifier as clf
 from . import encoding
 from .circuit import draw_shots, empirical_expectation
-from .datasets import DatasetFile, read_json
+from .datasets import DatasetFile, dump_json, read_json
 from .encoding import TrainingSet
 from .errors import DataError
 from .kernelsvm import (HS_TRACE, KERNEL_KINDS, GramMatrix, KernelSpec, gram,
@@ -33,13 +33,18 @@ SEED_ENV_VAR = "QKCLASS_SEED"
 
 CLASSIFIERS = ("stc", "stc-bias", "hc", "qsvm")
 WEIGHT_MODES = ("uniform", "explicit", "trained")
-# Types of the typed config fields; a bool is not taken as a number.
+# Types of the typed config fields; a bool is no number, a float is finite.
 _FIELD_TYPES = (("k", int), ("shots", int), ("seed", int), ("box_c", float),
                 ("tie_as_zero", bool), ("keep_norms", bool))
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    """A number a float holds finitely: not NaN, not infinite, no huge int."""
+    return _is_number(value) and abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -61,15 +66,17 @@ class ExperimentConfig:
         for name, kind in _FIELD_TYPES:
             value = getattr(self, name)
             if not (isinstance(value, bool) if kind is bool
-                    else _is_number(value) and (kind is float or isinstance(value, int))):
-                raise DataError(f"{name} must be of type {kind.__name__}, got {value!r}")
+                    else _is_finite(value) if kind is float
+                    else _is_number(value) and isinstance(value, int)):
+                what = "a finite number" if kind is float else f"of type {kind.__name__}"
+                raise DataError(f"{name} must be {what}, got {value!r}")
         weights = self.explicit_weights
         if weights is not None:
-            if not (isinstance(weights, (list, tuple)) and all(map(_is_number, weights))):
-                raise DataError("explicit weights must be a list of numbers")
+            if not (isinstance(weights, (list, tuple)) and all(map(_is_finite, weights))):
+                raise DataError("explicit weights must be a list of finite numbers")
             object.__setattr__(self, "explicit_weights", tuple(map(float, weights)))
-        if not (self.bias is None or self.bias == "trained" or _is_number(self.bias)):
-            raise DataError(f"bias must be a number, null, or 'trained', got {self.bias!r}")
+        if not (self.bias is None or self.bias == "trained" or _is_finite(self.bias)):
+            raise DataError(f"bias must be a finite number, null or 'trained', got {self.bias!r}")
         for name, allowed in (("classifier", CLASSIFIERS), ("mode", clf.STC_MODES),
                               ("weights", WEIGHT_MODES), ("kernel", KERNEL_KINDS)):
             if getattr(self, name) not in allowed:
@@ -184,12 +191,6 @@ def _classify_point(config: ExperimentConfig, ts: TrainingSet, model,
     return clf.qsvm_oracle_classify(_alphas_for_oracle(ts, model), bias, ts, test)
 
 
-def _label_payload(label, tie_as_zero: bool):
-    if label == clf.TIE:
-        return 0 if tie_as_zero else "tie"
-    return int(label)
-
-
 def run_experiment(config: ExperimentConfig, dataset: DatasetFile,
                    test_features: np.ndarray,
                    test_labels: np.ndarray | None = None) -> dict:
@@ -202,14 +203,18 @@ def run_experiment(config: ExperimentConfig, dataset: DatasetFile,
         raise DataError("stc-bias requires a nonzero bias (explicit or trained)")
     point_seeds = np.random.SeedSequence(config.seed).generate_state(
         max(1, len(test_features)))
+    if config.classifier == "stc" and config.mode == "analytic" and len(test_features):
+        outputs = clf.stc_classify_batch(ts, encoding.encode_rows(test_features)[0])
+    else:
+        outputs = (_classify_point(config, ts, model, encoding.amplitude_encode(row))
+                   for row in test_features)
     results = []
-    for i, row in enumerate(test_features):
-        test = encoding.amplitude_encode(row)
-        out = _classify_point(config, ts, model, test)
+    for i, out in enumerate(outputs):
         entry = {
             "index": i,
             "expectation": out.expectation,
-            "predicted_label": _label_payload(out.predicted_label, config.tie_as_zero),
+            "predicted_label": (out.predicted_label if out.predicted_label != clf.TIE
+                                else 0 if config.tie_as_zero else "tie"),
             "per_term": [[m, v] for m, v in (out.per_term or ())],
             "bias_term": out.bias_term,
         }
@@ -235,7 +240,7 @@ def run_experiment(config: ExperimentConfig, dataset: DatasetFile,
     }
     if model is not None:
         payload["svm"] = {
-            "multipliers": [float(a) for a in model.multipliers],
+            "multipliers": model.multipliers.tolist(),
             "bias": model.bias,
             "support_indices": list(model.support_indices),
             "kernel": {"kind": model.kernel.kind, "k": model.kernel.k},
@@ -243,7 +248,7 @@ def run_experiment(config: ExperimentConfig, dataset: DatasetFile,
         payload["gram_summary"] = {
             "min_eigenvalue": float(g.eigenvalues[0]),
             "max_eigenvalue": float(g.eigenvalues[-1]),
-            "eigenvalues": [float(v) for v in g.eigenvalues],
+            "eigenvalues": g.eigenvalues.tolist(),
         }
     return payload
 
@@ -277,11 +282,8 @@ def jsonable(value):
 
 
 def write_results(payload: dict, path: str):
-    def writer(handle):
-        json.dump(payload, handle, indent=2, sort_keys=True, default=jsonable)
-        handle.write("\n")
-
-    _atomic_write(path, writer)
+    """Write a results object as streamed JSON (see :func:`dump_json`)."""
+    _atomic_write(path, lambda handle: dump_json(payload, handle, default=jsonable))
 
 
 PLOT_COLUMNS = ("index", "expectation", "predicted_label", "shots_total",

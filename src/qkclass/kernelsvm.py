@@ -198,10 +198,11 @@ def svm_train(g: GramMatrix, labels: Sequence[int], C: float = DEFAULT_C,
     if not cert.certified:
         raise NumericError(
             f"Gram matrix is not PSD (min eigenvalue {cert.min_eigenvalue}); refusing")
-    if C <= 0:
-        raise DataError(f"box constraint C must be positive, got {C}")
+    if not 0 < C < np.inf:
+        raise DataError(f"box constraint C must be finite and positive, got {C}")
 
     l = (1 - 2 * labels).astype(float)
+    positive = l > 0
     q = np.outer(l, l) * g.matrix
     m = g.size
     alpha = np.zeros(m)
@@ -212,13 +213,13 @@ def svm_train(g: GramMatrix, labels: Sequence[int], C: float = DEFAULT_C,
         if record_objective:
             history.append(_dual_objective(alpha, q))
         minus_lg = -l * grad
-        up = ((l > 0) & (alpha < C)) | ((l < 0) & (alpha > 0))
-        low = ((l < 0) & (alpha < C)) | ((l > 0) & (alpha > 0))
+        up = np.where(positive, alpha < C, alpha > 0)
+        low = np.where(positive, alpha > 0, alpha < C)
         if not up.any() or not low.any():
             converged = True
             break
-        i = int(np.flatnonzero(up)[np.argmax(minus_lg[up])])
-        j = int(np.flatnonzero(low)[np.argmin(minus_lg[low])])
+        i = int(np.argmax(np.where(up, minus_lg, -np.inf)))
+        j = int(np.argmin(np.where(low, minus_lg, np.inf)))
         gap = minus_lg[i] - minus_lg[j]
         if gap < tol:
             converged = True
@@ -230,7 +231,8 @@ def svm_train(g: GramMatrix, labels: Sequence[int], C: float = DEFAULT_C,
         d_i, d_j = l[i] * step, -l[j] * step
         alpha[i] += d_i
         alpha[j] += d_j
-        grad += q[:, i] * d_i + q[:, j] * d_j
+        # q is symmetric (exactly so from gram()): rows stand in for columns.
+        grad += q[i] * d_i + q[j] * d_j
     if not converged:
         raise NumericError(f"SMO did not reach tolerance {tol} in {max_iter} iterations")
     if record_objective:
@@ -243,8 +245,8 @@ def svm_train(g: GramMatrix, labels: Sequence[int], C: float = DEFAULT_C,
     if free.any():
         bias = float(b_candidates[free].mean())
     else:
-        up = ((l > 0) & (alpha < C)) | ((l < 0) & (alpha > 0))
-        low = ((l < 0) & (alpha < C)) | ((l > 0) & (alpha > 0))
+        up = np.where(positive, alpha < C, alpha > 0)
+        low = np.where(positive, alpha > 0, alpha < C)
         hi = b_candidates[up].max() if up.any() else 0.0
         lo = b_candidates[low].min() if low.any() else 0.0
         bias = float((hi + lo) / 2.0)

@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 
@@ -8,13 +9,19 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qkclass import cli, experiment
+from qkclass import classifier, cli, experiment
+from qkclass.classifier import stc_classify
 from qkclass.cli import main
 from qkclass.datasets import (DatasetFile, format_complex, gen_toy, ingest,
                               parse_complex, write_dataset)
+from qkclass.encoding import amplitude_encode
 from qkclass.errors import DataError
-from qkclass.experiment import (ExperimentConfig, emit_plot_data,
-                                merge_config, run_experiment, write_results)
+from qkclass.experiment import (ExperimentConfig, build_training_set,
+                                emit_plot_data, merge_config, run_experiment,
+                                write_results)
+
+# The form in which perfbench/oracle.py finds the timing field to mask it.
+WALL_CLOCK = re.compile(r'"wall_clock_seconds": [-+0-9.eE]+')
 
 
 @pytest.fixture
@@ -185,6 +192,100 @@ class TestRunExperiment:
             write_results(payload, name)
             blobs.append((workdir / name).read_bytes())
         assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"k": 2}, {"keep_norms": True}, {"k": 2, "keep_norms": True},
+        {"weights": "explicit", "explicit_weights": tuple(range(1, 13))},
+        {"weights": "trained"}, {"weights": "trained", "k": 2, "keep_norms": True},
+    ])
+    def test_batched_scoring_equals_per_point(self, monkeypatch, overrides):
+        rng = np.random.default_rng(17)
+        toy = gen_toy("separable", 12, 3, seed=8)
+        ds = DatasetFile(toy.features * rng.uniform(0.5, 2.0, (12, 1)), toy.labels)
+        tests = gen_toy("random", 9, 3, seed=9).features
+        config = ExperimentConfig(**overrides)
+        calls = []
+        kernel_matrix = classifier.kernel_matrix
+        monkeypatch.setattr(classifier, "kernel_matrix",
+                            lambda *args: calls.append(1) or kernel_matrix(*args))
+        payload = run_experiment(config, ds, tests)
+        assert len(calls) == 1
+        ts, _, _ = build_training_set(config, ds)
+        assert len(payload["results"]) == len(tests)
+        for row, entry in zip(tests, payload["results"]):
+            out = stc_classify(ts, amplitude_encode(row))
+            assert entry["predicted_label"] == out.predicted_label
+            assert abs(entry["expectation"] - out.expectation) <= 1e-12
+            assert [m for m, _ in entry["per_term"]] == list(range(len(ds)))
+            assert np.abs(np.subtract([v for _, v in entry["per_term"]],
+                                      [v for _, v in out.per_term])).max() <= 1e-12
+        for empty in (np.zeros((0, 0), dtype=complex), np.zeros((0, 3), dtype=complex)):
+            assert run_experiment(config, ds, empty)["results"] == []
+
+
+class TestResultsWriter:
+    @staticmethod
+    def payload():
+        return {
+            "schema_version": 1,
+            "matrix": (np.arange(12.0).reshape(3, 4) / 7).tolist(),
+            "spectrum": np.array([[0.5, 1.0], [2.0, 4.0]]),
+            "eigenvalues": np.array([-1e-17, 0.25, 1.0 / 3]),
+            "count": np.int64(3),
+            "results": [{"expectation": np.float64(0.5), "per_term": [[0, 0.25], [1, 0.25]]},
+                        {"expectation": -0.1, "per_term": [], "shots": None}],
+            "svm": {"multipliers": np.array([0.5, 0.5]), "bias": np.float64(-0.0)},
+            "empty": [],
+            "wall_clock_seconds": 1.25e-05,
+        }
+
+    def test_file_parses_to_the_payload_with_one_row_per_line(self, workdir):
+        payload = self.payload()
+        write_results(payload, "a.json")
+        text = (workdir / "a.json").read_text()
+        assert json.loads(text) == json.loads(json.dumps(payload, default=experiment.jsonable))
+        lines = text.splitlines()
+        start = lines.index('"matrix": [')
+        assert lines[start + 1:start + 5] == [
+            json.dumps(payload["matrix"][0]) + ",",
+            json.dumps(payload["matrix"][1]) + ",",
+            json.dumps(payload["matrix"][2]),
+            "],"]
+        assert [line.split(":")[0] for line in lines if line.startswith('"')] == [
+            json.dumps(key) for key in sorted(payload)]
+        assert lines[-1] == "}" and text.endswith("}\n")
+        assert [line for line in lines if WALL_CLOCK.fullmatch(line)] == [
+            '"wall_clock_seconds": 1.25e-05']
+
+    def test_repeated_writes_are_byte_identical(self, workdir):
+        for name in ("a.json", "b.json"):
+            write_results(self.payload(), name)
+        assert (workdir / "a.json").read_bytes() == (workdir / "b.json").read_bytes()
+
+    @pytest.mark.parametrize("args", [
+        ["gram", "train.csv"],
+        ["train-svm", "train.csv"],
+        ["classify", "train.csv", "--test", "train.csv", "--labeled-tests",
+         "--weights", "trained", "--shots", "10"],
+    ])
+    def test_stdout_has_the_file_bytes(self, runner, workdir, args):
+        write_lines(workdir / "train.csv", ["1,0,0", "0.6,0.8,0", "0,1,1"])
+        to_file = runner.invoke(main, [*args, "-o", "out.json"])
+        to_stdout = runner.invoke(main, args)
+        assert to_file.exit_code == to_stdout.exit_code == 0, to_stdout.output
+        masked = [WALL_CLOCK.sub('"wall_clock_seconds": 0', text)
+                  for text in ((workdir / "out.json").read_text(), to_stdout.stdout)]
+        assert masked[0] == masked[1]
+
+    def test_json_dataset_one_row_per_line(self, workdir):
+        ds = DatasetFile(np.array([[1.0, 0.5j], [0.25, 1.0]]), np.array([0, 1]),
+                         np.array([1.0, 2.0]))
+        write_dataset(ds, "d.json")
+        assert (workdir / "d.json").read_text() == (
+            "[\n[[1.0, [0.0, 0.5]], 0, 1.0],\n[[0.25, 1.0], 1, 2.0]\n]\n")
+        back = ingest("d.json")
+        assert np.array_equal(back.features, ds.features)
+        assert np.array_equal(back.weights, ds.weights)
 
 
 class TestConfigMerging:
@@ -379,7 +480,7 @@ class TestCliCommands:
         assert json.loads(result.stderr)["error"]["type"] == "DataError"
         assert not (workdir / "out.json").exists()
 
-    @pytest.mark.parametrize("weight", ["abc", None, [1.0]])
+    @pytest.mark.parametrize("weight", ["abc", None, [1.0], -1.0])
     def test_json_dataset_weight_must_be_a_number(self, runner, workdir, weight):
         (workdir / "train.json").write_text(json.dumps(
             [[[1.0, 0.0], 0, 1.0], [[0.0, 1.0], 1, weight]]))
@@ -389,6 +490,37 @@ class TestCliCommands:
         assert result.exit_code == 3, (result.output, result.stderr)
         error = json.loads(result.stderr)["error"]
         assert error["type"] == "DataError" and "row 2" in error["message"]
+
+    def test_unlabeled_json_test_entry_must_be_a_list(self, runner, workdir):
+        write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])
+        (workdir / "t.json").write_text("[[1, 0], 5]")
+        result = runner.invoke(main, ["classify", "train.csv", "--test", "t.json"])
+        assert result.exit_code == 3, (result.output, result.stderr)
+        error = json.loads(result.stderr)["error"]
+        assert error["type"] == "DataError" and "row 2" in error["message"]
+
+    @pytest.mark.parametrize("args", [
+        ["classify", "train.csv", "--test", "tests.csv", "--config", "nan.json"],
+        ["train-svm", "train.csv", "--box-c", "nan"],
+        ["classify", "train.csv", "--test", "tests.csv", "--weights", "trained",
+         "--box-c", "inf"],
+        ["classify", "train.csv", "--test", "tests.csv", "--classifier", "stc-bias",
+         "--bias", "inf"],
+        ["classify", "train.csv", "--test", "tests.csv", "--weights", "explicit",
+         "--explicit-weights", "1,nan"],
+        ["classify", "train.csv", "--test", "tests.csv", "--config", "huge.json"],
+    ])
+    def test_non_finite_numbers_rejected(self, runner, workdir, args):
+        write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])
+        write_lines(workdir / "tests.csv", ["0.6,0.8"])
+        (workdir / "nan.json").write_text('{"box_c": NaN, "weights": "trained"}')
+        (workdir / "huge.json").write_text(
+            '{"weights": "explicit", "explicit_weights": [1, 1%s]}' % ("0" * 400))
+        result = runner.invoke(main, [*args, "-o", "out.json"])
+        assert result.exit_code == 3, (result.output, result.stderr)
+        error = json.loads(result.stderr)["error"]
+        assert error["type"] == "DataError" and "finite" in error["message"]
+        assert not (workdir / "out.json").exists()
 
     def test_gram_command(self, runner, workdir):
         write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from smo_reference import reference_smo
 
 from qkclass.classifier import stc_classify, stc_classify_bias
 from qkclass.encoding import TrainingSet
@@ -262,6 +263,41 @@ class TestSvmTrain:
         g = GramMatrix(bad, KernelSpec(SQUARED_OVERLAP), np.linalg.eigvalsh(bad))
         with pytest.raises(NumericError):
             svm_train(g, [0, 1])
+
+    @pytest.mark.parametrize("C", [0.0, -1.0, float("nan"), float("inf")])
+    def test_box_constraint_must_be_finite_and_positive(self, C):
+        g = GramMatrix(np.eye(2), KernelSpec(SQUARED_OVERLAP),
+                       np.linalg.eigvalsh(np.eye(2)))
+        with pytest.raises(DataError, match="finite and positive"):
+            svm_train(g, [0, 1], C=C)
+
+    @pytest.mark.parametrize("kind, m, dim, C, seed", [
+        ("psd", 40, 60, 1e6, 1),       # full rank: separable
+        ("psd", 120, 4, 10.0, 2),
+        ("psd", 80, 8, 0.05, 3),       # small C: multipliers on the box
+        ("psd", 60, 3, 0.5, 4),
+        (SQUARED_OVERLAP, 100, 8, 100.0, 5),
+        (HS_TRACE, 60, 4, 10.0, 6),
+        (HS_TRACE, 40, 2, 0.2, 7),
+    ])
+    def test_matches_reference_loop_bit_for_bit(self, kind, m, dim, C, seed):
+        rng = np.random.default_rng(seed)
+        labels = np.arange(m) % 2
+        rng.shuffle(labels)
+        if kind == "psd":
+            x = rng.standard_normal((m, dim))
+            matrix = x @ x.T
+            matrix = (matrix + matrix.T) / 2
+            g = GramMatrix(matrix, KernelSpec(SQUARED_OVERLAP), np.linalg.eigvalsh(matrix))
+        else:
+            g = gram(KernelSpec(kind), random_inputs(kind, rng, m, dim))
+        assert np.array_equal(g.matrix, g.matrix.T)
+        alpha, bias = reference_smo(g.matrix, labels, C)
+        model = svm_train(g, labels, C=C)
+        assert np.array_equal(model.multipliers, alpha)
+        assert model.bias == bias
+        if C < 1:
+            assert np.any(alpha == C)
 
 
 class TestRegression:
