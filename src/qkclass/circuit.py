@@ -1,26 +1,30 @@
 """Swap-test circuit operators, expectation values, and shot sampling.
 
 The swap-test unitary is Hadamard on the ancilla, a controlled swap of every
-(test, train) copy pair, and a second Hadamard. ``apply_swap_test_unitary``
-applies it through axis manipulation to a state vector or, with
-``rows=True``, along a leading batch axis to every row of a stack of
-component vectors; that is what the classifiers use. A bare 2-D array is
-never read as a stack unless asked: elsewhere in this module it is a
-density matrix. ``build_swap_test_unitary`` returns the unitary as an
-explicit (cached, unitarity-checked) matrix for the reference checks.
+(test, train) copy pair, and a second Hadamard. Assembled states are stacks
+of component vectors with row signs, rho = sum_i s_i |v_i><v_i|, so a
+measured value is a signed sum over the rows. The measured observables (the
+ancilla-label parity, the ancilla-free swap-label observable and the
+register swap) are Pauli Z factors on named registers times a register
+permutation; they are stored in that form, and their dense matrices are
+built only when ``.matrix`` is read.
 
-Assembled states are stacks of component vectors with row signs,
-rho = sum_i s_i |v_i><v_i|, so a measured value is a signed sum over the
-rows. The measured observables (the ancilla-label parity, the ancilla-free
-swap-label observable and the register swap) are Pauli Z factors on named
-registers times a register permutation. They are stored in that form and
-applied to the reshaped state tensor, so measuring costs about the state,
-not its square; their dense matrices are built only when ``.matrix`` is
-read.
+One blocked kernel runs the circuit and measures: it walks a stack in
+blocks of rows whose buffers stay small (``BLOCK_BYTES``), runs the circuit
+on each block when asked, and adds the block's signed share of the value,
+so neither the post-circuit stack nor any other stack-sized temporary is
+formed. ``swap_test_expectation`` (circuit, then the ancilla-label parity)
+and ``expectation`` on stacks measure through it, and
+``apply_swap_test_unitary`` / ``run_swap_test`` are the same blocked pass
+writing every block into one output array. A bare 2-D array is never read
+as a stack unless asked: elsewhere in this module it is a density matrix.
+``build_swap_test_unitary`` returns the unitary as an explicit (cached,
+unitarity-checked) matrix for the reference checks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -142,19 +146,11 @@ class Observable:
         return self._involutory
 
     def _vector_value(self, vec: np.ndarray, signs: np.ndarray | None = None) -> complex:
-        """sum_i s_i <v_i|O|v_i> over the rows of a stack (or one vector),
-        as vdot(s V, z * V.transpose(order)) with a leading batch axis, z
-        the Pauli Z diagonals and s the row signs (all +1 when None). The
-        Z registers stay in place, so z applies after the transpose, in
-        place on the one copy that the transpose needs."""
-        t = vec.reshape((-1,) + self.layout.dims)
-        acted = np.empty(t.shape, dtype=complex)
-        np.copyto(acted, t.transpose((0,) + tuple(1 + i for i in self.order)))
-        for i in self.z_registers:
-            shape = [1] * t.ndim
-            shape[i + 1] = 2
-            acted *= _Z_DIAGONAL.reshape(shape)
-        return complex(np.vdot(_signed(t, signs), acted))
+        """sum_i s_i <v_i|O|v_i> over the rows of a 2-D stack, with s the row
+        signs (all +1 when None), measured block by block by
+        :func:`_stack_value`."""
+        return _stack_value(vec, signs, _observable_plan(self.layout, self.z_registers,
+                                                         self.order))
 
     def _matrix_value(self, rho: np.ndarray) -> complex:
         """Tr(O rho) = sum_a s(a) rho[a, order(a)], one einsum over the
@@ -265,6 +261,176 @@ def build_swap_test_unitary(layout: RegisterLayout) -> np.ndarray:
     return v
 
 
+# Bytes of rows in one block of the swap-test kernel. Each of its buffers
+# stays under glibc's default 128 KiB mmap threshold, so it is served from
+# the heap and reused from call to call, instead of being mapped (and
+# page-faulted in) afresh for every call.
+BLOCK_BYTES = 120 * 1024
+
+
+@dataclass(frozen=True)
+class _StackPlan:
+    """How :func:`_stack_value` walks the rows of one layout.
+
+    ``ancilla`` is the axis of the ancilla register in a row shaped
+    ``dims`` when the swap-test circuit runs, None when it does not. ``perm``
+    is the register permutation of the plan, an axis permutation of
+    (rows,) + ``head``: with a circuit, the swap of every (test, train) pair
+    on one ancilla half; without one, the measured observable's order (None
+    for the identity). The registers after ``head`` are left in place by it
+    and move as one raw item of ``item`` bytes, so a permuted copy runs over
+    items, not over single amplitudes. The measured observable multiplies
+    each amplitude by its Pauli Z sign; ``z`` holds each sign twice, for
+    the (real, imaginary) float view of a row.
+    """
+
+    dims: tuple[int, ...]
+    ancilla: int | None
+    head: tuple[int, ...]
+    perm: tuple[int, ...] | None
+    item: int
+    z: np.ndarray
+
+
+def _split_tail(dims: tuple[int, ...], order: tuple[int, ...], floor: int = 0):
+    """(head, perm, item) of a register permutation ``order`` of ``dims``:
+    the registers before its trailing run of fixed ones (none of them
+    before position ``floor``), the permutation as axes of (rows,) + head,
+    and the bytes of the run."""
+    cut = len(dims)
+    while cut > floor and order[cut - 1] == cut - 1:
+        cut -= 1
+    perm = (0,) + tuple(1 + i for i in order[:cut])
+    return dims[:cut], perm, 16 * math.prod(dims[cut:])
+
+
+# A plan holds 16 bytes of signs per amplitude, as much as one row, so
+# only a few plans are kept.
+@lru_cache(maxsize=16)
+def _observable_plan(layout: RegisterLayout, z_registers: tuple[int, ...],
+                     order: tuple[int, ...]) -> _StackPlan:
+    """Plan that measures a structured observable, with no circuit."""
+    z = np.ones(layout.dims + (2,))
+    for i in z_registers:
+        z[(slice(None),) * i + (1,)] *= -1.0
+    z = z.ravel()
+    z.setflags(write=False)
+    head, perm, item = _split_tail(layout.dims, order)
+    return _StackPlan(layout.dims, None, head, None if not head else perm, item, z)
+
+
+@lru_cache(maxsize=16)
+def _swap_test_plan(layout: RegisterLayout) -> _StackPlan:
+    """Plan that runs the swap-test circuit, then measures the ancilla-label
+    parity."""
+    dims = layout.dims
+    a = layout.index_of(ANCILLA)
+    order = _pair_swap_order(layout)
+    if order == tuple(range(len(dims))):
+        raise DimensionError("layout has no (test, train) pairs to swap")
+    rest = [i for i in range(len(dims)) if i != a]
+    # Only registers after the ancilla are contiguous within a half.
+    head, perm, item = _split_tail(tuple(dims[i] for i in rest),
+                                   tuple(rest.index(order[i]) for i in rest), a)
+    parity = ancilla_label_parity(layout)
+    return _StackPlan(dims, a, head, perm, item,
+                      _observable_plan(layout, parity.z_registers, parity.order).z)
+
+
+def _items(arr: np.ndarray, plan: _StackPlan) -> np.ndarray:
+    """View of a (rows, ...) array as (rows,) + plan.head raw items. The
+    reshape only merges the trailing registers, which are contiguous in
+    every array passed here, so it is a view and writes reach ``arr``."""
+    flat = arr.reshape(arr.shape[:1] + plan.head + (-1,))
+    return flat.view(np.dtype((np.void, plan.item)))[..., 0]
+
+
+def _permute(src: np.ndarray, plan: _StackPlan, out: np.ndarray) -> None:
+    """out = the plan's register permutation of src, both as :func:`_items`
+    views. It is the swap step of the circuit, and the permutation of a
+    measured observable."""
+    np.copyto(out, src.transpose(plan.perm))
+
+
+def _block_rows(stack: np.ndarray) -> int:
+    """Rows per block: as many as fit in ``BLOCK_BYTES``, at least one."""
+    return max(1, min(stack.shape[0], BLOCK_BYTES // (16 * stack.shape[1])))
+
+
+def _blocks(stack: np.ndarray, plan: _StackPlan, out: np.ndarray | None = None):
+    """Yield (rows, block) over consecutive row blocks of a C-contiguous
+    2-D stack, ``rows`` the block's slice of the stack.
+
+    Without a circuit a block is a view of the stack. With one it is twice
+    the block after the swap-test unitary (the two Hadamards without their
+    1/sqrt(2) factors): with t0, t1 the ancilla-0 and ancilla-1 halves and
+    S the swap of every (test, train) pair, 2 out0 = t0 + t1 + S(t0 - t1)
+    and 2 out1 = t0 + t1 - S(t0 - t1). It is written into ``out`` (an
+    array of the stack's shape) or, when None, into one block buffer that
+    every block reuses.
+    """
+    count, dim = stack.shape
+    size = _block_rows(stack)
+    if plan.ancilla is None:
+        for start in range(0, count, size):
+            rows = slice(start, start + size)
+            yield rows, stack[rows]
+        return
+    h0, h1 = ((slice(None),) * (1 + plan.ancilla) + (h,) for h in (0, 1))
+    target = np.empty((size, dim), dtype=complex) if out is None else out
+    t_all, o_all = (x.reshape((-1,) + plan.dims) for x in (stack, target))
+    o1_items = _items(o_all[h1], plan)
+    plus_all, diff_all = np.empty((2, size) + o_all[h0].shape[1:], dtype=complex)
+    diff_items = _items(diff_all, plan)
+    for start in range(0, count, size):
+        rows = slice(start, min(start + size, count))
+        n = rows.stop - start
+        at = rows if out is not None else slice(0, n)
+        t, o, plus = t_all[rows], o_all[at], plus_all[:n]
+        t0, t1, o0, o1 = t[h0], t[h1], o[h0], o[h1]
+        np.add(t0, t1, out=plus)
+        np.subtract(t0, t1, out=diff_all[:n])
+        _permute(diff_items[:n], plan, o1_items[at])
+        np.add(plus, o1, out=o0)
+        np.subtract(plus, o1, out=o1)
+        yield rows, target[at]
+
+
+def _stack_value(stack: np.ndarray, signs: np.ndarray | None, plan: _StackPlan) -> complex:
+    """sum_i s_i <v_i|O|v_i> over the rows v_i of a 2-D stack (after the
+    swap-test circuit when the plan runs it), block by block, in buffers of
+    at most ``BLOCK_BYTES``; neither the post-circuit stack nor any other
+    stack-sized array is formed.
+
+    A diagonal O adds sum_x z(x) |v(x)|^2 per row, a square and one
+    matrix-vector product on the float view, real by construction; a
+    permuting O adds vdot(v, z (v with its registers permuted)).
+    """
+    stack = np.ascontiguousarray(stack)
+    circuit = plan.ancilla is not None
+    diagonal = circuit or plan.perm is None
+    if not circuit:
+        scratch = np.empty((_block_rows(stack), stack.shape[1]), dtype=complex)
+    if not diagonal:
+        stack_items, scratch_items = _items(stack, plan), _items(scratch, plan)
+    total = 0j
+    for rows, block in _blocks(stack, plan):
+        n = block.shape[0]
+        # A post-circuit block is the kernel's own buffer, free to overwrite.
+        part = block if circuit else scratch[:n]
+        if diagonal:
+            values = np.square(block.view(float), out=part.view(float)) @ plan.z
+            total += values.sum() if signs is None else signs[rows] @ values
+            continue
+        _permute(stack_items[rows], plan, scratch_items[:n])
+        np.multiply(part.view(float), plan.z, out=part.view(float))
+        if signs is not None:
+            part *= signs[rows, None]
+        total += np.vdot(block, part)
+    # A post-circuit block holds twice the state (see _blocks).
+    return complex(total / 4.0 if circuit else total)
+
+
 def apply_swap_test_unitary(x: np.ndarray, layout: RegisterLayout, *,
                             rows: bool = False) -> np.ndarray:
     """Apply the swap-test unitary to a state vector, or with ``rows=True``
@@ -273,30 +439,21 @@ def apply_swap_test_unitary(x: np.ndarray, layout: RegisterLayout, *,
     rejected: evolve a density matrix as a :class:`ClassifierState` through
     :func:`run_swap_test`, or with :func:`build_swap_test_unitary`.
 
-    With t0, t1 the ancilla-0 and ancilla-1 halves and S the swap of every
-    (test, train) pair, Hadamard, controlled swap and Hadamard give
-    out0 = (t0 + t1 + S(t0 - t1)) / 2 and out1 = (t0 + t1 - S(t0 - t1)) / 2.
+    The rows pass through the blocked circuit of :func:`swap_test_expectation`,
+    which here writes every block into one output array.
     """
-    dims = layout.dims
-    a = layout.index_of(ANCILLA)
-    order = _pair_swap_order(layout)
-    if order == tuple(range(len(dims))):
-        raise DimensionError("layout has no (test, train) pairs to swap")
+    plan = _swap_test_plan(layout)
     arr = np.asarray(x, dtype=complex)
     if arr.ndim != (2 if rows else 1) or arr.shape[-1] != layout.dim:
         what = "stack of rows" if rows else "state vector"
         raise DimensionError(
             f"expected a {what} of layout dim {layout.dim}, got shape {arr.shape}")
-    rest = [i for i in range(len(dims)) if i != a]
-    swap = (0,) + tuple(1 + rest.index(order[i]) for i in rest)
-    t = np.moveaxis(arr.reshape((-1,) + dims), 1 + a, 1)
-    plus = t[:, 0] + t[:, 1]
-    swapped = (t[:, 0] - t[:, 1]).transpose(swap)
-    out = np.empty(t.shape, dtype=complex)
-    np.add(plus, swapped, out=out[:, 0])
-    np.subtract(plus, swapped, out=out[:, 1])
+    stack = np.ascontiguousarray(arr.reshape(-1, layout.dim))
+    out = np.empty(stack.shape, dtype=complex)
+    for _ in _blocks(stack, plan, out):
+        pass
     out *= 0.5
-    return np.moveaxis(out, 1, 1 + a).reshape(arr.shape)
+    return out.reshape(arr.shape)
 
 
 def run_swap_test(state: ClassifierState) -> ClassifierState:
@@ -304,6 +461,17 @@ def run_swap_test(state: ClassifierState) -> ClassifierState:
     the result is a stack on the same layout, with the same row signs."""
     after = apply_swap_test_unitary(state.stack, state.layout, rows=True)
     return ClassifierState(None, state.layout, vector=after, signs=state.signs)
+
+
+def swap_test_expectation(state: ClassifierState) -> float:
+    """Ancilla-label parity <Z_a Z_l> after the swap-test circuit, summed over
+    the signed rows of an assembled state with an ancilla.
+
+    The circuit runs and the parity is measured block by block, in buffers
+    of at most ``BLOCK_BYTES`` each; the post-circuit stack is never built.
+    The value, a signed sum of squared magnitudes, is real by construction.
+    """
+    return _stack_value(state.stack, state.signs, _swap_test_plan(state.layout)).real
 
 
 def _state_array(state) -> tuple[np.ndarray, np.ndarray | None, bool]:

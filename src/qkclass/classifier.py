@@ -22,9 +22,8 @@ from typing import Sequence
 import numpy as np
 
 from . import encoding, qmath
-from .circuit import (ancilla_label_parity, expectation,
-                      outcome_probabilities, run_swap_test,
-                      swap_label_observable)
+from .circuit import (expectation, outcome_probabilities,
+                      swap_label_observable, swap_test_expectation)
 from .encoding import ClassifierState, TrainingSet
 from .errors import DataError, DimensionError, NumericError
 from .kernelsvm import (HS_TRACE, REAL_OVERLAP, SQUARED_OVERLAP, KernelSpec,
@@ -184,8 +183,7 @@ def stc_classify_bias(ts: TrainingSet, test,
     bias_term, weights = ts.effective_bias_and_weights()
     out = _kernel_output(_stc_terms(ts, [state], weights)[0] if len(ts) else np.zeros(0),
                          tie_eps, bias_term)
-    assembled = run_swap_test(encoding.assemble_bias_extended(ts, state))
-    simulated = expectation(ancilla_label_parity(assembled.layout), assembled)
+    simulated = swap_test_expectation(encoding.assemble_bias_extended(ts, state))
     if abs(simulated - out.expectation) > MODE_AGREEMENT_ATOL:
         raise NumericError(f"bias circuit value {simulated} disagrees with "
                            f"the closed form {out.expectation}")
@@ -289,14 +287,14 @@ def classify_assembled(state: ClassifierState,
 
     Ensembles whose members use different copy counts are evaluated member
     by member and combined linearly; otherwise the stack is measured through
-    the circuit (with ancilla) or the swap observable (without).
+    the blocked circuit kernel (with ancilla) or the swap observable
+    (without).
     """
     if state.members is not None:
         value = sum(q * classify_assembled(member, tie_eps).expectation
                     for q, member in state.members)
     elif state.layout.has(ANCILLA):
-        after = run_swap_test(state)
-        value = expectation(ancilla_label_parity(after.layout), after)
+        value = swap_test_expectation(state)
     else:
         value = expectation(swap_label_observable(state.layout), state)
     return ClassifierOutput(float(value), decide(value, tie_eps))

@@ -54,7 +54,7 @@ def parse_complex(token: str, row: int, col: int) -> complex:
         value = complex(text.replace("i", "j"))
     except ValueError:
         raise DataError(f"row {row}, column {col}: cannot parse {token!r} as a number")
-    if not (np.isfinite(value.real) and np.isfinite(value.imag)):
+    if not (math.isfinite(value.real) and math.isfinite(value.imag)):
         raise DataError(f"row {row}, column {col}: non-finite entry {token!r}")
     return value
 

@@ -215,7 +215,7 @@ def run_experiment(config: ExperimentConfig, dataset: DatasetFile,
             "expectation": out.expectation,
             "predicted_label": (out.predicted_label if out.predicted_label != clf.TIE
                                 else 0 if config.tie_as_zero else "tie"),
-            "per_term": [[m, v] for m, v in (out.per_term or ())],
+            "per_term": out.per_term or (),
             "bias_term": out.bias_term,
         }
         if test_labels is not None:

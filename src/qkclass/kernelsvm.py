@@ -48,12 +48,12 @@ def _stack(kind: str, states: Sequence) -> np.ndarray:
     a stack as it is given, state objects after checking their type and that
     they share one dimension."""
     want = DensityMatrix if kind == HS_TRACE else QState
-    if isinstance(states, np.ndarray):
-        if states.ndim != (3 if kind == HS_TRACE else 2):
-            raise DimensionError(f"{kind} kernel cannot take a stack of shape {states.shape}")
-        return states
+    if isinstance(states, np.ndarray) and states.ndim != (3 if kind == HS_TRACE else 2):
+        raise DimensionError(f"{kind} kernel cannot take a stack of shape {states.shape}")
     if len(states) == 0:
         raise DataError(f"{kind} kernel needs at least one state")
+    if isinstance(states, np.ndarray):
+        return states
     if not all(isinstance(s, want) for s in states):
         raise DataError(f"{kind} kernel requires homogeneous {want.__name__} inputs")
     dims = {s.dim for s in states}
@@ -202,24 +202,31 @@ def svm_train(g: GramMatrix, labels: Sequence[int], C: float = DEFAULT_C,
         raise DataError(f"box constraint C must be finite and positive, got {C}")
 
     l = (1 - 2 * labels).astype(float)
+    neg_l = -l
     positive = l > 0
     q = np.outer(l, l) * g.matrix
     m = g.size
     alpha = np.zeros(m)
     grad = -np.ones(m)  # gradient of 1/2 aQa - sum(a)
+    # Selection penalties, added to -l * grad: 0 where an index may enter
+    # the pair as i (``up``) or as j (``low``), -inf / +inf where it may
+    # not. A step moves only alpha[i] and alpha[j], so only their entries
+    # (and the counts of open entries) change.
+    up_pen = np.where(positive, 0.0, -np.inf)
+    low_pen = np.where(positive, np.inf, 0.0)
+    n_up, n_low = int(positive.sum()), int(m - positive.sum())
+    minus_lg, buf = np.empty(m), np.empty(m)
     history = []
     converged = False
     for _ in range(max_iter):
         if record_objective:
             history.append(_dual_objective(alpha, q))
-        minus_lg = -l * grad
-        up = np.where(positive, alpha < C, alpha > 0)
-        low = np.where(positive, alpha > 0, alpha < C)
-        if not up.any() or not low.any():
+        np.multiply(neg_l, grad, out=minus_lg)
+        if not n_up or not n_low:
             converged = True
             break
-        i = int(np.argmax(np.where(up, minus_lg, -np.inf)))
-        j = int(np.argmin(np.where(low, minus_lg, np.inf)))
+        i = int(np.add(minus_lg, up_pen, out=buf).argmax())
+        j = int(np.add(minus_lg, low_pen, out=buf).argmin())
         gap = minus_lg[i] - minus_lg[j]
         if gap < tol:
             converged = True
@@ -233,6 +240,13 @@ def svm_train(g: GramMatrix, labels: Sequence[int], C: float = DEFAULT_C,
         alpha[j] += d_j
         # q is symmetric (exactly so from gram()): rows stand in for columns.
         grad += q[i] * d_i + q[j] * d_j
+        for k in (i, j):
+            up = bool(alpha[k] < C if positive[k] else alpha[k] > 0)
+            low = bool(alpha[k] > 0 if positive[k] else alpha[k] < C)
+            n_up += up - bool(up_pen[k] == 0.0)
+            n_low += low - bool(low_pen[k] == 0.0)
+            up_pen[k] = 0.0 if up else -np.inf
+            low_pen[k] = 0.0 if low else np.inf
     if not converged:
         raise NumericError(f"SMO did not reach tolerance {tol} in {max_iter} iterations")
     if record_objective:

@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qkclass import circuit as circuit_module
 from qkclass import qmath
 from qkclass.circuit import (Observable, ancilla_label_parity,
                              apply_swap_test_unitary,
@@ -8,14 +11,15 @@ from qkclass.circuit import (Observable, ancilla_label_parity,
                              empirical_expectation, expectation,
                              outcome_probabilities, run_swap_test,
                              sample_shots, swap_label_observable,
-                             swap_operator)
+                             swap_operator, swap_test_expectation)
+from qkclass.classifier import classify_assembled
 from qkclass.encoding import (ClassifierState, TrainingSet, assemble_mixed_stc_input,
-                              assemble_pure_stc_input)
+                              assemble_pure_stc_input, mixed_stc_state)
 from qkclass.errors import DataError, DimensionError, NumericError
 from qkclass.qmath import (PAULIS, SIGMA_Z, QState, basis_state,
                            random_density_matrix, random_state_vector,
                            tensor, tensor_power)
-from qkclass.registers import (ANCILLA, LABEL, TEST, Register, RegisterLayout,
+from qkclass.registers import (ANCILLA, LABEL, TEST, TRAIN, Register, RegisterLayout,
                                block_layout, pair_layout)
 
 
@@ -394,6 +398,100 @@ class TestStructuredObservables:
                                  Register(LABEL, 2)))
         with pytest.raises(DimensionError):
             Observable.z_permutation(layout, z, order)
+
+
+def signed_stack(rng, rows: int, dim: int, negative: int = 0):
+    """Random stack of ``rows`` rows whose last ``negative`` rows carry sign
+    -1 (small, as round-off eigen-parts are), scaled to trace 1."""
+    stack = rng.normal(size=(rows, dim)) + 1j * rng.normal(size=(rows, dim))
+    stack[rows - negative:] *= 1e-3
+    signs = np.where(np.arange(rows) < rows - negative, 1.0, -1.0)
+    stack /= np.sqrt(signs @ np.linalg.norm(stack, axis=1) ** 2)
+    return stack, (signs if negative else None)
+
+
+def dense_value(op: np.ndarray, stack: np.ndarray, signs) -> float:
+    """sum_i s_i <v_i|op|v_i> with the dense matrix ``op``."""
+    values = np.einsum("ij,ij->i", stack.conj(), stack @ op.T)
+    return float((values if signs is None else signs * values).sum().real)
+
+
+KERNEL_LAYOUTS = [
+    pytest.param(block_layout(2, 1), id="block-k1"),
+    pytest.param(block_layout(2, 2), id="block-k2"),
+    pytest.param(block_layout(2, 1, index_slots=3), id="indexed"),
+    pytest.param(pair_layout(2, 2), id="pair-k2"),
+    pytest.param(RegisterLayout((Register(TEST, 2, 1), Register(ANCILLA, 2),
+                                 Register(TRAIN, 2, 1), Register(LABEL, 2))),
+                 id="ancilla-in-the-middle"),
+    pytest.param(RegisterLayout((Register(TEST, 2, 1), Register(TRAIN, 2, 1),
+                                 Register(LABEL, 2), Register(ANCILLA, 2))),
+                 id="ancilla-last"),
+]
+
+
+class TestBlockedKernel:
+    """The blocked swap-test kernel against the dense unitary and the dense
+    observable matrices, with blocks small enough that every stack spans
+    several of them and ends in a partial one."""
+
+    @pytest.fixture(autouse=True)
+    def small_blocks(self, monkeypatch):
+        monkeypatch.setattr(circuit_module, "BLOCK_BYTES", 3 * 16 * 32)
+
+    @pytest.mark.parametrize("layout", KERNEL_LAYOUTS)
+    @pytest.mark.parametrize("rows,negative", [(1, 0), (7, 0), (7, 2), (9, 3)])
+    def test_circuit_and_parity_match_dense(self, layout, rows, negative):
+        rng = np.random.default_rng(rows * 10 + negative + layout.dim)
+        stack, signs = signed_stack(rng, rows, layout.dim, negative)
+        u = build_swap_test_unitary(layout)
+        after = stack @ u.T
+        assert np.abs(apply_swap_test_unitary(stack, layout, rows=True) - after).max() < 1e-12
+        state = ClassifierState(None, layout, vector=stack, signs=signs)
+        assert np.abs(run_swap_test(state).stack - after).max() < 1e-12
+        parity = ancilla_label_parity(layout)
+        expect = dense_value(parity.matrix, after, signs)
+        assert abs(swap_test_expectation(state) - expect) < 1e-12
+        assert abs(classify_assembled(state).expectation - expect) < 1e-12
+        assert abs(expectation(parity, run_swap_test(state)) - expect) < 1e-12
+
+    @pytest.mark.parametrize("layout", KERNEL_LAYOUTS[:4] + [
+        pytest.param(pair_layout(2, 2, ancilla=False), id="pair-k2-bare"),
+        pytest.param(block_layout(2, 2, ancilla=False), id="block-k2-bare")])
+    @pytest.mark.parametrize("rows,negative", [(1, 0), (7, 0), (9, 3)])
+    def test_measured_observables_match_dense(self, layout, rows, negative):
+        rng = np.random.default_rng(rows * 10 + negative + layout.dim + 1)
+        stack, signs = signed_stack(rng, rows, layout.dim, negative)
+        state = ClassifierState(None, layout, vector=stack, signs=signs)
+        observables = [swap_label_observable(layout)]
+        if layout.has(ANCILLA):
+            observables.append(ancilla_label_parity(layout))
+        for obs in observables:
+            expect = dense_value(obs.matrix, stack, signs)
+            assert abs(expectation(obs, state) - expect) < 1e-12
+            probs = outcome_probabilities(obs, state)
+            assert abs(probs[1] - probs[-1] - expect) < 1e-12
+
+    def test_classify_assembled_allocates_under_a_quarter_of_the_stack(self, monkeypatch):
+        # m=32, dim=4, k=2, rank-2 data: a stack of 128 rows of 1024
+        # amplitudes (2 MiB), measured through the circuit at the default
+        # block size.
+        monkeypatch.undo()
+        rng = np.random.default_rng(1200)
+        states = [random_density_matrix(4, rng, rank=2) for _ in range(32)]
+        ts = TrainingSet.from_states([(s, i % 2, 1.0) for i, s in enumerate(states)], k=2)
+        state = mixed_stc_state(ts, random_density_matrix(4, rng, rank=2))
+        assert state.stack.nbytes == 2 * 2**20
+        tracemalloc.start()
+        try:
+            value = classify_assembled(state).expectation
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < state.stack.nbytes / 4
+        u = build_swap_test_unitary(state.layout)
+        parity = ancilla_label_parity(state.layout).matrix
+        assert abs(value - dense_value(parity, state.stack @ u.T, state.signs)) < 1e-12
 
 
 class TestEmbedding:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qkclass import circuit as circuit_module
 from qkclass import classifier as classifier_module
 from qkclass import qmath
 from qkclass.classifier import (STC_MODES, TIE, ClassifierOutput, classify_assembled,
@@ -147,9 +148,9 @@ class TestStcClassify:
         assert abs(classify_assembled(joint).expectation - expect) < 1e-10
 
     def test_circuit_modes_are_checked_against_the_kernel_sum(self, monkeypatch):
-        # Skipping the swap test, or measuring Z on the label without the
-        # swap, leaves sum_m sign_m w_m instead of the kernel sum, which the
-        # output's 1e-12 per-term check must reject.
+        # Skipping the circuit kernel's swap step, or measuring Z on the
+        # label without the swap, leaves sum_m sign_m w_m instead of the
+        # kernel sum, which the output's 1e-12 per-term check must reject.
         rng = np.random.default_rng(1100)
         cases = [(random_pure_training(rng, 3, 2, k=2), random_state_vector(2, rng)),
                  (random_mixed_training(rng, 3, 2, k=2), random_density_matrix(2, rng))]
@@ -157,7 +158,8 @@ class TestStcClassify:
             for mode in ("ancilla-circuit", "minimal"):
                 stc_classify(ts, test, mode=mode)
             with monkeypatch.context() as patch:
-                patch.setattr(classifier_module, "run_swap_test", lambda state: state)
+                patch.setattr(circuit_module, "_permute",
+                              lambda src, plan, out: np.copyto(out, src))
                 with pytest.raises(NumericError, match="per-term sum"):
                     stc_classify(ts, test, mode="ancilla-circuit")
             with monkeypatch.context() as patch:
@@ -362,14 +364,16 @@ class TestStcClassifyBias:
         assert built == []
 
     def test_circuit_check_runs_on_every_call(self, monkeypatch):
-        # Skipping the swap test leaves a parity that differs from the
-        # closed form, which the 1e-10 cross-check must reject.
+        # Skipping the circuit kernel's swap step leaves a parity that
+        # differs from the closed form, which the 1e-10 cross-check must
+        # reject.
         rng = np.random.default_rng(2101)
         ts = TrainingSet.from_states(
             [(random_state_vector(2, rng), i % 2, 1.0) for i in range(3)], bias=0.3)
         test = random_state_vector(2, rng)
         stc_classify_bias(ts, test)
-        monkeypatch.setattr(classifier_module, "run_swap_test", lambda state: state)
+        monkeypatch.setattr(circuit_module, "_permute",
+                            lambda src, plan, out: np.copyto(out, src))
         with pytest.raises(NumericError):
             stc_classify_bias(ts, test)
 

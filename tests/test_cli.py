@@ -194,6 +194,27 @@ class TestRunExperiment:
         assert blobs[0] == blobs[1]
 
     @pytest.mark.parametrize("overrides", [
+        {"shots": 10, "seed": 3}, {"mode": "minimal"}, {"classifier": "stc-bias", "bias": 0.2},
+        {"classifier": "hc"},
+    ])
+    def test_per_term_written_as_the_list_form(self, workdir, overrides):
+        # run_experiment hands each output's per_term tuple to the writer
+        # unchanged; the file must hold the bytes of the [[m, v], ...] list
+        # form, apart from the timing field.
+        ds = gen_toy("separable", 6, 2, seed=6)
+        tests = gen_toy("random", 3, 2, seed=7).features
+        payload = run_experiment(ExperimentConfig(**overrides), ds, tests)
+        as_lists = dict(payload, results=[
+            dict(entry, per_term=[[m, v] for m, v in entry["per_term"]])
+            for entry in payload["results"]])
+        assert any(entry["per_term"] for entry in as_lists["results"])
+        blobs = []
+        for name, body in (("tuples.json", payload), ("lists.json", as_lists)):
+            write_results(body, name)
+            blobs.append(WALL_CLOCK.sub("", (workdir / name).read_text()))
+        assert blobs[0] == blobs[1]
+
+    @pytest.mark.parametrize("overrides", [
         {}, {"k": 2}, {"keep_norms": True}, {"k": 2, "keep_norms": True},
         {"weights": "explicit", "explicit_weights": tuple(range(1, 13))},
         {"weights": "trained"}, {"weights": "trained", "k": 2, "keep_norms": True},

@@ -134,8 +134,17 @@ class TestKernelMatrix:
                           [KET0])
 
     def test_empty_input_rejected(self):
+        # An empty list and an empty stack are the same empty input.
         with pytest.raises(DataError):
             kernel_matrix(KernelSpec(SQUARED_OVERLAP), [], [KET0])
+        for spec, empty, one in ((KernelSpec(SQUARED_OVERLAP), np.zeros((0, 2)), [KET0]),
+                                 (KernelSpec(REAL_OVERLAP), np.zeros((0, 2)), [KET0]),
+                                 (KernelSpec(HS_TRACE), np.zeros((0, 2, 2)),
+                                  [KET0.to_density()])):
+            with pytest.raises(DataError, match="at least one state"):
+                kernel_matrix(spec, empty, one)
+            with pytest.raises(DataError, match="at least one state"):
+                kernel_matrix(spec, one, empty)
 
     def test_value_outside_unit_interval_rejected(self):
         not_psd = DensityMatrix(np.diag([1.5, -0.5]), check_psd=False)
