@@ -201,8 +201,9 @@ def run_experiment(config: ExperimentConfig, dataset: DatasetFile,
     ts, model, g = build_training_set(config, dataset)
     if config.classifier == "stc-bias" and ts.bias is None:
         raise DataError("stc-bias requires a nonzero bias (explicit or trained)")
-    point_seeds = np.random.SeedSequence(config.seed).generate_state(
-        max(1, len(test_features)))
+    if config.shots > 0:
+        point_seeds = np.random.SeedSequence(config.seed).generate_state(
+            max(1, len(test_features)))
     if config.classifier == "stc" and config.mode == "analytic" and len(test_features):
         outputs = clf.stc_classify_batch(ts, encoding.encode_rows(test_features)[0])
     else:

@@ -1,8 +1,11 @@
 import csv
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -603,6 +606,56 @@ class TestCliCommands:
         result = runner.invoke(main, ["classify", "train.csv", "--test", "tests.csv"])
         assert result.exit_code == 0
         assert json.loads(result.output)["results"][0]["predicted_label"] == 0
+
+
+# Runs CLI commands in one fresh interpreter and prints, after each, which of
+# numpy's lazily loaded submodules are loaded that ``import numpy`` alone
+# does not load.
+IMPORT_PROBE = """
+import json, sys
+import numpy
+lazy = [name for name in ("numpy.ma", "numpy.random") if name not in sys.modules]
+from qkclass.cli import main
+for argv in json.loads(sys.argv[1]):
+    main(argv, standalone_mode=False)
+    print(json.dumps([argv, [name for name in lazy if name in sys.modules]]))
+"""
+
+
+class TestImportHygiene:
+    def test_training_and_exact_classify_load_neither_ma_nor_random(self, runner, workdir):
+        gen_toy_file(runner, "--m", "12", "--dim", "4")
+        write_lines(workdir / "tests.csv", ["1,0,0,0", "0.6,0.8,0,0"])
+        classify = ["classify", "toy.csv", "--test", "tests.csv", "-o", "out.json"]
+        trained = ["--weights", "trained", "--bias", "trained"]
+        commands = [
+            ["train-svm", "toy.csv", "-o", "model.json"],
+            ["gram", "toy.csv", "-o", "gram.json"],
+            classify,
+            [*classify, "--mode", "ancilla-circuit"],
+            *([*classify, "--classifier", name, *trained] for name in ("stc-bias", "hc", "qsvm")),
+        ]
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", IMPORT_PROBE, json.dumps(commands)],
+                              capture_output=True, text=True, env=env, check=True)
+        lines = [json.loads(line) for line in done.stdout.splitlines()]
+        assert [argv for argv, _ in lines] == commands
+        assert all(loaded == [] for _, loaded in lines), lines
+
+    def test_shot_seeds_come_from_the_seed_sequence(self, runner, workdir):
+        gen_toy_file(runner, "--m", "6", "--dim", "2")
+        write_lines(workdir / "tests.csv", ["1,0", "0,1", "0.6,0.8"])
+        result = runner.invoke(main, ["sample", "toy.csv", "--test", "tests.csv",
+                                      "--shots", "50", "--seed", "11", "-o", "out.json"])
+        assert result.exit_code == 0, result.output
+        records = json.loads((workdir / "out.json").read_text())["results"]
+        assert [r["shots"]["seed"] for r in records] == \
+            np.random.SeedSequence(11).generate_state(3).tolist()
+        result = runner.invoke(main, ["classify", "toy.csv", "--test", "tests.csv",
+                                      "--seed", "11", "-o", "exact.json"])
+        assert result.exit_code == 0, result.output
+        assert all("shots" not in r
+                   for r in json.loads((workdir / "exact.json").read_text())["results"])
 
 
 def readme_round_trip() -> list[list[str]]:

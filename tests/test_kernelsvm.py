@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,10 +9,10 @@ from smo_reference import reference_smo
 from qkclass.classifier import stc_classify, stc_classify_bias
 from qkclass.encoding import TrainingSet
 from qkclass.errors import DataError, DimensionError, NumericError
-from qkclass.kernelsvm import (DEFAULT_C, HS_TRACE, KERNEL_KINDS, REAL_OVERLAP,
-                               SQUARED_OVERLAP, GramMatrix, KernelSpec, gram,
-                               kernel_eval, kernel_matrix, psd_certify,
-                               regression, svm_train)
+from qkclass.kernelsvm import (DEFAULT_C, HS_TRACE, KERNEL_KINDS, KKT_TOL,
+                               REAL_OVERLAP, SQUARED_OVERLAP, GramMatrix,
+                               KernelSpec, gram, kernel_eval, kernel_matrix,
+                               psd_certify, regression, svm_train)
 from qkclass.qmath import (DensityMatrix, QState, basis_state, hs_inner,
                            random_density_matrix, random_state_vector)
 
@@ -95,7 +97,7 @@ class TestKernelMatrix:
         assert np.abs(got - want).max() <= 1e-12
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-    @given(kind=st.sampled_from(KERNEL_KINDS), k=st.integers(1, 3), m=st.integers(1, 12),
+    @given(kind=st.sampled_from(KERNEL_KINDS), k=st.integers(1, 3), m=st.integers(1, 40),
            dim=st.sampled_from([2, 4, 8]), seed=st.integers(0, 2**32 - 1))
     def test_gram_symmetric_and_psd(self, kind, k, m, dim, seed):
         states = random_inputs(kind, np.random.default_rng(seed), m, dim)
@@ -150,6 +152,28 @@ class TestKernelMatrix:
         not_psd = DensityMatrix(np.diag([1.5, -0.5]), check_psd=False)
         with pytest.raises(NumericError):
             kernel_matrix(KernelSpec(HS_TRACE), [not_psd], [not_psd])
+
+    @pytest.mark.parametrize("as_stack", [False, True])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_hs_trace_matches_trace_loop(self, dim, k, as_stack):
+        # Every rank 1..dim among rows and columns; rows != columns in number.
+        rng = np.random.default_rng(610 + dim + k)
+        rows = [random_density_matrix(dim, rng, rank=1 + i % dim) for i in range(dim + 3)]
+        cols = [random_density_matrix(dim, rng, rank=dim - i % dim) for i in range(dim)]
+        want = np.array([[np.trace(r.entries @ c.entries).real ** k for c in cols]
+                         for r in rows])
+        if as_stack:
+            rows, cols = (np.stack([s.entries for s in part]) for part in (rows, cols))
+        got = kernel_matrix(KernelSpec(HS_TRACE, k=k), rows, cols)
+        assert got.shape == (dim + 3, dim)
+        assert np.abs(got - want).max() <= 1e-12
+
+    def test_non_hermitian_stack_rejected_on_imaginary_residual(self):
+        rng = np.random.default_rng(611)
+        raw = 0.3 * (rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2)))
+        with pytest.raises(NumericError, match="imaginary residual"):
+            kernel_matrix(KernelSpec(HS_TRACE), raw, raw)
 
 
 class TestGram:
@@ -266,6 +290,37 @@ class TestSvmTrain:
                        np.linalg.eigvalsh(np.eye(2)))
         with pytest.raises(DataError):
             svm_train(g, [0, 0])
+
+    @pytest.mark.parametrize("labels, message", [
+        ([0, 2, 1], "labels must be 0 or 1"),
+        ([2, 2, 2], "labels must be 0 or 1"),
+        ([-1, 0, 1], "labels must be 0 or 1"),
+        ([1, 1, 1], "requires both classes"),
+        ([0, 0, 0], "requires both classes"),
+        ([0, 1], "2 labels for a 3-point"),
+        ([0, 2], "2 labels for a 3-point"),
+    ])
+    def test_label_errors(self, labels, message):
+        g = GramMatrix(np.eye(3), KernelSpec(SQUARED_OVERLAP), np.ones(3))
+        with pytest.raises(DataError, match=message):
+            svm_train(g, labels)
+
+    def test_unconverged_error_names_gap_and_box(self):
+        # Random labels on a rank-6 Gram: not separable, so at C=1e6 the
+        # multipliers creep towards C and a few iterations leave a gap.
+        rng = np.random.default_rng(613)
+        x = rng.standard_normal((40, 6))
+        matrix = x @ x.T
+        g = GramMatrix(matrix, KernelSpec(SQUARED_OVERLAP), np.linalg.eigvalsh(matrix))
+        labels = np.arange(40) % 2
+        rng.shuffle(labels)
+        with pytest.raises(NumericError, match="SMO did not reach tolerance") as info:
+            svm_train(g, labels, max_iter=20)
+        found = re.search(r"in 20 iterations \(final KKT gap (\S+) at C=1e\+06\)",
+                          str(info.value))
+        assert found and float(found.group(1)) > KKT_TOL
+        assert "--box-c" in str(info.value)
+        assert svm_train(g, labels, C=1.0).multipliers.max() <= 1.0
 
     def test_non_psd_refused(self):
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])
