@@ -11,11 +11,11 @@ built only when ``.matrix`` is read.
 
 One blocked kernel runs the circuit and measures: it walks a stack in
 blocks of rows whose buffers stay small (``BLOCK_BYTES``), runs the circuit
-on each block when asked, and adds the block's signed share of the value,
-so neither the post-circuit stack nor any other stack-sized temporary is
-formed. ``swap_test_expectation`` (circuit, then the ancilla-label parity)
-and ``expectation`` on stacks measure through it, and
-``apply_swap_test_unitary`` / ``run_swap_test`` are the same blocked pass
+on each block when asked, and returns each row's measured value, so neither
+the post-circuit stack nor any other stack-sized temporary is formed.
+``swap_test_expectation`` (circuit, then the ancilla-label parity) and
+``expectation`` on stacks sum the signed row values; the batched
+classifiers read them per row. ``apply_swap_test_unitary`` / ``run_swap_test`` are the same blocked pass
 writing every block into one output array. A bare 2-D array is never read
 as a stack unless asked: elsewhere in this module it is a density matrix.
 ``build_swap_test_unitary`` returns the unitary as an explicit (cached,
@@ -145,13 +145,6 @@ class Observable:
             object.__setattr__(self, "_involutory", bool(ok))
         return self._involutory
 
-    def _vector_value(self, vec: np.ndarray, signs: np.ndarray | None = None) -> complex:
-        """sum_i s_i <v_i|O|v_i> over the rows of a 2-D stack, with s the row
-        signs (all +1 when None), measured block by block by
-        :func:`_stack_value`."""
-        return _stack_value(vec, signs, _observable_plan(self.layout, self.z_registers,
-                                                         self.order))
-
     def _matrix_value(self, rho: np.ndarray) -> complex:
         """Tr(O rho) = sum_a s(a) rho[a, order(a)], one einsum over the
         reshaped rho with no operator matrix."""
@@ -161,13 +154,6 @@ class Observable:
         for i in self.z_registers:
             operands += [_Z_DIAGONAL, [i]]
         return complex(np.einsum(*operands, []))
-
-
-def _signed(rows: np.ndarray, signs: np.ndarray | None) -> np.ndarray:
-    """Rows (leading axis) times their signs; the rows themselves when None."""
-    if signs is None:
-        return rows
-    return rows * signs.reshape((-1,) + (1,) * (rows.ndim - 1))
 
 
 @dataclass(frozen=True)
@@ -242,7 +228,7 @@ def build_swap_test_unitary(layout: RegisterLayout) -> np.ndarray:
     """Dense swap-test unitary for the given layout, verified unitary.
 
     Only intended for explicit-matrix checks at small dimensions; the
-    classifiers apply the same map with :func:`apply_swap_test_unitary`.
+    classifiers run the same map block by block in the measuring kernel.
     """
     check_dense_budget((layout.dim, layout.dim), "dense swap-test unitary")
     a = layout.index_of(ANCILLA)
@@ -396,16 +382,20 @@ def _blocks(stack: np.ndarray, plan: _StackPlan, out: np.ndarray | None = None):
         yield rows, target[at]
 
 
-def _stack_value(stack: np.ndarray, signs: np.ndarray | None, plan: _StackPlan) -> complex:
-    """sum_i s_i <v_i|O|v_i> over the rows v_i of a 2-D stack (after the
-    swap-test circuit when the plan runs it), block by block, in buffers of
-    at most ``BLOCK_BYTES``; neither the post-circuit stack nor any other
-    stack-sized array is formed.
+def _stack_value(stack: np.ndarray, layout: RegisterLayout,
+                 obs: Observable | None = None) -> np.ndarray:
+    """<v_i|O|v_i> of each row v_i of a 2-D stack on ``layout``: after the
+    swap-test circuit with O the ancilla-label parity when ``obs`` is None,
+    else with O the structured observable ``obs`` and no circuit. The rows
+    are measured block by block, in buffers of at most ``BLOCK_BYTES``;
+    neither the post-circuit stack nor any other stack-sized array is formed.
 
-    A diagonal O adds sum_x z(x) |v(x)|^2 per row, a square and one
+    A diagonal O gives sum_x z(x) |v(x)|^2 per row, a square and one
     matrix-vector product on the float view, real by construction; a
-    permuting O adds vdot(v, z (v with its registers permuted)).
+    permuting O gives the complex vdot(v, z (v with its registers permuted)).
     """
+    plan = (_swap_test_plan(layout) if obs is None
+            else _observable_plan(layout, obs.z_registers, obs.order))
     stack = np.ascontiguousarray(stack)
     circuit = plan.ancilla is not None
     diagonal = circuit or plan.perm is None
@@ -413,22 +403,24 @@ def _stack_value(stack: np.ndarray, signs: np.ndarray | None, plan: _StackPlan) 
         scratch = np.empty((_block_rows(stack), stack.shape[1]), dtype=complex)
     if not diagonal:
         stack_items, scratch_items = _items(stack, plan), _items(scratch, plan)
-    total = 0j
+    values = np.empty(stack.shape[0], dtype=float if diagonal else complex)
     for rows, block in _blocks(stack, plan):
         n = block.shape[0]
         # A post-circuit block is the kernel's own buffer, free to overwrite.
         part = block if circuit else scratch[:n]
         if diagonal:
-            values = np.square(block.view(float), out=part.view(float)) @ plan.z
-            total += values.sum() if signs is None else signs[rows] @ values
+            values[rows] = np.square(block.view(float), out=part.view(float)) @ plan.z
             continue
         _permute(stack_items[rows], plan, scratch_items[:n])
         np.multiply(part.view(float), plan.z, out=part.view(float))
-        if signs is not None:
-            part *= signs[rows, None]
-        total += np.vdot(block, part)
+        values[rows] = np.einsum("ij,ij->i", block.conj(), part)
     # A post-circuit block holds twice the state (see _blocks).
-    return complex(total / 4.0 if circuit else total)
+    return values / 4.0 if circuit else values
+
+
+def _signed_sum(values: np.ndarray, signs: np.ndarray | None):
+    """sum_i s_i values_i, with every s_i = +1 when ``signs`` is None."""
+    return values.sum() if signs is None else signs @ values
 
 
 def apply_swap_test_unitary(x: np.ndarray, layout: RegisterLayout, *,
@@ -471,7 +463,7 @@ def swap_test_expectation(state: ClassifierState) -> float:
     of at most ``BLOCK_BYTES`` each; the post-circuit stack is never built.
     The value, a signed sum of squared magnitudes, is real by construction.
     """
-    return _stack_value(state.stack, state.signs, _swap_test_plan(state.layout)).real
+    return float(_signed_sum(_stack_value(state.stack, state.layout), state.signs))
 
 
 def _state_array(state) -> tuple[np.ndarray, np.ndarray | None, bool]:
@@ -511,11 +503,12 @@ def expectation(obs, state) -> float:
     if arr.shape[-1] != dim:
         raise DimensionError(f"dimension mismatch: observable {dim} vs state {arr.shape}")
     if structured:
-        val = obs._matrix_value(arr) if is_matrix else obs._vector_value(arr, signs)
+        val = (obs._matrix_value(arr) if is_matrix
+               else _signed_sum(_stack_value(arr, obs.layout, obs), signs))
     elif is_matrix:
         val = complex(np.einsum("ij,ji->", mat, arr))
     else:
-        val = complex(np.vdot(_signed(arr, signs), arr @ mat.T))
+        val = complex(_signed_sum(np.einsum("ij,ij->i", arr.conj(), arr @ mat.T), signs))
     if abs(val.imag) > ATOL_DERIVED:
         raise NumericError(f"expectation has imaginary residual {val.imag}")
     return float(val.real)
@@ -535,7 +528,8 @@ def outcome_probabilities(obs: Observable, state) -> dict[int, float]:
         raise NumericError("outcome probabilities require a +-1 spectrum observable")
     value = expectation(obs, state)
     arr, signs, is_matrix = _state_array(state)
-    total = complex(np.trace(arr) if is_matrix else np.vdot(_signed(arr, signs), arr))
+    total = complex(np.trace(arr) if is_matrix
+                    else _signed_sum(np.einsum("ij,ij->i", arr.conj(), arr), signs))
     if abs(total.imag) > ATOL_DERIVED:
         raise NumericError(f"state trace has imaginary residual {total.imag}")
     if abs(total.real - 1.0) > ATOL_DERIVED:

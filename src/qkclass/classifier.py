@@ -22,14 +22,14 @@ from typing import Sequence
 import numpy as np
 
 from . import encoding, qmath
-from .circuit import (expectation, outcome_probabilities,
+from .circuit import (_stack_value, expectation, outcome_probabilities,
                       swap_label_observable, swap_test_expectation)
 from .encoding import ClassifierState, TrainingSet
 from .errors import DataError, DimensionError, NumericError
 from .kernelsvm import (HS_TRACE, REAL_OVERLAP, SQUARED_OVERLAP, KernelSpec,
                         kernel_matrix)
-from .qmath import DensityMatrix, QState
-from .registers import ANCILLA, index_register_dim
+from .qmath import ATOL_DERIVED, DensityMatrix, QState
+from .registers import ANCILLA, block_layout
 
 TIE_EPS = 1e-12
 MODE_AGREEMENT_ATOL = 1e-10
@@ -80,24 +80,21 @@ class ClassifierOutput:
                     f"per-term sum {total} does not reproduce expectation {self.expectation}")
 
 
-def _coerce_test_pure(test, ts: TrainingSet) -> tuple[QState, float]:
-    """Accept a QState or a raw feature vector; track the raw norm only in
-    keep-norms mode."""
+def _coerce_test_pure(test) -> tuple[np.ndarray, np.ndarray]:
+    """A QState or a raw feature vector as a stack of one unit vector, with
+    its raw norm (1 for a QState)."""
     if isinstance(test, QState):
-        return test, 1.0
+        return test.vec[None], np.ones(1)
     if isinstance(test, DensityMatrix):
         raise DataError("this classifier accepts pure test states only")
-    vecs, norms = encoding.encode_rows(qmath.as_cvec(test)[None])
-    return QState(vecs[0]), (float(norms[0]) if ts.mode == encoding.KEEP_NORMS else 1.0)
-
-
-def _terms(values: np.ndarray) -> tuple[tuple[int, float], ...]:
-    return tuple(enumerate(values.tolist()))
+    return encoding.encode_rows(qmath.as_cvec(test)[None])
 
 
 def _stc_terms(ts: TrainingSet, tests, weights: np.ndarray) -> np.ndarray:
     """Swap-test terms T[n, m] = sign_m w_m kernel(tests[n], x_m)**k: the
     squared overlap of pure tests, the trace inner product of density matrices."""
+    if not len(ts):
+        return np.zeros((len(tests), 0))
     if isinstance(tests[0], DensityMatrix):
         spec, train = KernelSpec(HS_TRACE, ts.k), ts.density_matrices()
     else:
@@ -105,28 +102,25 @@ def _stc_terms(ts: TrainingSet, tests, weights: np.ndarray) -> np.ndarray:
     return kernel_matrix(spec, tests, train) * ((1 - 2 * ts.labels) * weights)
 
 
-def _kernel_output(terms: np.ndarray, tie_eps: float, bias_term: float = 0.0) -> ClassifierOutput:
-    """Output whose value is the bias term plus the sum of one row of terms."""
-    per_term = _terms(terms)
-    value = bias_term + float(sum(v for _, v in per_term))
-    return ClassifierOutput(value, decide(value, tie_eps), per_term, bias_term=bias_term)
+def _chunks(count: int, row_bytes: int):
+    """Slices of consecutive rows, as many to a slice as fit in
+    ``encoding.PART_BYTES`` at ``row_bytes`` each, and at least one."""
+    size = max(1, encoding.PART_BYTES // max(1, row_bytes))
+    return (slice(lo, lo + size) for lo in range(0, count, size))
 
 
-def _real_overlaps(ts: TrainingSet, test: QState) -> np.ndarray:
-    """Re<x_m|test> for every training entry."""
-    return kernel_matrix(KernelSpec(REAL_OVERLAP), ts.states, [test])[:, 0]
+def _outputs(values: np.ndarray, terms: np.ndarray, bias_terms, tie_eps: float):
+    """One output per test row: its value, its row of terms and its bias term."""
+    bias_terms = np.broadcast_to(bias_terms, values.shape).tolist()
+    for value, row, bias in zip(values.tolist(), terms, bias_terms):
+        yield ClassifierOutput(value, decide(value, tie_eps), tuple(enumerate(row.tolist())), bias)
 
 
-def _circuit_mode_value(ts: TrainingSet, test, minimal: bool) -> float:
-    """Swap-test measurement value of the assembled input stack:
-    label-grouped eigen-factor products for a density-matrix test state;
-    for pure data one row per training entry, measured part by part so that
-    memory does not grow with the number of entries."""
-    if isinstance(test, DensityMatrix):
-        state = encoding.mixed_stc_state(ts, test, with_ancilla=not minimal)
-        return classify_assembled(state).expectation
-    return sum(p * classify_assembled(part).expectation
-               for p, part in encoding.pure_stc_parts(ts, test, with_ancilla=not minimal))
+def _check_circuit(simulated: np.ndarray, closed: np.ndarray, what: str):
+    """Every test row's circuit value must equal its closed form to 1e-10."""
+    gap = np.abs(simulated - closed).max()
+    if gap > MODE_AGREEMENT_ATOL:
+        raise NumericError(f"{what} circuit values disagree with the closed form by {gap}")
 
 
 def stc_classify(ts: TrainingSet, test, mode: str = "analytic",
@@ -139,31 +133,66 @@ def stc_classify(ts: TrainingSet, test, mode: str = "analytic",
     measures the ancilla-free swap observable on the bare input state. The
     circuit modes return the simulated value; :class:`ClassifierOutput`
     checks it against the per-term kernel sum to 1e-12. With mixed training
-    data the test is taken as a density matrix.
+    data the test is taken as a density matrix; a pure test is scored as a
+    batch of one.
     """
     if mode not in STC_MODES:
         raise DataError(f"unknown mode {mode!r}, expected one of {STC_MODES}")
     if not isinstance(test, DensityMatrix):
-        test, _ = _coerce_test_pure(test, ts)
-        if ts.is_mixed:
-            test = test.to_density()
+        vecs = _coerce_test_pure(test)[0]
+        if not ts.is_mixed:
+            return next(_stc_batch(ts, vecs, mode, tie_eps))
+        test = QState(vecs[0]).to_density()
     out = next(stc_classify_batch(ts, [test], tie_eps))
     if mode == "analytic":
         return out
-    value = _circuit_mode_value(ts, test, minimal=(mode == "minimal"))
+    state = encoding.mixed_stc_state(ts, test, with_ancilla=mode == "ancilla-circuit")
+    value = classify_assembled(state).expectation
     return ClassifierOutput(value, decide(value, tie_eps), out.per_term)
 
 
 def stc_classify_batch(ts: TrainingSet, tests, tie_eps: float = TIE_EPS):
-    """Analytic swap-test outputs of N test states (QStates or an (N, d)
-    stack of unit vectors; DensityMatrices for mixed data): the terms from
-    one :func:`kernel_matrix` call, each output made as it is iterated."""
-    if ts.bias is not None:
-        raise DataError("training set carries a bias; use stc_classify_bias")
-    if not len(ts):
-        raise DataError("empty training set")
-    return (_kernel_output(row, tie_eps)
-            for row in _stc_terms(ts, tests, ts.effective_weights()))
+    """Analytic swap-test outputs of N test states (QStates or an (N, d) stack
+    of unit vectors; DensityMatrices for mixed data), made as iterated."""
+    return _stc_batch(ts, tests, "analytic", tie_eps)
+
+
+def _stc_batch(ts: TrainingSet, tests, mode: str, tie_eps: float = TIE_EPS):
+    """Swap-test outputs of N tests (an (N, d) stack of unit vectors unless
+    ``analytic``), chunk by chunk: one :func:`kernel_matrix` call and one
+    blocked circuit pass. Mode ``bias`` (:func:`stc_classify_bias`) checks
+    its closed form on the bias-extended rows; the circuit modes sum each
+    test's index-free input rows, one per entry, in parts of at most
+    ``PART_BYTES``."""
+    if (mode == "bias") != (ts.bias is not None):
+        raise DataError("stc_classify_bias takes a training set with a bias, "
+                        "stc_classify one without")
+    bias, weights = ((0.0, ts.effective_weights()) if ts.bias is None
+                     else ts.effective_bias_and_weights())
+    entries = np.flatnonzero(weights > 0.0)
+    layout = None if mode == "analytic" else block_layout(
+        tests.shape[1], ts.k, ancilla=mode != "minimal",
+        index_slots=len(ts) + 1 if mode == "bias" else None)
+    obs = swap_label_observable(layout) if mode == "minimal" else None
+    row_bytes = (8 * len(ts) if layout is None
+                 else 16 * layout.dim * (1 if mode == "bias" else entries.size))
+    for rows in _chunks(len(tests), row_bytes):
+        terms = _stc_terms(ts, tests[rows], weights)
+        values = bias + terms.sum(axis=1)
+        if mode == "bias":
+            _check_circuit(_stack_value(*encoding._indexed_rows(ts, tests[rows])), values, "bias")
+        elif layout is not None:
+            test, entry = np.divmod(np.arange(len(terms) * entries.size), entries.size)
+            values = np.concatenate([_stack_value(encoding._entry_rows(
+                ts, tests[rows], weights, test[part], entries[entry[part]],
+                with_ancilla=obs is None), layout, obs)
+                for part in _chunks(test.size, 16 * layout.dim)])
+            values = values.reshape(len(terms), -1).sum(axis=1)
+            residual = np.abs(values.imag).max()
+            if residual > ATOL_DERIVED:
+                raise NumericError(f"circuit value has imaginary residual {residual}")
+            values = values.real
+        yield from _outputs(values, terms, bias, tie_eps)
 
 
 def stc_classify_bias(ts: TrainingSet, test,
@@ -173,49 +202,51 @@ def stc_classify_bias(ts: TrainingSet, test,
     The expectation equals (b + sum_m sign_m w_m kernel_m**k) / N with
     N = |b| + sum_m w_m. On every call the swap-test circuit is also
     simulated on the bias-extended state vector, and its ancilla-label
-    parity, applied as a sign mask, must agree with the closed form to
-    1e-10. Neither a density matrix nor a dense operator is built, so the
-    check costs about the state vector.
+    parity must agree with the closed form to 1e-10. Neither a density
+    matrix nor a dense operator is built, so the check costs about the
+    state vector. The test is scored as a batch of one.
     """
-    if ts.bias is None:
-        raise DataError("training set has no bias; use stc_classify")
-    state, _ = _coerce_test_pure(test, ts)
-    bias_term, weights = ts.effective_bias_and_weights()
-    out = _kernel_output(_stc_terms(ts, [state], weights)[0] if len(ts) else np.zeros(0),
-                         tie_eps, bias_term)
-    simulated = swap_test_expectation(encoding.assemble_bias_extended(ts, state))
-    if abs(simulated - out.expectation) > MODE_AGREEMENT_ATOL:
-        raise NumericError(f"bias circuit value {simulated} disagrees with "
-                           f"the closed form {out.expectation}")
-    return out
+    return next(_stc_batch(ts, _coerce_test_pure(test)[0], "bias", tie_eps))
 
 
-def _interference(u: np.ndarray, x: np.ndarray, coefficients: np.ndarray,
-                  overlaps: np.ndarray, bias: float, measure_label: bool, what: str,
-                  tie_eps: float) -> ClassifierOutput:
-    """Closed form and simulation of the one-gate interference circuit with
-    training branch ``u`` and test branch ``x``.
-
-    The closed form is (bias + sum_m coefficients_m overlaps_m) / (|u| |x|).
-    The circuit prepares (|0>|u> + |1>|x>)/sqrt(2) with both branches
-    normalized, applies a Hadamard to the ancilla, and measures Z on the
-    ancilla (times Z on the trailing label qubit when ``measure_label`` is
-    set); the two must agree to 1e-10, with no imaginary part above it.
+def _interference_batch(ts: TrainingSet, tests: np.ndarray, norms: np.ndarray, amps,
+                        labels: np.ndarray, what: str, tie_eps: float):
+    """One-gate interference outputs of an (N, d) stack of unit vectors t
+    with raw norms n (read in keep-norms mode). Branch u holds amps[0]_0 |0>
+    in index slot 0 and amps[0]_s |x_s> in slot s, branch x amps[1]_0 |0>
+    and amps[1]_s n |t>, on label labels[s]. Per chunk the closed form
+    Re<u|Z_label|x> / (|u| |x|) comes from one kernel_matrix call, and the
+    circuit, a Hadamard on the ancilla of (|0>|u> + |1>|x>)/sqrt(2) with
+    normalized branches, then Z on ancilla and label, must agree to 1e-10.
     """
-    n_u, n_x = float(np.vdot(u, u).real), float(np.vdot(x, x).real)
-    if n_u <= 0.0:
-        raise DataError(f"degenerate {what}: training branch has zero norm")
-    scale = 1.0 / math.sqrt(n_u * n_x)
-    terms = _terms(scale * coefficients * overlaps)
-    bias_term = scale * bias
-    value = bias_term + sum(v for _, v in terms)
-    psi = qmath.HADAMARD @ (np.stack([u / math.sqrt(n_u), x / math.sqrt(n_x)]) / math.sqrt(2.0))
-    measured = (psi.reshape(2, -1, 2) @ qmath.SIGMA_Z.T).reshape(2, -1) if measure_label else psi
-    simulated = complex(np.vdot(psi[0], measured[0]) - np.vdot(psi[1], measured[1]))
-    if max(abs(simulated.imag), abs(simulated.real - value)) > MODE_AGREEMENT_ATOL:
-        raise NumericError(
-            f"{what} circuit value {simulated} disagrees with the closed form {value}")
-    return ClassifierOutput(value, decide(value, tie_eps), terms, bias_term=bias_term)
+    if ts.is_mixed:
+        raise DataError(f"the {what} classifier accepts pure-state data only")
+    dim, slots = tests.shape[1], labels.size
+    if len(ts) and dim != ts.data_dim:
+        raise DimensionError(f"test dim {dim} != training dim {ts.data_dim}")
+    norms = norms if ts.mode == encoding.KEEP_NORMS else np.ones(len(tests))
+    coefficients = (1 - 2 * labels) * amps[0] * amps[1]
+    branches = np.concatenate([np.eye(1, dim), ts.states.reshape(-1, dim)])
+    u = encoding._slot_rows(np.ones((1, 1)), amps[0][None, :, None] * branches, labels,
+                            slots=slots)
+    n_u = np.linalg.norm(u)
+    for rows in _chunks(len(tests), 32 * u.size):
+        t, n = tests[rows], norms[rows]
+        branches = np.repeat((n[:, None] * t)[:, None], slots, axis=1)
+        branches[:, 0] = np.eye(1, dim)
+        x = encoding._slot_rows(np.ones((1, 1)), amps[1][:, None] * branches, labels,
+                                slots=slots)
+        scale = 1.0 / (n_u * np.linalg.norm(x, axis=1))
+        overlaps = (kernel_matrix(KernelSpec(REAL_OVERLAP), ts.states, t).T if len(ts)
+                    else np.zeros((len(t), 0)))
+        terms = (scale * n)[:, None] * coefficients[1:] * overlaps
+        closed = scale * coefficients[0] + terms.sum(axis=1)
+        # After the Hadamard the ancilla halves are (u +- x) / 2, normalized.
+        u_hat, x_hat = u / n_u, x * (scale * n_u)[:, None]
+        parity = ((np.abs(u_hat + x_hat) ** 2 - np.abs(u_hat - x_hat) ** 2) / 4.0).reshape(
+            len(t), dim, 2, slots)
+        _check_circuit((parity[:, :, 0] - parity[:, :, 1]).sum(axis=(1, 2)), closed, what)
+        yield from _outputs(closed, terms, scale * coefficients[0], tie_eps)
 
 
 def hadamard_classify(ts: TrainingSet, test, with_bias: bool = False,
@@ -225,60 +256,51 @@ def hadamard_classify(ts: TrainingSet, test, with_bias: bool = False,
 
     Sensitive to global phases of the data (only the real part of the inner
     product enters), unlike the swap-test classifier. Pure states and a
-    single data copy only.
+    single data copy only. The test is scored as a batch of one.
     """
-    if ts.is_mixed:
-        raise DataError("the Hadamard classifier accepts pure-state data only")
+    return next(_hadamard_batch(ts, *_coerce_test_pure(test), with_bias, tie_eps))
+
+
+def _hadamard_batch(ts: TrainingSet, tests: np.ndarray, norms: np.ndarray,
+                    with_bias: bool, tie_eps: float = TIE_EPS):
+    """:func:`hadamard_classify` of an (N, d) stack of unit vectors with raw
+    norms: sqrt|b| on label y_b in slot 0 (0 without a bias), entry m in 1 + m."""
     if ts.k != 1:
         raise DataError("the Hadamard classifier has no copy structure; use k=1")
-    if with_bias and ts.bias is None:
-        raise DataError("with_bias=True requires a training-set bias")
-    if not with_bias and ts.bias is not None:
-        raise DataError("training set carries a bias; call with with_bias=True")
+    if with_bias != (ts.bias is not None):
+        raise DataError("with_bias=True takes a training set with a bias, False one without")
     if not len(ts):
         raise DataError("empty training set")
-    state, test_norm = _coerce_test_pure(test, ts)
-    if state.dim != ts.data_dim:
-        raise DimensionError(f"test dim {state.dim} != training dim {ts.data_dim}")
-    # Branches on [index | data | label]: slot 0 holds the bias (amplitude 0
-    # without one), slot 1 + m entry m in its label block.
     bias = ts.bias if with_bias else 0.0
-    u = np.zeros((index_register_dim(len(ts) + 1), ts.data_dim, 2), dtype=complex)
-    x = np.zeros_like(u)
-    u[0, 0, int(bias < 0)] = x[0, 0, int(bias < 0)] = math.sqrt(abs(bias))
-    slots, amp = 1 + np.arange(len(ts)), np.sqrt(ts.weights)
-    u[slots, :, ts.labels] = (amp * ts.norms)[:, None] * ts.states
-    x[slots, :, ts.labels] = (amp * test_norm)[:, None] * state.vec
-    return _interference(u.reshape(-1), x.reshape(-1),
-                         (1 - 2 * ts.labels) * ts.weights * test_norm * ts.norms,
-                         _real_overlaps(ts, state), bias, True, "Hadamard", tie_eps)
+    amp = np.append(math.sqrt(abs(bias)), np.sqrt(ts.weights))
+    return _interference_batch(ts, tests, norms, (amp * np.append(1.0, ts.norms), amp),
+                               np.append(int(bias < 0), ts.labels), "Hadamard", tie_eps)
 
 
 def qsvm_oracle_classify(alphas: Sequence[float], b: float, ts: TrainingSet,
                          test, tie_eps: float = TIE_EPS) -> ClassifierOutput:
     """Oracle-state classifier with externally supplied signed multipliers.
 
-    Builds the two-branch oracle state over [index | data] registers,
+    Builds the two-branch oracle state over index and data registers,
     interferes the branches through a Hadamard on the ancilla, and returns
     the ancilla Z expectation (b + sum_m alpha_m |x_m| |x~| Re<x_m|x~>) / N.
+    The test is scored as a batch of one.
     """
+    return next(_qsvm_batch(alphas, b, ts, *_coerce_test_pure(test), tie_eps))
+
+
+def _qsvm_batch(alphas: Sequence[float], b: float, ts: TrainingSet, tests: np.ndarray,
+                norms: np.ndarray, tie_eps: float = TIE_EPS):
+    """:func:`qsvm_oracle_classify` of an (N, d) stack of unit vectors with raw
+    norms; all on label 0, so the parity is Z on the ancilla."""
     alphas = np.asarray(alphas, dtype=float)
-    if ts.is_mixed:
-        raise DataError("the oracle classifier accepts pure-state data only")
     if alphas.size != len(ts):
         raise DataError(f"{alphas.size} multipliers for {len(ts)} training points")
-    state, test_norm = _coerce_test_pure(test, ts)
     if not np.any(alphas) and b == 0.0:
         raise DataError("degenerate oracle: all multipliers and the bias are zero")
-    if len(ts) and state.dim != ts.data_dim:
-        raise DimensionError(f"test dim {state.dim} != training dim {ts.data_dim}")
-    u = np.zeros((index_register_dim(len(ts) + 1), ts.data_dim), dtype=complex)
-    x = np.zeros_like(u)
-    u[0, 0], x[0, 0] = b, 1.0
-    u[1:len(ts) + 1] = (alphas * ts.norms)[:, None] * ts.states
-    x[1:len(ts) + 1] = test_norm * state.vec
-    return _interference(u.reshape(-1), x.reshape(-1), alphas * ts.norms * test_norm,
-                         _real_overlaps(ts, state), b, False, "oracle", tie_eps)
+    return _interference_batch(ts, tests, norms, (np.append(b, alphas * ts.norms),
+                                                  np.ones(len(ts) + 1)),
+                               np.zeros(len(ts) + 1, dtype=int), "oracle", tie_eps)
 
 
 def classify_assembled(state: ClassifierState,

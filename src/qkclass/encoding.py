@@ -24,9 +24,9 @@ read. The mixed input sum_y rho_t^(x)k (x) sigma_y (x) |y><y|, with
 sigma_y = sum_{m: y_m = y} w_m rho_m^(x)k, has as rows the products of the
 eigen-factor rows of rho_t^(x)k and of sigma_y, in pair order: at most
 2 rank(rho_t^(x)k) rank(sigma_y) rows, whatever the number of entries. The
-index-free pure input has one row per entry; :func:`pure_stc_parts` yields
-it in parts of bounded size, so that measuring it needs memory independent
-of the number of entries.
+index-free pure input has one row per entry; the batched classifiers stack
+such rows of many test points in parts of at most ``PART_BYTES``. One
+writer, :func:`_slot_rows`, fills the index slots and label blocks of pure rows.
 """
 
 from __future__ import annotations
@@ -370,41 +370,55 @@ def _pair_rows(dim: int, k: int, test_rows: np.ndarray, train_rows: np.ndarray) 
     return out.reshape(-1, dim ** (2 * k))
 
 
-def _branches(test: QState, vecs: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
-    """sqrt(w_m) |test>^k (x) |x_m>^k for each row x_m of ``vecs``, shaped
-    (entries, d**k, d**k)."""
-    test_block = tensor_power(test.vec, k)
-    train = np.sqrt(weights)[:, None] * _row_power(vecs, k)
-    return test_block[None, :, None] * train[:, None, :]
-
-
-def _indexed_state(test: QState, vecs: np.ndarray, labels: np.ndarray, weights: np.ndarray,
-                   k: int, with_ancilla: bool) -> ClassifierState:
-    """sum_m sqrt(w_m) |test>^k |x_m>^k |y_m> |m> over index slots m in the
-    block layout, one row. Each branch is written into its (label, slot)
-    block of one zero vector, so assembly holds a single state-sized array.
+def _slot_rows(left: np.ndarray, right: np.ndarray, labels, *, ancilla: bool = False,
+               slots: int = 1) -> np.ndarray:
+    """Stack of rows over [ancilla | left | right | label | index] holding
+    left[r] (x) right[r, s] at ancilla |0>, label labels[r, s] and index
+    slot s of row r, and 0 elsewhere. ``left`` is (rows, dl), ``right``
+    (rows, n, dr), either with one row to share; ``labels`` broadcasts to
+    (rows, n); ``slots`` >= n. The budget check runs before the stack exists.
     """
-    layout = block_layout(test.dim, k, ancilla=with_ancilla, index_slots=len(weights))
-    qmath.check_dense_budget((layout.dim,), "assembled state vector")
-    block = test.dim ** k
-    vec = np.zeros((2 if with_ancilla else 1, block, block, 2, layout.dims[-1]), dtype=complex)
-    vec[0, :, :, labels, np.arange(len(weights))] = _branches(test, vecs, weights, k)
-    return ClassifierState(None, layout, vector=vec.reshape(-1))
+    count, n = max(len(left), len(right)), right.shape[1]
+    shape = (count, 2 if ancilla else 1, left.shape[1], right.shape[2], 2, slots)
+    qmath.check_dense_budget((count, math.prod(shape[1:])), "assembled state stack")
+    out = np.zeros(shape, dtype=complex)
+    out[np.arange(count)[:, None], 0, :, :, labels, np.arange(n)] = (
+        left[:, None, :, None] * right[:, :, None, :])
+    return out.reshape(count, -1)
 
 
-def _check_pure_input(ts: TrainingSet, test: QState):
-    if ts.is_mixed:
-        raise DataError("operation requires pure-state training data")
-    if not len(ts):
-        raise DataError("cannot assemble a classifier state from an empty training set")
-    if ts.bias is not None:
-        raise DataError("training set carries a bias; use assemble_bias_extended")
-    if test.dim != ts.data_dim:
-        raise DimensionError(f"test dim {test.dim} != training dim {ts.data_dim}")
-
-
-# Largest stack of rows, in bytes, that pure_stc_parts puts in one part.
+# Largest stack of circuit rows, in bytes, that a batched classifier builds.
 PART_BYTES = 2**21
+
+
+def _entry_rows(ts: TrainingSet, vecs: np.ndarray, weights: np.ndarray, picks: np.ndarray,
+                entries: np.ndarray, *, with_ancilla: bool) -> np.ndarray:
+    """Rows sqrt(w_m) |t>^k |x_m>^k |y_m> of the index-free pure input, one
+    per pair (t, m) = (vecs[picks[i]], entries[i]), over the block layout."""
+    right = np.sqrt(weights[entries])[:, None, None] * _row_power(ts.states[entries], ts.k)[:, None]
+    return _slot_rows(_row_power(vecs[picks], ts.k), right, ts.labels[entries][:, None],
+                      ancilla=with_ancilla)
+
+
+def _indexed_rows(ts: TrainingSet, vecs: np.ndarray, *, with_ancilla: bool = True):
+    """Rows and layout of the indexed pure input sum_m sqrt(w_m) |t>^k |x_m>^k
+    |y_m> |m>, one row per test vector t; with a bias, slot 0 holds
+    sqrt(|b| / N) |t>^k |t>^k |y_b> (:func:`assemble_bias_extended`)."""
+    dim = vecs.shape[1]
+    if ts.is_mixed:
+        raise DataError("indexed assembly requires pure-state training data")
+    if len(ts) and dim != ts.data_dim:
+        raise DimensionError(f"test dim {dim} != training dim {ts.data_dim}")
+    bias, weights = ((None, ts.effective_weights()) if ts.bias is None
+                     else ts.effective_bias_and_weights())
+    tests = _row_power(vecs, ts.k)
+    train = np.sqrt(weights)[:, None] * _row_power(ts.states.reshape(-1, dim), ts.k)
+    right, labels = np.broadcast_to(train, (len(tests),) + train.shape), ts.labels
+    if bias is not None:
+        right = np.concatenate([math.sqrt(abs(bias)) * tests[:, None], right], axis=1)
+        labels = np.append(int(bias < 0), labels)
+    layout = block_layout(dim, ts.k, ancilla=with_ancilla, index_slots=labels.size)
+    return _slot_rows(tests, right, labels, ancilla=with_ancilla, slots=layout.dims[-1]), layout
 
 
 def assemble_pure_stc_input(ts: TrainingSet, test: QState, *,
@@ -417,39 +431,20 @@ def assemble_pure_stc_input(ts: TrainingSet, test: QState, *,
     entries, which yields the same measurement statistics: one row
     sqrt(w_m) |test>^k |x_m>^k |y_m> per entry of nonzero weight.
     """
-    if not with_index:
-        [(_, state)] = pure_stc_parts(ts, test, with_ancilla=with_ancilla, part_bytes=None)
-        return state
-    _check_pure_input(ts, test)
-    return _indexed_state(test, ts.states, ts.labels, ts.effective_weights(), ts.k, with_ancilla)
-
-
-def pure_stc_parts(ts: TrainingSet, test: QState, *, with_ancilla: bool = True,
-                   part_bytes: int | None = PART_BYTES):
-    """The index-free pure input of :func:`assemble_pure_stc_input` as a
-    convex mixture of parts, built one at a time.
-
-    Yields (p, state) for runs of consecutive entries of nonzero weight:
-    ``state`` holds their rows with the weights renormalized to the run, and
-    p is the run's total weight, so sum p * value(state) is the value of the
-    whole input. A part holds at most ``part_bytes`` of rows (at least one
-    row; all rows in one part when None), so memory need not grow with the
-    number of entries.
-    """
-    _check_pure_input(ts, test)
+    if ts.is_mixed or not len(ts):
+        raise DataError("assembly needs a nonempty set of pure-state training data")
+    if ts.bias is not None:
+        raise DataError("training set carries a bias; use assemble_bias_extended")
+    if with_index:
+        rows, layout = _indexed_rows(ts, test.vec[None], with_ancilla=with_ancilla)
+        return ClassifierState(None, layout, vector=rows[0])
+    if test.dim != ts.data_dim:
+        raise DimensionError(f"test dim {test.dim} != training dim {ts.data_dim}")
     weights = ts.effective_weights()
-    layout = block_layout(test.dim, ts.k, ancilla=with_ancilla)
     entries = np.flatnonzero(weights > 0.0)
-    size = entries.size if part_bytes is None else max(1, part_bytes // (16 * layout.dim))
-    block = test.dim ** ts.k
-    for start in range(0, entries.size, size):
-        part = entries[start:start + size]
-        qmath.check_dense_budget((part.size, layout.dim), "assembled state stack")
-        p = float(weights[part].sum())
-        out = np.zeros((part.size, 2 if with_ancilla else 1, block, block, 2), dtype=complex)
-        out[np.arange(part.size), 0, :, :, ts.labels[part]] = _branches(
-            test, ts.states[part], weights[part] / p, ts.k)
-        yield p, ClassifierState(None, layout, vector=out.reshape(part.size, layout.dim))
+    rows = _entry_rows(ts, test.vec[None], weights, np.zeros_like(entries), entries,
+                       with_ancilla=with_ancilla)
+    return ClassifierState(None, block_layout(test.dim, ts.k, ancilla=with_ancilla), vector=rows)
 
 
 def mixed_stc_state(ts: TrainingSet, test: DensityMatrix, weights: np.ndarray | None = None,
@@ -502,14 +497,8 @@ def assemble_bias_extended(ts: TrainingSet, test: QState) -> ClassifierState:
     """
     if ts.bias is None:
         raise DataError("training set has no bias; use assemble_pure_stc_input")
-    if len(ts) and ts.is_mixed:
-        raise DataError("bias-extended assembly requires pure training data")
-    if len(ts) and test.dim != ts.data_dim:
-        raise DimensionError(f"test dim {test.dim} != training dim {ts.data_dim}")
-    bias_term, weights = ts.effective_bias_and_weights()
-    vecs = np.concatenate([test.vec[None], ts.states.reshape(-1, test.dim)])
-    return _indexed_state(test, vecs, np.append(int(ts.bias < 0), ts.labels),
-                          np.append(abs(bias_term), weights), ts.k, True)
+    rows, layout = _indexed_rows(ts, test.vec[None])
+    return ClassifierState(None, layout, vector=rows[0])
 
 
 def _model_weights(models, train) -> list[np.ndarray]:

@@ -26,7 +26,7 @@ from .encoding import TrainingSet
 from .errors import DataError
 from .kernelsvm import (HS_TRACE, KERNEL_KINDS, GramMatrix, KernelSpec, gram,
                         svm_train)
-from .qmath import QState, projectors
+from .qmath import projectors
 
 SCHEMA_VERSION = 1
 SEED_ENV_VAR = "QKCLASS_SEED"
@@ -179,18 +179,6 @@ def _alphas_for_oracle(ts: TrainingSet, model) -> np.ndarray:
     return ts.weights * (1 - 2 * ts.labels)
 
 
-def _classify_point(config: ExperimentConfig, ts: TrainingSet, model,
-                    test: QState) -> clf.ClassifierOutput:
-    if config.classifier == "stc":
-        return clf.stc_classify(ts, test, mode=config.mode)
-    if config.classifier == "stc-bias":
-        return clf.stc_classify_bias(ts, test)
-    if config.classifier == "hc":
-        return clf.hadamard_classify(ts, test, with_bias=ts.bias is not None)
-    bias = ts.bias if ts.bias is not None else 0.0
-    return clf.qsvm_oracle_classify(_alphas_for_oracle(ts, model), bias, ts, test)
-
-
 def run_experiment(config: ExperimentConfig, dataset: DatasetFile,
                    test_features: np.ndarray,
                    test_labels: np.ndarray | None = None) -> dict:
@@ -204,11 +192,16 @@ def run_experiment(config: ExperimentConfig, dataset: DatasetFile,
     if config.shots > 0:
         point_seeds = np.random.SeedSequence(config.seed).generate_state(
             max(1, len(test_features)))
-    if config.classifier == "stc" and config.mode == "analytic" and len(test_features):
-        outputs = clf.stc_classify_batch(ts, encoding.encode_rows(test_features)[0])
-    else:
-        outputs = (_classify_point(config, ts, model, encoding.amplitude_encode(row))
-                   for row in test_features)
+    outputs = ()
+    if len(test_features):
+        vecs, norms = encoding.encode_rows(test_features)
+        if config.classifier in ("stc", "stc-bias"):
+            outputs = clf._stc_batch(ts, vecs, config.mode if config.classifier == "stc" else "bias")
+        elif config.classifier == "hc":
+            outputs = clf._hadamard_batch(ts, vecs, norms, ts.bias is not None)
+        else:
+            outputs = clf._qsvm_batch(_alphas_for_oracle(ts, model),
+                                      ts.bias if ts.bias is not None else 0.0, ts, vecs, norms)
     results = []
     for i, out in enumerate(outputs):
         entry = {

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from qkclass import circuit as circuit_module
 from qkclass import classifier as classifier_module
+from qkclass import encoding as encoding_module
 from qkclass import qmath
 from qkclass.classifier import (STC_MODES, TIE, ClassifierOutput, classify_assembled,
                                 decide, hadamard_classify, helstrom_operator,
@@ -478,6 +479,26 @@ class TestHadamardClassifier:
             (1 - 2 * y) * 0.5 * float(np.real(s.overlap(test)))
             for s, y in zip(states, (0, 1)))) / np.sqrt(n_u * n_x)
         assert out.expectation == pytest.approx(expect, abs=1e-12)
+
+
+def test_interference_circuit_is_checked_on_every_call(monkeypatch):
+    # Reversing every branch row moves each amplitude to the other label
+    # block, which negates the measured parity but not the kernel closed
+    # form; the 1e-10 check of the Hadamard and oracle circuits must reject it.
+    rng = np.random.default_rng(6100)
+    data = [(random_state_vector(2, rng), i % 2, 1.0 + i) for i in range(3)]
+    test = random_state_vector(2, rng)
+    calls = [lambda: hadamard_classify(TrainingSet.from_states(data, bias=0.3), test,
+                                       with_bias=True),
+             lambda: qsvm_oracle_classify([0.5, -0.2, 0.4], 0.1,
+                                          TrainingSet.from_states(data), test)]
+    assert all(abs(call().expectation) > 1e-3 for call in calls)
+    slot_rows = encoding_module._slot_rows
+    monkeypatch.setattr(encoding_module, "_slot_rows",
+                        lambda *args, **kwargs: slot_rows(*args, **kwargs)[:, ::-1])
+    for call in calls:
+        with pytest.raises(NumericError, match="circuit values disagree"):
+            call()
 
 
 class TestQsvmOracle:

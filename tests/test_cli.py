@@ -12,13 +12,14 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from qkclass import classifier, cli, experiment
+from qkclass import circuit as circuit_module
+from qkclass import classifier, cli, encoding, experiment
 from qkclass.classifier import stc_classify
 from qkclass.cli import main
 from qkclass.datasets import (DatasetFile, format_complex, gen_toy, ingest,
                               parse_complex, write_dataset)
 from qkclass.encoding import amplitude_encode
-from qkclass.errors import DataError
+from qkclass.errors import DataError, NumericError
 from qkclass.experiment import (ExperimentConfig, build_training_set,
                                 emit_plot_data, merge_config, run_experiment,
                                 write_results)
@@ -41,6 +42,11 @@ def workdir(tmp_path, monkeypatch):
 
 def write_lines(path, lines):
     path.write_text("\n".join(lines) + "\n")
+
+
+def read_rows(path):
+    with open(path, newline="") as handle:
+        return list(csv.reader(handle))
 
 
 class TestIngest:
@@ -217,34 +223,110 @@ class TestRunExperiment:
             blobs.append(WALL_CLOCK.sub("", (workdir / name).read_text()))
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("part_bytes", [None, 2**14, 1])
     @pytest.mark.parametrize("overrides", [
         {}, {"k": 2}, {"keep_norms": True}, {"k": 2, "keep_norms": True},
         {"weights": "explicit", "explicit_weights": tuple(range(1, 13))},
         {"weights": "trained"}, {"weights": "trained", "k": 2, "keep_norms": True},
+        {"mode": "ancilla-circuit"}, {"mode": "ancilla-circuit", "k": 2},
+        {"mode": "minimal"}, {"mode": "minimal", "k": 2, "keep_norms": True},
+        {"mode": "ancilla-circuit", "weights": "explicit",
+         "explicit_weights": (0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2)},
+        {"classifier": "stc-bias", "bias": 0.3},
+        {"classifier": "stc-bias", "bias": -0.4, "k": 2, "keep_norms": True},
+        {"classifier": "stc-bias", "weights": "trained", "bias": "trained"},
+        {"classifier": "hc"}, {"classifier": "hc", "bias": 0.7, "keep_norms": True},
+        {"classifier": "hc", "weights": "trained", "bias": "trained"},
+        {"classifier": "qsvm"}, {"classifier": "qsvm", "bias": -0.2, "k": 2},
+        {"classifier": "qsvm", "weights": "trained", "bias": "trained", "keep_norms": True},
     ])
-    def test_batched_scoring_equals_per_point(self, monkeypatch, overrides):
+    def test_batched_scoring_equals_per_point(self, monkeypatch, overrides, part_bytes):
+        # One kernel_matrix call per chunk of test rows: one chunk at the
+        # default part size (two for stc-bias at k=2, whose 256 KiB rows fit
+        # 8 to a part), one chunk per row when a part holds one row.
         rng = np.random.default_rng(17)
         toy = gen_toy("separable", 12, 3, seed=8)
         ds = DatasetFile(toy.features * rng.uniform(0.5, 2.0, (12, 1)), toy.labels)
         tests = gen_toy("random", 9, 3, seed=9).features
         config = ExperimentConfig(**overrides)
+        ts, model, _ = build_training_set(config, ds)
+        expected = [one_point(config, ts, model, row) for row in tests]
+        if part_bytes is not None:
+            monkeypatch.setattr(encoding, "PART_BYTES", part_bytes)
         calls = []
         kernel_matrix = classifier.kernel_matrix
         monkeypatch.setattr(classifier, "kernel_matrix",
                             lambda *args: calls.append(1) or kernel_matrix(*args))
         payload = run_experiment(config, ds, tests)
-        assert len(calls) == 1
-        ts, _, _ = build_training_set(config, ds)
+        if part_bytes is None:
+            assert len(calls) == (2 if config.classifier == "stc-bias" and config.k == 2 else 1)
+        elif part_bytes == 1:
+            assert len(calls) == len(tests)
         assert len(payload["results"]) == len(tests)
-        for row, entry in zip(tests, payload["results"]):
-            out = stc_classify(ts, amplitude_encode(row))
+        for entry, out in zip(payload["results"], expected):
             assert entry["predicted_label"] == out.predicted_label
             assert abs(entry["expectation"] - out.expectation) <= 1e-12
+            assert abs(entry["bias_term"] - out.bias_term) <= 1e-12
             assert [m for m, _ in entry["per_term"]] == list(range(len(ds)))
             assert np.abs(np.subtract([v for _, v in entry["per_term"]],
                                       [v for _, v in out.per_term])).max() <= 1e-12
         for empty in (np.zeros((0, 0), dtype=complex), np.zeros((0, 3), dtype=complex)):
             assert run_experiment(config, ds, empty)["results"] == []
+
+    @pytest.mark.parametrize("classifier_name", ["hc", "qsvm"])
+    def test_keep_norms_scores_with_the_test_norm(self, classifier_name):
+        # The raw test norm enters the Hadamard and oracle branches in
+        # keep-norms mode: run_experiment must give the library's value for
+        # the raw row, not the value of its unit vector.
+        ds = gen_toy("separable", 12, 2, seed=3)
+        tests = np.array([[3.0, 0.5], [-0.2, 4.0]], dtype=complex)
+        config = ExperimentConfig(classifier=classifier_name, bias=0.7, keep_norms=True)
+        ts, model, _ = build_training_set(config, ds)
+        payload = run_experiment(config, ds, tests)
+        for entry, row in zip(payload["results"], tests):
+            out = one_point(config, ts, model, row)
+            unit = one_point(config, ts, model, amplitude_encode(row))
+            assert abs(entry["expectation"] - out.expectation) <= 1e-12
+            assert abs(out.expectation - unit.expectation) > 1e-3
+
+    @pytest.mark.parametrize("overrides", [
+        {"classifier": "stc-bias", "bias": 0.3},
+        {"mode": "ancilla-circuit"}, {"mode": "minimal", "k": 2},
+    ])
+    def test_corrupted_circuit_in_a_batch_raises(self, runner, workdir, monkeypatch,
+                                                 overrides):
+        # Skipping the circuit kernel's swap step changes the measured value
+        # of the rows; a multi-row run must reject it, and the CLI must map
+        # it to exit 4 with a JSON error.
+        ds = gen_toy("separable", 6, 2, seed=5)
+        tests = gen_toy("random", 7, 2, seed=6).features
+        run_experiment(ExperimentConfig(**overrides), ds, tests)
+        write_dataset(ds, "train.csv")
+        write_dataset(DatasetFile(tests, np.zeros(len(tests), dtype=int)), "tests.csv")
+        argv = ["classify", "train.csv", "--test", "tests.csv", "--labeled-tests",
+                "-o", "out.json"]
+        for key, value in overrides.items():
+            argv += [f"--{key.replace('_', '-')}", str(value)]
+        monkeypatch.setattr(circuit_module, "_permute",
+                            lambda src, plan, out: np.copyto(out, src))
+        with pytest.raises(NumericError):
+            run_experiment(ExperimentConfig(**overrides), ds, tests)
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 4, result.output
+        assert json.loads(result.stderr)["error"]["type"] == "NumericError"
+        assert not (workdir / "out.json").exists()
+
+
+def one_point(config, ts, model, row):
+    """The one-point library call that scores ``row`` as run_experiment does."""
+    if config.classifier == "stc":
+        return stc_classify(ts, row, mode=config.mode)
+    if config.classifier == "stc-bias":
+        return classifier.stc_classify_bias(ts, row)
+    if config.classifier == "hc":
+        return classifier.hadamard_classify(ts, row, with_bias=ts.bias is not None)
+    return classifier.qsvm_oracle_classify(experiment._alphas_for_oracle(ts, model),
+                                           ts.bias if ts.bias is not None else 0.0, ts, row)
 
 
 class TestResultsWriter:
@@ -345,12 +427,12 @@ class TestEmitPlot:
 
     def test_empty_results_header_only(self, workdir):
         emit_plot_data(self._payload(0), "plot.csv")
-        rows = list(csv.reader(open("plot.csv")))
+        rows = read_rows("plot.csv")
         assert rows == [list(experiment.PLOT_COLUMNS)]
 
     def test_three_rows(self, workdir):
         emit_plot_data(self._payload(3, shots=True), "plot.csv")
-        rows = list(csv.reader(open("plot.csv")))
+        rows = read_rows("plot.csv")
         assert len(rows) == 4
 
     def test_round_trip_full_precision(self, workdir):
@@ -359,7 +441,7 @@ class TestEmitPlot:
             "shots": {"total": 7, "plus": 3, "minus": 4,
                       "empirical_expectation": -1 / 7.0}}]}
         emit_plot_data(payload, "plot.csv")
-        rows = list(csv.reader(open("plot.csv")))
+        rows = read_rows("plot.csv")
         record = dict(zip(rows[0], rows[1]))
         assert float(record["expectation"]) == 1 / 3.0
         assert float(record["freq_plus"]) == 3 / 7.0
@@ -412,7 +494,7 @@ class TestCliCommands:
                              "-o", "res.json"])
         result = runner.invoke(main, ["emit-plot", "res.json", "-o", "plot.csv"])
         assert result.exit_code == 0, result.output
-        rows = list(csv.reader(open(workdir / "plot.csv")))
+        rows = read_rows(workdir / "plot.csv")
         assert len(rows) == 3
 
     def test_usage_error_exit_code(self, runner, workdir):
@@ -473,8 +555,21 @@ class TestCliCommands:
         assert payload["results"] == []
         result = runner.invoke(main, ["emit-plot", "out.json", "-o", "plot.csv"])
         assert result.exit_code == 0
-        rows = list(csv.reader(open(workdir / "plot.csv")))
+        rows = read_rows(workdir / "plot.csv")
         assert rows == [list(experiment.PLOT_COLUMNS)]
+
+    @pytest.mark.parametrize("args", [
+        ["--mode", "ancilla-circuit", "--k", "2"], ["--mode", "minimal"],
+        ["--classifier", "stc-bias", "--bias", "0.3"], ["--classifier", "hc", "--keep-norms"],
+        ["--classifier", "qsvm", "--weights", "trained", "--bias", "trained"],
+    ])
+    def test_empty_test_set_every_classifier(self, runner, workdir, args):
+        write_lines(workdir / "train.csv", ["1,0,0", "0.6,0.8,0", "0,1,1"])
+        (workdir / "tests.json").write_text("[]")
+        result = runner.invoke(main, ["classify", "train.csv", "--test", "tests.json",
+                                      *args, "-o", "out.json"])
+        assert result.exit_code == 0, result.output
+        assert json.loads((workdir / "out.json").read_text())["results"] == []
 
     def test_config_file_flow(self, runner, workdir):
         write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])
