@@ -15,9 +15,10 @@ on each block when asked, and returns each row's measured value, so neither
 the post-circuit stack nor any other stack-sized temporary is formed.
 ``swap_test_expectation`` (circuit, then the ancilla-label parity) and
 ``expectation`` on stacks sum the signed row values; the batched
-classifiers read them per row. ``apply_swap_test_unitary`` / ``run_swap_test`` are the same blocked pass
-writing every block into one output array. A bare 2-D array is never read
-as a stack unless asked: elsewhere in this module it is a density matrix.
+classifiers read them per row. ``apply_swap_test_unitary`` /
+``run_swap_test`` copy each block of the same pass into one output array.
+A bare 2-D array is never read as a stack unless asked: elsewhere in this
+module it is a density matrix.
 ``build_swap_test_unitary`` returns the unitary as an explicit (cached,
 unitarity-checked) matrix for the reference checks.
 """
@@ -343,7 +344,7 @@ def _block_rows(stack: np.ndarray) -> int:
     return max(1, min(stack.shape[0], BLOCK_BYTES // (16 * stack.shape[1])))
 
 
-def _blocks(stack: np.ndarray, plan: _StackPlan, out: np.ndarray | None = None):
+def _blocks(stack: np.ndarray, plan: _StackPlan):
     """Yield (rows, block) over consecutive row blocks of a C-contiguous
     2-D stack, ``rows`` the block's slice of the stack.
 
@@ -351,9 +352,8 @@ def _blocks(stack: np.ndarray, plan: _StackPlan, out: np.ndarray | None = None):
     the block after the swap-test unitary (the two Hadamards without their
     1/sqrt(2) factors): with t0, t1 the ancilla-0 and ancilla-1 halves and
     S the swap of every (test, train) pair, 2 out0 = t0 + t1 + S(t0 - t1)
-    and 2 out1 = t0 + t1 - S(t0 - t1). It is written into ``out`` (an
-    array of the stack's shape) or, when None, into one block buffer that
-    every block reuses.
+    and 2 out1 = t0 + t1 - S(t0 - t1). It is written into one block buffer
+    that every block reuses.
     """
     count, dim = stack.shape
     size = _block_rows(stack)
@@ -363,7 +363,7 @@ def _blocks(stack: np.ndarray, plan: _StackPlan, out: np.ndarray | None = None):
             yield rows, stack[rows]
         return
     h0, h1 = ((slice(None),) * (1 + plan.ancilla) + (h,) for h in (0, 1))
-    target = np.empty((size, dim), dtype=complex) if out is None else out
+    target = np.empty((size, dim), dtype=complex)
     t_all, o_all = (x.reshape((-1,) + plan.dims) for x in (stack, target))
     o1_items = _items(o_all[h1], plan)
     plus_all, diff_all = np.empty((2, size) + o_all[h0].shape[1:], dtype=complex)
@@ -371,15 +371,14 @@ def _blocks(stack: np.ndarray, plan: _StackPlan, out: np.ndarray | None = None):
     for start in range(0, count, size):
         rows = slice(start, min(start + size, count))
         n = rows.stop - start
-        at = rows if out is not None else slice(0, n)
-        t, o, plus = t_all[rows], o_all[at], plus_all[:n]
+        t, o, plus = t_all[rows], o_all[:n], plus_all[:n]
         t0, t1, o0, o1 = t[h0], t[h1], o[h0], o[h1]
         np.add(t0, t1, out=plus)
         np.subtract(t0, t1, out=diff_all[:n])
-        _permute(diff_items[:n], plan, o1_items[at])
+        _permute(diff_items[:n], plan, o1_items[:n])
         np.add(plus, o1, out=o0)
         np.subtract(plus, o1, out=o1)
-        yield rows, target[at]
+        yield rows, target[:n]
 
 
 def _stack_value(stack: np.ndarray, layout: RegisterLayout,
@@ -431,8 +430,8 @@ def apply_swap_test_unitary(x: np.ndarray, layout: RegisterLayout, *,
     rejected: evolve a density matrix as a :class:`ClassifierState` through
     :func:`run_swap_test`, or with :func:`build_swap_test_unitary`.
 
-    The rows pass through the blocked circuit of :func:`swap_test_expectation`,
-    which here writes every block into one output array.
+    The rows pass through the blocked circuit of :func:`swap_test_expectation`;
+    each block is copied into the output array.
     """
     plan = _swap_test_plan(layout)
     arr = np.asarray(x, dtype=complex)
@@ -442,9 +441,8 @@ def apply_swap_test_unitary(x: np.ndarray, layout: RegisterLayout, *,
             f"expected a {what} of layout dim {layout.dim}, got shape {arr.shape}")
     stack = np.ascontiguousarray(arr.reshape(-1, layout.dim))
     out = np.empty(stack.shape, dtype=complex)
-    for _ in _blocks(stack, plan, out):
-        pass
-    out *= 0.5
+    for rows, block in _blocks(stack, plan):
+        np.multiply(block, 0.5, out=out[rows])
     return out.reshape(arr.shape)
 
 

@@ -133,22 +133,18 @@ def stc_classify(ts: TrainingSet, test, mode: str = "analytic",
     measures the ancilla-free swap observable on the bare input state. The
     circuit modes return the simulated value; :class:`ClassifierOutput`
     checks it against the per-term kernel sum to 1e-12. With mixed training
-    data the test is taken as a density matrix; a pure test is scored as a
+    data the test is taken as a density matrix. The test is scored as a
     batch of one.
     """
     if mode not in STC_MODES:
         raise DataError(f"unknown mode {mode!r}, expected one of {STC_MODES}")
-    if not isinstance(test, DensityMatrix):
-        vecs = _coerce_test_pure(test)[0]
-        if not ts.is_mixed:
-            return next(_stc_batch(ts, vecs, mode, tie_eps))
-        test = QState(vecs[0]).to_density()
-    out = next(stc_classify_batch(ts, [test], tie_eps))
-    if mode == "analytic":
-        return out
-    state = encoding.mixed_stc_state(ts, test, with_ancilla=mode == "ancilla-circuit")
-    value = classify_assembled(state).expectation
-    return ClassifierOutput(value, decide(value, tie_eps), out.per_term)
+    if isinstance(test, DensityMatrix):
+        tests = [test]
+    else:
+        tests = _coerce_test_pure(test)[0]
+        if ts.is_mixed:
+            tests = [QState(tests[0]).to_density()]
+    return next(_stc_batch(ts, tests, mode, tie_eps))
 
 
 def stc_classify_batch(ts: TrainingSet, tests, tie_eps: float = TIE_EPS):
@@ -158,36 +154,39 @@ def stc_classify_batch(ts: TrainingSet, tests, tie_eps: float = TIE_EPS):
 
 
 def _stc_batch(ts: TrainingSet, tests, mode: str, tie_eps: float = TIE_EPS):
-    """Swap-test outputs of N tests (an (N, d) stack of unit vectors unless
-    ``analytic``), chunk by chunk: one :func:`kernel_matrix` call and one
-    blocked circuit pass. Mode ``bias`` (:func:`stc_classify_bias`) checks
-    its closed form on the bias-extended rows; the circuit modes sum each
-    test's index-free input rows, one per entry, in parts of at most
-    ``PART_BYTES``."""
+    """Swap-test outputs of N tests (an (N, d) stack of unit vectors, or a
+    list of DensityMatrices, unless ``analytic``), chunk by chunk: one
+    :func:`kernel_matrix` call and one blocked circuit pass. Mode ``bias``
+    (:func:`stc_classify_bias`) checks its closed form on the
+    bias-extended rows; the circuit modes sum each test's signed
+    index-free input rows (:func:`encoding.mixed_stc_state`), built in
+    parts of at most ``PART_BYTES``."""
     if (mode == "bias") != (ts.bias is not None):
         raise DataError("stc_classify_bias takes a training set with a bias, "
                         "stc_classify one without")
     bias, weights = ((0.0, ts.effective_weights()) if ts.bias is None
                      else ts.effective_bias_and_weights())
-    entries = np.flatnonzero(weights > 0.0)
     layout = None if mode == "analytic" else block_layout(
-        tests.shape[1], ts.k, ancilla=mode != "minimal",
+        ts.data_dim if len(ts) else tests.shape[1], ts.k, ancilla=mode != "minimal",
         index_slots=len(ts) + 1 if mode == "bias" else None)
     obs = swap_label_observable(layout) if mode == "minimal" else None
+    if layout is not None and mode != "bias":
+        train = encoding._train_rows(ts, weights, ts.k)
     row_bytes = (8 * len(ts) if layout is None
-                 else 16 * layout.dim * (1 if mode == "bias" else entries.size))
+                 else 16 * layout.dim * (1 if mode == "bias" else len(train[0])))
     for rows in _chunks(len(tests), row_bytes):
         terms = _stc_terms(ts, tests[rows], weights)
         values = bias + terms.sum(axis=1)
         if mode == "bias":
             _check_circuit(_stack_value(*encoding._indexed_rows(ts, tests[rows])), values, "bias")
         elif layout is not None:
-            test, entry = np.divmod(np.arange(len(terms) * entries.size), entries.size)
-            values = np.concatenate([_stack_value(encoding._entry_rows(
-                ts, tests[rows], weights, test[part], entries[entry[part]],
-                with_ancilla=obs is None), layout, obs)
-                for part in _chunks(test.size, 16 * layout.dim)])
-            values = values.reshape(len(terms), -1).sum(axis=1)
+            test_rows, test_signs, starts = encoding._test_rows(tests[rows], ts.k)
+            signs = np.multiply.outer(test_signs, train[2]).ravel()
+            pairs = np.arange(signs.size)
+            values = np.concatenate([_stack_value(encoding._product_rows(
+                test_rows, train, pairs[part], ancilla=obs is None), layout, obs)
+                for part in _chunks(pairs.size, 16 * layout.dim)])
+            values = np.add.reduceat(values * signs, starts * len(train[0]))
             residual = np.abs(values.imag).max()
             if residual > ATOL_DERIVED:
                 raise NumericError(f"circuit value has imaginary residual {residual}")

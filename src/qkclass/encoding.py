@@ -5,14 +5,10 @@ A :class:`TrainingSet` holds its entries as stacked, read-only arrays
 (states, labels, weights, norms), checked once at construction; every
 assembly below reads those arrays and builds no per-entry state object.
 
-Register order conventions (big-endian, first factor most significant):
+Every assembly uses one register order, the block layout (big-endian,
+first factor most significant):
 
-* block layout   [ancilla | test x k | train x k | label | index]
-* pair layout    [ancilla | (test, train) x k | label]
-
-Assemblies of pure data use the block layout; assemblies of density-matrix
-data use the pair layout. The two are related by the fixed permutation
-returned by :func:`block_to_pair_order`.
+    [ancilla | test x k | train x k | label | index]
 
 Every assembled state is a stack of component vectors v_i with row signs
 s_i, rho = sum_i s_i |v_i><v_i|: one row for a pure superposition, a
@@ -20,18 +16,21 @@ purification for a mixture. A sign is -1 only for the round-off negative
 eigen-part that a validated density matrix may carry, so the stack
 reproduces the given state exactly. The circuit is linear, so it acts row
 by row with the statistics of rho, and the dense rho is built only when
-read. The mixed input sum_y rho_t^(x)k (x) sigma_y (x) |y><y|, with
-sigma_y = sum_{m: y_m = y} w_m rho_m^(x)k, has as rows the products of the
-eigen-factor rows of rho_t^(x)k and of sigma_y, in pair order: at most
-2 rank(rho_t^(x)k) rank(sigma_y) rows, whatever the number of entries. The
-index-free pure input has one row per entry; the batched classifiers stack
-such rows of many test points in parts of at most ``PART_BYTES``. One
-writer, :func:`_slot_rows`, fills the index slots and label blocks of pure rows.
+read. Pure data is the rank-1 case of density-matrix data, and one builder,
+:func:`mixed_stc_state`, writes the index-free input of both: the products
+of the rows of test^(x)k (t^(x)k for a unit vector, the eigen-factor row
+products of a density matrix) with the training rows (sqrt(w_m) x_m^(x)k on
+label y_m per pure entry; the eigen-factor rows of each label's
+sigma_y = sum_{m: y_m = y} w_m rho_m^(x)k for density matrices). The
+batched classifiers build the same rows for many test states in parts of
+at most ``PART_BYTES``. One writer, :func:`_slot_rows`, fills the index
+slots and label blocks of every row.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import reduce
 from typing import Sequence
@@ -41,7 +40,7 @@ import numpy as np
 from . import qmath
 from .errors import DataError, DimensionError, NumericError
 from .qmath import DensityMatrix, QState, tensor_power
-from .registers import ANCILLA, RegisterLayout, block_layout, pair_layout
+from .registers import RegisterLayout, block_layout
 
 UNIT_VECTORS = "unit-vectors"
 KEEP_NORMS = "keep-norms"
@@ -60,6 +59,10 @@ def encode_rows(rows) -> tuple[np.ndarray, np.ndarray]:
     The added amplitudes are exactly 0 and never contribute to an overlap.
     """
     rows = np.asarray(rows, dtype=complex)
+    if rows.ndim != 2 or rows.shape[1] == 0:
+        raise DataError(f"cannot amplitude-encode rows of shape {rows.shape}")
+    if not np.all(np.isfinite(rows)):
+        raise DataError("cannot amplitude-encode non-finite features")
     # Each norm as np.linalg.norm of the row alone, so a row encodes to the
     # same bits in a batch as on its own.
     norms = np.array([np.linalg.norm(row) for row in rows])
@@ -113,10 +116,12 @@ class TrainingSet:
         labels, weights = np.asarray(labels), np.array(weights, dtype=float)
         norms = (np.ones(weights.shape) if norms is None or mode == UNIT_VECTORS
                  else np.array(norms, dtype=float))
-        if k < 1:
-            raise DataError(f"copies k must be >= 1, got {k}")
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
+            raise DataError(f"copies k must be an integer >= 1, got {k!r}")
         if mode not in (UNIT_VECTORS, KEEP_NORMS):
             raise DataError(f"unknown normalization mode {mode!r}")
+        if bias is not None and not math.isfinite(bias):
+            raise DataError(f"bias must be finite, got {bias!r}")
         if bias == 0.0:
             raise DataError("bias 0 is not encodable; omit the bias instead")
         if not labels.size and bias is None:
@@ -125,11 +130,12 @@ class TrainingSet:
             raise DimensionError(f"need a label, weight and norm per state, got {states.shape}")
         if not np.all(np.isin(labels, (0, 1))):
             raise DataError(f"labels must be 0 or 1, got {sorted(set(labels.tolist()))}")
-        if not np.all(weights >= 0.0):
-            raise DataError(f"weights must be nonnegative, got {weights.min()}")
+        bad = ~((weights >= 0.0) & (weights < math.inf))
+        if np.any(bad):
+            raise DataError(f"weights must be finite and nonnegative, got {weights[bad][0]}")
         size = (np.linalg.norm(states, axis=1) if states.ndim == 2
                 else np.trace(states, axis1=1, axis2=2))
-        if np.any(np.abs(size - 1.0) > qmath.ATOL_STRUCT):
+        if not np.all(np.abs(size - 1.0) <= qmath.ATOL_STRUCT):
             raise NumericError("training states must be unit vectors or unit-trace matrices")
         if labels.size and not weights.sum() > 0.0:
             raise DataError("training weights must have a positive sum")
@@ -211,11 +217,13 @@ class TrainingSet:
 class ClassifierState:
     """An assembled joint state, its register layout, and optional extras.
 
-    The state is a stack of component vectors V, shape (r, layout.dim), with
-    row signs s: rho = V^T diag(s) conj(V) = sum_i s_i |v_i><v_i|. Every
-    sign is +1 (``signs`` is None) unless the state carries the round-off
-    negative eigen-part that a validated density matrix may have (see
-    :func:`qkclass.qmath.eigen_factor`). ``vector`` gives the stack, or one
+    Every assembly in this module puts its state on the block layout
+    (:func:`qkclass.registers.block_layout`); a state built directly may
+    use any layout. The state is a stack of component vectors V, shape
+    (r, layout.dim), with row signs s: rho = V^T diag(s) conj(V) =
+    sum_i s_i |v_i><v_i|. Every sign is +1 (``signs`` is None) unless the
+    state carries the round-off negative eigen-part that a validated
+    density matrix may have (see :func:`qkclass.qmath.eigen_factor`). ``vector`` gives the stack, or one
     1-D vector as a stack of one; the signed squared norms must sum to 1
     within 1e-12. A state given by its density matrix alone is
     eigen-factored into a stack. The stack is held as a read-only view, not
@@ -302,35 +310,13 @@ class ClassifierState:
         return f"ClassifierState(dim={self.layout.dim}, rows={rows})"
 
 
-def _product_signs(factors) -> np.ndarray | None:
+def _product_signs(factors) -> np.ndarray:
     """Signs of the row products of eigen-factors (rows, signs), first
-    factor's row index most significant; None when every sign is +1."""
-    if all(s is None for _, s in factors):
-        return None
+    factor's row index most significant; signs None count +1."""
     out = np.ones(1)
     for rows, s in factors:
         out = np.multiply.outer(out, np.ones(rows.shape[0]) if s is None else s).ravel()
     return out
-
-
-def _stack_state(layout: RegisterLayout, count: int, blocks) -> ClassifierState:
-    """State of ``count`` rows, filled from blocks (label, rows over the data
-    registers, row signs) with the ancilla, if any, in |0> and the label
-    qubit in |label>. The budget check runs before the stack or any block
-    exists."""
-    qmath.check_dense_budget((count, layout.dim), "assembled state stack")
-    anc = 2 if layout.has(ANCILLA) else 1
-    out = np.zeros((count, anc, layout.dim // (2 * anc), 2), dtype=complex)
-    signs = np.ones(count)
-    start = 0
-    for label, rows, row_signs in blocks:
-        stop = start + rows.shape[0]
-        out[start:stop, 0, :, label] = rows
-        if row_signs is not None:
-            signs[start:stop] = row_signs
-        start = stop
-    return ClassifierState(None, layout, vector=out.reshape(count, layout.dim),
-                           signs=None if np.all(signs > 0) else signs)
 
 
 def _row_power(rows: np.ndarray, k: int) -> np.ndarray:
@@ -339,35 +325,6 @@ def _row_power(rows: np.ndarray, k: int) -> np.ndarray:
     for _ in range(k - 1):
         out = (out[:, :, None] * rows[:, None, :]).reshape(rows.shape[0], -1)
     return out
-
-
-def _mixed_factors(test: DensityMatrix, mats: np.ndarray, labels: np.ndarray,
-                   weights: np.ndarray, k: int, layout: RegisterLayout):
-    """Eigen-factors (rows, signs) of rho_t^(x)k and of each label's sigma_y:
-    the test factor and one (label, factor) pair per label present.
-
-    Before anything of size d**k x d**k is built, the stack they span on
-    ``layout`` is planned against the size budget, with rank(sigma_y) <= d**k.
-    """
-    test_factor = qmath.eigen_factor(test, "test state")
-    groups = [(y, (labels == y) & (weights > 0.0)) for y in (0, 1)
-              if np.any((labels == y) & (weights > 0.0))]
-    bound = (test_factor[0].shape[0] * test.dim) ** k * len(groups)
-    qmath.check_dense_budget((bound, layout.dim), "assembled state stack")
-    factors = [(y, qmath.eigen_factor(qmath.power_mixture(mats[mask], weights[mask], k),
-                                      f"label-{y} training mixture"))
-               for y, mask in groups]
-    power = (tensor_power(test_factor[0], k), _product_signs([test_factor] * k))
-    return power, factors
-
-
-def _pair_rows(dim: int, k: int, test_rows: np.ndarray, train_rows: np.ndarray) -> np.ndarray:
-    """Products a (x) b in pair register order, for a in test_rows (k test
-    copies) and b in train_rows (k train copies), by one einsum."""
-    out = np.einsum(test_rows.reshape((-1,) + (dim,) * k), [0] + [2 + 2 * i for i in range(k)],
-                    train_rows.reshape((-1,) + (dim,) * k), [1] + [3 + 2 * i for i in range(k)],
-                    list(range(2 + 2 * k)))
-    return out.reshape(-1, dim ** (2 * k))
 
 
 def _slot_rows(left: np.ndarray, right: np.ndarray, labels, *, ancilla: bool = False,
@@ -391,13 +348,40 @@ def _slot_rows(left: np.ndarray, right: np.ndarray, labels, *, ancilla: bool = F
 PART_BYTES = 2**21
 
 
-def _entry_rows(ts: TrainingSet, vecs: np.ndarray, weights: np.ndarray, picks: np.ndarray,
-                entries: np.ndarray, *, with_ancilla: bool) -> np.ndarray:
-    """Rows sqrt(w_m) |t>^k |x_m>^k |y_m> of the index-free pure input, one
-    per pair (t, m) = (vecs[picks[i]], entries[i]), over the block layout."""
-    right = np.sqrt(weights[entries])[:, None, None] * _row_power(ts.states[entries], ts.k)[:, None]
-    return _slot_rows(_row_power(vecs[picks], ts.k), right, ts.labels[entries][:, None],
-                      ancilla=with_ancilla)
+def _test_rows(tests, k: int):
+    """(rows, signs, starts) of test^(x)k for each test: one row t^(x)k per
+    unit vector of an (N, d) stack, the eigen-factor row products of each
+    DensityMatrix; ``starts`` holds each test's first row."""
+    if isinstance(tests, np.ndarray):
+        return _row_power(tests, k), np.ones(len(tests)), np.arange(len(tests))
+    factors = [qmath.eigen_factor(test, "test state") for test in tests]
+    sizes = [len(rows) ** k for rows, _ in factors]
+    return (np.concatenate([tensor_power(rows, k) for rows, _ in factors]),
+            np.concatenate([_product_signs([f] * k) for f in factors]),
+            np.cumsum([0] + sizes[:-1]))
+
+
+def _train_rows(ts: TrainingSet, weights: np.ndarray, k: int):
+    """(rows, labels, signs) of the training side of the index-free input:
+    sqrt(w_m) x_m^(x)k on label y_m per pure entry of nonzero weight; for
+    density-matrix data the eigen-factor rows of each label's sigma_y."""
+    if not ts.is_mixed:
+        entries = np.flatnonzero(weights > 0.0)
+        return (np.sqrt(weights[entries])[:, None] * _row_power(ts.states[entries], k),
+                ts.labels[entries], np.ones(entries.size))
+    factors = [(y, qmath.eigen_factor(qmath.power_mixture(ts.states[mask], weights[mask], k),
+                                      f"label-{y} training mixture"))
+               for y in (0, 1) for mask in [(ts.labels == y) & (weights > 0.0)] if mask.any()]
+    return (np.concatenate([f[0] for _, f in factors]),
+            np.concatenate([np.full(len(f[0]), y) for y, f in factors]),
+            np.concatenate([_product_signs([f]) for _, f in factors]))
+
+
+def _product_rows(tests: np.ndarray, train, pairs: np.ndarray, *, ancilla: bool) -> np.ndarray:
+    """Rows tests[i] (x) train row j on its label over the block layout, one
+    for each pair index i * (train rows) + j in ``pairs``."""
+    i, j = np.divmod(pairs, len(train[0]))
+    return _slot_rows(tests[i], train[0][j][:, None], train[1][j][:, None], ancilla=ancilla)
 
 
 def _indexed_rows(ts: TrainingSet, vecs: np.ndarray, *, with_ancilla: bool = True):
@@ -438,36 +422,39 @@ def assemble_pure_stc_input(ts: TrainingSet, test: QState, *,
     if with_index:
         rows, layout = _indexed_rows(ts, test.vec[None], with_ancilla=with_ancilla)
         return ClassifierState(None, layout, vector=rows[0])
-    if test.dim != ts.data_dim:
-        raise DimensionError(f"test dim {test.dim} != training dim {ts.data_dim}")
-    weights = ts.effective_weights()
-    entries = np.flatnonzero(weights > 0.0)
-    rows = _entry_rows(ts, test.vec[None], weights, np.zeros_like(entries), entries,
-                       with_ancilla=with_ancilla)
-    return ClassifierState(None, block_layout(test.dim, ts.k, ancilla=with_ancilla), vector=rows)
+    return mixed_stc_state(ts, test, with_ancilla=with_ancilla)
 
 
-def mixed_stc_state(ts: TrainingSet, test: DensityMatrix, weights: np.ndarray | None = None,
-                    k: int | None = None, *, with_ancilla: bool = True) -> ClassifierState:
-    """Joint input state for density-matrix data, pair register order, of
-    the entries of ``ts`` with the weight distribution ``weights`` and k
-    copies (by default those of ``ts``).
+def mixed_stc_state(ts: TrainingSet, test: QState | DensityMatrix,
+                    weights: np.ndarray | None = None, k: int | None = None, *,
+                    with_ancilla: bool = True) -> ClassifierState:
+    """Index-free joint input state, block layout, of the entries of ``ts``
+    with the weight distribution ``weights`` and k copies (by default those
+    of ``ts``), for pure and density-matrix data alike.
 
-    The state is sum_y rho_t^(x)k (x) sigma_y (x) |y><y|, held as the
-    products of the eigen-factor rows of rho_t^(x)k and of each sigma_y.
+    The state is the mixture rho_t^(x)k (x) sum_y sigma_y (x) |y><y|, held
+    as the products of the rows of test^(x)k and of the training side (see
+    the module docstring). Before the test power or the training side is
+    built, the stack is planned against the size budget, with
+    rank(sigma_y) <= d**k.
     """
     weights = ts.effective_weights() if weights is None else weights
     k = ts.k if k is None else k
-    dim = test.dim
-    if dim != ts.data_dim:
-        raise DimensionError(f"training dim {ts.data_dim} != test dim {dim}")
-    layout = pair_layout(dim, k, ancilla=with_ancilla)
-    test_factor, factors = _mixed_factors(test, ts.density_matrices(), ts.labels, weights,
-                                          k, layout)
-    count = test_factor[0].shape[0] * sum(f[0].shape[0] for _, f in factors)
-    return _stack_state(layout, count, (
-        (y, _pair_rows(dim, k, test_factor[0], f[0]), _product_signs([test_factor, f]))
-        for y, f in factors))
+    if test.dim != ts.data_dim:
+        raise DimensionError(f"test dim {test.dim} != training dim {ts.data_dim}")
+    layout = block_layout(test.dim, k, ancilla=with_ancilla)
+    factor = (test.vec[None], None) if isinstance(test, QState) else qmath.eigen_factor(
+        test, "test state")
+    live = weights > 0.0
+    bound = (len(set(ts.labels[live].tolist())) * test.dim ** k if ts.is_mixed
+             else np.count_nonzero(live))
+    qmath.check_dense_budget((len(factor[0]) ** k * bound, layout.dim), "assembled state stack")
+    train = _train_rows(ts, weights, k)
+    signs = np.multiply.outer(_product_signs([factor] * k), train[2]).ravel()
+    rows = _product_rows(tensor_power(factor[0], k), train, np.arange(signs.size),
+                         ancilla=with_ancilla)
+    return ClassifierState(None, layout, vector=rows,
+                           signs=None if np.all(signs > 0) else signs)
 
 
 def _pairs_set(train, k: int = 1) -> TrainingSet:
@@ -528,7 +515,7 @@ def assemble_ensemble_weights(test: DensityMatrix,
 
 
 def _pad_pair_state(data_dim: int, kind: str) -> np.ndarray:
-    """Constant state occupying one unused (test, train) pair slot."""
+    """Constant state of one unused (test, train) copy pair."""
     d2 = data_dim * data_dim
     if kind == "maximally-mixed":
         return np.eye(d2, dtype=complex) / d2
@@ -543,22 +530,26 @@ def _pad_pair_state(data_dim: int, kind: str) -> np.ndarray:
 
 def _padded_joint(layout: RegisterLayout, members, pad, max_copies: int):
     """Stack and signs of sum_s q_s member_s with the padding rows on each
-    member's unused pair slots, between its pairs and its label: row
-    (i, j) of a member's block is sqrt(q_s) member row i with pad-product
-    row j inserted. The budget check runs before any block exists."""
-    members = [(q, m, max_copies - len(m.layout.pair_indices())) for q, m in members if q]
-    count = sum(m.stack.shape[0] * pad[0].shape[0] ** n for _, m, n in members)
+    member's unused (test, train) copies: row (i, j) of a member's block is
+    sqrt(q_s) member row i with pad-product row j written onto the test and
+    train copies k_s + 1..K by one einsum. The budget check runs before any
+    block exists."""
+    d = layout.dims[1]
+    members = [(q, m, len(m.layout.pair_indices())) for q, m in members if q]
+    count = sum(m.stack.shape[0] * pad[0].shape[0] ** (max_copies - k) for _, m, k in members)
     qmath.check_dense_budget((count, layout.dim), "assembled state stack")
     blocks, signs = [], []
-    for q, member, n in members:
+    for q, member, k in members:
+        n = max_copies - k
         pads = reduce(np.kron, [pad[0]] * n, np.full((1, 1), math.sqrt(q)))
-        rows = member.stack.reshape(member.stack.shape[0], -1, 2)  # ancilla+pairs, label
-        blocks.append(np.einsum("iay,jp->ijapy", rows, pads).reshape(-1, layout.dim))
+        rows = member.stack.reshape(-1, 2, d ** k, d ** k, 2)  # ancilla, tests, trains, label
+        pad_axes = list(range(6, 6 + 2 * n))  # (test, train) per padded copy
+        blocks.append(np.einsum(rows, [0, 1, 2, 3, 4], pads.reshape((-1,) + (d,) * 2 * n),
+                                [5] + pad_axes, [0, 5, 1, 2] + pad_axes[0::2] + [3]
+                                + pad_axes[1::2] + [4]).reshape(-1, layout.dim))
         signs.append(_product_signs([(member.stack, member.signs)] + [pad] * n))
-    if all(s is None for s in signs):
-        return np.concatenate(blocks), None
-    return np.concatenate(blocks), np.concatenate(
-        [np.ones(b.shape[0]) if s is None else s for b, s in zip(blocks, signs)])
+    signs = np.concatenate(signs)
+    return np.concatenate(blocks), None if np.all(signs > 0) else signs
 
 
 def assemble_ensemble_exponents(test: DensityMatrix,
@@ -568,9 +559,9 @@ def assemble_ensemble_exponents(test: DensityMatrix,
                                 padding: str = "maximally-mixed") -> ClassifierState:
     """Mixture over models with different copy counts k_s <= max_copies.
 
-    Each member state occupies its k_s (test, train) pair slots; the unused
-    slots are filled with a constant pair state so every member lives on the
-    same registers. The default maximally mixed padding is not swap
+    Each member state occupies its k_s test and train copies; each unused
+    (test, train) copy pair is filled with a constant pair state so every
+    member lives on the same registers. The default maximally mixed padding is not swap
     invariant, so ensemble expectation values are evaluated member by
     member (the ``members`` field); ``padding="symmetric"`` additionally
     makes the full swap-test circuit over all slots reproduce the same
@@ -587,23 +578,7 @@ def assemble_ensemble_exponents(test: DensityMatrix,
         if not 1 <= k_s <= max_copies:
             raise DataError(f"model copy count {k_s} outside 1..{max_copies}")
         members.append((float(q), mixed_stc_state(ts, test, a_s, k_s)))
-    layout = pair_layout(dim, max_copies, ancilla=True)
+    layout = block_layout(dim, max_copies)
     return ClassifierState(None, layout, members=tuple(members),
                            build=lambda: _padded_joint(layout, members, pad, max_copies))
 
-
-def block_to_pair_order(k: int, *, ancilla: bool = True) -> tuple[int, ...]:
-    """Permutation taking block-layout registers to pair-layout order.
-
-    Entry p names the block-layout register landing at pair position p; use
-    with :func:`qkclass.qmath.permute_registers`.
-    """
-    order = []
-    shift = 1 if ancilla else 0
-    if ancilla:
-        order.append(0)
-    for i in range(k):
-        order.append(shift + i)          # test copy i+1
-        order.append(shift + k + i)      # train copy i+1
-    order.append(shift + 2 * k)          # label
-    return tuple(order)

@@ -91,7 +91,7 @@ def kernel_matrix(spec: KernelSpec, rows: Sequence, cols: Sequence) -> np.ndarra
         np.square(values, out=values)
     if spec.kind != REAL_OVERLAP:
         lo, hi = values.min(), values.max()
-        if hi > 1.0 + 1e-10 or lo < -1e-12:
+        if not (lo >= -1e-12 and hi <= 1.0 + 1e-10):
             raise NumericError(f"{spec.kind} kernel values [{lo}, {hi}] outside [0, 1]")
         np.clip(values, 0.0, 1.0, out=values)
     if spec.k > 1:

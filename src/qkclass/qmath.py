@@ -134,10 +134,10 @@ class DensityMatrix:
         mat = np.asarray(entries, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {mat.shape}")
-        if np.abs(mat - mat.conj().T).max() > ATOL_STRUCT:
+        if not np.abs(mat - mat.conj().T).max() <= ATOL_STRUCT:
             raise NumericError("matrix is not Hermitian within 1e-12")
         tr = np.trace(mat)
-        if abs(tr - 1.0) > ATOL_STRUCT:
+        if not abs(tr - 1.0) <= ATOL_STRUCT:
             raise NumericError(f"trace {tr!r} is not 1 within {ATOL_STRUCT}")
         object.__setattr__(self, "entries", _frozen(mat))
         if check_psd:
@@ -155,7 +155,7 @@ class DensityMatrix:
 
     def validate_psd(self):
         lo = self.min_eigenvalue()
-        if lo < PSD_FLOOR:
+        if not lo >= PSD_FLOOR:
             raise NumericError(f"minimum eigenvalue {lo} is below {PSD_FLOOR}")
 
     def validate(self):

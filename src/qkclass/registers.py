@@ -1,9 +1,11 @@
 """Register layout descriptors for assembled classifier states.
 
 A layout names each tensor factor of a joint state: the swap-test ancilla,
-the test/train data copies (paired by copy number), the label qubit, an
-optional index qudit, and opaque padding slots. Layouts are hashable so
-operator builders can cache on them.
+the test/train data copies (paired by copy number), the label qubit and an
+optional index qudit. Every assembled state uses the block order of
+:func:`block_layout`; the circuit code reads the (test, train) pairs by
+copy number, so it runs on any order. Layouts are hashable so operator
+builders can cache on them.
 """
 
 from __future__ import annotations
@@ -83,19 +85,8 @@ class RegisterLayout:
 
 def block_layout(data_dim: int, k: int, *, ancilla: bool = True,
                  index_slots: int | None = None) -> RegisterLayout:
-    """All test copies, then all train copies, then label (and index)."""
+    """[ancilla |] all test copies, then all train copies, then label [| index]."""
+    anc = [Register(ANCILLA, 2)] if ancilla else []
     copies = [Register(role, data_dim, copy=i) for role in (TEST, TRAIN) for i in range(1, k + 1)]
     index = [] if index_slots is None else [Register(INDEX, index_register_dim(index_slots))]
-    return _layout(ancilla, copies, index)
-
-
-def pair_layout(data_dim: int, k: int, *, ancilla: bool = True) -> RegisterLayout:
-    """Interleaved (test, train) pairs per copy, then the label qubit."""
-    return _layout(ancilla, [Register(role, data_dim, copy=i)
-                             for i in range(1, k + 1) for role in (TEST, TRAIN)])
-
-
-def _layout(ancilla: bool, copies: list[Register], index=()) -> RegisterLayout:
-    """[ancilla |] copies | label [| index]."""
-    anc = [Register(ANCILLA, 2)] if ancilla else []
-    return RegisterLayout(tuple(anc + copies + [Register(LABEL, 2)] + list(index)))
+    return RegisterLayout(tuple(anc + copies + [Register(LABEL, 2)] + index))

@@ -20,7 +20,16 @@ from qkclass.qmath import (PAULIS, SIGMA_Z, QState, basis_state,
                            random_density_matrix, random_state_vector,
                            tensor, tensor_power)
 from qkclass.registers import (ANCILLA, LABEL, TEST, TRAIN, Register, RegisterLayout,
-                               block_layout, pair_layout)
+                               block_layout)
+
+
+def pair_layout(data_dim, k, *, ancilla=True):
+    """Interleaved [ancilla |] (test, train) x k | label layout. Every
+    assembly uses the block layout; the circuit reads the (test, train)
+    pairs by copy number, so it must run on this order too."""
+    anc = [Register(ANCILLA, 2)] if ancilla else []
+    pairs = [Register(role, data_dim, copy=i) for i in range(1, k + 1) for role in (TEST, TRAIN)]
+    return RegisterLayout(tuple(anc + pairs + [Register(LABEL, 2)]))
 
 
 def effective_observable(n, k):

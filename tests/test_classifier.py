@@ -186,6 +186,30 @@ class TestStcClassify:
         assert peak < 16 * 2**20
         assert abs(out.expectation - stc_classify(ts, test).expectation) < 1e-10
 
+    @pytest.mark.parametrize("part_bytes", [None, 2**14, 1])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("mode", ["ancilla-circuit", "minimal"])
+    def test_density_matrix_batches_equal_assembled_states(self, monkeypatch, mode, k,
+                                                           part_bytes):
+        # Density-matrix tests run through the chunked loop of unit vectors,
+        # each the sum of its signed rows, whether a part holds a test's
+        # rows, several tests' rows or a single row. The last test has a
+        # round-off negative eigenvalue, so some of its rows have sign -1.
+        rng = np.random.default_rng(1400 + k)
+        data = [(random_density_matrix(4, rng, rank=2), i % 2, w)
+                for i, w in enumerate((0.25, 0.25, 0.125, 0.375))]
+        ts = TrainingSet.from_states(data, k=k)
+        tests = [random_density_matrix(4, rng, rank=r) for r in (1, 2, 4)]
+        tests.append(DensityMatrix(SLIGHTLY_NEGATIVE))
+        if part_bytes is not None:
+            monkeypatch.setattr(encoding_module, "PART_BYTES", part_bytes)
+        outputs = list(classifier_module._stc_batch(ts, tests, mode))
+        assert len(outputs) == len(tests)
+        for test, out in zip(tests, outputs):
+            state = assemble_mixed_stc_input(test, data, k,
+                                             with_ancilla=mode == "ancilla-circuit")
+            assert abs(out.expectation - classify_assembled(state).expectation) <= 1e-12
+
     @pytest.mark.parametrize("mode,rows_in_layout", [("ancilla-circuit", 5), ("minimal", 5)])
     def test_pure_circuit_memory_does_not_grow_with_m(self, mode, rows_in_layout):
         # m=100, dim=16, k=2: one input row is 2 * 256 * 256 * 2 amplitudes

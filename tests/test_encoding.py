@@ -14,12 +14,12 @@ from qkclass.encoding import (ClassifierState, RawDatum, TrainingSet,
                               assemble_ensemble_exponents,
                               assemble_ensemble_weights,
                               assemble_mixed_stc_input,
-                              assemble_pure_stc_input, block_to_pair_order)
+                              assemble_pure_stc_input)
 from qkclass.errors import DataError, DimensionError, NumericError
 from qkclass.qmath import (DensityMatrix, QState, basis_state, partial_trace,
                            permute_registers, random_density_matrix,
                            random_state_vector, tensor)
-from qkclass.registers import block_layout, pair_layout
+from qkclass.registers import block_layout
 
 
 def ket(*amps):
@@ -44,6 +44,19 @@ class TestAmplitudeEncode:
     def test_zero_vector_rejected(self):
         with pytest.raises(DataError):
             amplitude_encode([0.0, 0.0])
+
+    def test_rows_without_features_rejected(self):
+        with pytest.raises(DataError):
+            encoding.encode_rows(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_non_finite_features_rejected(self, bad):
+        with pytest.raises(DataError, match="non-finite"):
+            encoding.encode_rows(np.array([[1.0, 0.0, 0.0], [bad, 1.0, 0.0]]))
+
+    def test_no_rows_give_an_empty_stack(self):
+        vecs, norms = encoding.encode_rows(np.zeros((0, 3)))
+        assert vecs.shape == (0, 4) and norms.shape == (0,)
 
     def test_padding_never_reaches_kernel_values(self):
         a = amplitude_encode([1.0, 1.0, 1.0])
@@ -90,6 +103,30 @@ class TestTrainingSet:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(DimensionError):
             TrainingSet.from_raw([RawDatum([1.0, 0.0], 0), RawDatum([1, 0, 0, 0], 1)])
+
+    @pytest.mark.parametrize("k", [1.5, True, 0, "2"])
+    def test_copy_count_must_be_a_positive_integer(self, k):
+        with pytest.raises(DataError, match="copies k"):
+            TrainingSet.from_raw([RawDatum([1.0, 0.0], 0)], k=k)
+
+    def test_numpy_integer_copy_count_accepted(self):
+        ts = TrainingSet.from_raw([RawDatum([1.0, 0.0], 0)], k=np.int64(2))
+        assert ts.k == 2 and type(ts.k) is int
+
+    @pytest.mark.parametrize("bias", [np.nan, np.inf, -np.inf])
+    def test_non_finite_bias_rejected(self, bias):
+        with pytest.raises(DataError, match="bias must be finite"):
+            TrainingSet.from_raw([RawDatum([1.0, 0.0], 0)], bias=bias)
+
+    def test_infinite_weight_rejected(self):
+        with pytest.raises(DataError, match="finite and nonnegative"):
+            TrainingSet.from_raw([RawDatum([1.0, 0.0], 0, weight=np.inf),
+                                  RawDatum([0.0, 1.0], 1)])
+
+    @pytest.mark.parametrize("states", [np.array([[np.nan, 0.0]]), np.full((1, 2, 2), np.nan)])
+    def test_nan_states_rejected(self, states):
+        with pytest.raises(NumericError, match="unit vectors or unit-trace"):
+            TrainingSet(states, [0], [1.0])
 
     def test_keep_norms_effective_weights(self):
         ts = TrainingSet.from_raw(
@@ -157,20 +194,21 @@ class TestPureAssembly:
 
 
 class TestMixedAssembly:
-    def test_pure_inputs_reduce_to_block_assembly_after_permutation(self):
+    def test_pure_inputs_reduce_to_pure_assembly(self):
+        # Pure data is the rank-1 case of density-matrix data: both give the
+        # same state on the same layout.
         rng = np.random.default_rng(3)
         xs = [random_state_vector(2, rng) for _ in range(2)]
         test = random_state_vector(2, rng)
         k = 2
         ts = TrainingSet.from_states([(xs[0], 0, 0.4), (xs[1], 1, 0.6)], k=k)
-        block = assemble_pure_stc_input(ts, test)
-        pair = assemble_mixed_stc_input(
+        pure = assemble_pure_stc_input(ts, test)
+        mixed = assemble_mixed_stc_input(
             test.to_density(),
             [(x.to_density(), y, w) for x, y, w in [(xs[0], 0, 0.4), (xs[1], 1, 0.6)]],
             k)
-        permuted = permute_registers(block.rho.entries, block.layout.dims,
-                                     block_to_pair_order(k))
-        assert np.allclose(permuted, pair.rho.entries, atol=1e-12)
+        assert mixed.layout == pure.layout == block_layout(2, k)
+        assert max_gap(mixed, pure.rho.entries) < 1e-12
 
     def test_rank_two_test_state_has_unit_trace(self):
         rng = np.random.default_rng(4)
@@ -297,8 +335,22 @@ class TestEnsembles:
             assemble_ensemble_weights(test, [(0.7, [1.0])], train, k=1)
 
 
-def max_gap(state, reference) -> float:
-    return float(np.abs(state.rho.entries - reference).max())
+def block_to_pair(k: int, ancilla: bool = True) -> tuple[int, ...]:
+    """Register order taking the block layout [ancilla | test x k | train x k
+    | label] to the pair order [ancilla | (test, train) x k | label] of the
+    dense references, for :func:`qkclass.qmath.permute_registers`."""
+    shift = int(ancilla)
+    pairs = [shift + c for i in range(k) for c in (i, k + i)]
+    return tuple(range(shift)) + tuple(pairs) + (shift + 2 * k,)
+
+
+def max_gap(state, reference, k=None, ancilla=True) -> float:
+    """Largest entry gap between the state's rho and a reference; with ``k``
+    the rho is first taken to the pair order of the dense references."""
+    rho = state.rho.entries
+    if k is not None:
+        rho = permute_registers(rho, state.layout.dims, block_to_pair(k, ancilla))
+    return float(np.abs(rho - reference).max())
 
 
 def random_train(rng, m, dim, rank=None):
@@ -320,8 +372,8 @@ class TestStacks:
         test = random_density_matrix(dim, rng, rank=rank)
         train = random_train(rng, 5, dim, rank=rank)
         state = assemble_mixed_stc_input(test, train, k, with_ancilla=with_ancilla)
-        assert max_gap(state, dense_mixed_input(test, train, k,
-                                                with_ancilla=with_ancilla)) < 1e-12
+        assert max_gap(state, dense_mixed_input(test, train, k, with_ancilla=with_ancilla),
+                       k, with_ancilla) < 1e-12
         # At most 2 rank(rho_t)**k d**k rows: never more entries than the
         # dense rho, and at most half of them with the ancilla.
         rows = state.stack.shape[0]
@@ -350,20 +402,24 @@ class TestStacks:
             ens = assemble_ensemble_weights(test, models, train, k=k)
             mean = [(s, y, 0.25 * a + 0.75 * b)
                     for (s, y), a, b in zip(train, models[0][1], models[1][1])]
-            assert max_gap(ens, dense_mixed_input(test, mean, k)) < 1e-12
+            assert max_gap(ens, dense_mixed_input(test, mean, k), k) < 1e-12
 
+    @pytest.mark.parametrize("max_copies", [2, 3])
     @pytest.mark.parametrize("padding", ["maximally-mixed", "symmetric"])
-    def test_exponent_ensemble_matches_dense_reference(self, padding):
+    def test_exponent_ensemble_matches_dense_reference(self, padding, max_copies):
+        # At max_copies=3 the k=1 member carries two padded copy pairs.
         rng = np.random.default_rng(31)
         test = random_density_matrix(2, rng, rank=1)
         train = [(s, y) for s, y, _ in random_train(rng, 3, 2)]
-        models = [(0.4, [0.2, 0.3, 0.5], 1), (0.6, [0.6, 0.1, 0.3], 2)]
-        ens = assemble_ensemble_exponents(test, models, train, max_copies=2, padding=padding)
-        assert max_gap(ens, dense_ensemble_exponents(test, models, train, 2, padding)) < 1e-12
+        models = [(0.4, [0.2, 0.3, 0.5], 1), (0.6, [0.6, 0.1, 0.3], max_copies)]
+        ens = assemble_ensemble_exponents(test, models, train, max_copies, padding=padding)
+        assert ens.layout == block_layout(2, max_copies)
+        assert max_gap(ens, dense_ensemble_exponents(test, models, train, max_copies, padding),
+                       max_copies) < 1e-12
         for (q, a, k), (p, member) in zip(models, ens.members):
             data = [(s, y, w) for (s, y), w in zip(train, a)]
             assert p == q
-            assert max_gap(member, dense_mixed_input(test, data, k)) < 1e-12
+            assert max_gap(member, dense_mixed_input(test, data, k), k) < 1e-12
 
     def test_over_budget_stack_raises_before_allocating(self):
         # d=16, k=2, full rank: 131072 rows of 131072 amplitudes (256 GiB),
@@ -403,8 +459,8 @@ class TestSignedStacks:
                  (random_density_matrix(4, rng, rank=2), 1, 0.3), (test, 1, 0.2)]
         state = assemble_mixed_stc_input(test, train, k, with_ancilla=with_ancilla)
         assert state.signs is not None and np.any(state.signs < 0)
-        assert max_gap(state, dense_mixed_input(test, train, k,
-                                                with_ancilla=with_ancilla)) < 1e-12
+        assert max_gap(state, dense_mixed_input(test, train, k, with_ancilla=with_ancilla),
+                       k, with_ancilla) < 1e-12
 
     @pytest.mark.parametrize("padding", ["maximally-mixed", "symmetric"])
     def test_exponent_ensemble_matches_dense_reference(self, padding):
@@ -413,7 +469,7 @@ class TestSignedStacks:
         train = [(s, y) for s, y, _ in random_train(rng, 3, 4, rank=2)]
         models = [(0.4, [0.2, 0.3, 0.5], 1), (0.6, [0.6, 0.1, 0.3], 2)]
         ens = assemble_ensemble_exponents(test, models, train, max_copies=2, padding=padding)
-        assert max_gap(ens, dense_ensemble_exponents(test, models, train, 2, padding)) < 1e-12
+        assert max_gap(ens, dense_ensemble_exponents(test, models, train, 2, padding), 2) < 1e-12
 
     @pytest.mark.parametrize("with_ancilla", [True, False])
     def test_measurements_count_the_signs(self, with_ancilla):
@@ -436,7 +492,7 @@ class TestSignedStacks:
         assert abs(probs[1] - (1 + dense) / 2) < 1e-12
 
     def test_signs_are_checked(self):
-        layout = pair_layout(2, 1, ancilla=False)
+        layout = block_layout(2, 1, ancilla=False)
         stack = np.zeros((3, layout.dim), dtype=complex)
         stack[0, 0], stack[1, 5], stack[2, 6] = 1.0, 0.5, 0.5
         state = ClassifierState(None, layout, vector=stack, signs=[1.0, 1.0, -1.0])
@@ -460,7 +516,7 @@ class TestClassifierStateStack:
         assert not state.stack.flags.writeable
 
     def test_stack_norms_must_sum_to_one(self):
-        layout = pair_layout(2, 1, ancilla=False)
+        layout = block_layout(2, 1, ancilla=False)
         stack = np.zeros((2, layout.dim), dtype=complex)
         stack[0, 0] = stack[1, 5] = math.sqrt(0.5)
         state = ClassifierState(None, layout, vector=stack)
@@ -475,7 +531,7 @@ class TestClassifierStateStack:
 
     def test_density_matrix_state_is_factored_on_demand(self):
         rng = np.random.default_rng(33)
-        layout = pair_layout(2, 1, ancilla=False)
+        layout = block_layout(2, 1, ancilla=False)
         rho = random_density_matrix(layout.dim, rng, rank=3)
         state = ClassifierState(rho, layout)
         assert state.vector is None

@@ -135,6 +135,15 @@ class TestKernelMatrix:
             kernel_matrix(KernelSpec(SQUARED_OVERLAP), [KET0, QState(basis_state(4, 0))],
                           [KET0])
 
+    @pytest.mark.parametrize("kind,stack", [(SQUARED_OVERLAP, np.array([[np.nan, 0.0]])),
+                                            (HS_TRACE, np.full((1, 2, 2), np.nan))])
+    def test_nan_stack_fails_the_range_check(self, kind, stack):
+        # NaN kernel values must fail the [0, 1] check, not pass it as NaN.
+        with pytest.raises(NumericError, match="outside"):
+            kernel_matrix(KernelSpec(kind), stack, stack)
+        with pytest.raises(NumericError, match="outside"):
+            gram(KernelSpec(kind), stack)
+
     def test_empty_input_rejected(self):
         # An empty list and an empty stack are the same empty input.
         with pytest.raises(DataError):

@@ -1,5 +1,6 @@
 """Property tests: the classifiers do not depend on the overall scale of the
-weights, and datasets survive a write-read round trip exactly."""
+weights, pure data scores as its density matrices do, and datasets survive
+a write-read round trip exactly."""
 
 import os
 import tempfile
@@ -72,6 +73,21 @@ class TestWeightScaleInvariance:
         with_bias = bias is not None
         assert_same(hadamard_classify(ts, test, with_bias=with_bias),
                     hadamard_classify(ts_c, test, with_bias=with_bias))
+
+
+class TestPureDataIsRankOne:
+    @pytest.mark.parametrize("mode", STC_MODES)
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(1, 5), k=st.integers(1, 2),
+           dim=st.sampled_from([2, 4]))
+    def test_stc_classify(self, mode, seed, m, k, dim):
+        # Pure data given as density matrices (projectors) scores the same.
+        states, labels, weights, test = draw_data(seed, m, dim, False)
+        pure = TrainingSet.from_states(list(zip(states, labels, weights)), k=k)
+        mixed = TrainingSet.from_states(
+            [(s.to_density(), y, w) for s, y, w in zip(states, labels, weights)], k=k)
+        assert_same(stc_classify(pure, test, mode=mode),
+                    stc_classify(mixed, test.to_density(), mode=mode))
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)

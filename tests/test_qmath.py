@@ -191,6 +191,27 @@ class TestTypes:
         with pytest.raises(NumericError):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
+    def test_density_matrix_rejects_nan(self):
+        # A NaN entry makes the Hermiticity gap NaN, which must fail the check.
+        with pytest.raises(NumericError, match="Hermitian"):
+            DensityMatrix(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+
+    def test_nan_trace_fails_the_trace_check(self, monkeypatch):
+        # Only a NaN entry gives a NaN trace, and it fails the Hermiticity
+        # check first; a patched trace reaches the trace check itself.
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "trace", lambda mat: complex("nan"))
+            with pytest.raises(NumericError, match="trace"):
+                DensityMatrix(np.eye(2) / 2)
+
+    def test_nan_eigenvalue_fails_the_floor_check(self, monkeypatch):
+        rho = DensityMatrix(np.eye(2) / 2, check_psd=False)
+        monkeypatch.setattr(DensityMatrix, "min_eigenvalue", lambda self: float("nan"))
+        with pytest.raises(NumericError, match="minimum eigenvalue"):
+            rho.validate_psd()
+        with pytest.raises(NumericError, match="minimum eigenvalue"):
+            rho.validate()
+
     def test_values_are_immutable(self):
         state = QState(basis_state(2, 0))
         with pytest.raises(ValueError):
