@@ -24,6 +24,7 @@ import numpy as np
 from . import encoding, qmath
 from .circuit import (_stack_value, expectation, outcome_probabilities,
                       swap_label_observable, swap_test_expectation)
+from .constants import STC_MODES
 from .encoding import ClassifierState, TrainingSet
 from .errors import DataError, DimensionError, NumericError
 from .kernelsvm import (HS_TRACE, REAL_OVERLAP, SQUARED_OVERLAP, KernelSpec,
@@ -35,15 +36,6 @@ TIE_EPS = 1e-12
 MODE_AGREEMENT_ATOL = 1e-10
 
 TIE = "tie"
-
-STC_MODES = ("analytic", "ancilla-circuit", "minimal")
-
-
-def label_sign(label: int) -> int:
-    """Map external labels {0, 1} to the internal signs {+1, -1}."""
-    if label not in (0, 1):
-        raise DataError(f"label must be 0 or 1, got {label!r}")
-    return 1 - 2 * label
 
 
 def outcome_to_label(outcome: int) -> int:

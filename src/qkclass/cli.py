@@ -7,6 +7,13 @@ and exits 0 on success, 2 on usage errors, 3 on data errors, and 4 on
 numeric or dimension errors, including a ``MemoryError`` or a numpy
 ``LinAlgError`` raised by the computation. Errors print a JSON object to
 stderr.
+
+Each command imports the layers it runs inside its own body, so a process
+loads only those: ``emit-plot`` no numpy at all, ``gen-toy`` the dataset
+layer, ``train-svm`` and ``gram`` the dataset and kernel/SVM layers, and
+``classify`` and ``sample`` the classifier stack. At module level this file
+needs only click, the option vocabularies of :mod:`qkclass.constants`, the
+error types and the numpy-free reader and writers of :mod:`qkclass.fileio`.
 """
 
 from __future__ import annotations
@@ -16,14 +23,23 @@ import json
 import sys
 
 import click
-import numpy as np
 
-from . import datasets, experiment
+from . import __version__
+from .constants import (CLASSIFIERS, KERNEL_KINDS, SCHEMA_VERSION, SEED_ENV_VAR,
+                        SQUARED_OVERLAP, STC_MODES, TOY_KINDS, WEIGHT_MODES, env_seed)
 from .errors import DataError, QKClassError
-from .kernelsvm import KERNEL_KINDS, KernelSpec, psd_certify, svm_train
+from .fileio import dump_json, emit_plot_data, jsonable, read_json, write_results
 
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
+
+
+def _reported_errors() -> tuple:
+    """The errors a command reports as JSON: the package's own, MemoryError,
+    and numpy's LinAlgError when numpy is loaded (a command that never
+    loaded numpy cannot raise it)."""
+    np = sys.modules.get("numpy")
+    return (QKClassError, MemoryError) + (() if np is None else (np.linalg.LinAlgError,))
 
 
 def handles_errors(fn):
@@ -31,8 +47,9 @@ def handles_errors(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (QKClassError, MemoryError, np.linalg.LinAlgError) as exc:
-            click.echo(json.dumps(experiment.error_payload(exc)), err=True)
+        except _reported_errors() as exc:
+            error = {"type": type(exc).__name__, "message": str(exc)}
+            click.echo(json.dumps({"error": error}), err=True)
             sys.exit(EXIT_DATA if isinstance(exc, DataError) else EXIT_NUMERIC)
 
     return wrapper
@@ -40,9 +57,9 @@ def handles_errors(fn):
 
 def _write_json(payload: dict, out: str | None):
     if out is None:
-        datasets.dump_json(payload, sys.stdout, default=experiment.jsonable)
+        dump_json(payload, sys.stdout, default=jsonable)
     else:
-        experiment.write_results(payload, out)
+        write_results(payload, out)
 
 
 def _parse_bias(_ctx, _param, value):
@@ -64,7 +81,7 @@ def _parse_weight_list(_ctx, _param, value):
 
 
 @click.group()
-@click.version_option(package_name="qkclass")
+@click.version_option(version=__version__)
 def main():
     """Exact simulation of quantum kernel-based binary classifiers."""
 
@@ -72,12 +89,12 @@ def main():
 _config_options = [
     click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
                  default=None, help="JSON config file; CLI flags take precedence."),
-    click.option("--classifier", type=click.Choice(experiment.CLASSIFIERS), default=None),
-    click.option("--mode", type=click.Choice(("analytic", "ancilla-circuit", "minimal")),
+    click.option("--classifier", type=click.Choice(CLASSIFIERS), default=None),
+    click.option("--mode", type=click.Choice(STC_MODES),
                  default=None, help="Evaluation mode for the swap-test classifier."),
     click.option("--kernel", type=click.Choice(KERNEL_KINDS), default=None),
     click.option("--k", type=int, default=None, help="Copies of test and training data."),
-    click.option("--weights", type=click.Choice(experiment.WEIGHT_MODES), default=None),
+    click.option("--weights", type=click.Choice(WEIGHT_MODES), default=None),
     click.option("--explicit-weights", callback=_parse_weight_list, default=None,
                  help="Comma-separated weights for weights mode 'explicit'."),
     click.option("--bias", callback=_parse_bias, default=None,
@@ -86,7 +103,7 @@ _config_options = [
     click.option("--shots", type=int, default=None,
                  help="Projective shots per test point (0 = exact expectation)."),
     click.option("--seed", type=int, default=None,
-                 help=f"RNG seed (default from ${experiment.SEED_ENV_VAR} if set)."),
+                 help=f"RNG seed (default from ${SEED_ENV_VAR} if set)."),
     click.option("--tie-as-zero/--tie-as-tie", "tie_as_zero", default=None,
                  help="Map tied expectation values to label 0 instead of 'tie'."),
     click.option("--keep-norms/--unit-vectors", "keep_norms", default=None,
@@ -100,9 +117,10 @@ def config_options(fn):
     return fn
 
 
-def _merged_config(config_path, **cli_values) -> experiment.ExperimentConfig:
-    file_values = experiment.load_config_file(config_path) if config_path else {}
-    return experiment.merge_config(cli_values, file_values)
+def _merged_config(config_path, **cli_values):
+    from .experiment import load_config_file, merge_config
+    file_values = load_config_file(config_path) if config_path else {}
+    return merge_config(cli_values, file_values)
 
 
 @main.command()
@@ -123,15 +141,25 @@ def classify(dataset, test_path, labeled_tests, fmt, out, config_path, **cli_val
 
 
 def _run(config, dataset, test_path, labeled_tests, fmt, out):
-    ds = datasets.ingest(dataset, fmt)
-    tests, test_labels = datasets.load_test_points(test_path, labeled=labeled_tests)
-    payload = experiment.run_experiment(config, ds, tests, test_labels)
+    from .datasets import ingest, load_test_points
+    from .experiment import run_experiment
+    ds = ingest(dataset, fmt)
+    tests, test_labels = load_test_points(test_path, labeled=labeled_tests)
+    payload = run_experiment(config, ds, tests, test_labels)
     _write_json(payload, out)
+
+
+def _dataset_gram(dataset, fmt, kernel, k):
+    """The dataset file and the Gram matrix of its amplitude-encoded rows."""
+    from .datasets import ingest
+    from .kernelsvm import KernelSpec, encode_rows, vector_gram
+    ds = ingest(dataset, fmt)
+    return ds, vector_gram(KernelSpec(kernel, k=k), encode_rows(ds.features)[0])
 
 
 @main.command("train-svm")
 @click.argument("dataset", type=click.Path(exists=True, dir_okay=False))
-@click.option("--kernel", type=click.Choice(KERNEL_KINDS), default="squared-overlap")
+@click.option("--kernel", type=click.Choice(KERNEL_KINDS), default=SQUARED_OVERLAP)
 @click.option("--k", type=int, default=1)
 @click.option("--box-c", type=float, default=1e6)
 @click.option("--format", "fmt", type=click.Choice(("csv", "json")), default=None)
@@ -139,11 +167,11 @@ def _run(config, dataset, test_path, labeled_tests, fmt, out):
 @handles_errors
 def train_svm(dataset, kernel, k, box_c, fmt, out):
     """Train the dual SVM on a dataset and emit the model."""
-    ds = datasets.ingest(dataset, fmt)
-    g = experiment.dataset_gram(ds, KernelSpec(kernel, k=k))
+    from .kernelsvm import svm_train
+    ds, g = _dataset_gram(dataset, fmt, kernel, k)
     model = svm_train(g, ds.labels, C=box_c)
     payload = {
-        "schema_version": experiment.SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSION,
         "kernel": {"kind": kernel, "k": k},
         "box_c": box_c,
         "multipliers": model.multipliers.tolist(),
@@ -160,18 +188,18 @@ def train_svm(dataset, kernel, k, box_c, fmt, out):
 
 @main.command("gram")
 @click.argument("dataset", type=click.Path(exists=True, dir_okay=False))
-@click.option("--kernel", type=click.Choice(KERNEL_KINDS), default="squared-overlap")
+@click.option("--kernel", type=click.Choice(KERNEL_KINDS), default=SQUARED_OVERLAP)
 @click.option("--k", type=int, default=1)
 @click.option("--format", "fmt", type=click.Choice(("csv", "json")), default=None)
 @click.option("-o", "--out", type=click.Path(dir_okay=False), default=None)
 @handles_errors
 def gram_command(dataset, kernel, k, fmt, out):
     """Gram matrix, its eigenvalues, and the PSD certificate."""
-    ds = datasets.ingest(dataset, fmt)
-    g = experiment.dataset_gram(ds, KernelSpec(kernel, k=k))
+    from .kernelsvm import psd_certify
+    _, g = _dataset_gram(dataset, fmt, kernel, k)
     cert = psd_certify(g)
     payload = {
-        "schema_version": experiment.SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSION,
         "kernel": {"kind": kernel, "k": k},
         "matrix": g.matrix.tolist(),
         "eigenvalues": g.eigenvalues.tolist(),
@@ -201,7 +229,7 @@ def sample(dataset, test_path, labeled_tests, fmt, out, config_path, **cli_value
 
 
 @main.command("gen-toy")
-@click.option("--kind", type=click.Choice(datasets.TOY_KINDS), default="separable")
+@click.option("--kind", type=click.Choice(TOY_KINDS), default="separable")
 @click.option("--m", type=int, default=8, help="Number of points.")
 @click.option("--dim", type=int, default=2, help="Feature dimension.")
 @click.option("--seed", type=int, default=None)
@@ -211,10 +239,12 @@ def sample(dataset, test_path, labeled_tests, fmt, out, config_path, **cli_value
 @handles_errors
 def gen_toy(kind, m, dim, seed, noise, out):
     """Generate a seeded toy dataset."""
+    from .datasets import gen_toy as toy_dataset
+    from .datasets import write_dataset
     if seed is None:
-        seed = experiment.merge_config({}, {}).seed
-    ds = datasets.gen_toy(kind, m, dim, seed, noise)
-    datasets.write_dataset(ds, out)
+        seed = env_seed()
+    ds = toy_dataset(kind, m, dim, seed, noise)
+    write_dataset(ds, out)
     click.echo(json.dumps({"written": out, "rows": len(ds), "seed": seed}))
 
 
@@ -224,8 +254,8 @@ def gen_toy(kind, m, dim, seed, noise, out):
 @handles_errors
 def emit_plot(results, out):
     """Flatten a results JSON file into plot-ready CSV."""
-    payload = datasets.read_json(results, "results file")
-    experiment.emit_plot_data(payload, out)
+    payload = read_json(results, "results file")
+    emit_plot_data(payload, out)
     click.echo(json.dumps({"written": out, "rows": len(payload.get("results", []))}))
 
 

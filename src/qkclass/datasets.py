@@ -14,16 +14,15 @@ Validation errors name the offending row and column (1-based).
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from .constants import TOY_KINDS
 from .errors import DataError
-
-TOY_KINDS = ("orthogonal-pair", "separable", "random")
+from .fileio import dump_json, read_json
 
 
 @dataclass(frozen=True)
@@ -100,40 +99,6 @@ def _finish(rows: list[list[complex]], labels: list[int],
         raise DataError("dataset has no rows")
     return DatasetFile(_features(rows), np.array(labels, dtype=int),
                        None if weights is None else np.array(weights, dtype=float))
-
-
-def read_json(path: str, what: str):
-    """The parsed content of a JSON file; invalid JSON raises DataError
-    naming ``what``."""
-    with open(path) as handle:
-        try:
-            return json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"invalid {what}: {exc}") from exc
-
-
-def dump_json(payload: dict | list, handle, default=None):
-    """Stream a dict or list as JSON: a list, or a dict key's list of lists or
-    dicts, one item per line; a dict one sorted key per line. Each piece is
-    ``json.dumps(piece, sort_keys=True, default=default)``, written as made."""
-    encode = json.JSONEncoder(sort_keys=True, default=default).encode
-
-    def lines(items, brackets: str = "[]"):
-        handle.write(brackets[0])
-        for n, (prefix, value) in enumerate(items):
-            handle.write((",\n" if n else "\n") + prefix)
-            if prefix and isinstance(value, list) and value and all(
-                    isinstance(v, (list, dict)) for v in value):
-                lines(("", v) for v in value)
-            else:
-                handle.write(encode(value))
-        handle.write("\n" + brackets[1])
-
-    if isinstance(payload, dict):
-        lines(((encode(key) + ": ", payload[key]) for key in sorted(payload)), "{}")
-    else:
-        lines(("", item) for item in payload)
-    handle.write("\n")
 
 
 def _csv_records(path: str):

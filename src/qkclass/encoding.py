@@ -39,6 +39,7 @@ import numpy as np
 
 from . import qmath
 from .errors import DataError, DimensionError, NumericError
+from .kernelsvm import encode_rows
 from .qmath import DensityMatrix, QState, tensor_power
 from .registers import RegisterLayout, block_layout
 
@@ -50,28 +51,6 @@ def amplitude_encode(x) -> QState:
     """Encode a raw complex vector in the amplitudes of a normalized state
     (one row of :func:`encode_rows`)."""
     return QState(encode_rows(qmath.as_cvec(x)[None])[0][0])
-
-
-def encode_rows(rows) -> tuple[np.ndarray, np.ndarray]:
-    """Amplitude-encode each row of a 2-D array: the unit vectors, zero-padded
-    to the next power-of-two dimension, and the raw row norms.
-
-    The added amplitudes are exactly 0 and never contribute to an overlap.
-    """
-    rows = np.asarray(rows, dtype=complex)
-    if rows.ndim != 2 or rows.shape[1] == 0:
-        raise DataError(f"cannot amplitude-encode rows of shape {rows.shape}")
-    if not np.all(np.isfinite(rows)):
-        raise DataError("cannot amplitude-encode non-finite features")
-    # Each norm as np.linalg.norm of the row alone, so a row encodes to the
-    # same bits in a batch as on its own.
-    norms = np.array([np.linalg.norm(row) for row in rows])
-    if np.any(norms == 0.0):
-        raise DataError("cannot amplitude-encode the zero vector")
-    out = np.zeros((rows.shape[0], 1 << max(0, math.ceil(math.log2(rows.shape[1])))),
-                   dtype=complex)
-    out[:, :rows.shape[1]] = rows / norms[:, None]
-    return out, norms
 
 
 @dataclass(frozen=True)
@@ -137,9 +116,16 @@ class TrainingSet:
                 else np.trace(states, axis1=1, axis2=2))
         if not np.all(np.abs(size - 1.0) <= qmath.ATOL_STRUCT):
             raise NumericError("training states must be unit vectors or unit-trace matrices")
-        if labels.size and not weights.sum() > 0.0:
+        with np.errstate(over="ignore"):
+            total = weights.sum()
+        if not math.isfinite(total):
+            # Finite weights whose sum overflows: rescale by the largest first.
+            top = weights.max()
+            weights, bias = weights / top, None if bias is None else bias / top
+            total = weights.sum()
+        if labels.size and not total > 0.0:
             raise DataError("training weights must have a positive sum")
-        scale = 1.0 / weights.sum() if labels.size else 1.0
+        scale = 1.0 / total if labels.size else 1.0
         weights, bias = weights * scale, None if bias is None else bias * scale
         for name, value in (("states", states), ("labels", labels.astype(int)),
                             ("weights", weights), ("norms", norms), ("k", int(k)),

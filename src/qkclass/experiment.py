@@ -1,18 +1,13 @@
-"""Experiment orchestration: configuration, batch classification runs,
-results JSON, and the flat plot-data CSV.
+"""Experiment orchestration: configuration and batch classification runs.
 
 Results are deterministic for a fixed (config, dataset, seed) triple apart
-from the ``wall_clock_seconds`` field; output files are written to a
-temporary sibling and renamed into place so failures never leave partial
-files behind.
+from the ``wall_clock_seconds`` field. Results files and the plot CSV are
+written by :mod:`qkclass.fileio`.
 """
 
 from __future__ import annotations
 
-import csv
-import os
 import sys
-import tempfile
 import time
 from dataclasses import asdict, dataclass
 
@@ -21,18 +16,14 @@ import numpy as np
 from . import classifier as clf
 from . import encoding
 from .circuit import draw_shots, empirical_expectation
-from .datasets import DatasetFile, dump_json, read_json
+from .constants import (CLASSIFIERS, KERNEL_KINDS, SCHEMA_VERSION, STC_MODES,
+                        WEIGHT_MODES, env_seed)
+from .datasets import DatasetFile
 from .encoding import TrainingSet
 from .errors import DataError
-from .kernelsvm import (HS_TRACE, KERNEL_KINDS, GramMatrix, KernelSpec, gram,
-                        svm_train)
-from .qmath import projectors
+from .fileio import read_json
+from .kernelsvm import KernelSpec, encode_rows, svm_train, vector_gram
 
-SCHEMA_VERSION = 1
-SEED_ENV_VAR = "QKCLASS_SEED"
-
-CLASSIFIERS = ("stc", "stc-bias", "hc", "qsvm")
-WEIGHT_MODES = ("uniform", "explicit", "trained")
 # Types of the typed config fields; a bool is no number, a float is finite.
 _FIELD_TYPES = (("k", int), ("shots", int), ("seed", int), ("box_c", float),
                 ("tie_as_zero", bool), ("keep_norms", bool))
@@ -77,7 +68,7 @@ class ExperimentConfig:
             object.__setattr__(self, "explicit_weights", tuple(map(float, weights)))
         if not (self.bias is None or self.bias == "trained" or _is_finite(self.bias)):
             raise DataError(f"bias must be a finite number, null or 'trained', got {self.bias!r}")
-        for name, allowed in (("classifier", CLASSIFIERS), ("mode", clf.STC_MODES),
+        for name, allowed in (("classifier", CLASSIFIERS), ("mode", STC_MODES),
                               ("weights", WEIGHT_MODES), ("kernel", KERNEL_KINDS)):
             if getattr(self, name) not in allowed:
                 raise DataError(f"unknown {name} {getattr(self, name)!r}")
@@ -121,30 +112,16 @@ def merge_config(cli_values: dict, file_values: dict) -> ExperimentConfig:
             merged[key] = cli_values[key]
         elif key in file_values and file_values[key] is not None:
             merged[key] = file_values[key]
-    if "seed" not in merged and SEED_ENV_VAR in os.environ:
-        try:
-            merged["seed"] = int(os.environ[SEED_ENV_VAR])
-        except ValueError:
-            raise DataError(f"{SEED_ENV_VAR} must be an integer")
+    if "seed" not in merged:
+        merged["seed"] = env_seed()
     return ExperimentConfig(**merged)
-
-
-def _gram(vecs: np.ndarray, spec: KernelSpec) -> GramMatrix:
-    """Gram matrix of encoded rows; hs-trace takes them as density matrices
-    (on pure states it equals the squared overlap)."""
-    return gram(spec, projectors(vecs) if spec.kind == HS_TRACE else vecs)
-
-
-def dataset_gram(dataset: DatasetFile, spec: KernelSpec) -> GramMatrix:
-    """Gram matrix of the amplitude-encoded rows."""
-    return _gram(encoding.encode_rows(dataset.features)[0], spec)
 
 
 def build_training_set(config: ExperimentConfig, dataset: DatasetFile):
     """Training set, plus the trained model and the Gram matrix it was
     trained on (both None unless the weights mode is trained). The rows are
     amplitude-encoded once, for both."""
-    vecs, norms = encoding.encode_rows(dataset.features)
+    vecs, norms = encode_rows(dataset.features)
     model = g = None
     if config.weights == "uniform":
         weights = np.ones(len(dataset))
@@ -154,7 +131,7 @@ def build_training_set(config: ExperimentConfig, dataset: DatasetFile):
                             f"for {len(dataset)} rows")
         weights = np.asarray(config.explicit_weights, dtype=float)
     else:
-        g = _gram(vecs, KernelSpec(config.kernel, k=config.k))
+        g = vector_gram(KernelSpec(config.kernel, k=config.k), vecs)
         model = svm_train(g, dataset.labels, C=config.box_c)
         weights = np.asarray(model.multipliers, dtype=float)
         if weights.sum() <= 0:
@@ -194,7 +171,7 @@ def run_experiment(config: ExperimentConfig, dataset: DatasetFile,
             max(1, len(test_features)))
     outputs = ()
     if len(test_features):
-        vecs, norms = encoding.encode_rows(test_features)
+        vecs, norms = encode_rows(test_features)
         if config.classifier in ("stc", "stc-bias"):
             outputs = clf._stc_batch(ts, vecs, config.mode if config.classifier == "stc" else "bias")
         elif config.classifier == "hc":
@@ -245,70 +222,3 @@ def run_experiment(config: ExperimentConfig, dataset: DatasetFile,
             "eigenvalues": g.eigenvalues.tolist(),
         }
     return payload
-
-
-def _atomic_write(path: str, writer):
-    """Write through a temporary sibling and rename, so a failure cannot
-    leave a partial output file behind."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    handle = tempfile.NamedTemporaryFile("w", dir=directory, delete=False,
-                                         suffix=".tmp", newline="")
-    try:
-        with handle:
-            writer(handle)
-        os.replace(handle.name, path)
-    except Exception:
-        try:
-            os.unlink(handle.name)
-        except OSError:
-            pass
-        raise
-
-
-def jsonable(value):
-    """``default`` hook of the JSON encoder: numpy scalars and arrays as
-    Python values. The payload itself is encoded as it stands, not copied."""
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"{type(value).__name__} is not JSON serializable")
-
-
-def write_results(payload: dict, path: str):
-    """Write a results object as streamed JSON (see :func:`dump_json`)."""
-    _atomic_write(path, lambda handle: dump_json(payload, handle, default=jsonable))
-
-
-PLOT_COLUMNS = ("index", "expectation", "predicted_label", "shots_total",
-                "shots_plus", "shots_minus", "freq_plus")
-
-
-def emit_plot_data(payload: dict, path: str):
-    """Flatten a results object to CSV, one row per test point.
-
-    Column order is fixed: index, expectation, predicted_label, shots_total,
-    shots_plus, shots_minus, freq_plus; the shot columns stay empty for
-    exact (shots=0) runs. Floats use repr and parse back to full precision.
-    """
-    if "results" not in payload or not isinstance(payload["results"], list):
-        raise DataError("results payload has no 'results' list")
-
-    def writer(handle):
-        out = csv.writer(handle)
-        out.writerow(PLOT_COLUMNS)
-        for entry in payload["results"]:
-            shots = entry.get("shots")
-            if shots:
-                shot_cols = [shots["total"], shots["plus"], shots["minus"],
-                             repr(shots["plus"] / shots["total"])]
-            else:
-                shot_cols = ["", "", "", ""]
-            out.writerow([entry["index"], repr(float(entry["expectation"])),
-                          entry["predicted_label"], *shot_cols])
-
-    _atomic_write(path, writer)
-
-
-def error_payload(exc: Exception) -> dict:
-    return {"error": {"type": type(exc).__name__, "message": str(exc)}}

@@ -8,28 +8,47 @@ stacked inputs as one matrix product, and the single value, the Gram
 matrix, the regression and every classifier's kernel sum are read from it.
 The trainer is a self-contained SMO solver (maximal-violating-pair
 working-set selection, two-variable analytic updates) adequate up to a few
-thousand points.
+thousand points. :func:`encode_rows` amplitude-encodes feature rows into
+the unit vectors the kernels, the training set and the classifiers read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
+from .constants import ATOL_STRUCT, HS_TRACE, KERNEL_KINDS, REAL_OVERLAP, SQUARED_OVERLAP
 from .errors import DataError, DimensionError, NumericError
-from .qmath import ATOL_STRUCT, DensityMatrix, QState
-
-SQUARED_OVERLAP = "squared-overlap"
-HS_TRACE = "hs-trace"
-REAL_OVERLAP = "real-overlap"
-KERNEL_KINDS = (SQUARED_OVERLAP, HS_TRACE, REAL_OVERLAP)
 
 SUPPORT_EPS = 1e-8
 DEFAULT_C = 1e6
 KKT_TOL = 1e-6
 MAX_SMO_ITER = 100_000
+
+
+def encode_rows(rows) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitude-encode each row of a 2-D array: the unit vectors, zero-padded
+    to the next power-of-two dimension, and the raw row norms.
+
+    The added amplitudes are exactly 0 and never contribute to an overlap.
+    """
+    rows = np.asarray(rows, dtype=complex)
+    if rows.ndim != 2 or rows.shape[1] == 0:
+        raise DataError(f"cannot amplitude-encode rows of shape {rows.shape}")
+    if not np.all(np.isfinite(rows)):
+        raise DataError("cannot amplitude-encode non-finite features")
+    # Each norm as np.linalg.norm of the row alone, so a row encodes to the
+    # same bits in a batch as on its own.
+    norms = np.array([np.linalg.norm(row) for row in rows])
+    if np.any(norms == 0.0):
+        raise DataError("cannot amplitude-encode the zero vector")
+    out = np.zeros((rows.shape[0], 1 << max(0, math.ceil(math.log2(rows.shape[1])))),
+                   dtype=complex)
+    out[:, :rows.shape[1]] = rows / norms[:, None]
+    return out, norms
 
 
 @dataclass(frozen=True)
@@ -48,13 +67,14 @@ def _stack(kind: str, states: Sequence) -> np.ndarray:
     """The inputs as one array (vectors, or density matrices for hs-trace):
     a stack as it is given, state objects after checking their type and that
     they share one dimension."""
-    want = DensityMatrix if kind == HS_TRACE else QState
     if isinstance(states, np.ndarray) and states.ndim != (3 if kind == HS_TRACE else 2):
         raise DimensionError(f"{kind} kernel cannot take a stack of shape {states.shape}")
     if len(states) == 0:
         raise DataError(f"{kind} kernel needs at least one state")
     if isinstance(states, np.ndarray):
         return states
+    from .qmath import DensityMatrix, QState
+    want = DensityMatrix if kind == HS_TRACE else QState
     if not all(isinstance(s, want) for s in states):
         raise DataError(f"{kind} kernel requires homogeneous {want.__name__} inputs")
     dims = {s.dim for s in states}
@@ -133,6 +153,15 @@ def gram(spec: KernelSpec, states: Sequence) -> GramMatrix:
     g.setflags(write=False)
     eigs.setflags(write=False)
     return GramMatrix(g, spec, eigs)
+
+
+def vector_gram(spec: KernelSpec, vecs: np.ndarray) -> GramMatrix:
+    """Gram matrix of a stack of unit vectors; hs-trace takes them as their
+    projectors (on pure states it equals the squared overlap)."""
+    if spec.kind == HS_TRACE:
+        from .qmath import projectors
+        vecs = projectors(vecs)
+    return gram(spec, vecs)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .constants import ATOL_DERIVED, ATOL_STRUCT
 from .errors import DataError, DimensionError, NumericError
 
 # Hard cap on any Hilbert-space dimension handled by this package.
@@ -27,9 +28,6 @@ DIM_CAP = 2**20
 # 2**28 bytes (256 MiB) is a 4096 x 4096 complex matrix.
 DENSE_BYTES_BUDGET = 2**28
 
-# Structural invariants hold at 1e-12, derived equalities at 1e-10.
-ATOL_STRUCT = 1e-12
-ATOL_DERIVED = 1e-10
 PSD_FLOOR = -1e-10
 # Eigenvalues of at most this size are dropped from an eigen-factor
 # (round-off of a rank-deficient state).
@@ -161,10 +159,6 @@ class DensityMatrix:
     def validate(self):
         """Re-run every invariant, including the eigenvalue floor."""
         DensityMatrix(self.entries, check_psd=True)
-
-    @classmethod
-    def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(np.eye(dim) / dim, check_psd=False)
 
     def __repr__(self):
         return f"DensityMatrix(dim={self.dim})"
@@ -340,23 +334,6 @@ class HermitianSpectrum:
             raise NumericError(f"spectral reconstruction error {err} above 1e-10")
         return cls(_frozen(vals.astype(float)), _frozen(vecs))
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
-
-    def projector_onto(self, value: float, atol: float = ATOL_DERIVED) -> np.ndarray:
-        """Projector onto the eigenspace of eigenvalues equal to ``value``."""
-        mask = np.abs(self.eigenvalues - value) <= atol
-        vecs = self.eigenvectors[:, mask]
-        return vecs @ vecs.conj().T
-
-
-def basis_state(dim: int, index: int) -> np.ndarray:
-    if not 0 <= index < dim:
-        raise DimensionError(f"basis index {index} out of range for dim {dim}")
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return v
-
 
 def permute_registers(array: np.ndarray, dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
     """Reorder tensor factors of a vector or square matrix.
@@ -395,14 +372,3 @@ def random_state_vector(dim: int, rng: np.random.Generator) -> QState:
     """Haar-like random pure state from a complex Gaussian draw."""
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return QState(v / np.linalg.norm(v))
-
-
-def random_density_matrix(dim: int, rng: np.random.Generator, rank: int | None = None) -> DensityMatrix:
-    """Random mixed state: a uniform-weight mixture of ``rank`` random pure states."""
-    rank = dim if rank is None else max(1, min(rank, dim))
-    probs = rng.random(rank)
-    probs /= probs.sum()
-    mat = np.zeros((dim, dim), dtype=complex)
-    for p in probs:
-        mat += p * random_state_vector(dim, rng).projector()
-    return DensityMatrix(mat, check_psd=False)

@@ -9,7 +9,8 @@ these.
 import numpy as np
 
 from qkclass.circuit import swap_operator
-from qkclass.qmath import basis_state, tensor, tensor_power
+from helpers import basis_state
+from qkclass.qmath import tensor, tensor_power
 
 
 def label_projector(label: int) -> np.ndarray:

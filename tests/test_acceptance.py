@@ -9,6 +9,7 @@ with binomial bounds.
 import time
 
 import numpy as np
+from helpers import basis_state, maximally_mixed, projector_onto, random_density_matrix
 
 from qkclass.circuit import (ancilla_label_parity, build_swap_test_unitary,
                              empirical_expectation, expectation,
@@ -25,8 +26,7 @@ from qkclass.encoding import (TrainingSet, amplitude_encode,
                               assemble_mixed_stc_input)
 from qkclass.kernelsvm import (HS_TRACE, SQUARED_OVERLAP, KernelSpec, gram,
                                psd_certify, regression, svm_train)
-from qkclass.qmath import (SIGMA_Z, DensityMatrix, QState, basis_state,
-                           fidelity, hs_inner, random_density_matrix,
+from qkclass.qmath import (SIGMA_Z, DensityMatrix, QState, fidelity, hs_inner,
                            random_state_vector, tensor)
 from qkclass.registers import block_layout
 
@@ -138,7 +138,7 @@ def test_criterion_04_spectral_check():
     ]
     worst = 0.0
     for lam, vec in table:
-        proj = spec.projector_onto(lam)
+        proj = projector_onto(spec, lam)
         worst = max(worst, float(np.linalg.norm(proj @ vec - vec)))
     assert worst < 1e-10
     print(f"\n[criterion 04] PASS spectral table: 4/4 eigenvalue split, "
@@ -216,7 +216,7 @@ def test_criterion_06_misclassification_formula():
 
 def test_criterion_07_fidelity_counterexample():
     rng = np.random.default_rng(70707)
-    mixed = DensityMatrix.maximally_mixed(2)
+    mixed = maximally_mixed(2)
     worst_hs = 0.0
     for _ in range(50):
         rho = random_density_matrix(2, rng)

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import basis_state, projector_onto, random_density_matrix
 
 from qkclass import circuit as circuit_module
 from qkclass import qmath
@@ -16,9 +17,8 @@ from qkclass.classifier import classify_assembled
 from qkclass.encoding import (ClassifierState, TrainingSet, assemble_mixed_stc_input,
                               assemble_pure_stc_input, mixed_stc_state)
 from qkclass.errors import DataError, DimensionError, NumericError
-from qkclass.qmath import (PAULIS, SIGMA_Z, QState, basis_state,
-                           random_density_matrix, random_state_vector,
-                           tensor, tensor_power)
+from qkclass.qmath import (PAULIS, SIGMA_Z, QState, random_state_vector, tensor,
+                           tensor_power)
 from qkclass.registers import (ANCILLA, LABEL, TEST, TRAIN, Register, RegisterLayout,
                                block_layout)
 
@@ -191,7 +191,7 @@ class TestEffectiveObservable:
             np.kron([0, s2, -s2, 0], [1, 0]),         # antisym x |0>
         ]
         for lam, vecs in ((1.0, plus_pairs), (-1.0, minus_pairs)):
-            proj = spec.projector_onto(lam)
+            proj = projector_onto(spec, lam)
             for v in vecs:
                 assert np.linalg.norm(proj @ v - v) < 1e-10
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import basis_state, label_sign, maximally_mixed, random_density_matrix
 
 from qkclass import circuit as circuit_module
 from qkclass import classifier as classifier_module
@@ -11,7 +12,7 @@ from qkclass import encoding as encoding_module
 from qkclass import qmath
 from qkclass.classifier import (STC_MODES, TIE, ClassifierOutput, classify_assembled,
                                 decide, hadamard_classify, helstrom_operator,
-                                label_sign, misclassification_probability,
+                                misclassification_probability,
                                 outcome_to_label, qsvm_oracle_classify,
                                 single_shot_classify, stc_classify,
                                 stc_classify_bias)
@@ -24,8 +25,7 @@ from qkclass.encoding import (KEEP_NORMS, ClassifierState, RawDatum,
                               assemble_ensemble_weights,
                               assemble_mixed_stc_input)
 from qkclass.errors import DataError, DimensionError, NumericError
-from qkclass.qmath import (DensityMatrix, QState, basis_state, hs_inner,
-                           random_density_matrix, random_state_vector,
+from qkclass.qmath import (DensityMatrix, QState, hs_inner, random_state_vector,
                            tensor_power)
 from qkclass.registers import LABEL
 
@@ -250,7 +250,7 @@ class TestStcClassify:
     def test_maximally_mixed_test_state_scores_half(self):
         # the trace kernel against I/2 is 1/2 whatever the training state is
         rng = np.random.default_rng(13)
-        half = DensityMatrix.maximally_mixed(2)
+        half = maximally_mixed(2)
         for y in (0, 1):
             ts = TrainingSet.from_states([(random_density_matrix(2, rng), y, 1.0)])
             out = stc_classify(ts, half)

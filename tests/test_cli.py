@@ -13,16 +13,17 @@ import pytest
 from click.testing import CliRunner
 
 from qkclass import circuit as circuit_module
-from qkclass import classifier, cli, encoding, experiment
+from qkclass import classifier, cli, encoding, experiment, fileio, kernelsvm
 from qkclass.classifier import stc_classify
 from qkclass.cli import main
+from qkclass.constants import SEED_ENV_VAR
 from qkclass.datasets import (DatasetFile, format_complex, gen_toy, ingest,
                               parse_complex, write_dataset)
 from qkclass.encoding import amplitude_encode
 from qkclass.errors import DataError, NumericError
-from qkclass.experiment import (ExperimentConfig, build_training_set,
-                                emit_plot_data, merge_config, run_experiment,
-                                write_results)
+from qkclass.experiment import (ExperimentConfig, build_training_set, merge_config,
+                                run_experiment)
+from qkclass.fileio import emit_plot_data, write_results
 
 # The form in which perfbench/oracle.py finds the timing field to mask it.
 WALL_CLOCK = re.compile(r'"wall_clock_seconds": [-+0-9.eE]+')
@@ -36,7 +37,7 @@ def runner():
 @pytest.fixture
 def workdir(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv(experiment.SEED_ENV_VAR, raising=False)
+    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
     return tmp_path
 
 
@@ -349,7 +350,7 @@ class TestResultsWriter:
         payload = self.payload()
         write_results(payload, "a.json")
         text = (workdir / "a.json").read_text()
-        assert json.loads(text) == json.loads(json.dumps(payload, default=experiment.jsonable))
+        assert json.loads(text) == json.loads(json.dumps(payload, default=fileio.jsonable))
         lines = text.splitlines()
         start = lines.index('"matrix": [')
         assert lines[start + 1:start + 5] == [
@@ -402,7 +403,7 @@ class TestConfigMerging:
         assert config.classifier == "stc"
 
     def test_env_seed_fallback(self, workdir, monkeypatch):
-        monkeypatch.setenv(experiment.SEED_ENV_VAR, "123")
+        monkeypatch.setenv(SEED_ENV_VAR, "123")
         assert merge_config({}, {}).seed == 123
         assert merge_config({"seed": 5}, {}).seed == 5
         assert merge_config({}, {"seed": 6}).seed == 6
@@ -428,7 +429,7 @@ class TestEmitPlot:
     def test_empty_results_header_only(self, workdir):
         emit_plot_data(self._payload(0), "plot.csv")
         rows = read_rows("plot.csv")
-        assert rows == [list(experiment.PLOT_COLUMNS)]
+        assert rows == [list(fileio.PLOT_COLUMNS)]
 
     def test_three_rows(self, workdir):
         emit_plot_data(self._payload(3, shots=True), "plot.csv")
@@ -538,7 +539,7 @@ class TestCliCommands:
             raise error
 
         write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])
-        monkeypatch.setattr(experiment, "gram", failing_gram)
+        monkeypatch.setattr(kernelsvm, "gram", failing_gram)
         result = runner.invoke(main, ["gram", "train.csv", "-o", "gram.json"])
         assert result.exit_code == 4
         payload = json.loads(result.stderr)
@@ -556,7 +557,7 @@ class TestCliCommands:
         result = runner.invoke(main, ["emit-plot", "out.json", "-o", "plot.csv"])
         assert result.exit_code == 0
         rows = read_rows(workdir / "plot.csv")
-        assert rows == [list(experiment.PLOT_COLUMNS)]
+        assert rows == [list(fileio.PLOT_COLUMNS)]
 
     @pytest.mark.parametrize("args", [
         ["--mode", "ancilla-circuit", "--k", "2"], ["--mode", "minimal"],
@@ -751,6 +752,102 @@ class TestImportHygiene:
         assert result.exit_code == 0, result.output
         assert all("shots" not in r
                    for r in json.loads((workdir / "exact.json").read_text())["results"])
+
+
+# Runs one CLI command in a fresh interpreter, then writes its exit code and
+# the names of the loaded modules as the last line of stderr.
+FRESH_PROBE = """
+import json, sys
+from qkclass.cli import main
+try:
+    main(sys.argv[1:], prog_name="qkclass")
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"exit": code, "modules": sorted(sys.modules)}), file=sys.stderr)
+"""
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+HEAVY = ("qkclass.circuit", "qkclass.classifier", "qkclass.encoding", "qkclass.experiment")
+
+
+def run_fresh(argv, cwd):
+    """(stdout, stderr lines before the report, exit code, loaded modules)."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", FRESH_PROBE, *argv], cwd=cwd,
+                          capture_output=True, text=True, env=env)
+    *errors, report = done.stderr.splitlines()
+    report = json.loads(report)
+    return done.stdout, errors, report["exit"], set(report["modules"])
+
+
+class TestFreshCommandImports:
+    """Each command in its own interpreter, so no earlier command's imports
+    mask what a later one loads."""
+
+    def test_emit_plot_loads_no_numpy(self, runner, workdir):
+        gen_toy_file(runner, "--m", "6", "--dim", "2")
+        write_lines(workdir / "tests.csv", ["1,0", "0.6,0.8"])
+        result = runner.invoke(main, ["classify", "toy.csv", "--test", "tests.csv",
+                                      "-o", "out.json"])
+        assert result.exit_code == 0, result.output
+        stdout, _, code, modules = run_fresh(["emit-plot", "out.json", "-o", "plot.csv"],
+                                             workdir)
+        assert code == 0 and json.loads(stdout) == {"written": "plot.csv", "rows": 2}
+        assert "numpy" not in modules
+        assert len(read_rows(workdir / "plot.csv")) == 3
+
+    def test_emit_plot_data_error_exits_3_without_numpy(self, workdir):
+        (workdir / "bad.json").write_text("{")
+        _, errors, code, modules = run_fresh(["emit-plot", "bad.json", "-o", "plot.csv"],
+                                             workdir)
+        assert code == 3 and "numpy" not in modules
+        assert json.loads(errors[-1])["error"]["type"] == "DataError"
+        assert not (workdir / "plot.csv").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-toy", "--seed", "3", "-o", "again.csv"],
+        ["train-svm", "toy.csv", "-o", "model.json"],
+        ["gram", "toy.csv", "-o", "gram.json"],
+    ])
+    def test_training_commands_load_only_the_dataset_and_kernel_layers(
+            self, runner, workdir, argv):
+        gen_toy_file(runner, "--m", "8", "--dim", "4")
+        _, _, code, modules = run_fresh(argv, workdir)
+        assert code == 0
+        assert not modules & set(HEAVY), sorted(modules & set(HEAVY))
+        assert {m for m in modules if m.startswith("qkclass")} <= {
+            "qkclass", "qkclass.cli", "qkclass.constants", "qkclass.errors",
+            "qkclass.fileio", "qkclass.datasets", "qkclass.kernelsvm"}
+        assert (workdir / argv[-1]).exists()
+
+    def test_version_from_source_loads_no_numpy(self, workdir):
+        stdout, errors, code, modules = run_fresh(["--version"], workdir)
+        assert code == 0 and errors == []
+        assert stdout.split() == ["qkclass,", "version", "0.1.0"]
+        assert "numpy" not in modules
+
+
+class TestLazyPackage:
+    def test_every_public_name_resolves_from_its_module(self):
+        import qkclass
+        for name in qkclass.__all__:
+            value = getattr(qkclass, name)
+            assert getattr(sys.modules[value.__module__], name) is value
+        assert set(qkclass.__all__) <= set(dir(qkclass))
+
+    def test_unknown_name_raises_attribute_error(self):
+        import qkclass
+        with pytest.raises(AttributeError, match="no_such_name"):
+            qkclass.no_such_name
+        assert not hasattr(qkclass, "label_sign")
+
+    def test_import_loads_no_submodule(self, workdir):
+        code = ("import json, sys, qkclass; "
+                "print(json.dumps(sorted(m for m in sys.modules if m.startswith(('qkclass', 'numpy')))))")
+        env = dict(os.environ, PYTHONPATH=SRC)
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, check=True)
+        assert json.loads(done.stdout) == ["qkclass"]
 
 
 def readme_round_trip() -> list[list[str]]:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from dense_reference import (dense_ensemble_exponents, dense_mixed_input,
                              dense_pure_mixture)
+from helpers import basis_state, random_density_matrix
 
 from qkclass import encoding, qmath
 from qkclass.circuit import (ancilla_label_parity, expectation, outcome_probabilities,
@@ -16,8 +17,7 @@ from qkclass.encoding import (ClassifierState, RawDatum, TrainingSet,
                               assemble_mixed_stc_input,
                               assemble_pure_stc_input)
 from qkclass.errors import DataError, DimensionError, NumericError
-from qkclass.qmath import (DensityMatrix, QState, basis_state, partial_trace,
-                           permute_registers, random_density_matrix,
+from qkclass.qmath import (DensityMatrix, QState, partial_trace, permute_registers,
                            random_state_vector, tensor)
 from qkclass.registers import block_layout
 
@@ -79,6 +79,19 @@ class TestTrainingSet:
             [RawDatum([1.0, 0.0], 0, weight=2.0), RawDatum([0.0, 1.0], 1, weight=2.0)],
             bias=1.0)
         assert ts.bias == pytest.approx(0.25)
+
+    def test_weight_sum_overflow_rescaled_by_largest_weight(self):
+        ts = TrainingSet.from_raw(
+            [RawDatum([1.0, 0.0], 0, weight=1e308), RawDatum([0.0, 1.0], 1, weight=1e308)],
+            bias=1e308)
+        assert ts.weights.tolist() == [0.5, 0.5]
+        assert ts.bias == 0.5
+
+    def test_finite_weight_sum_divides_once(self):
+        weights = np.random.default_rng(5).random(7) * 1e300
+        ts = TrainingSet(np.eye(8)[:7], [0, 1] * 3 + [0], weights, bias=0.3)
+        assert ts.weights.tolist() == (weights * (1.0 / weights.sum())).tolist()
+        assert ts.bias == 0.3 * (1.0 / weights.sum())
 
     def test_zero_bias_rejected(self):
         with pytest.raises(DataError):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import basis_state, maximally_mixed, random_density_matrix
 from smo_reference import reference_smo
 
 from qkclass.classifier import stc_classify, stc_classify_bias
@@ -13,8 +14,7 @@ from qkclass.kernelsvm import (DEFAULT_C, HS_TRACE, KERNEL_KINDS, KKT_TOL,
                                REAL_OVERLAP, SQUARED_OVERLAP, GramMatrix,
                                KernelSpec, gram, kernel_eval, kernel_matrix,
                                psd_certify, regression, svm_train)
-from qkclass.qmath import (DensityMatrix, QState, basis_state, hs_inner,
-                           random_density_matrix, random_state_vector)
+from qkclass.qmath import DensityMatrix, QState, hs_inner, random_state_vector
 
 KET0 = QState(basis_state(2, 0))
 KET1 = QState(basis_state(2, 1))
@@ -59,7 +59,7 @@ class TestKernelEval:
         spec = KernelSpec(HS_TRACE)
         for _ in range(5):
             rho = random_density_matrix(2, rng)
-            assert kernel_eval(spec, DensityMatrix.maximally_mixed(2), rho) == pytest.approx(0.5)
+            assert kernel_eval(spec, maximally_mixed(2), rho) == pytest.approx(0.5)
 
     def test_copy_exponent(self):
         spec = KernelSpec(SQUARED_OVERLAP, k=3)

@@ -9,12 +9,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import random_density_matrix
 
 from qkclass.classifier import (STC_MODES, hadamard_classify, stc_classify,
                                 stc_classify_bias)
 from qkclass.datasets import DatasetFile, ingest, write_dataset
 from qkclass.encoding import TrainingSet
-from qkclass.qmath import random_density_matrix, random_state_vector
+from qkclass.qmath import random_state_vector
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None)
 scales = st.floats(1e-3, 1e3)

@@ -2,12 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import basis_state, maximally_mixed, random_density_matrix, reconstruct
 
 from qkclass import qmath
 from qkclass.errors import DataError, DimensionError, NumericError
-from qkclass.qmath import (DensityMatrix, HermitianSpectrum, QState,
-                           basis_state, fidelity, hs_inner, partial_trace,
-                           permute_registers, random_density_matrix,
+from qkclass.qmath import (DensityMatrix, HermitianSpectrum, QState, fidelity,
+                           hs_inner, partial_trace, permute_registers,
                            random_state_vector, tensor)
 
 
@@ -123,7 +123,7 @@ class TestSimilarityMeasures:
         rng = np.random.default_rng(3)
         for _ in range(10):
             rho = random_density_matrix(2, rng)
-            assert abs(hs_inner(DensityMatrix.maximally_mixed(2), rho) - 0.5) < 1e-12
+            assert abs(hs_inner(maximally_mixed(2), rho) - 0.5) < 1e-12
 
     def test_hs_inner_pure_pairs(self):
         ket0 = QState(basis_state(2, 0)).to_density()
@@ -142,11 +142,11 @@ class TestSimilarityMeasures:
     def test_fidelity_against_maximally_mixed(self, eps):
         rho = DensityMatrix(np.diag([eps, 1 - eps]).astype(complex), check_psd=False)
         expect = 0.5 + np.sqrt(eps * (1 - eps))
-        assert abs(fidelity(DensityMatrix.maximally_mixed(2), rho) - expect) < 1e-10
+        assert abs(fidelity(maximally_mixed(2), rho) - expect) < 1e-10
 
     def test_fidelity_pure_state_case(self):
         pure = QState(basis_state(2, 0)).to_density()
-        assert abs(fidelity(DensityMatrix.maximally_mixed(2), pure) - 0.5) < 1e-10
+        assert abs(fidelity(maximally_mixed(2), pure) - 0.5) < 1e-10
 
     def test_self_fidelity(self):
         rng = np.random.default_rng(5)
@@ -165,9 +165,9 @@ class TestSimilarityMeasures:
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            hs_inner(DensityMatrix.maximally_mixed(2), DensityMatrix.maximally_mixed(4))
+            hs_inner(maximally_mixed(2), maximally_mixed(4))
         with pytest.raises(DimensionError):
-            fidelity(DensityMatrix.maximally_mixed(2), DensityMatrix.maximally_mixed(4))
+            fidelity(maximally_mixed(2), maximally_mixed(4))
 
 
 class TestTypes:
@@ -231,7 +231,7 @@ class TestSpectrum:
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         herm = (a + a.conj().T) / 2
         spec = HermitianSpectrum.of(herm)
-        assert np.linalg.norm(spec.reconstruct() - herm) < 1e-10
+        assert np.linalg.norm(reconstruct(spec) - herm) < 1e-10
         assert np.all(np.diff(spec.eigenvalues) <= 1e-12)
 
     def test_eigenvectors_orthonormal(self):
