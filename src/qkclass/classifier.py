@@ -139,12 +139,6 @@ def stc_classify(ts: TrainingSet, test, mode: str = "analytic",
     return next(_stc_batch(ts, tests, mode, tie_eps))
 
 
-def stc_classify_batch(ts: TrainingSet, tests, tie_eps: float = TIE_EPS):
-    """Analytic swap-test outputs of N test states (QStates or an (N, d) stack
-    of unit vectors; DensityMatrices for mixed data), made as iterated."""
-    return _stc_batch(ts, tests, "analytic", tie_eps)
-
-
 def _stc_batch(ts: TrainingSet, tests, mode: str, tie_eps: float = TIE_EPS):
     """Swap-test outputs of N tests (an (N, d) stack of unit vectors, or a
     list of DensityMatrices, unless ``analytic``), chunk by chunk: one

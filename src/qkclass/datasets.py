@@ -159,15 +159,15 @@ def ingest(path: str, fmt: str | None = None) -> DatasetFile:
     return _ingest_csv(path) if fmt == "csv" else _ingest_json(path)
 
 
-def load_test_points(path: str, fmt: str | None = None, labeled: bool = False):
+def load_test_points(path: str, labeled: bool = False):
     """Load test inputs: labeled files share the dataset schema; unlabeled
     CSV rows are all features, unlabeled JSON is a list of feature lists.
 
     Returns (features, labels-or-None).
     """
-    fmt = _infer_format(path, fmt)
+    fmt = _infer_format(path, None)
     if labeled:
-        ds = ingest(path, fmt)
+        ds = ingest(path)
         return ds.features, ds.labels
     if fmt == "csv":
         rows = [_parse_row(parse_complex, record, r) for r, record in _csv_records(path)]
@@ -180,9 +180,8 @@ def load_test_points(path: str, fmt: str | None = None, labeled: bool = False):
     return (_features(rows) if rows else np.zeros((0, 0), dtype=complex)), None
 
 
-def write_dataset(ds: DatasetFile, path: str, fmt: str | None = None):
-    fmt = _infer_format(path, fmt)
-    if fmt == "csv":
+def write_dataset(ds: DatasetFile, path: str):
+    if _infer_format(path, None) == "csv":
         if ds.weights is not None:
             raise DataError("CSV datasets cannot carry per-row weights; use JSON")
         with open(path, "w", newline="") as handle:

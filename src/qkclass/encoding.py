@@ -429,8 +429,7 @@ def mixed_stc_state(ts: TrainingSet, test: QState | DensityMatrix,
     if test.dim != ts.data_dim:
         raise DimensionError(f"test dim {test.dim} != training dim {ts.data_dim}")
     layout = block_layout(test.dim, k, ancilla=with_ancilla)
-    factor = (test.vec[None], None) if isinstance(test, QState) else qmath.eigen_factor(
-        test, "test state")
+    factor = qmath.eigen_factor(test, "test state")
     live = weights > 0.0
     bound = (len(set(ts.labels[live].tolist())) * test.dim ** k if ts.is_mixed
              else np.count_nonzero(live))

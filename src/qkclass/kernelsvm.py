@@ -244,10 +244,9 @@ def svm_train(g: GramMatrix, labels: Sequence[int], C: float = DEFAULT_C,
     # Selection penalties, added to -l * grad: 0 where an index may enter
     # the pair as i (``up``) or as j (``low``), -inf / +inf where it may
     # not. A step moves only alpha[i] and alpha[j], so only their entries
-    # (and the counts of open entries) change.
+    # change. An empty set selects -inf or +inf, so its gap is -inf.
     up_pen = np.where(positive, 0.0, -np.inf)
     low_pen = np.where(positive, np.inf, 0.0)
-    n_up, n_low = int(positive.sum()), int(m - positive.sum())
     minus_lg, buf = np.empty(m), np.empty(m)
     history = []
     converged = False
@@ -255,12 +254,10 @@ def svm_train(g: GramMatrix, labels: Sequence[int], C: float = DEFAULT_C,
         if record_objective:
             history.append(_dual_objective(alpha, q))
         np.multiply(neg_l, grad, out=minus_lg)
-        if not n_up or not n_low:
-            converged = True
-            break
         i = int(np.add(minus_lg, up_pen, out=buf).argmax())
+        top = buf[i]
         j = int(np.add(minus_lg, low_pen, out=buf).argmin())
-        gap = minus_lg[i] - minus_lg[j]
+        gap = top - buf[j]
         if gap < tol:
             converged = True
             break
@@ -274,12 +271,8 @@ def svm_train(g: GramMatrix, labels: Sequence[int], C: float = DEFAULT_C,
         # q is symmetric (exactly so from gram()): rows stand in for columns.
         grad += q[i] * d_i + q[j] * d_j
         for k in (i, j):
-            up = bool(alpha[k] < C if positive[k] else alpha[k] > 0)
-            low = bool(alpha[k] > 0 if positive[k] else alpha[k] < C)
-            n_up += up - bool(up_pen[k] == 0.0)
-            n_low += low - bool(low_pen[k] == 0.0)
-            up_pen[k] = 0.0 if up else -np.inf
-            low_pen[k] = 0.0 if low else np.inf
+            up_pen[k] = 0.0 if (alpha[k] < C if positive[k] else alpha[k] > 0) else -np.inf
+            low_pen[k] = 0.0 if (alpha[k] > 0 if positive[k] else alpha[k] < C) else np.inf
     if not converged:
         np.multiply(neg_l, grad, out=minus_lg)
         gap = np.add(minus_lg, up_pen, out=buf).max() - np.add(minus_lg, low_pen, out=buf).min()
@@ -297,8 +290,8 @@ def svm_train(g: GramMatrix, labels: Sequence[int], C: float = DEFAULT_C,
     if free.any():
         bias = float(b_candidates[free].mean())
     else:
-        up = np.where(positive, alpha < C, alpha > 0)
-        low = np.where(positive, alpha > 0, alpha < C)
+        # The clip moves no index across the set boundaries of the penalties.
+        up, low = up_pen == 0.0, low_pen == 0.0
         hi = b_candidates[up].max() if up.any() else 0.0
         lo = b_candidates[low].min() if low.any() else 0.0
         bias = float((hi + lo) / 2.0)

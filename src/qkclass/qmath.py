@@ -242,19 +242,25 @@ def hs_inner(a, b) -> float:
     return float(val.real)
 
 
-def eigen_factor(mat, what: str = "matrix") -> tuple[np.ndarray, np.ndarray | None]:
-    """Rows F and signs s with mat = F^T diag(s) conj(F) = sum_i s_i |f_i><f_i|
-    for a Hermitian matrix that is PSD up to ``PSD_FLOOR``, the floor
-    :class:`DensityMatrix` accepts.
+def eigen_factor(state, what: str = "matrix") -> tuple[np.ndarray, np.ndarray | None]:
+    """Rows F and signs s with rho = F^T diag(s) conj(F) = sum_i s_i |f_i><f_i|,
+    the one form in which a state is measured.
 
-    f_i is sqrt(|lambda_i|) times eigenvector i and s_i the sign of
-    lambda_i, for each eigenvalue with |lambda_i| above ``EIGEN_CUT`` (a
-    dropped one moves no entry by more than its size). A round-off negative
-    eigenvalue is kept with sign -1, so the rows rebuild ``mat`` itself;
-    ``signs`` is None when every sign is +1. An eigenvalue below the floor,
-    or a rebuild off by more than 1e-12 in any entry, raises NumericError.
+    A QState or 1-D vector is its own single row, with ``signs`` None. A
+    DensityMatrix or square array gives f_i = sqrt(|lambda_i|) times
+    eigenvector i and s_i the sign of lambda_i, for each eigenvalue with
+    |lambda_i| above ``EIGEN_CUT`` (a dropped one moves no entry by more
+    than its size). A round-off negative eigenvalue is kept with sign -1,
+    so the rows rebuild the matrix itself; ``signs`` is None when every sign
+    is +1. An eigenvalue below ``PSD_FLOOR`` (the floor DensityMatrix
+    accepts) or a rebuild off by more than 1e-12 in any entry (a
+    non-Hermitian matrix) raises NumericError; any other shape DimensionError.
     """
-    m = _as_array(mat, True)
+    m = _as_array(state)
+    if m.ndim == 1:
+        return m[None], None
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DimensionError(f"{what} must be a vector or a square matrix, got shape {m.shape}")
     vals, vecs = np.linalg.eigh(m)
     if vals.size and vals[0] < PSD_FLOOR:
         raise NumericError(f"{what} has eigenvalue {vals[0]} below {PSD_FLOOR}")
@@ -283,20 +289,19 @@ def power_mixture(mats: np.ndarray, weights: np.ndarray, k: int) -> np.ndarray:
     return np.einsum(*operands, list(range(1, 2 * k + 1))).reshape(d ** k, d ** k)
 
 
-def hermitian_sqrt(mat: np.ndarray, zero_tol: float = 0.0) -> np.ndarray:
+def hermitian_sqrt(mat: np.ndarray) -> np.ndarray:
     """Principal square root of a Hermitian PSD matrix.
 
     Eigenvalues in [-1e-10, 0) are round-off and clamp to 0; anything lower
-    is an invariant violation. ``zero_tol`` additionally zeroes eigenvalues
-    below that fraction of the largest one: the square root amplifies kernel
-    dust of size eps to sqrt(eps), so rank-deficient inputs need it.
+    is an invariant violation. Eigenvalues below 1e-13 of the largest one
+    (or of 1) are zeroed too: the square root amplifies kernel dust of
+    size eps to sqrt(eps), so rank-deficient inputs need it.
     """
     vals, vecs = np.linalg.eigh(mat)
     if vals[0] < PSD_FLOOR:
         raise NumericError(f"matrix is not PSD: min eigenvalue {vals[0]}")
     vals = np.clip(vals, 0.0, None)
-    if zero_tol > 0.0:
-        vals[vals < zero_tol * max(1.0, float(vals[-1]))] = 0.0
+    vals[vals < 1e-13 * max(1.0, float(vals[-1]))] = 0.0
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
@@ -305,8 +310,8 @@ def fidelity(a, b) -> float:
     ma, mb = _as_array(a, True), _as_array(b, True)
     if ma.shape != mb.shape:
         raise DimensionError(f"dimension mismatch: {ma.shape} vs {mb.shape}")
-    root = hermitian_sqrt(ma, zero_tol=1e-13)
-    inner = hermitian_sqrt(root @ mb @ root, zero_tol=1e-13)
+    root = hermitian_sqrt(ma)
+    inner = hermitian_sqrt(root @ mb @ root)
     val = float(np.trace(inner).real) ** 2
     if val > 1.0 + ATOL_DERIVED:
         raise NumericError(f"fidelity {val} exceeds 1 beyond tolerance")

@@ -368,12 +368,18 @@ class TestStructuredObservables:
         eye = np.eye(obs.dim)
         vec = random_state_vector(obs.dim, rng).vec
         rho = random_density_matrix(obs.dim, rng, rank=3)
+        # round-off negative eigen-part, measured as a row of sign -1
+        signed = np.diag([0.5 + 5e-11, 0.5, -5e-11] + [0.0] * (obs.dim - 3))
         for state, dense in ((vec, lambda op: np.vdot(vec, op @ vec)),
-                             (rho, lambda op: np.einsum("ij,ji->", op, rho.entries))):
+                             (rho, lambda op: np.einsum("ij,ji->", op, rho.entries)),
+                             (signed, lambda op: np.einsum("ij,ji->", op, signed))):
             assert abs(expectation(obs, state) - dense(mat).real) < 1e-12
             probs = outcome_probabilities(obs, state)
             for lam in (1, -1):
-                assert abs(probs[lam] - dense((eye + lam * mat) / 2.0).real) < 1e-12
+                # probabilities are clamped to [0, 1]; the signed state's
+                # can be 1e-10 outside
+                expect = min(max(dense((eye + lam * mat) / 2.0).real, 0.0), 1.0)
+                assert abs(probs[lam] - expect) < 1e-12
 
     def test_applied_where_the_dense_matrix_is_refused(self):
         layout = block_layout(8, 2, index_slots=2)
@@ -395,6 +401,15 @@ class TestStructuredObservables:
     def test_unnormalized_state_rejected_by_probabilities(self):
         with pytest.raises(NumericError):
             outcome_probabilities(swap_operator(2), 2.0 * np.eye(4) / 4)
+
+    def test_matrix_below_the_psd_floor_is_not_a_state(self):
+        not_a_state = np.diag([1.5, -0.5])
+        with pytest.raises(NumericError):
+            expectation(SIGMA_Z, not_a_state)
+        with pytest.raises(NumericError):
+            outcome_probabilities(Observable(SIGMA_Z), not_a_state)
+        with pytest.raises(NumericError):
+            sample_shots(Observable(SIGMA_Z), not_a_state, 10, seed=1)
 
     @pytest.mark.parametrize("z,order", [
         ((), (1, 2, 0)),          # a 3-cycle is not an involution

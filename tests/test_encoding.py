@@ -563,3 +563,12 @@ class TestClassifierStateStack:
         rho = DensityMatrix(np.diag([0.75, 0.25, 0.0, 0.0]).astype(complex))
         rows, signs = qmath.eigen_factor(rho)
         assert rows.shape == (2, 4) and signs is None
+
+    def test_eigen_factor_of_a_pure_state_is_its_vector(self):
+        vec = np.array([0.6, 0.0, 0.8j, 0.0])
+        for state in (QState(vec), vec):
+            rows, signs = qmath.eigen_factor(state)
+            assert rows.shape == (1, 4) and signs is None
+            assert np.array_equal(rows[0], vec)
+        with pytest.raises(DimensionError):
+            qmath.eigen_factor(np.ones((2, 3)))
