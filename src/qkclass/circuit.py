@@ -56,8 +56,7 @@ class Observable:
     __slots__ = ("layout", "z_registers", "order", "_matrix", "_spectrum",
                  "_involutory")
 
-    def __init__(self, matrix, layout: RegisterLayout | None = None, *,
-                 involutory: bool | None = None):
+    def __init__(self, matrix, layout: RegisterLayout | None = None):
         mat = np.asarray(matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionError(f"observable must be square, got shape {mat.shape}")
@@ -66,7 +65,7 @@ class Observable:
             raise DimensionError("observable dimension does not match its layout")
         mat = mat.copy()
         mat.setflags(write=False)
-        self._init(layout, None, None, mat, involutory)
+        self._init(layout, None, None, mat, None)
 
     def _init(self, layout, z_registers, order, matrix, involutory):
         for name, value in zip(self.__slots__, (layout, z_registers, order, matrix, None,

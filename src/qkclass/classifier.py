@@ -22,18 +22,15 @@ from typing import Sequence
 import numpy as np
 
 from . import encoding, qmath
-from .circuit import (_stack_value, expectation, outcome_probabilities,
-                      swap_label_observable, swap_test_expectation)
-from .constants import STC_MODES
+from .circuit import _stack_value, expectation, swap_label_observable, swap_test_expectation
+from .constants import STC_MODES, check_dense_budget
 from .encoding import ClassifierState, TrainingSet
 from .errors import DataError, DimensionError, NumericError
-from .kernelsvm import (HS_TRACE, REAL_OVERLAP, SQUARED_OVERLAP, KernelSpec,
-                        kernel_matrix)
+from .kernelsvm import HS_TRACE, REAL_OVERLAP, SQUARED_OVERLAP, KernelSpec, kernel_matrix
 from .qmath import ATOL_DERIVED, DensityMatrix, QState
 from .registers import ANCILLA, block_layout
 
 TIE_EPS = 1e-12
-MODE_AGREEMENT_ATOL = 1e-10
 
 TIE = "tie"
 
@@ -45,10 +42,10 @@ def outcome_to_label(outcome: int) -> int:
     return (1 - outcome) // 2
 
 
-def decide(value: float, tie_eps: float = TIE_EPS):
-    if value > tie_eps:
+def decide(value: float):
+    if value > TIE_EPS:
         return 0
-    if value < -tie_eps:
+    if value < -TIE_EPS:
         return 1
     return TIE
 
@@ -101,22 +98,21 @@ def _chunks(count: int, row_bytes: int):
     return (slice(lo, lo + size) for lo in range(0, count, size))
 
 
-def _outputs(values: np.ndarray, terms: np.ndarray, bias_terms, tie_eps: float):
+def _outputs(values: np.ndarray, terms: np.ndarray, bias_terms):
     """One output per test row: its value, its row of terms and its bias term."""
     bias_terms = np.broadcast_to(bias_terms, values.shape).tolist()
     for value, row, bias in zip(values.tolist(), terms, bias_terms):
-        yield ClassifierOutput(value, decide(value, tie_eps), tuple(enumerate(row.tolist())), bias)
+        yield ClassifierOutput(value, decide(value), tuple(enumerate(row.tolist())), bias)
 
 
 def _check_circuit(simulated: np.ndarray, closed: np.ndarray, what: str):
     """Every test row's circuit value must equal its closed form to 1e-10."""
     gap = np.abs(simulated - closed).max()
-    if gap > MODE_AGREEMENT_ATOL:
+    if gap > ATOL_DERIVED:
         raise NumericError(f"{what} circuit values disagree with the closed form by {gap}")
 
 
-def stc_classify(ts: TrainingSet, test, mode: str = "analytic",
-                 tie_eps: float = TIE_EPS) -> ClassifierOutput:
+def stc_classify(ts: TrainingSet, test, mode: str = "analytic") -> ClassifierOutput:
     """Swap-test classifier expectation and label.
 
     The three modes are numerically interchangeable: ``analytic`` sums the
@@ -136,17 +132,18 @@ def stc_classify(ts: TrainingSet, test, mode: str = "analytic",
         tests = _coerce_test_pure(test)[0]
         if ts.is_mixed:
             tests = [QState(tests[0]).to_density()]
-    return next(_stc_batch(ts, tests, mode, tie_eps))
+    return next(_stc_batch(ts, tests, mode))
 
 
-def _stc_batch(ts: TrainingSet, tests, mode: str, tie_eps: float = TIE_EPS):
+def _stc_batch(ts: TrainingSet, tests, mode: str):
     """Swap-test outputs of N tests (an (N, d) stack of unit vectors, or a
     list of DensityMatrices, unless ``analytic``), chunk by chunk: one
     :func:`kernel_matrix` call and one blocked circuit pass. Mode ``bias``
     (:func:`stc_classify_bias`) checks its closed form on the
     bias-extended rows; the circuit modes sum each test's signed
     index-free input rows (:func:`encoding.mixed_stc_state`), built in
-    parts of at most ``PART_BYTES``."""
+    parts of at most ``PART_BYTES``. One row of a circuit mode's layout is
+    checked against the size budget before any row is built."""
     if (mode == "bias") != (ts.bias is not None):
         raise DataError("stc_classify_bias takes a training set with a bias, "
                         "stc_classify one without")
@@ -155,6 +152,8 @@ def _stc_batch(ts: TrainingSet, tests, mode: str, tie_eps: float = TIE_EPS):
     layout = None if mode == "analytic" else block_layout(
         ts.data_dim if len(ts) else tests.shape[1], ts.k, ancilla=mode != "minimal",
         index_slots=len(ts) + 1 if mode == "bias" else None)
+    if layout is not None:
+        check_dense_budget((1, layout.dim), "circuit row")
     obs = swap_label_observable(layout) if mode == "minimal" else None
     if layout is not None and mode != "bias":
         train = encoding._train_rows(ts, weights, ts.k)
@@ -177,11 +176,10 @@ def _stc_batch(ts: TrainingSet, tests, mode: str, tie_eps: float = TIE_EPS):
             if residual > ATOL_DERIVED:
                 raise NumericError(f"circuit value has imaginary residual {residual}")
             values = values.real
-        yield from _outputs(values, terms, bias, tie_eps)
+        yield from _outputs(values, terms, bias)
 
 
-def stc_classify_bias(ts: TrainingSet, test,
-                      tie_eps: float = TIE_EPS) -> ClassifierOutput:
+def stc_classify_bias(ts: TrainingSet, test) -> ClassifierOutput:
     """Swap-test classifier with the bias encoded in an extra index slot.
 
     The expectation equals (b + sum_m sign_m w_m kernel_m**k) / N with
@@ -191,11 +189,11 @@ def stc_classify_bias(ts: TrainingSet, test,
     matrix nor a dense operator is built, so the check costs about the
     state vector. The test is scored as a batch of one.
     """
-    return next(_stc_batch(ts, _coerce_test_pure(test)[0], "bias", tie_eps))
+    return next(_stc_batch(ts, _coerce_test_pure(test)[0], "bias"))
 
 
 def _interference_batch(ts: TrainingSet, tests: np.ndarray, norms: np.ndarray, amps,
-                        labels: np.ndarray, what: str, tie_eps: float):
+                        labels: np.ndarray, what: str):
     """One-gate interference outputs of an (N, d) stack of unit vectors t
     with raw norms n (read in keep-norms mode). Branch u holds amps[0]_0 |0>
     in index slot 0 and amps[0]_s |x_s> in slot s, branch x amps[1]_0 |0>
@@ -231,11 +229,10 @@ def _interference_batch(ts: TrainingSet, tests: np.ndarray, norms: np.ndarray, a
         parity = ((np.abs(u_hat + x_hat) ** 2 - np.abs(u_hat - x_hat) ** 2) / 4.0).reshape(
             len(t), dim, 2, slots)
         _check_circuit((parity[:, :, 0] - parity[:, :, 1]).sum(axis=(1, 2)), closed, what)
-        yield from _outputs(closed, terms, scale * coefficients[0], tie_eps)
+        yield from _outputs(closed, terms, scale * coefficients[0])
 
 
-def hadamard_classify(ts: TrainingSet, test, with_bias: bool = False,
-                      tie_eps: float = TIE_EPS) -> ClassifierOutput:
+def hadamard_classify(ts: TrainingSet, test, with_bias: bool = False) -> ClassifierOutput:
     """Hadamard classifier: interference of training and test branches of an
     ancilla, scoring by the real part of the overlap.
 
@@ -243,11 +240,10 @@ def hadamard_classify(ts: TrainingSet, test, with_bias: bool = False,
     product enters), unlike the swap-test classifier. Pure states and a
     single data copy only. The test is scored as a batch of one.
     """
-    return next(_hadamard_batch(ts, *_coerce_test_pure(test), with_bias, tie_eps))
+    return next(_hadamard_batch(ts, *_coerce_test_pure(test), with_bias))
 
 
-def _hadamard_batch(ts: TrainingSet, tests: np.ndarray, norms: np.ndarray,
-                    with_bias: bool, tie_eps: float = TIE_EPS):
+def _hadamard_batch(ts: TrainingSet, tests: np.ndarray, norms: np.ndarray, with_bias: bool):
     """:func:`hadamard_classify` of an (N, d) stack of unit vectors with raw
     norms: sqrt|b| on label y_b in slot 0 (0 without a bias), entry m in 1 + m."""
     if ts.k != 1:
@@ -259,11 +255,11 @@ def _hadamard_batch(ts: TrainingSet, tests: np.ndarray, norms: np.ndarray,
     bias = ts.bias if with_bias else 0.0
     amp = np.append(math.sqrt(abs(bias)), np.sqrt(ts.weights))
     return _interference_batch(ts, tests, norms, (amp * np.append(1.0, ts.norms), amp),
-                               np.append(int(bias < 0), ts.labels), "Hadamard", tie_eps)
+                               np.append(int(bias < 0), ts.labels), "Hadamard")
 
 
 def qsvm_oracle_classify(alphas: Sequence[float], b: float, ts: TrainingSet,
-                         test, tie_eps: float = TIE_EPS) -> ClassifierOutput:
+                         test) -> ClassifierOutput:
     """Oracle-state classifier with externally supplied signed multipliers.
 
     Builds the two-branch oracle state over index and data registers,
@@ -271,11 +267,11 @@ def qsvm_oracle_classify(alphas: Sequence[float], b: float, ts: TrainingSet,
     the ancilla Z expectation (b + sum_m alpha_m |x_m| |x~| Re<x_m|x~>) / N.
     The test is scored as a batch of one.
     """
-    return next(_qsvm_batch(alphas, b, ts, *_coerce_test_pure(test), tie_eps))
+    return next(_qsvm_batch(alphas, b, ts, *_coerce_test_pure(test)))
 
 
 def _qsvm_batch(alphas: Sequence[float], b: float, ts: TrainingSet, tests: np.ndarray,
-                norms: np.ndarray, tie_eps: float = TIE_EPS):
+                norms: np.ndarray):
     """:func:`qsvm_oracle_classify` of an (N, d) stack of unit vectors with raw
     norms; all on label 0, so the parity is Z on the ancilla."""
     alphas = np.asarray(alphas, dtype=float)
@@ -285,11 +281,10 @@ def _qsvm_batch(alphas: Sequence[float], b: float, ts: TrainingSet, tests: np.nd
         raise DataError("degenerate oracle: all multipliers and the bias are zero")
     return _interference_batch(ts, tests, norms, (np.append(b, alphas * ts.norms),
                                                   np.ones(len(ts) + 1)),
-                               np.zeros(len(ts) + 1, dtype=int), "oracle", tie_eps)
+                               np.zeros(len(ts) + 1, dtype=int), "oracle")
 
 
-def classify_assembled(state: ClassifierState,
-                       tie_eps: float = TIE_EPS) -> ClassifierOutput:
+def classify_assembled(state: ClassifierState) -> ClassifierOutput:
     """Expectation-value classification of an already assembled state.
 
     Ensembles whose members use different copy counts are evaluated member
@@ -298,13 +293,12 @@ def classify_assembled(state: ClassifierState,
     (without).
     """
     if state.members is not None:
-        value = sum(q * classify_assembled(member, tie_eps).expectation
-                    for q, member in state.members)
+        value = sum(q * classify_assembled(member).expectation for q, member in state.members)
     elif state.layout.has(ANCILLA):
         value = swap_test_expectation(state)
     else:
         value = expectation(swap_label_observable(state.layout), state)
-    return ClassifierOutput(float(value), decide(value, tie_eps))
+    return ClassifierOutput(float(value), decide(value))
 
 
 def single_shot_classify(ts: TrainingSet, test, seed: int) -> int:
@@ -337,32 +331,21 @@ class TestMixture:
 
 
 def misclassification_probability(ts: TrainingSet, mix: TestMixture) -> float:
-    """Single-shot error probability for test data drawn from ``mix``.
+    """Single-shot error probability for test data drawn from ``mix``:
+    1/2 (p0 + p1) - 1/2 (p0 E_0 - p1 E_1), where E_c is the ``minimal``
+    mode of :func:`stc_classify` on rho_c, the ancilla-free swap-label
+    observable measured on rho_c^(x)k and the training state.
 
-    Computed from the measurement projectors on the assembled stacks of the
-    two class states, and checked to 1e-10, at every copy count k, against
-    the closed form 1/2 (p0 + p1) - 1/2 (p0 E_0 - p1 E_1) with
-    E_c = sum_m sign_m w_m Tr(rho_c rho_m)**k.
+    Both class states go through one batch call, their rows streamed in
+    parts of at most ``PART_BYTES``. Each simulated E_c is checked by
+    :class:`ClassifierOutput` against its per-term sum
+    sum_m sign_m w_m Tr(rho_c rho_m)**k to 1e-12, at every copy count k. A
+    training set with a bias is refused: the single-shot classifier has none.
     """
-    if not len(ts):
-        raise DataError("empty training set")
-
-    def error_given(test_rho: DensityMatrix, wrong_outcome: int) -> float:
-        state = encoding.mixed_stc_state(ts, test_rho, with_ancilla=False)
-        probs = outcome_probabilities(swap_label_observable(state.layout), state)
-        return probs[wrong_outcome]
-
-    # Outcome +1 decides class 0, so a class-0 test point errs on -1.
-    projector_value = mix.p0 * error_given(mix.rho0, -1) + mix.p1 * error_given(mix.rho1, +1)
-    kernels = kernel_matrix(KernelSpec(HS_TRACE, ts.k), [mix.rho0, mix.rho1],
-                            ts.density_matrices())
-    signed = (1 - 2 * ts.labels) * ts.effective_weights()
-    value = 0.5 * (mix.p0 + mix.p1) - 0.5 * float(
-        signed @ (mix.p0 * kernels[0] - mix.p1 * kernels[1]))
-    if abs(value - projector_value) > MODE_AGREEMENT_ATOL:
-        raise NumericError(
-            f"projector error rate {projector_value} disagrees with "
-            f"the closed form {value}")
+    if ts.bias is not None:
+        raise DataError("misclassification_probability takes a training set without a bias")
+    e0, e1 = (out.expectation for out in _stc_batch(ts, [mix.rho0, mix.rho1], "minimal"))
+    value = 0.5 * (mix.p0 + mix.p1) - 0.5 * (mix.p0 * e0 - mix.p1 * e1)
     if not -1e-10 <= value <= 1.0 + 1e-10:
         raise NumericError(f"error probability {value} outside [0, 1]")
     return min(max(value, 0.0), 1.0)

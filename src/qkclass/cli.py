@@ -25,7 +25,7 @@ import sys
 import click
 
 from . import __version__
-from .constants import (CLASSIFIERS, KERNEL_KINDS, SCHEMA_VERSION, SEED_ENV_VAR,
+from .constants import (CLASSIFIERS, DEFAULT_C, KERNEL_KINDS, SCHEMA_VERSION, SEED_ENV_VAR,
                         SQUARED_OVERLAP, STC_MODES, TOY_KINDS, WEIGHT_MODES, env_seed)
 from .errors import DataError, QKClassError
 from .fileio import dump_json, emit_plot_data, jsonable, read_json, write_results
@@ -161,7 +161,7 @@ def _dataset_gram(dataset, fmt, kernel, k):
 @click.argument("dataset", type=click.Path(exists=True, dir_okay=False))
 @click.option("--kernel", type=click.Choice(KERNEL_KINDS), default=SQUARED_OVERLAP)
 @click.option("--k", type=int, default=1)
-@click.option("--box-c", type=float, default=1e6)
+@click.option("--box-c", type=float, default=DEFAULT_C)
 @click.option("--format", "fmt", type=click.Choice(("csv", "json")), default=None)
 @click.option("-o", "--out", type=click.Path(dir_okay=False), default=None)
 @handles_errors

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import TOY_KINDS
+from .constants import TOY_KINDS, check_dense_budget
 from .errors import DataError
 from .fileio import dump_json, read_json
 
@@ -203,6 +203,7 @@ def gen_toy(kind: str, m: int, dim: int, seed: int, noise: float = 0.25) -> Data
         raise DataError(f"unknown toy kind {kind!r}, expected one of {TOY_KINDS}")
     if dim < 2:
         raise DataError("toy sets need feature dimension >= 2")
+    check_dense_budget((2, dim) if kind == "orthogonal-pair" else (m, dim), "toy feature matrix")
     rng = np.random.default_rng(seed)
     if kind == "orthogonal-pair":
         features = np.zeros((2, dim), dtype=complex)

@@ -306,7 +306,9 @@ def _product_signs(factors) -> np.ndarray:
 
 
 def _row_power(rows: np.ndarray, k: int) -> np.ndarray:
-    """Row i of the result is rows[i] tensored with itself k times."""
+    """Row i of the result is rows[i] tensored with itself k times; the
+    (rows, d**k) result is checked against the size budget first."""
+    qmath.check_dense_budget((rows.shape[0], rows.shape[1] ** k), "k-fold row power")
     out = rows
     for _ in range(k - 1):
         out = (out[:, :, None] * rows[:, None, :]).reshape(rows.shape[0], -1)
@@ -381,13 +383,14 @@ def _indexed_rows(ts: TrainingSet, vecs: np.ndarray, *, with_ancilla: bool = Tru
         raise DimensionError(f"test dim {dim} != training dim {ts.data_dim}")
     bias, weights = ((None, ts.effective_weights()) if ts.bias is None
                      else ts.effective_bias_and_weights())
+    labels = ts.labels if bias is None else np.append(int(bias < 0), ts.labels)
+    layout = block_layout(dim, ts.k, ancilla=with_ancilla, index_slots=labels.size)
+    qmath.check_dense_budget((len(vecs), layout.dim), "assembled state stack")
     tests = _row_power(vecs, ts.k)
     train = np.sqrt(weights)[:, None] * _row_power(ts.states.reshape(-1, dim), ts.k)
-    right, labels = np.broadcast_to(train, (len(tests),) + train.shape), ts.labels
+    right = np.broadcast_to(train, (len(tests),) + train.shape)
     if bias is not None:
         right = np.concatenate([math.sqrt(abs(bias)) * tests[:, None], right], axis=1)
-        labels = np.append(int(bias < 0), labels)
-    layout = block_layout(dim, ts.k, ancilla=with_ancilla, index_slots=labels.size)
     return _slot_rows(tests, right, labels, ancilla=with_ancilla, slots=layout.dims[-1]), layout
 
 

@@ -16,7 +16,7 @@ import numpy as np
 from . import classifier as clf
 from . import encoding
 from .circuit import draw_shots, empirical_expectation
-from .constants import (CLASSIFIERS, KERNEL_KINDS, SCHEMA_VERSION, STC_MODES,
+from .constants import (CLASSIFIERS, DEFAULT_C, KERNEL_KINDS, SCHEMA_VERSION, STC_MODES,
                         WEIGHT_MODES, env_seed)
 from .datasets import DatasetFile
 from .encoding import TrainingSet
@@ -47,7 +47,7 @@ class ExperimentConfig:
     weights: str = "uniform"
     explicit_weights: tuple[float, ...] | None = None
     bias: float | str | None = None
-    box_c: float = 1e6
+    box_c: float = DEFAULT_C
     shots: int = 0
     seed: int = 0
     tie_as_zero: bool = False

@@ -20,11 +20,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import ATOL_STRUCT, HS_TRACE, KERNEL_KINDS, REAL_OVERLAP, SQUARED_OVERLAP
+from .constants import (ATOL_STRUCT, DEFAULT_C, HS_TRACE, KERNEL_KINDS, REAL_OVERLAP,
+                        SQUARED_OVERLAP)
 from .errors import DataError, DimensionError, NumericError
 
 SUPPORT_EPS = 1e-8
-DEFAULT_C = 1e6
 KKT_TOL = 1e-6
 MAX_SMO_ITER = 100_000
 
@@ -300,13 +300,10 @@ def svm_train(g: GramMatrix, labels: Sequence[int], C: float = DEFAULT_C,
                     tuple(history) if record_objective else ())
 
 
-def regression(model: SvmModel, train_states: Sequence, test,
-               spec: KernelSpec | None = None) -> float:
-    """Decision value f(test) = sum_j (-1)**y_j a_j kernel(x_j, test) + bias."""
-    spec = model.kernel if spec is None else spec
-    if spec != model.kernel:
-        raise DataError(f"kernel mismatch: model trained with {model.kernel}, got {spec}")
+def regression(model: SvmModel, train_states: Sequence, test) -> float:
+    """Decision value f(test) = sum_j (-1)**y_j a_j kernel(x_j, test) + bias,
+    with the kernel the model was trained with."""
     if len(train_states) != model.multipliers.size:
         raise DataError(f"{len(train_states)} states for {model.multipliers.size} multipliers")
-    kernels = kernel_matrix(spec, train_states, [test])[:, 0]
+    kernels = kernel_matrix(model.kernel, train_states, [test])[:, 0]
     return float(model.bias + model.signed_multipliers @ kernels)

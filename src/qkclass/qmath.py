@@ -18,15 +18,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import ATOL_DERIVED, ATOL_STRUCT
+from .constants import ATOL_DERIVED, ATOL_STRUCT, check_dense_budget
 from .errors import DataError, DimensionError, NumericError
-
-# Hard cap on any Hilbert-space dimension handled by this package.
-DIM_CAP = 2**20
-
-# Byte budget for any single dense array this package plans to allocate:
-# 2**28 bytes (256 MiB) is a 4096 x 4096 complex matrix.
-DENSE_BYTES_BUDGET = 2**28
 
 PSD_FLOOR = -1e-10
 # Eigenvalues of at most this size are dropped from an eigen-factor
@@ -60,25 +53,6 @@ def as_cvec(x) -> np.ndarray:
     if not np.all(np.isfinite(vec.view(float))):
         raise DataError("vector contains non-finite entries")
     return _frozen(vec)
-
-
-def check_dense_budget(shape: Sequence[int], what: str = "dense array") -> None:
-    """Raise DimensionError when a complex array of ``shape`` is over the
-    size limits.
-
-    The limits are ``DIM_CAP`` on every axis (a Hilbert-space dimension) and
-    ``DENSE_BYTES_BUDGET`` on the whole array at 16 bytes per entry. Call it
-    with the planned output shape, as Python integers, before allocating:
-    the byte count is a Python integer, so it never overflows, and no array
-    is touched.
-    """
-    if max(shape, default=1) > DIM_CAP:
-        raise DimensionError(f"{what} of shape {tuple(shape)} exceeds the 2**20 dimension cap")
-    nbytes = 16 * math.prod(shape)
-    if nbytes > DENSE_BYTES_BUDGET:
-        raise DimensionError(
-            f"{what} of shape {tuple(shape)} needs {nbytes} bytes, over the "
-            f"{DENSE_BYTES_BUDGET}-byte budget")
 
 
 class QState:

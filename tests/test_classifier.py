@@ -103,6 +103,12 @@ class TestStcClassify:
                   for mode in ("analytic", "ancilla-circuit", "minimal")]
         assert abs(values[0] - values[1]) < 1e-10
         assert abs(values[0] - values[2]) < 1e-10
+        if mixed:
+            # A pure test against density-matrix data is scored as its projector.
+            pure = random_state_vector(2**n, rng)
+            closed = stc_classify(ts, pure.to_density()).expectation
+            for mode in STC_MODES:
+                assert abs(stc_classify(ts, pure, mode=mode).expectation - closed) < 1e-10
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(n=st.integers(1, 2), k=st.integers(1, 2), m=st.integers(1, 4),
@@ -228,6 +234,28 @@ class TestStcClassify:
             tracemalloc.stop()
         assert peak < rows_in_layout * row_bytes
         assert abs(out.expectation - stc_classify(ts, test).expectation) < 1e-12
+
+    @pytest.mark.parametrize("mode", ["minimal", "ancilla-circuit", "bias"])
+    def test_over_budget_layout_refused_before_building(self, mode):
+        # dim 8, k=6: one row of the layout has at least 8**12 amplitudes,
+        # over the 2**20 dimension cap. The check runs before the k-fold
+        # training rows (10 x 8**6 amplitudes, 42 MB) exist.
+        rng = np.random.default_rng(1400)
+        ts = TrainingSet.from_states([(random_state_vector(8, rng), i % 2, 1.0)
+                                      for i in range(10)], k=6,
+                                     bias=0.3 if mode == "bias" else None)
+        test = random_state_vector(8, rng)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError, match="circuit row"):
+                if mode == "bias":
+                    stc_classify_bias(ts, test)
+                else:
+                    stc_classify(ts, test, mode=mode)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_per_term_decomposition(self):
         ts = TrainingSet.from_states([(PLUS, 0, 0.7), (KET1, 1, 0.3)], k=2)
@@ -602,8 +630,9 @@ class TestMisclassification:
         assert misclassification_probability(ts, mix) == pytest.approx(0.5, abs=1e-10)
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_projector_route_agrees_with_closed_form(self, seed):
-        # the dual-route assertion lives inside the function, at every k
+    def test_circuit_route_agrees_with_closed_form(self, seed):
+        # each class state's circuit value is checked against its per-term
+        # sum inside the function, at every k
         rng = np.random.default_rng(4000 + seed)
         ts = random_mixed_training(rng, 3, 2)
         mix = Mixture(0.3, 0.7, random_density_matrix(2, rng),
@@ -641,11 +670,33 @@ class TestMisclassification:
         ts = random_mixed_training(rng, 3, 2, k=2)
         mix = Mixture(0.5, 0.5, random_density_matrix(2, rng), random_density_matrix(2, rng))
         misclassification_probability(ts, mix)
-        real = classifier_module.outcome_probabilities
-        monkeypatch.setattr(classifier_module, "outcome_probabilities",
-                            lambda obs, state: {lam: p + 1e-9
-                                                for lam, p in real(obs, state).items()})
-        with pytest.raises(NumericError, match="closed form"):
+        real = classifier_module._stack_value
+        monkeypatch.setattr(classifier_module, "_stack_value",
+                            lambda *args: real(*args) + 1e-9)
+        with pytest.raises(NumericError, match="per-term sum"):
+            misclassification_probability(ts, mix)
+
+    def test_streams_the_class_states(self):
+        # 512 product rows of 8192 amplitudes per class state (64 MiB whole)
+        # are measured in parts of at most PART_BYTES.
+        rng = np.random.default_rng(4400)
+        states = [random_density_matrix(8, rng, rank=2) for _ in range(32)]
+        ts = TrainingSet.from_states([(s, i % 2, 1.0) for i, s in enumerate(states)], k=2)
+        mix = Mixture(0.4, 0.6, random_density_matrix(8, rng, rank=2),
+                      random_density_matrix(8, rng, rank=2))
+        tracemalloc.start()
+        try:
+            value = misclassification_probability(ts, mix)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+        assert 0.0 <= value <= 1.0
+
+    def test_biased_training_set_refused(self):
+        ts = TrainingSet.from_states([(KET0, 0, 0.5), (KET1, 1, 0.5)], bias=0.2)
+        mix = Mixture(0.5, 0.5, KET0.to_density(), KET1.to_density())
+        with pytest.raises(DataError, match="without a bias"):
             misclassification_probability(ts, mix)
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -669,7 +720,7 @@ class TestMisclassification:
         bound = 0.5 * (1.0 - np.abs(np.linalg.eigvalsh(gamma)).sum())
         assert misclassification_probability(ts, mix) >= bound - 1e-10
 
-    def test_k2_uses_projector_route(self):
+    def test_k2_uses_minimal_circuit(self):
         rng = np.random.default_rng(32)
         ts = random_mixed_training(rng, 2, 2, k=2)
         mix = Mixture(0.5, 0.5, random_density_matrix(2, rng),

@@ -13,14 +13,14 @@ import pytest
 from click.testing import CliRunner
 
 from qkclass import circuit as circuit_module
-from qkclass import classifier, cli, encoding, experiment, fileio, kernelsvm
+from qkclass import classifier, cli, constants, encoding, experiment, fileio, kernelsvm
 from qkclass.classifier import stc_classify
 from qkclass.cli import main
 from qkclass.constants import SEED_ENV_VAR
 from qkclass.datasets import (DatasetFile, format_complex, gen_toy, ingest,
                               parse_complex, write_dataset)
 from qkclass.encoding import amplitude_encode
-from qkclass.errors import DataError, NumericError
+from qkclass.errors import DataError, DimensionError, NumericError
 from qkclass.experiment import (ExperimentConfig, build_training_set, merge_config,
                                 run_experiment)
 from qkclass.fileio import emit_plot_data, write_results
@@ -53,9 +53,12 @@ def read_rows(path):
 class TestIngest:
     def test_csv_real_row(self, workdir):
         write_lines(workdir / "d.csv", ["0.6,0.8,1"])
-        ds = ingest("d.csv")
-        assert np.allclose(ds.features, [[0.6, 0.8]])
-        assert ds.labels.tolist() == [1]
+        write_lines(workdir / "d.txt", ["0.6,0.8,1"])
+        for ds in (ingest("d.csv"), ingest("d.txt", "csv")):
+            assert np.allclose(ds.features, [[0.6, 0.8]])
+            assert ds.labels.tolist() == [1]
+        with pytest.raises(DataError, match="cannot infer"):
+            ingest("d.txt")
 
     def test_csv_complex_row(self, workdir):
         write_lines(workdir / "d.csv", ["1+0i,0+1i,0"])
@@ -74,6 +77,11 @@ class TestIngest:
             [[[1.0, 0.0], 0, 2.0], [[0.0, 1.0], 1, 1.0]]))
         ds = ingest("d.json")
         assert ds.weights.tolist() == [2.0, 1.0]
+        # Under uniform weights the file's weights are used:
+        # (2 |<t|x_0>|^2 - 1 |<t|x_1>|^2) / 3.
+        payload = run_experiment(ExperimentConfig(), ds, np.array([[0.6, 0.8]]))
+        assert payload["results"][0]["expectation"] == pytest.approx(
+            (2 * 0.36 - 0.64) / 3, abs=1e-12)
 
     def test_parse_error_names_row_and_column(self, workdir):
         write_lines(workdir / "d.csv", ["1,0,0", "1,zap,1"])
@@ -124,6 +132,13 @@ class TestToyGeneration:
     def test_unknown_kind(self):
         with pytest.raises(DataError):
             gen_toy("spiral", 5, 2, seed=0)
+
+    def test_over_budget_refused_before_generating(self, monkeypatch):
+        monkeypatch.setattr(constants, "DENSE_BYTES_BUDGET", 2**10)
+        assert len(gen_toy("separable", 32, 2, seed=0)) == 32  # 1024 bytes
+        for kind, m, dim in (("separable", 33, 2), ("random", 33, 2), ("orthogonal-pair", 1, 64)):
+            with pytest.raises(DimensionError, match="toy feature matrix"):
+                gen_toy(kind, m, dim, seed=0)
 
 
 def gen_toy_file(runner, *options):
@@ -226,7 +241,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("part_bytes", [None, 2**14, 1])
     @pytest.mark.parametrize("overrides", [
-        {}, {"k": 2}, {"keep_norms": True}, {"k": 2, "keep_norms": True},
+        {}, {"k": 2}, {"keep_norms": True}, {"k": 2, "keep_norms": True}, {"bias": 0.0},
         {"weights": "explicit", "explicit_weights": tuple(range(1, 13))},
         {"weights": "trained"}, {"weights": "trained", "k": 2, "keep_norms": True},
         {"mode": "ancilla-circuit"}, {"mode": "ancilla-circuit", "k": 2},
@@ -520,11 +535,22 @@ class TestCliCommands:
         # stc-bias without a bias is a data error
         assert result.exit_code == 3
 
-    def test_dimension_error_exit_code(self, runner, workdir):
+    @pytest.mark.parametrize("argv", [
+        ["classify", "train.csv", "--test", "tests.csv"],
+        # Over-budget requests are refused before their arrays are built:
+        # a dim-8 layout at k=6 is over the dimension cap, a 10**6 x 1000
+        # toy set over the byte budget.
+        ["classify", "train8.csv", "--test", "tests8.csv", "--mode", "minimal", "--k", "6"],
+        ["classify", "train8.csv", "--test", "tests8.csv", "--classifier", "stc-bias",
+         "--bias", "0.3", "--k", "6"],
+        ["gen-toy", "--m", "1000000", "--dim", "1000"],
+    ])
+    def test_dimension_error_exit_code(self, runner, workdir, argv):
         write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])
         write_lines(workdir / "tests.csv", ["1,0,0,0"])
-        result = runner.invoke(main, ["classify", "train.csv", "--test", "tests.csv",
-                                      "-o", "out.json"])
+        write_lines(workdir / "train8.csv", ["1,0,0,0,0,0,0,0,0", "0,0,0,0,0,0,0,1,1"])
+        write_lines(workdir / "tests8.csv", ["1,0,0,0,0,0,0,1"])
+        result = runner.invoke(main, argv + ["-o", "out.json"])
         assert result.exit_code == 4
         error = json.loads(result.stderr)
         assert error["error"]["type"] == "DimensionError"
@@ -588,7 +614,7 @@ class TestCliCommands:
     @pytest.mark.parametrize("config", [
         {"k": "two"}, {"box_c": "x", "weights": "trained"}, {"seed": "abc"},
         {"weights": "explicit", "explicit_weights": [1, "a"]},
-        {"shots": 1.5}, {"k": 2.5}, {"tie_as_zero": "no"},
+        {"shots": 1.5}, {"k": 2.5}, {"tie_as_zero": "no"}, {"bias": "trained"},
     ])
     def test_config_file_value_types_checked(self, runner, workdir, config):
         write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])

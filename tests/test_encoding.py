@@ -7,7 +7,7 @@ from dense_reference import (dense_ensemble_exponents, dense_mixed_input,
                              dense_pure_mixture)
 from helpers import basis_state, random_density_matrix
 
-from qkclass import encoding, qmath
+from qkclass import constants, encoding, qmath
 from qkclass.circuit import (ancilla_label_parity, expectation, outcome_probabilities,
                              run_swap_test, swap_label_observable)
 from qkclass.encoding import (ClassifierState, RawDatum, TrainingSet,
@@ -274,6 +274,8 @@ class TestVectorState:
         vec[0] = 1.0
         with pytest.raises(DimensionError):
             ClassifierState(None, layout, vector=vec)
+        with pytest.raises(DimensionError, match="layout dim"):
+            ClassifierState(DensityMatrix(np.eye(layout.dim // 2) / (layout.dim // 2)), layout)
 
     def test_vector_must_have_unit_norm(self):
         layout = block_layout(2, 1, ancilla=True)
@@ -448,6 +450,26 @@ class TestStacks:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_k_fold_powers_checked_before_building(self, monkeypatch):
+        # dim 8, k=6: the indexed layout is over the 2**20 dimension cap, and
+        # the k-fold training rows alone would be 10 x 8**6 amplitudes (42 MB).
+        rng = np.random.default_rng(33)
+        ts = TrainingSet.from_states([(random_state_vector(8, rng), i % 2, 1.0)
+                                      for i in range(10)], k=6, bias=0.3)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError, match="assembled state stack"):
+                assemble_bias_extended(ts, random_state_vector(8, rng))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        # A (rows, d**k) power over the byte budget is refused before it is formed.
+        monkeypatch.setattr(constants, "DENSE_BYTES_BUDGET", 16 * 10 * 8**3 - 1)
+        assert encoding._row_power(np.ones((10, 8)), 2).shape == (10, 64)
+        with pytest.raises(DimensionError, match="k-fold row power"):
+            encoding._row_power(np.ones((10, 8)), 3)
 
 
 class TestSignedStacks:

@@ -396,12 +396,6 @@ class TestRegression:
         for s, y in zip(states, labels):
             assert np.sign(regression(model, states, s)) == (1 if y == 0 else -1)
 
-    def test_kernel_mismatch_rejected(self):
-        g = gram(KernelSpec(SQUARED_OVERLAP), [KET0, KET1])
-        model = svm_train(g, [0, 1], C=10.0)
-        with pytest.raises(DataError):
-            regression(model, [KET0, KET1], PLUS, spec=KernelSpec(SQUARED_OVERLAP, k=2))
-
     def test_consistency_with_bias_classifier(self):
         states, labels = separable_toy([0.05, 0.2, 0.4], [1.1, 1.3])
         g = gram(KernelSpec(SQUARED_OVERLAP), states)
