@@ -8,7 +8,10 @@ stacked inputs as one matrix product, and the single value, the Gram
 matrix, the regression and every classifier's kernel sum are read from it.
 The trainer is a self-contained SMO solver (maximal-violating-pair
 working-set selection, two-variable analytic updates) adequate up to a few
-thousand points. :func:`encode_rows` amplitude-encodes feature rows into
+thousand points. Its loop updates the selection vector -l * grad in place
+from two Gram rows per step and keeps its per-index scalars as Python
+floats; it takes the same iterates, bit for bit, as the gradient form it
+replaces (see :func:`svm_train`). :func:`encode_rows` amplitude-encodes feature rows into
 the unit vectors the kernels, the training set and the classifiers read.
 """
 
@@ -180,7 +183,8 @@ def psd_certify(g) -> PsdCertificate:
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {mat.shape}")
         eigs = None
-    if np.abs(mat - mat.T).max() > 1e-12:
+    # An exactly symmetric matrix (every gram()) skips the difference.
+    if not np.array_equal(mat, mat.T) and np.abs(mat - mat.T).max() > 1e-12:
         raise NumericError("PSD certification requires a symmetric matrix")
     if eigs is None:
         eigs = np.linalg.eigvalsh(mat)
@@ -191,7 +195,12 @@ def psd_certify(g) -> PsdCertificate:
 
 @dataclass(frozen=True)
 class SvmModel:
-    """Dual solution: nonnegative multipliers, bias, and the support set."""
+    """Dual solution: nonnegative multipliers, bias, and the support set.
+
+    ``iterations`` counts the passes of the selection loop, the last of
+    which found the maximal KKT violation ``kkt_gap`` below the tolerance
+    (-inf when a selection set is empty). Neither is written to JSON.
+    """
 
     multipliers: np.ndarray
     bias: float
@@ -199,6 +208,8 @@ class SvmModel:
     kernel: KernelSpec
     labels: np.ndarray
     objective_history: tuple[float, ...] = field(default=(), repr=False)
+    iterations: int = 0
+    kkt_gap: float = 0.0
 
     @property
     def signed_multipliers(self) -> np.ndarray:
@@ -218,6 +229,13 @@ def svm_train(g: GramMatrix, labels: Sequence[int], C: float = DEFAULT_C,
 
     Refuses a Gram matrix that fails PSD certification (the dual could be
     unbounded) and a single-class label vector.
+
+    The loop keeps the selection vector -l * grad itself, updated in place:
+    a step of size t on the pair (i, j) moves alpha_i by l_i t and alpha_j
+    by -l_j t, so -l * grad moves by G[j] t - G[i] t. Negation is exact and
+    rounding to nearest is sign-symmetric, so each entry is the one the
+    gradient form gives, bit for bit, and neither l l^T * G nor any other
+    n x n array is built (Q is built only to record the objective).
     """
     labels = np.asarray(labels, dtype=int)
     if labels.shape != (g.size,):
@@ -234,58 +252,62 @@ def svm_train(g: GramMatrix, labels: Sequence[int], C: float = DEFAULT_C,
     if not 0 < C < np.inf:
         raise DataError(f"box constraint C must be finite and positive, got {C}")
 
+    matrix, m = g.matrix, g.size
     l = (1 - 2 * labels).astype(float)
-    neg_l = -l
-    positive = l > 0
-    q = np.outer(l, l) * g.matrix
-    m = g.size
-    alpha = np.zeros(m)
-    grad = -np.ones(m)  # gradient of 1/2 aQa - sum(a)
+    q = np.outer(l, l) * matrix if record_objective else None
+    # Per-index scalars as Python floats and bools: no numpy scalar in the loop.
+    positive, diag = (l > 0).tolist(), matrix.diagonal().tolist()
+    alpha = [0.0] * m
+    minus_lg = l.copy()  # -l * grad, grad of 1/2 aQa - sum(a) starting at -1
     # Selection penalties, added to -l * grad: 0 where an index may enter
     # the pair as i (``up``) or as j (``low``), -inf / +inf where it may
     # not. A step moves only alpha[i] and alpha[j], so only their entries
     # change. An empty set selects -inf or +inf, so its gap is -inf.
-    up_pen = np.where(positive, 0.0, -np.inf)
-    low_pen = np.where(positive, np.inf, 0.0)
-    minus_lg, buf = np.empty(m), np.empty(m)
+    up_pen = np.where(l > 0, 0.0, -np.inf)
+    low_pen = np.where(l > 0, np.inf, 0.0)
+    buf, move = np.empty(m), np.empty(m)
     history = []
     converged = False
-    for _ in range(max_iter):
+    for iterations in range(1, max_iter + 1):
         if record_objective:
-            history.append(_dual_objective(alpha, q))
-        np.multiply(neg_l, grad, out=minus_lg)
+            history.append(_dual_objective(np.array(alpha), q))
         i = int(np.add(minus_lg, up_pen, out=buf).argmax())
-        top = buf[i]
+        top = buf.item(i)
         j = int(np.add(minus_lg, low_pen, out=buf).argmin())
-        gap = top - buf[j]
+        gap = top - buf.item(j)
         if gap < tol:
             converged = True
             break
-        quad = max(g.matrix[i, i] + g.matrix[j, j] - 2.0 * g.matrix[i, j], 1e-12)
+        quad = max(diag[i] + diag[j] - 2.0 * matrix.item(i, j), 1e-12)
         step = gap / quad
-        step = min(step, (C - alpha[i]) if l[i] > 0 else alpha[i])
-        step = min(step, alpha[j] if l[j] > 0 else (C - alpha[j]))
-        d_i, d_j = l[i] * step, -l[j] * step
-        alpha[i] += d_i
-        alpha[j] += d_j
-        # q is symmetric (exactly so from gram()): rows stand in for columns.
-        grad += q[i] * d_i + q[j] * d_j
+        step = min(step, (C - alpha[i]) if positive[i] else alpha[i])
+        step = min(step, alpha[j] if positive[j] else (C - alpha[j]))
+        alpha[i] += step if positive[i] else -step
+        alpha[j] += -step if positive[j] else step
+        # G is symmetric (exactly so from gram()): rows stand in for columns.
+        np.multiply(matrix[i], step, out=move)
+        np.multiply(matrix[j], step, out=buf)
+        np.subtract(buf, move, out=move)
+        minus_lg += move
         for k in (i, j):
-            up_pen[k] = 0.0 if (alpha[k] < C if positive[k] else alpha[k] > 0) else -np.inf
-            low_pen[k] = 0.0 if (alpha[k] > 0 if positive[k] else alpha[k] < C) else np.inf
+            a = alpha[k]
+            up_pen[k] = 0.0 if (a < C if positive[k] else a > 0) else -np.inf
+            low_pen[k] = 0.0 if (a > 0 if positive[k] else a < C) else np.inf
     if not converged:
-        np.multiply(neg_l, grad, out=minus_lg)
         gap = np.add(minus_lg, up_pen, out=buf).max() - np.add(minus_lg, low_pen, out=buf).min()
         raise NumericError(
             f"SMO did not reach tolerance {tol} in {max_iter} iterations "
             f"(final KKT gap {gap:.3g} at C={C:g}); data that are not separable "
             f"need a smaller box constraint C (--box-c)")
+    alpha = np.array(alpha)
     if record_objective:
         history.append(_dual_objective(alpha, q))
 
     alpha = np.clip(alpha, 0.0, C)
     support = tuple(int(i) for i in np.flatnonzero(alpha > SUPPORT_EPS))
-    b_candidates = (-l * grad)
+    # -l * grad itself, with grad rebuilt from minus_lg: the two differ only
+    # in the sign of a zero, and the gradient reaches zero only as +0.
+    b_candidates = -l * (-l * minus_lg + 0.0)
     free = (alpha > SUPPORT_EPS) & (alpha < C - SUPPORT_EPS)
     if free.any():
         bias = float(b_candidates[free].mean())
@@ -297,7 +319,7 @@ def svm_train(g: GramMatrix, labels: Sequence[int], C: float = DEFAULT_C,
         bias = float((hi + lo) / 2.0)
     alpha.setflags(write=False)
     return SvmModel(alpha, bias, support, g.kernel, labels,
-                    tuple(history) if record_objective else ())
+                    tuple(history) if record_objective else (), iterations, gap)
 
 
 def regression(model: SvmModel, train_states: Sequence, test) -> float:

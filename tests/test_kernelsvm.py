@@ -8,12 +8,13 @@ from helpers import basis_state, maximally_mixed, random_density_matrix
 from smo_reference import reference_smo
 
 from qkclass.classifier import stc_classify, stc_classify_bias
+from qkclass.datasets import gen_toy
 from qkclass.encoding import TrainingSet
 from qkclass.errors import DataError, DimensionError, NumericError
 from qkclass.kernelsvm import (DEFAULT_C, HS_TRACE, KERNEL_KINDS, KKT_TOL,
                                REAL_OVERLAP, SQUARED_OVERLAP, GramMatrix,
-                               KernelSpec, gram, kernel_eval, kernel_matrix,
-                               psd_certify, regression, svm_train)
+                               KernelSpec, encode_rows, gram, kernel_eval,
+                               kernel_matrix, psd_certify, regression, svm_train)
 from qkclass.qmath import DensityMatrix, QState, hs_inner, random_state_vector
 
 KET0 = QState(basis_state(2, 0))
@@ -238,6 +239,12 @@ class TestPsdCertify:
         with pytest.raises(NumericError):
             psd_certify(np.array([[1.0, 0.5], [0.0, 1.0]]))
 
+    def test_symmetry_tolerance_is_1e_12(self):
+        mat = np.array([[1.0, 0.5], [0.5, 1.0]])
+        assert psd_certify(mat + np.array([[0.0, 5e-13], [0.0, 0.0]])).certified
+        with pytest.raises(NumericError, match="symmetric"):
+            psd_certify(mat + np.array([[0.0, 2e-12], [0.0, 0.0]]))
+
 
 class TestSvmTrain:
     def test_two_point_identity_gram(self):
@@ -328,6 +335,7 @@ class TestSvmTrain:
         found = re.search(r"in 20 iterations \(final KKT gap (\S+) at C=1e\+06\)",
                           str(info.value))
         assert found and float(found.group(1)) > KKT_TOL
+        assert found.group(1) == "3.52"
         assert "--box-c" in str(info.value)
         assert svm_train(g, labels, C=1.0).multipliers.max() <= 1.0
 
@@ -352,6 +360,8 @@ class TestSvmTrain:
         (SQUARED_OVERLAP, 100, 8, 100.0, 5),
         (HS_TRACE, 60, 4, 10.0, 6),
         (HS_TRACE, 40, 2, 0.2, 7),
+        (HS_TRACE, 300, 4, 10.0, 8),   # the size of a mixed-circuit benchmark problem
+        ("clusters", 400, 8, 1e6, 9),  # and of a kernel-train one
     ])
     def test_matches_reference_loop_bit_for_bit(self, kind, m, dim, C, seed):
         rng = np.random.default_rng(seed)
@@ -362,15 +372,37 @@ class TestSvmTrain:
             matrix = x @ x.T
             matrix = (matrix + matrix.T) / 2
             g = GramMatrix(matrix, KernelSpec(SQUARED_OVERLAP), np.linalg.eigvalsh(matrix))
+        elif kind == "clusters":
+            # squared overlap on separable toy clusters
+            ds = gen_toy("separable", m, dim, seed, 0.25)
+            labels = ds.labels
+            g = gram(KernelSpec(SQUARED_OVERLAP), encode_rows(ds.features)[0])
         else:
             g = gram(KernelSpec(kind), random_inputs(kind, rng, m, dim))
         assert np.array_equal(g.matrix, g.matrix.T)
         alpha, bias = reference_smo(g.matrix, labels, C)
         model = svm_train(g, labels, C=C)
         assert np.array_equal(model.multipliers, alpha)
-        assert model.bias == bias
+        assert repr(model.bias) == repr(bias)
+        assert model.kkt_gap < KKT_TOL
         if C < 1:
             assert np.any(alpha == C)
+        recorded = svm_train(g, labels, C=C, record_objective=True)
+        assert np.array_equal(recorded.multipliers, alpha)
+        assert repr(recorded.bias) == repr(bias)
+        assert recorded.iterations == model.iterations == len(recorded.objective_history) - 1
+        assert recorded.kkt_gap == model.kkt_gap
+
+    def test_negative_zero_bias_matches_reference(self):
+        # The one free multiplier's gradient cancels to exactly 0, so the
+        # bias is -l * 0 = -0.0, which the results file writes as "-0.0".
+        x = np.array([[1.0], [-1.0], [1.0], [1.0]])
+        g = GramMatrix(x @ x.T, KernelSpec(SQUARED_OVERLAP), np.linalg.eigvalsh(x @ x.T))
+        labels = [0, 1, 0, 0]
+        alpha, bias = reference_smo(g.matrix, labels, 0.5)
+        model = svm_train(g, labels, C=0.5)
+        assert np.array_equal(model.multipliers, alpha)
+        assert repr(model.bias) == repr(bias) == "-0.0"
 
 
 class TestRegression:
