@@ -449,17 +449,11 @@ def swap_test_expectation(state: ClassifierState) -> float:
     return float(_signed_sum(_stack_value(state.stack, state.layout), state.signs))
 
 
-class _Factored(tuple):
-    """A state's (rows, signs) from :func:`_rows`, which passes it on as is."""
-
-
 def _rows(state) -> tuple[np.ndarray, np.ndarray | None]:
     """(rows, signs) of a state: a ClassifierState's own stack, else its
     eigen-factor."""
     if isinstance(state, ClassifierState):
         return state.stack, state.signs
-    if isinstance(state, _Factored):
-        return state
     return eigen_factor(state, "state")
 
 
@@ -497,14 +491,13 @@ def outcome_probabilities(obs: Observable, state) -> dict[int, float]:
     The spectral projectors are (identity +- obs) / 2, so the probabilities
     are (Tr rho +- <obs>) / 2, with <obs> from :func:`expectation`; no
     projector or identity matrix is built, and every state is measured as
-    signed rows, factored once for both. Tr rho, the signed sum of the
-    squared row norms, must be 1 to 1e-10, which is the check that the two
-    probabilities sum to 1.
+    signed rows. Tr rho, the signed sum of the squared row norms, must be 1
+    to 1e-10, which is the check that the two probabilities sum to 1.
     """
     if not isinstance(obs, Observable) or not obs.has_pm_one_spectrum():
         raise NumericError("outcome probabilities require a +-1 spectrum observable")
-    rows, signs = factored = _Factored(_rows(state))
-    value = expectation(obs, factored)
+    value = expectation(obs, state)
+    rows, signs = _rows(state)
     total = complex(_signed_sum(np.einsum("ij,ij->i", rows.conj(), rows), signs)).real
     if abs(total - 1.0) > ATOL_DERIVED:
         raise NumericError(f"outcome probabilities sum to {total}")

@@ -28,7 +28,7 @@ from . import __version__
 from .constants import (CLASSIFIERS, DEFAULT_C, KERNEL_KINDS, SCHEMA_VERSION, SEED_ENV_VAR,
                         SQUARED_OVERLAP, STC_MODES, TOY_KINDS, WEIGHT_MODES, env_seed)
 from .errors import DataError, QKClassError
-from .fileio import JsonRows, dump_json, emit_plot_data, jsonable, read_json, write_results
+from .fileio import dump_json, emit_plot_data, jsonable, read_json, write_results
 
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
@@ -186,26 +186,6 @@ def train_svm(dataset, kernel, k, box_c, fmt, out):
     _write_json(payload, out)
 
 
-def _matrix_rows(matrix):
-    """The rows of a matrix for the JSON writer. An exactly symmetric, finite
-    matrix (every gram()) is streamed as the text ``json`` writes for its
-    rows, each entry formatted once: row i's entries left of the diagonal
-    are the text made for column i of the rows above it."""
-    import numpy as np
-    if not (np.array_equal(matrix, matrix.T) and np.isfinite(matrix).all()):
-        return matrix.tolist()
-
-    def rows():
-        below = [[] for _ in matrix]
-        for i in range(len(matrix)):
-            upper = list(map(float.__repr__, matrix[i, i:].tolist()))
-            for column, text in zip(below[i + 1:], upper[1:]):
-                column.append(text)
-            yield "[" + ", ".join(below[i] + upper) + "]"
-            below[i] = None
-    return JsonRows(rows())
-
-
 @main.command("gram")
 @click.argument("dataset", type=click.Path(exists=True, dir_okay=False))
 @click.option("--kernel", type=click.Choice(KERNEL_KINDS), default=SQUARED_OVERLAP)
@@ -221,7 +201,7 @@ def gram_command(dataset, kernel, k, fmt, out):
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kernel": {"kind": kernel, "k": k},
-        "matrix": _matrix_rows(g.matrix),
+        "matrix": g.matrix.tolist(),
         "eigenvalues": g.eigenvalues.tolist(),
         "certified_psd": cert.certified,
         "min_eigenvalue": cert.min_eigenvalue,

@@ -28,30 +28,17 @@ def read_json(path: str, what: str):
             raise DataError(f"invalid {what}: {exc}") from exc
 
 
-class JsonRows:
-    """A non-empty list that :func:`dump_json` writes one item per line, each
-    item JSON text drawn from the iterable ``rows`` as it is written."""
-
-    def __init__(self, rows):
-        self.rows = rows
-
-
 def dump_json(payload: dict | list, handle, default=None):
     """Stream a dict or list as JSON: a list, or a dict key's list of lists or
-    dicts or :class:`JsonRows`, one item per line; a dict one sorted key per
-    line. Each piece is ``json.dumps(piece, sort_keys=True, default=default)``,
-    written as made."""
+    dicts, one item per line; a dict one sorted key per line. Each piece is
+    ``json.dumps(piece, sort_keys=True, default=default)``, written as made."""
     encode = json.JSONEncoder(sort_keys=True, default=default).encode
 
-    def lines(items, brackets: str = "[]", raw: bool = False):
+    def lines(items, brackets: str = "[]"):
         handle.write(brackets[0])
         for n, (prefix, value) in enumerate(items):
             handle.write((",\n" if n else "\n") + prefix)
-            if raw:
-                handle.write(value)
-            elif isinstance(value, JsonRows):
-                lines((("", row) for row in value.rows), raw=True)
-            elif prefix and isinstance(value, list) and value and all(
+            if prefix and isinstance(value, list) and value and all(
                     isinstance(v, (list, dict)) for v in value):
                 lines(("", v) for v in value)
             else:

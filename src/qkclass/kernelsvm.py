@@ -10,9 +10,10 @@ The trainer is a self-contained SMO solver (maximal-violating-pair
 working-set selection, two-variable analytic updates) adequate up to a few
 thousand points. Its loop updates the selection vector -l * grad in place
 from two Gram rows per step and keeps its per-index scalars as Python
-floats; it takes the same iterates, bit for bit, as the gradient form it
-replaces (see :func:`svm_train`). :func:`encode_rows` amplitude-encodes feature rows into
-the unit vectors the kernels, the training set and the classifiers read.
+floats; its iterates are those of the plain gradient update, bit for bit
+(see :func:`svm_train`). :func:`encode_rows` amplitude-encodes feature
+rows into the unit vectors the kernels, the training set and the
+classifiers read.
 """
 
 from __future__ import annotations
@@ -195,12 +196,7 @@ def psd_certify(g) -> PsdCertificate:
 
 @dataclass(frozen=True)
 class SvmModel:
-    """Dual solution: nonnegative multipliers, bias, and the support set.
-
-    ``iterations`` counts the passes of the selection loop, the last of
-    which found the maximal KKT violation ``kkt_gap`` below the tolerance
-    (-inf when a selection set is empty). Neither is written to JSON.
-    """
+    """Dual solution: nonnegative multipliers, bias, and the support set."""
 
     multipliers: np.ndarray
     bias: float
@@ -208,8 +204,6 @@ class SvmModel:
     kernel: KernelSpec
     labels: np.ndarray
     objective_history: tuple[float, ...] = field(default=(), repr=False)
-    iterations: int = 0
-    kkt_gap: float = 0.0
 
     @property
     def signed_multipliers(self) -> np.ndarray:
@@ -268,7 +262,7 @@ def svm_train(g: GramMatrix, labels: Sequence[int], C: float = DEFAULT_C,
     buf, move = np.empty(m), np.empty(m)
     history = []
     converged = False
-    for iterations in range(1, max_iter + 1):
+    for _ in range(max_iter):
         if record_objective:
             history.append(_dual_objective(np.array(alpha), q))
         i = int(np.add(minus_lg, up_pen, out=buf).argmax())
@@ -319,7 +313,7 @@ def svm_train(g: GramMatrix, labels: Sequence[int], C: float = DEFAULT_C,
         bias = float((hi + lo) / 2.0)
     alpha.setflags(write=False)
     return SvmModel(alpha, bias, support, g.kernel, labels,
-                    tuple(history) if record_objective else (), iterations, gap)
+                    tuple(history) if record_objective else ())
 
 
 def regression(model: SvmModel, train_states: Sequence, test) -> float:

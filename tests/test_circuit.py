@@ -282,28 +282,6 @@ class TestOutcomeProbabilities:
         value = expectation(swap_label_observable(state.layout), state)
         assert abs(value - (probs[1] - probs[-1])) < 1e-10
 
-    def test_density_matrix_factored_once_and_measured_by_expectation(self, monkeypatch):
-        rng = np.random.default_rng(128)
-        obs = swap_operator(8)
-        rho = random_density_matrix(obs.dim, rng, rank=4)
-        calls = {"eigen_factor": 0, "expectation": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(circuit_module, name,
-                                counted(name, getattr(circuit_module, name)))
-        probs = outcome_probabilities(obs, rho)
-        assert calls == {"eigen_factor": 1, "expectation": 1}
-        mat = obs.matrix
-        for lam in (1, -1):
-            dense = np.einsum("ij,ji->", (np.eye(obs.dim) + lam * mat) / 2.0, rho.entries)
-            assert abs(probs[lam] - dense.real) < 1e-12
-
     def test_requires_pm_one_spectrum(self):
         bad = Observable(np.diag([2.0, 0.5]).astype(complex))
         with pytest.raises(NumericError):
