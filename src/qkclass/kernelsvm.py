@@ -6,6 +6,13 @@ overlap of pure states and the trace inner product of density matrices.
 :func:`kernel_matrix` is the one kernel path: it evaluates a kernel over
 stacked inputs as one matrix product, and the single value, the Gram
 matrix, the regression and every classifier's kernel sum are read from it.
+A :class:`GramMatrix` computes its spectrum on first read, so training,
+which needs only a PSD verdict, need not pay for one. There are two
+certificates: :func:`psd_certify`'s eigenvalue rule, and one Cholesky
+factor of ``G + sI`` that :func:`svm_train` tries first when the spectrum
+is not known. The factor proves the eigenvalue rule by Higham's backward
+error bound for Cholesky and costs ~3 n**2 transient floats; whenever it
+proves nothing, the eigenvalue rule decides.
 The trainer is a self-contained SMO solver (maximal-violating-pair
 working-set selection, two-variable analytic updates) adequate up to a few
 thousand points. Its loop updates the selection vector -l * grad in place
@@ -128,13 +135,27 @@ def kernel_eval(spec: KernelSpec, a, b) -> float:
     return float(kernel_matrix(spec, [a], [b])[0, 0])
 
 
-@dataclass(frozen=True)
 class GramMatrix:
-    """Pairwise kernel values over a data set, with its spectrum attached."""
+    """Pairwise kernel values over a data set, and their ascending spectrum.
 
-    matrix: np.ndarray
-    kernel: KernelSpec
-    eigenvalues: np.ndarray
+    The spectrum is computed (``np.linalg.eigvalsh``) on the first read of
+    :attr:`eigenvalues` and kept, read-only; a spectrum that is already
+    known may be passed to the constructor and is then used as given.
+    """
+
+    __slots__ = ("matrix", "kernel", "_eigenvalues")
+
+    def __init__(self, matrix: np.ndarray, kernel: KernelSpec,
+                 eigenvalues: np.ndarray | None = None):
+        self.matrix, self.kernel, self._eigenvalues = matrix, kernel, eigenvalues
+
+    @property
+    def eigenvalues(self) -> np.ndarray:
+        if self._eigenvalues is None:
+            eigs = np.linalg.eigvalsh(self.matrix)
+            eigs.setflags(write=False)
+            self._eigenvalues = eigs
+        return self._eigenvalues
 
     @property
     def size(self) -> int:
@@ -147,25 +168,30 @@ class GramMatrix:
 
 def gram(spec: KernelSpec, states: Sequence) -> GramMatrix:
     """Symmetric Gram matrix G[n, m] = kernel(states[n], states[m]), over
-    the inputs :func:`kernel_matrix` takes."""
+    the inputs :func:`kernel_matrix` takes. The matrix is read-only and
+    exactly symmetric; its spectrum is left to the first read."""
     g = kernel_matrix(spec, states, states)
     # The product's two triangles can differ in the last bit; their mean is
     # exactly symmetric.
     g += g.T
     g *= 0.5
-    eigs = np.linalg.eigvalsh(g)
     g.setflags(write=False)
-    eigs.setflags(write=False)
-    return GramMatrix(g, spec, eigs)
+    return GramMatrix(g, spec)
 
 
 def vector_gram(spec: KernelSpec, vecs: np.ndarray) -> GramMatrix:
     """Gram matrix of a stack of unit vectors; hs-trace takes them as their
-    projectors (on pure states it equals the squared overlap)."""
+    projectors (on pure states it equals the squared overlap).
+
+    Its spectrum is computed at once: every caller writes it out, so
+    :func:`svm_train` then certifies from it rather than factoring too.
+    """
     if spec.kind == HS_TRACE:
         from .qmath import projectors
         vecs = projectors(vecs)
-    return gram(spec, vecs)
+    g = gram(spec, vecs)
+    g.eigenvalues  # computed here, once
+    return g
 
 
 @dataclass(frozen=True)
@@ -176,22 +202,60 @@ class PsdCertificate:
 
 
 def psd_certify(g) -> PsdCertificate:
-    """Numerical PSD check: min eigenvalue >= -1e-8 * max(1, spectral norm)."""
+    """Numerical PSD check: min eigenvalue >= -1e-8 * max(1, spectral norm).
+
+    This is the exact certificate: it reads a :class:`GramMatrix`'s
+    spectrum (computing it on first read) or runs ``eigvalsh`` on a bare
+    matrix, after refusing a matrix whose asymmetry exceeds 1e-12. The
+    Cholesky certificate of :func:`svm_train` accepts a subset of what this
+    accepts, and defers to it on everything else.
+    """
     if isinstance(g, GramMatrix):
-        mat, eigs = g.matrix, g.eigenvalues
+        mat = g.matrix
     else:
         mat = np.asarray(g, dtype=float)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {mat.shape}")
-        eigs = None
     # An exactly symmetric matrix (every gram()) skips the difference.
     if not np.array_equal(mat, mat.T) and np.abs(mat - mat.T).max() > 1e-12:
         raise NumericError("PSD certification requires a symmetric matrix")
-    if eigs is None:
-        eigs = np.linalg.eigvalsh(mat)
+    eigs = g.eigenvalues if isinstance(g, GramMatrix) else np.linalg.eigvalsh(mat)
     lo = float(eigs[0])
     threshold = -1e-8 * max(1.0, float(np.abs(eigs).max()))
     return PsdCertificate(lo >= threshold, lo, threshold)
+
+
+def _cholesky_certifies(matrix: np.ndarray) -> bool:
+    """True when one Cholesky factor of G + sI, s = 0.5e-8 * max(1, max G_ii),
+    proves lambda_min(G) >= -2s, which :func:`psd_certify` accepts: every
+    |G_ii| is at most ||G||_2, so 2s is at most the size of its threshold.
+
+    A factor R computed for the n x n matrix A = G + sI satisfies
+    R^T R = A + dA with |dA| <= gamma_{n+1} |R^T| |R| (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 10.5), so
+    ||dA||_2 <= ||R||_F**2 gamma_{n+1} <= trace(A) gamma_{n+1} / (1 - gamma_{n+1}).
+    The guard 4 gamma_{n+1} trace(A) <= s keeps that below s/2, so
+    lambda_min(G) >= -3s/2. A matrix of another dtype or not exactly
+    symmetric, a failed guard or factorisation, or a factor that is not
+    finite returns False. Costs ~3 n**2 transient floats: the shifted copy,
+    LAPACK's working copy and the factor.
+    """
+    n = matrix.shape[0]
+    if matrix.dtype != np.float64 or not np.array_equal(matrix, matrix.T):
+        return False
+    shift = 0.5e-8 * max(1.0, float(matrix.diagonal().max()))
+    trace = float(np.trace(matrix)) + n * shift
+    u = np.finfo(float).eps / 2
+    gamma = (n + 1) * u / (1 - (n + 1) * u)
+    if not (math.isfinite(trace) and 4.0 * gamma * trace <= shift):
+        return False
+    shifted = matrix.copy()
+    shifted.flat[::n + 1] += shift
+    try:
+        factor = np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return False
+    return bool(np.isfinite(factor).all())
 
 
 @dataclass(frozen=True)
@@ -221,8 +285,17 @@ def svm_train(g: GramMatrix, labels: Sequence[int], C: float = DEFAULT_C,
     """Maximize the dual sum(a) - 1/2 sum a_i a_j l_i l_j G_ij subject to
     0 <= a <= C and sum(a_i l_i) = 0, by SMO over maximal violating pairs.
 
-    Refuses a Gram matrix that fails PSD certification (the dual could be
-    unbounded) and a single-class label vector.
+    Checks, in this order: the labels (two classes of 0/1), the box
+    constraint C (finite and positive), then that G is PSD (the dual could
+    be unbounded otherwise). A Gram whose spectrum is already known is
+    judged by :func:`psd_certify`. One whose spectrum is not is first
+    factored: a Cholesky factor of G + sI, s = 0.5e-8 * max(1, max G_ii),
+    with 4 gamma_{n+1} trace(G + sI) <= s proves lambda_min(G) >= -2s by
+    Higham's bound (Thm 10.5; see :func:`_cholesky_certifies`), which
+    :func:`psd_certify` accepts. It computes no spectrum and holds ~3 n**2
+    transient floats. Whenever the factor certifies nothing,
+    :func:`psd_certify` decides, so the verdict and the refusal are the
+    same for every input.
 
     The loop keeps the selection vector -l * grad itself, updated in place:
     a step of size t on the pair (i, j) moves alpha_i by l_i t and alpha_j
@@ -239,12 +312,13 @@ def svm_train(g: GramMatrix, labels: Sequence[int], C: float = DEFAULT_C,
         raise DataError("labels must be 0 or 1")
     if ones.all() or not ones.any():
         raise DataError("SVM training requires both classes")
-    cert = psd_certify(g)
-    if not cert.certified:
-        raise NumericError(
-            f"Gram matrix is not PSD (min eigenvalue {cert.min_eigenvalue}); refusing")
     if not 0 < C < np.inf:
         raise DataError(f"box constraint C must be finite and positive, got {C}")
+    if g._eigenvalues is not None or not _cholesky_certifies(g.matrix):
+        cert = psd_certify(g)
+        if not cert.certified:
+            raise NumericError(
+                f"Gram matrix is not PSD (min eigenvalue {cert.min_eigenvalue}); refusing")
 
     matrix, m = g.matrix, g.size
     l = (1 - 2 * labels).astype(float)

@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import io
 import json
 import math
 import os
@@ -6,17 +8,20 @@ import re
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qkclass import circuit as circuit_module
 from qkclass import classifier, cli, constants, encoding, experiment, fileio, kernelsvm
 from qkclass.classifier import stc_classify
 from qkclass.cli import main
-from qkclass.constants import SEED_ENV_VAR
+from qkclass.constants import CLASSIFIERS, SEED_ENV_VAR, STC_MODES
 from qkclass.datasets import (DatasetFile, format_complex, gen_toy, ingest,
                               parse_complex, write_dataset)
 from qkclass.encoding import amplitude_encode
@@ -728,6 +733,71 @@ class TestCliCommands:
         result = runner.invoke(main, ["classify", "train.csv", "--test", "tests.csv"])
         assert result.exit_code == 0
         assert json.loads(result.output)["results"][0]["predicted_label"] == 0
+
+
+class TestTrainingGramSpectrum:
+    def test_vector_gram_commands_never_factor(self, runner, workdir, monkeypatch):
+        # vector_gram computes the spectrum these commands write, so
+        # svm_train certifies from it and never runs the Cholesky gate.
+        def cholesky(*args, **kwargs):
+            raise AssertionError("np.linalg.cholesky called")
+
+        monkeypatch.setattr(np.linalg, "cholesky", cholesky)
+        gen_toy_file(runner, "--m", "40", "--dim", "4")
+        write_lines(workdir / "tests.csv", ["1,0,0,0", "0.6,0.8,0,0"])
+        for argv in (["train-svm", "toy.csv", "-o", "model.json"],
+                     ["train-svm", "toy.csv", "--kernel", "hs-trace", "-o", "model.json"],
+                     ["gram", "toy.csv", "-o", "gram.json"],
+                     ["classify", "toy.csv", "--test", "tests.csv", "--weights", "trained",
+                      "-o", "out.json"]):
+            result = runner.invoke(main, argv)
+            assert result.exit_code == 0, (argv, result.output, result.exception)
+
+
+def run_main(argv) -> tuple[int, str]:
+    """(exit code, stderr) of one in-process CLI run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            main(argv, standalone_mode=False)
+        except SystemExit as exc:
+            return exc.code, err.getvalue()
+    return 0, err.getvalue()
+
+
+class TestCliSweep:
+    """Every classifier, mode, copy count, dimension and training-set size
+    either runs or is refused with a JSON error: exit 0, 3 or 4, and never a
+    MemoryError, reported or raised."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(classifier=st.sampled_from(CLASSIFIERS), mode=st.sampled_from(STC_MODES),
+           k=st.integers(1, 3), dim=st.sampled_from([2, 4, 8]), m=st.integers(2, 40),
+           weights=st.sampled_from(["uniform", "trained"]), seed=st.integers(0, 2**16))
+    # The largest cells: the biggest circuit that runs, and a layout over the cap.
+    @example(classifier="stc", mode="ancilla-circuit", k=3, dim=8, m=40, weights="trained",
+             seed=1)
+    @example(classifier="stc-bias", mode="analytic", k=3, dim=8, m=40, weights="uniform",
+             seed=2)
+    def test_every_run_exits_0_3_or_4(self, classifier, mode, k, dim, m, weights, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            toy, tests, out = (os.path.join(tmp, name) for name in ("toy.csv", "t.csv", "o.json"))
+            assert run_main(["gen-toy", "--kind", "separable", "--m", str(m), "--dim", str(dim),
+                             "--seed", str(seed), "-o", toy]) == (0, "")
+            write_lines(Path(tests), [",".join(["0.6", "0.8"] + ["0"] * (dim - 2))])
+            argv = ["classify", toy, "--test", tests, "--classifier", classifier,
+                    "--mode", mode, "--k", str(k), "--weights", weights, "--box-c", "10",
+                    "-o", out]
+            if classifier == "stc-bias":
+                argv += ["--bias", "trained" if weights == "trained" else "0.25"]
+            code, err = run_main(argv)
+            assert code in (0, 3, 4), (argv, code, err)
+            if code == 0:
+                assert len(json.loads(Path(out).read_text())["results"]) == 1
+            else:
+                error = json.loads(err)["error"]
+                assert error["type"] in ("DataError", "DimensionError", "NumericError"), error
+                assert not os.path.exists(out)
 
 
 # Runs CLI commands in one fresh interpreter and prints, after each, which of

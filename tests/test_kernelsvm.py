@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from helpers import basis_state, maximally_mixed, random_density_matrix
 from smo_reference import reference_smo
 
+from qkclass import kernelsvm
 from qkclass.classifier import stc_classify, stc_classify_bias
 from qkclass.datasets import gen_toy
 from qkclass.encoding import TrainingSet
@@ -246,6 +247,42 @@ class TestPsdCertify:
             psd_certify(mat + np.array([[0.0, 2e-12], [0.0, 0.0]]))
 
 
+def spectrum_matrix(n, t, norm, seed):
+    """Q diag(lam) Q^T, exactly symmetric, with largest eigenvalue ``norm``
+    and smallest -t times the size of psd_certify's threshold at that norm."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = rng.uniform(0.0, norm, n)
+    lam[0], lam[-1] = -t * 1e-8 * max(1.0, norm), norm
+    matrix = (q * lam) @ q.T
+    return (matrix + matrix.T) / 2
+
+
+def refusal(cert):
+    return f"Gram matrix is not PSD (min eigenvalue {cert.min_eigenvalue}); refusing"
+
+
+@pytest.fixture
+def certify_calls(monkeypatch):
+    """The matrices svm_train hands to psd_certify."""
+    calls = []
+
+    def spy(g):
+        calls.append(g)
+        return psd_certify(g)
+
+    monkeypatch.setattr(kernelsvm, "psd_certify", spy)
+    return calls
+
+
+def forbid(monkeypatch, name):
+    """Make np.linalg.<name> fail the test wherever it is called."""
+    def fail(*args, **kwargs):
+        raise AssertionError(f"np.linalg.{name} called")
+
+    monkeypatch.setattr(np.linalg, name, fail)
+
+
 class TestSvmTrain:
     def test_two_point_identity_gram(self):
         # Hand-solvable dual: maximize a1 + a2 - (a1**2 + a2**2)/2 on a1 == a2
@@ -346,11 +383,14 @@ class TestSvmTrain:
             svm_train(g, [0, 1])
 
     @pytest.mark.parametrize("C", [0.0, -1.0, float("nan"), float("inf")])
-    def test_box_constraint_must_be_finite_and_positive(self, C):
-        g = GramMatrix(np.eye(2), KernelSpec(SQUARED_OVERLAP),
-                       np.linalg.eigvalsh(np.eye(2)))
+    def test_box_constraint_must_be_finite_and_positive(self, monkeypatch, C):
+        # C is checked before the PSD gate: a non-PSD Gram with a bad C is a
+        # data error, and neither certificate runs.
+        forbid(monkeypatch, "cholesky")
+        forbid(monkeypatch, "eigvalsh")
+        bad = np.array([[1.0, 2.0], [2.0, 1.0]])
         with pytest.raises(DataError, match="finite and positive"):
-            svm_train(g, [0, 1], C=C)
+            svm_train(GramMatrix(bad, KernelSpec(SQUARED_OVERLAP)), [0, 1], C=C)
 
     @pytest.mark.parametrize("kind, m, dim, C, seed", [
         ("psd", 40, 60, 1e6, 1),       # full rank: separable
@@ -400,6 +440,107 @@ class TestSvmTrain:
         model = svm_train(g, labels, C=0.5)
         assert np.array_equal(model.multipliers, alpha)
         assert repr(model.bias) == repr(bias) == "-0.0"
+
+
+class TestPsdGate:
+    """svm_train certifies a Gram of unknown spectrum by one Cholesky factor
+    of G + sI and leaves every other case to psd_certify: the verdict and the
+    refusal must be psd_certify's on every input."""
+
+    @pytest.mark.parametrize("norm", [1.0, 250.0])
+    @pytest.mark.parametrize("t", [0, 0.3, 0.5, 0.9, 0.999, 1.001, 1.1, 2])
+    @pytest.mark.parametrize("n", [2, 40, 300])
+    def test_verdict_and_refusal_are_psd_certifys(self, certify_calls, n, t, norm):
+        matrix = spectrum_matrix(n, t, norm, seed=n)
+        cert = psd_certify(matrix)
+        assert cert.certified == (t < 1)
+        g = GramMatrix(matrix, KernelSpec(SQUARED_OVERLAP))
+        labels = np.arange(n) % 2
+        if cert.certified:
+            svm_train(g, labels, C=1.0)
+        else:
+            with pytest.raises(NumericError) as info:
+                svm_train(g, labels, C=1.0)
+            assert str(info.value) == refusal(cert)
+        # s = 0.5e-8 * max(1, max G_ii) <= 0.5e-8 * max(1, norm): below
+        # lambda_min = -s the shifted matrix is indefinite and the factor
+        # fails; well above it, the factor certifies alone.
+        if t < 0.4 and norm == 1.0:
+            assert certify_calls == []
+        if t >= 0.9:
+            assert certify_calls == [g]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
+    def test_non_finite_entries_take_the_exact_path(self, certify_calls, bad, where):
+        matrix = spectrum_matrix(6, 0, 1.0, seed=1)
+        i, j = (2, 2) if where == "diagonal" else (1, 4)
+        matrix[i, j] = matrix[j, i] = bad
+        # eigvalsh may return NaN or raise on such a matrix; either way the
+        # outcome must be psd_certify's.
+        try:
+            cert = psd_certify(matrix)
+        except np.linalg.LinAlgError as exc:
+            want = pytest.raises(np.linalg.LinAlgError, match=re.escape(str(exc)))
+        else:
+            assert not cert.certified
+            want = pytest.raises(NumericError, match=re.escape(refusal(cert)))
+        g = GramMatrix(matrix, KernelSpec(SQUARED_OVERLAP))
+        with want:
+            svm_train(g, np.arange(6) % 2)
+        assert certify_calls == [g]
+
+    def test_nearly_symmetric_matrix_takes_the_exact_path(self, monkeypatch, certify_calls):
+        forbid(monkeypatch, "cholesky")
+        matrix = spectrum_matrix(40, 0, 1.0, seed=2)
+        within, beyond = matrix.copy(), matrix.copy()
+        within[3, 7] += 5e-13
+        beyond[3, 7] += 2e-12
+        labels = np.arange(40) % 2
+        g = GramMatrix(within, KernelSpec(SQUARED_OVERLAP))
+        model = svm_train(g, labels, C=1.0)
+        assert certify_calls == [g]
+        assert model.multipliers.sum() > 0
+        with pytest.raises(NumericError, match="PSD certification requires a symmetric matrix"):
+            svm_train(GramMatrix(beyond, KernelSpec(SQUARED_OVERLAP)), labels, C=1.0)
+
+    def test_a_given_spectrum_is_used_as_given(self, monkeypatch, certify_calls):
+        forbid(monkeypatch, "cholesky")
+        forbid(monkeypatch, "eigvalsh")
+        given_eigs = np.array([-1.0, 1.0])
+        g = GramMatrix(np.eye(2), KernelSpec(SQUARED_OVERLAP), given_eigs)
+        assert g.eigenvalues is given_eigs
+        with pytest.raises(NumericError, match=re.escape("(min eigenvalue -1.0); refusing")):
+            svm_train(g, [0, 1])
+        assert certify_calls == [g]
+
+
+class TestSpectrumOnFirstRead:
+    @pytest.mark.parametrize("kind, m", [(HS_TRACE, 300), (SQUARED_OVERLAP, 400)])
+    def test_training_computes_no_spectrum(self, monkeypatch, kind, m):
+        rng = np.random.default_rng(620 + m)
+        if kind == HS_TRACE:
+            states = random_inputs(kind, rng, m, 4)
+            labels = np.arange(m) % 2
+            rng.shuffle(labels)
+        else:
+            ds = gen_toy("separable", m, 8, 621, 0.25)
+            states, labels = encode_rows(ds.features)[0], ds.labels
+        spec = KernelSpec(kind)
+        eigvalsh = np.linalg.eigvalsh
+        forbid(monkeypatch, "eigvalsh")
+        g = gram(spec, states)
+        model = svm_train(g, labels, C=10.0)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        eager = svm_train(GramMatrix(g.matrix, spec, eigvalsh(g.matrix)), labels, C=10.0)
+        assert repr(model.multipliers.tolist()) == repr(eager.multipliers.tolist())
+        assert repr(model.bias) == repr(eager.bias)
+        eigs = g.eigenvalues
+        assert np.array_equal(eigs, eigvalsh(g.matrix))
+        assert g.eigenvalues is eigs
+        assert not eigs.flags.writeable
+        with pytest.raises(ValueError):
+            eigs[0] = 0.0
 
 
 class TestRegression:
