@@ -7,7 +7,8 @@ measured value is a signed sum over the rows. The measured observables (the
 ancilla-label parity, the ancilla-free swap-label observable and the
 register swap) are Pauli Z factors on named registers times a register
 permutation; they are stored in that form, and their dense matrices are
-built only when ``.matrix`` is read.
+built only when ``.matrix`` is read, from :func:`qkclass.qmath.tensor` and
+:func:`qkclass.qmath.register_permutation_matrix`.
 
 One blocked kernel runs the circuit and measures: it walks a stack in
 blocks of rows whose buffers stay small (``BLOCK_BYTES``), runs the circuit
@@ -26,50 +27,41 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 import numpy as np
 
 from .encoding import ClassifierState
 from .errors import DataError, DimensionError, NumericError
 from .qmath import (ATOL_DERIVED, ATOL_STRUCT, HADAMARD, SIGMA_Z,
-                    HermitianSpectrum, check_dense_budget, eigen_factor,
-                    register_permutation_matrix)
+                    HermitianSpectrum, check_dense_budget, check_hermitian,
+                    eigen_factor, register_permutation_matrix, tensor)
 from .registers import ANCILLA, LABEL, Register, RegisterLayout, TEST, TRAIN
 
 
-def _check_hermitian(mat: np.ndarray):
-    if np.abs(mat - mat.conj().T).max() > ATOL_STRUCT:
-        raise NumericError("observable is not Hermitian within 1e-12")
-
-
 class Observable:
-    """Hermitian operator tied to a register layout, with a lazy spectrum.
+    """Hermitian operator with a lazy spectrum.
 
-    An observable is either a dense matrix, as given to the constructor, or
-    structured (:meth:`z_permutation`): Pauli Z on some qubit registers,
-    then a register permutation. A structured observable is applied to the
-    reshaped state rows by :func:`expectation`; its ``matrix`` is the
-    dense reference, built from the same description on first access.
+    An observable is either a dense matrix, as given to the constructor,
+    with no layout, or structured (:meth:`z_permutation`): Pauli Z on some
+    qubit registers of a layout, then a register permutation. A structured
+    observable is applied to the reshaped state rows by :func:`expectation`;
+    its ``matrix`` is the dense reference, built from the same description
+    on first access.
     """
 
-    __slots__ = ("layout", "z_registers", "order", "_matrix", "_spectrum",
-                 "_involutory")
+    __slots__ = ("layout", "z_registers", "order", "_matrix", "_spectrum")
 
-    def __init__(self, matrix, layout: RegisterLayout | None = None):
-        mat = np.asarray(matrix, dtype=complex)
+    def __init__(self, matrix):
+        mat = np.array(matrix, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionError(f"observable must be square, got shape {mat.shape}")
-        _check_hermitian(mat)
-        if layout is not None and layout.dim != mat.shape[0]:
-            raise DimensionError("observable dimension does not match its layout")
-        mat = mat.copy()
+        check_hermitian(mat, "observable")
         mat.setflags(write=False)
-        self._init(layout, None, None, mat, None)
+        self._init(None, None, None, mat)
 
-    def _init(self, layout, z_registers, order, matrix, involutory):
-        for name, value in zip(self.__slots__, (layout, z_registers, order, matrix, None,
-                                                involutory)):
+    def _init(self, layout, z_registers, order, matrix):
+        for name, value in zip(self.__slots__, (layout, z_registers, order, matrix, None)):
             object.__setattr__(self, name, value)
 
     @classmethod
@@ -77,7 +69,7 @@ class Observable:
                       order=None) -> "Observable":
         """Pauli Z on each register in ``z_registers``, then the register
         permutation ``order`` (``order[p]`` names the register that lands at
-        position ``p``, as in :func:`qkclass.qmath.permute_registers`).
+        position ``p``, as in :func:`qkclass.qmath.register_permutation_matrix`).
 
         ``order`` must be an involution between registers of equal dimension
         that leaves the Z registers in place, so the two factors commute and
@@ -99,7 +91,7 @@ class Observable:
             if order[i] != i:
                 raise DimensionError(f"order {order} moves the Z register {i}")
         obs = object.__new__(cls)
-        obs._init(layout, z_registers, order, None, True)
+        obs._init(layout, z_registers, order, None)
         return obs
 
     def __setattr__(self, name, value):
@@ -117,12 +109,13 @@ class Observable:
     def matrix(self) -> np.ndarray:
         """Dense matrix; built from the structured form on first access."""
         if self._matrix is None:
-            dim = self.layout.dim
-            check_dense_budget((dim, dim), "dense observable")
-            mat = embed_operators(self.layout, {i: SIGMA_Z for i in self.z_registers})
-            if self.order != tuple(range(len(self.order))):
-                mat = register_permutation_matrix(self.layout.dims, self.order) @ mat
-            _check_hermitian(mat)
+            dims = self.layout.dims
+            check_dense_budget((self.dim, self.dim), "dense observable")
+            mat = tensor(*(SIGMA_Z if i in self.z_registers else np.eye(d)
+                           for i, d in enumerate(dims)))
+            if self.order != tuple(range(len(dims))):
+                mat = register_permutation_matrix(dims, self.order) @ mat
+            check_hermitian(mat, "observable")
             mat.setflags(write=False)
             object.__setattr__(self, "_matrix", mat)
         return self._matrix
@@ -132,14 +125,6 @@ class Observable:
         if self._spectrum is None:
             object.__setattr__(self, "_spectrum", HermitianSpectrum.of(self.matrix))
         return self._spectrum
-
-    def has_pm_one_spectrum(self) -> bool:
-        """True when the observable squares to the identity (eigenvalues +-1)."""
-        if self._involutory is None:
-            sq = self.matrix @ self.matrix
-            ok = np.abs(sq - np.eye(self.dim)).max() <= ATOL_DERIVED
-            object.__setattr__(self, "_involutory", bool(ok))
-        return self._involutory
 
 
 @dataclass(frozen=True)
@@ -155,22 +140,6 @@ class ShotRecord:
             raise DataError(f"outcome must be +1 or -1, got {self.outcome}")
         if self.count < 0:
             raise DataError("count must be nonnegative")
-
-
-def embed_operators(layout: RegisterLayout, ops: dict[int, np.ndarray]) -> np.ndarray:
-    """Tensor the given per-register operators with identities elsewhere."""
-    check_dense_budget((layout.dim, layout.dim), "dense operator")
-    factors = []
-    for i, reg in enumerate(layout.registers):
-        if i in ops:
-            op = np.asarray(ops[i], dtype=complex)
-            if op.shape != (reg.dim, reg.dim):
-                raise DimensionError(
-                    f"operator for register {i} has shape {op.shape}, register dim {reg.dim}")
-            factors.append(op)
-        else:
-            factors.append(np.eye(reg.dim, dtype=complex))
-    return reduce(np.kron, factors)
 
 
 def _pair_swap_order(layout: RegisterLayout) -> tuple[int, ...]:
@@ -220,10 +189,10 @@ def build_swap_test_unitary(layout: RegisterLayout) -> np.ndarray:
     a = layout.index_of(ANCILLA)
     if not layout.pair_indices():
         raise DimensionError("layout has no (test, train) pairs to swap")
-    h = embed_operators(layout, {a: HADAMARD})
+    eye = [np.eye(d) for d in layout.dims]
+    h, p0, p1 = (tensor(*eye[:a], op, *eye[a + 1:])
+                 for op in (HADAMARD, np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
     swap = register_permutation_matrix(layout.dims, _pair_swap_order(layout))
-    p0 = embed_operators(layout, {a: np.diag([1.0, 0.0]).astype(complex)})
-    p1 = embed_operators(layout, {a: np.diag([0.0, 1.0]).astype(complex)})
     cswap = p0 + p1 @ swap
     v = h @ cswap @ h
     err = np.abs(v @ v.conj().T - np.eye(layout.dim)).max()
@@ -480,21 +449,25 @@ def expectation(obs, state) -> float:
         raise DimensionError(f"dimension mismatch: observable {dim} vs state {rows.shape}")
     val = complex(_signed_sum(_stack_value(rows, obs.layout, obs) if structured
                               else np.einsum("ij,ij->i", rows.conj(), rows @ mat.T), signs))
-    if abs(val.imag) > ATOL_DERIVED:
+    if not abs(val.imag) <= ATOL_DERIVED:
         raise NumericError(f"expectation has imaginary residual {val.imag}")
     return float(val.real)
 
 
 def outcome_probabilities(obs: Observable, state) -> dict[int, float]:
-    """Probabilities of the +1 / -1 outcomes of an involutory observable.
+    """Probabilities of the +1 / -1 outcomes of an involutory observable: a
+    structured one, which is involutory by construction, or one built from a
+    matrix M with M M = I to 1e-10.
 
     The spectral projectors are (identity +- obs) / 2, so the probabilities
     are (Tr rho +- <obs>) / 2, with <obs> from :func:`expectation`; no
-    projector or identity matrix is built, and every state is measured as
-    signed rows. Tr rho, the signed sum of the squared row norms, must be 1
-    to 1e-10, which is the check that the two probabilities sum to 1.
+    projector is built, and every state is measured as signed rows. Tr rho,
+    the signed sum of the squared row norms, must be 1 to 1e-10, which is
+    the check that the two probabilities sum to 1.
     """
-    if not isinstance(obs, Observable) or not obs.has_pm_one_spectrum():
+    if not isinstance(obs, Observable) or not (
+            obs.structured
+            or np.abs(obs.matrix @ obs.matrix - np.eye(obs.dim)).max() <= ATOL_DERIVED):
         raise NumericError("outcome probabilities require a +-1 spectrum observable")
     value = expectation(obs, state)
     rows, signs = _rows(state)

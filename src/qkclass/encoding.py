@@ -32,7 +32,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +39,7 @@ import numpy as np
 from . import qmath
 from .errors import DataError, DimensionError, NumericError
 from .kernelsvm import encode_rows
-from .qmath import DensityMatrix, QState, tensor_power
+from .qmath import DensityMatrix, QState, tensor, tensor_power
 from .registers import RegisterLayout, block_layout
 
 UNIT_VECTORS = "unit-vectors"
@@ -77,7 +76,8 @@ class TrainingSet:
       any entry is mixed;
     * ``labels``: (M,) labels 0 or 1;
     * ``weights``: (M,) nonnegative weights, renormalized to sum to 1;
-    * ``norms``: (M,) raw vector norms in keep-norms mode, else all 1.
+    * ``norms``: (M,) raw vector norms, finite and positive, in keep-norms
+      mode, else all 1.
 
     When a bias is present it is rescaled by the weights' normalization
     factor, which keeps the sign of any downstream regression value
@@ -112,6 +112,9 @@ class TrainingSet:
         bad = ~((weights >= 0.0) & (weights < math.inf))
         if np.any(bad):
             raise DataError(f"weights must be finite and nonnegative, got {weights[bad][0]}")
+        bad = ~((norms > 0.0) & (norms < math.inf))
+        if np.any(bad):
+            raise DataError(f"norms must be finite and positive, got {norms[bad][0]}")
         size = (np.linalg.norm(states, axis=1) if states.ndim == 2
                 else np.trace(states, axis1=1, axis2=2))
         if not np.all(np.abs(size - 1.0) <= qmath.ATOL_STRUCT):
@@ -529,7 +532,7 @@ def _padded_joint(layout: RegisterLayout, members, pad, max_copies: int):
     blocks, signs = [], []
     for q, member, k in members:
         n = max_copies - k
-        pads = reduce(np.kron, [pad[0]] * n, np.full((1, 1), math.sqrt(q)))
+        pads = tensor(np.full((1, 1), math.sqrt(q)), *[pad[0]] * n)
         rows = member.stack.reshape(-1, 2, d ** k, d ** k, 2)  # ancilla, tests, trains, label
         pad_axes = list(range(6, 6 + 2 * n))  # (test, train) per padded copy
         blocks.append(np.einsum(rows, [0, 1, 2, 3, 4], pads.reshape((-1,) + (d,) * 2 * n),

@@ -140,13 +140,18 @@ class GramMatrix:
 
     The spectrum is computed (``np.linalg.eigvalsh``) on the first read of
     :attr:`eigenvalues` and kept, read-only; a spectrum that is already
-    known may be passed to the constructor and is then used as given.
+    known may be passed to the constructor and is then used as given. The
+    matrix is taken as ``np.asarray`` gives it (an array is not copied) and
+    must be square.
     """
 
     __slots__ = ("matrix", "kernel", "_eigenvalues")
 
     def __init__(self, matrix: np.ndarray, kernel: KernelSpec,
                  eigenvalues: np.ndarray | None = None):
+        matrix = np.asarray(matrix)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise DimensionError(f"Gram matrix must be square, got shape {matrix.shape}")
         self.matrix, self.kernel, self._eigenvalues = matrix, kernel, eigenvalues
 
     @property
@@ -280,10 +285,10 @@ def _dual_objective(alpha: np.ndarray, q: np.ndarray) -> float:
 
 
 def svm_train(g: GramMatrix, labels: Sequence[int], C: float = DEFAULT_C,
-              tol: float = KKT_TOL, max_iter: int = MAX_SMO_ITER,
               record_objective: bool = False) -> SvmModel:
     """Maximize the dual sum(a) - 1/2 sum a_i a_j l_i l_j G_ij subject to
-    0 <= a <= C and sum(a_i l_i) = 0, by SMO over maximal violating pairs.
+    0 <= a <= C and sum(a_i l_i) = 0, by SMO over maximal violating pairs,
+    to a KKT gap below ``KKT_TOL`` in at most ``MAX_SMO_ITER`` iterations.
 
     Checks, in this order: the labels (two classes of 0/1), the box
     constraint C (finite and positive), then that G is PSD (the dual could
@@ -336,14 +341,14 @@ def svm_train(g: GramMatrix, labels: Sequence[int], C: float = DEFAULT_C,
     buf, move = np.empty(m), np.empty(m)
     history = []
     converged = False
-    for _ in range(max_iter):
+    for _ in range(MAX_SMO_ITER):
         if record_objective:
             history.append(_dual_objective(np.array(alpha), q))
         i = int(np.add(minus_lg, up_pen, out=buf).argmax())
         top = buf.item(i)
         j = int(np.add(minus_lg, low_pen, out=buf).argmin())
         gap = top - buf.item(j)
-        if gap < tol:
+        if gap < KKT_TOL:
             converged = True
             break
         quad = max(diag[i] + diag[j] - 2.0 * matrix.item(i, j), 1e-12)
@@ -364,7 +369,7 @@ def svm_train(g: GramMatrix, labels: Sequence[int], C: float = DEFAULT_C,
     if not converged:
         gap = np.add(minus_lg, up_pen, out=buf).max() - np.add(minus_lg, low_pen, out=buf).min()
         raise NumericError(
-            f"SMO did not reach tolerance {tol} in {max_iter} iterations "
+            f"SMO did not reach tolerance {KKT_TOL} in {MAX_SMO_ITER} iterations "
             f"(final KKT gap {gap:.3g} at C={C:g}); data that are not separable "
             f"need a smaller box constraint C (--box-c)")
     alpha = np.array(alpha)

@@ -43,6 +43,12 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_hermitian(mat: np.ndarray, what: str):
+    """Raise NumericError unless max |M - M^H| <= 1e-12; a NaN entry fails."""
+    if not np.abs(mat - mat.conj().T).max() <= ATOL_STRUCT:
+        raise NumericError(f"{what} is not Hermitian within 1e-12")
+
+
 def as_cvec(x) -> np.ndarray:
     """Coerce ``x`` to an immutable 1-D complex vector of dimension >= 1."""
     vec = np.asarray(x, dtype=complex)
@@ -106,8 +112,7 @@ class DensityMatrix:
         mat = np.asarray(entries, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise DimensionError(f"expected a square matrix, got shape {mat.shape}")
-        if not np.abs(mat - mat.conj().T).max() <= ATOL_STRUCT:
-            raise NumericError("matrix is not Hermitian within 1e-12")
+        check_hermitian(mat, "density matrix")
         tr = np.trace(mat)
         if not abs(tr - 1.0) <= ATOL_STRUCT:
             raise NumericError(f"trace {tr!r} is not 1 within {ATOL_STRUCT}")
@@ -154,8 +159,8 @@ def tensor(*operands) -> np.ndarray:
     The output shape is checked against the size limits before anything is
     allocated. Each operand is then given its own interleaved axes and the
     operands are multiplied by broadcasting into the output's layout, which
-    gives the same entries as a chain of ``np.kron`` (each is the same
-    left-to-right product) with less per-call overhead.
+    gives the same entries as a chain of numpy Kronecker products (each is
+    the same left-to-right product) with less per-call overhead.
     """
     if not operands:
         raise DimensionError("tensor() needs at least one operand")
@@ -302,8 +307,7 @@ class HermitianSpectrum:
     @classmethod
     def of(cls, mat) -> "HermitianSpectrum":
         m = _as_array(mat, True)
-        if np.abs(m - m.conj().T).max() > ATOL_STRUCT:
-            raise NumericError("spectral decomposition requires a Hermitian matrix")
+        check_hermitian(m, "spectral decomposition input")
         vals, vecs = np.linalg.eigh(m)
         order = np.argsort(vals)[::-1]
         vals, vecs = vals[order], vecs[:, order]
@@ -314,31 +318,10 @@ class HermitianSpectrum:
         return cls(_frozen(vals.astype(float)), _frozen(vecs))
 
 
-def permute_registers(array: np.ndarray, dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
-    """Reorder tensor factors of a vector or square matrix.
-
-    ``order[p]`` names the source register that lands at position ``p``.
-    """
-    dims = tuple(int(d) for d in dims)
-    order = tuple(int(i) for i in order)
-    n = len(dims)
-    if sorted(order) != list(range(n)):
-        raise DimensionError(f"order {order} is not a permutation of 0..{n - 1}")
-    total = int(np.prod(dims))
-    arr = np.asarray(array, dtype=complex)
-    if arr.ndim == 1:
-        if arr.size != total:
-            raise DimensionError(f"vector size {arr.size} does not match dims {dims}")
-        return arr.reshape(dims).transpose(order).reshape(total)
-    if arr.shape != (total, total):
-        raise DimensionError(f"matrix shape {arr.shape} does not match dims {dims}")
-    axes = list(order) + [n + i for i in order]
-    return arr.reshape(dims + dims).transpose(axes).reshape(total, total)
-
-
 def register_permutation_matrix(dims: Sequence[int], order: Sequence[int]) -> np.ndarray:
-    """Unitary realizing :func:`permute_registers` as an explicit matrix:
-    column j is the permuted basis vector e_j."""
+    """Unitary that reorders tensor factors: ``order[p]`` names the source
+    register that lands at position ``p``, and column j is the permuted
+    basis vector e_j. A vector v permutes as P v, a matrix M as P M P^T."""
     dims = tuple(int(d) for d in dims)
     order = tuple(int(i) for i in order)
     total = math.prod(dims)

@@ -8,7 +8,7 @@ from qkclass import circuit as circuit_module
 from qkclass import qmath
 from qkclass.circuit import (Observable, ancilla_label_parity,
                              apply_swap_test_unitary,
-                             build_swap_test_unitary, embed_operators,
+                             build_swap_test_unitary,
                              empirical_expectation, expectation,
                              outcome_probabilities, run_swap_test,
                              sample_shots, swap_label_observable,
@@ -287,6 +287,21 @@ class TestOutcomeProbabilities:
         with pytest.raises(NumericError):
             outcome_probabilities(bad, np.eye(2) / 2)
 
+    def test_involutory_matrix_observable_accepted(self):
+        probs = outcome_probabilities(Observable(SIGMA_Z), np.diag([0.25, 0.75]))
+        assert probs[1] == pytest.approx(0.25) and probs[-1] == pytest.approx(0.75)
+
+
+def test_nan_matrix_fails_every_hermitian_check():
+    # A NaN entry makes each residual NaN, which must fail its check.
+    bad = np.diag([np.nan, 1.0])
+    with pytest.raises(NumericError, match="Hermitian"):
+        Observable(bad)
+    with pytest.raises(NumericError, match="Hermitian"):
+        qmath.HermitianSpectrum.of(bad)
+    with pytest.raises(NumericError, match="imaginary residual"):
+        expectation(bad, np.array([1.0, 0.0]))
+
 
 class TestSampling:
     def _even_odds_state(self):
@@ -519,11 +534,6 @@ class TestBlockedKernel:
 
 
 class TestEmbedding:
-    def test_embed_checks_dimensions(self):
-        layout = block_layout(2, 1)
-        with pytest.raises(DimensionError):
-            embed_operators(layout, {0: np.eye(4)})
-
     def test_parity_needs_ancilla(self):
         with pytest.raises(DimensionError):
             ancilla_label_parity(block_layout(2, 1, ancilla=False))

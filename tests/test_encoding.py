@@ -17,8 +17,8 @@ from qkclass.encoding import (ClassifierState, RawDatum, TrainingSet,
                               assemble_mixed_stc_input,
                               assemble_pure_stc_input)
 from qkclass.errors import DataError, DimensionError, NumericError
-from qkclass.qmath import (DensityMatrix, QState, partial_trace, permute_registers,
-                           random_state_vector, tensor)
+from qkclass.qmath import (DensityMatrix, QState, partial_trace, random_state_vector,
+                           register_permutation_matrix, tensor)
 from qkclass.registers import block_layout
 
 
@@ -147,6 +147,12 @@ class TestTrainingSet:
             k=2, mode=encoding.KEEP_NORMS)
         # raw norms 2 and 1, weights 1/2 each: effective ~ (2^4, 1) normalized
         assert np.allclose(ts.effective_weights(), [16 / 17, 1 / 17])
+
+    @pytest.mark.parametrize("norm", [-1.0, np.nan, 0.0])
+    def test_keep_norms_rejects_bad_norms(self, norm):
+        with pytest.raises(DataError, match="norms must be finite and positive"):
+            TrainingSet(np.eye(2), [0, 1], [1.0, 1.0], norms=[1.0, norm],
+                        mode=encoding.KEEP_NORMS)
 
     def test_unit_mode_ignores_norms(self):
         ts = TrainingSet.from_raw(
@@ -353,7 +359,7 @@ class TestEnsembles:
 def block_to_pair(k: int, ancilla: bool = True) -> tuple[int, ...]:
     """Register order taking the block layout [ancilla | test x k | train x k
     | label] to the pair order [ancilla | (test, train) x k | label] of the
-    dense references, for :func:`qkclass.qmath.permute_registers`."""
+    dense references, for :func:`qkclass.qmath.register_permutation_matrix`."""
     shift = int(ancilla)
     pairs = [shift + c for i in range(k) for c in (i, k + i)]
     return tuple(range(shift)) + tuple(pairs) + (shift + 2 * k,)
@@ -364,7 +370,8 @@ def max_gap(state, reference, k=None, ancilla=True) -> float:
     the rho is first taken to the pair order of the dense references."""
     rho = state.rho.entries
     if k is not None:
-        rho = permute_registers(rho, state.layout.dims, block_to_pair(k, ancilla))
+        p = register_permutation_matrix(state.layout.dims, block_to_pair(k, ancilla))
+        rho = p @ rho @ p.T
     return float(np.abs(rho - reference).max())
 
 

@@ -226,6 +226,23 @@ class TestGram:
         with pytest.raises(DataError):
             gram(KernelSpec(SQUARED_OVERLAP), [KET0, KET0.to_density()])
 
+    @pytest.mark.parametrize("matrix", [np.ones((2, 3)), np.ones(4), np.ones((2, 2, 2))])
+    def test_non_square_matrix_rejected(self, matrix):
+        with pytest.raises(DimensionError, match="square"):
+            GramMatrix(matrix, KernelSpec(SQUARED_OVERLAP))
+
+    def test_nested_list_trains_like_its_array(self):
+        rows = [[2.0, 0.5], [0.5, 1.0]]
+        spec = KernelSpec(SQUARED_OVERLAP)
+        from_list = svm_train(GramMatrix(rows, spec), [0, 1])
+        from_array = svm_train(GramMatrix(np.array(rows), spec), [0, 1])
+        assert np.array_equal(from_list.multipliers, from_array.multipliers)
+        assert from_list.bias == from_array.bias
+
+    def test_gram_array_is_kept_uncopied(self):
+        g = gram(KernelSpec(SQUARED_OVERLAP), [KET0, PLUS])
+        assert GramMatrix(g.matrix, g.kernel).matrix is g.matrix
+
 
 class TestPsdCertify:
     def test_identity_certified(self):
@@ -358,7 +375,7 @@ class TestSvmTrain:
         with pytest.raises(DataError, match=message):
             svm_train(g, labels)
 
-    def test_unconverged_error_names_gap_and_box(self):
+    def test_unconverged_error_names_gap_and_box(self, monkeypatch):
         # Random labels on a rank-6 Gram: not separable, so at C=1e6 the
         # multipliers creep towards C and a few iterations leave a gap.
         rng = np.random.default_rng(613)
@@ -367,8 +384,10 @@ class TestSvmTrain:
         g = GramMatrix(matrix, KernelSpec(SQUARED_OVERLAP), np.linalg.eigvalsh(matrix))
         labels = np.arange(40) % 2
         rng.shuffle(labels)
-        with pytest.raises(NumericError, match="SMO did not reach tolerance") as info:
-            svm_train(g, labels, max_iter=20)
+        with monkeypatch.context() as patch, \
+                pytest.raises(NumericError, match="SMO did not reach tolerance") as info:
+            patch.setattr(kernelsvm, "MAX_SMO_ITER", 20)
+            svm_train(g, labels)
         found = re.search(r"in 20 iterations \(final KKT gap (\S+) at C=1e\+06\)",
                           str(info.value))
         assert found and float(found.group(1)) > KKT_TOL

@@ -7,8 +7,7 @@ from helpers import basis_state, maximally_mixed, random_density_matrix, reconst
 from qkclass import qmath
 from qkclass.errors import DataError, DimensionError, NumericError
 from qkclass.qmath import (DensityMatrix, HermitianSpectrum, QState, fidelity,
-                           hs_inner, partial_trace, permute_registers,
-                           random_state_vector, tensor)
+                           hs_inner, partial_trace, random_state_vector, tensor)
 
 
 def brute_force_partial_trace(mat, dims, keep):
@@ -247,8 +246,8 @@ class TestPermutations:
         rng = np.random.default_rng(11)
         dims = (2, 3, 2)
         vec = rng.standard_normal(12) + 1j * rng.standard_normal(12)
-        moved = permute_registers(vec, dims, (2, 0, 1))
-        back = permute_registers(moved, (2, 2, 3), (1, 2, 0))
+        moved = qmath.register_permutation_matrix(dims, (2, 0, 1)) @ vec
+        back = qmath.register_permutation_matrix((2, 2, 3), (1, 2, 0)) @ moved
         assert np.allclose(back, vec)
 
     def test_matrix_permutation_matches_matrix_builder(self):
@@ -257,4 +256,6 @@ class TestPermutations:
         mat = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         order = (1, 0, 2)
         p = qmath.register_permutation_matrix(dims, order)
-        assert np.allclose(p @ mat @ p.conj().T, permute_registers(mat, dims, order))
+        # Definition-level reference: swap the first two factors' index bits.
+        expect = mat.reshape(2, 2, 2, 2, 2, 2).transpose(1, 0, 2, 4, 3, 5).reshape(8, 8)
+        assert np.allclose(p @ mat @ p.T, expect)
