@@ -147,8 +147,7 @@ def _stc_batch(ts: TrainingSet, tests, mode: str):
     if (mode == "bias") != (ts.bias is not None):
         raise DataError("stc_classify_bias takes a training set with a bias, "
                         "stc_classify one without")
-    bias, weights = ((0.0, ts.effective_weights()) if ts.bias is None
-                     else ts.effective_bias_and_weights())
+    bias, weights = ts.effective_bias_and_weights()
     layout = None if mode == "analytic" else block_layout(
         ts.data_dim if len(ts) else tests.shape[1], ts.k, ancilla=mode != "minimal",
         index_slots=len(ts) + 1 if mode == "bias" else None)
@@ -156,7 +155,7 @@ def _stc_batch(ts: TrainingSet, tests, mode: str):
         check_dense_budget((1, layout.dim), "circuit row")
     obs = swap_label_observable(layout) if mode == "minimal" else None
     if layout is not None and mode != "bias":
-        train = encoding._train_rows(ts, weights, ts.k)
+        train = encoding._train_rows(ts)
     row_bytes = (8 * len(ts) if layout is None
                  else 16 * layout.dim * (1 if mode == "bias" else len(train[0])))
     for rows in _chunks(len(tests), row_bytes):

@@ -203,6 +203,8 @@ def gen_toy(kind: str, m: int, dim: int, seed: int, noise: float = 0.25) -> Data
         raise DataError(f"unknown toy kind {kind!r}, expected one of {TOY_KINDS}")
     if dim < 2:
         raise DataError("toy sets need feature dimension >= 2")
+    if not math.isfinite(noise):
+        raise DataError(f"toy noise must be finite, got {noise!r}")
     check_dense_budget((2, dim) if kind == "orthogonal-pair" else (m, dim), "toy feature matrix")
     rng = np.random.default_rng(seed)
     if kind == "orthogonal-pair":
@@ -213,17 +215,15 @@ def gen_toy(kind: str, m: int, dim: int, seed: int, noise: float = 0.25) -> Data
     if m < 2:
         raise DataError("toy sets need at least two points")
     if kind == "separable":
-        n0 = (m + 1) // 2
-        rows, labels = [], []
-        for i in range(m):
-            label = 0 if i < n0 else 1
-            center = np.zeros(dim, dtype=complex)
-            center[0 if label == 0 else dim - 1] = 1.0
-            sample = center + noise * (rng.standard_normal(dim)
-                                       + 1j * rng.standard_normal(dim))
-            rows.append(sample / np.linalg.norm(sample))
-            labels.append(label)
-        return DatasetFile(np.array(rows), np.array(labels))
+        labels = (np.arange(m) >= (m + 1) // 2).astype(int)
+        centers = np.zeros((m, dim), dtype=complex)
+        centers[np.arange(m), labels * (dim - 1)] = 1.0
+        # Row by row, dim real then dim imaginary draws: the stream of one draw per row.
+        draws = rng.standard_normal((m, 2, dim))
+        samples = centers + noise * (draws[:, 0] + 1j * draws[:, 1])
+        # Each norm of its row alone, which a batched norm may round differently.
+        return DatasetFile(samples / np.array([np.linalg.norm(row) for row in samples])[:, None],
+                           labels)
     features = rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))
     labels = rng.integers(0, 2, size=m)
     labels[0], labels[-1] = 0, 1

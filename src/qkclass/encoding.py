@@ -191,13 +191,14 @@ class TrainingSet:
         return w / w.sum() if len(self) else w
 
     def effective_bias_and_weights(self) -> tuple[float, np.ndarray]:
-        """Bias term and per-entry weights of the bias-extended state.
+        """Bias term and per-entry weights of the bias-extended state; without
+        a bias, (0.0, :meth:`effective_weights`).
 
         Both are scaled by N = |bias| + sum(weight * norm**(2k)) so that the
         bias probability plus the entry probabilities is exactly 1.
         """
         if self.bias is None:
-            raise DataError("training set has no bias")
+            return 0.0, self.effective_weights()
         w = self.weights * self.norms ** (2 * self.k)
         n = abs(self.bias) + w.sum()
         return self.bias / n, w / n
@@ -276,8 +277,7 @@ class ClassifierState:
     @property
     def signs(self) -> np.ndarray | None:
         """Row signs, or None when every row counts +1."""
-        if self._stack is None:
-            self._set_stack(*self._build())
+        self.stack  # builds a deferred stack
         return self._signs
 
     @property
@@ -352,10 +352,11 @@ def _test_rows(tests, k: int):
             np.cumsum([0] + sizes[:-1]))
 
 
-def _train_rows(ts: TrainingSet, weights: np.ndarray, k: int):
+def _train_rows(ts: TrainingSet):
     """(rows, labels, signs) of the training side of the index-free input:
     sqrt(w_m) x_m^(x)k on label y_m per pure entry of nonzero weight; for
     density-matrix data the eigen-factor rows of each label's sigma_y."""
+    weights, k = ts.effective_weights(), ts.k
     if not ts.is_mixed:
         entries = np.flatnonzero(weights > 0.0)
         return (np.sqrt(weights[entries])[:, None] * _row_power(ts.states[entries], k),
@@ -384,15 +385,14 @@ def _indexed_rows(ts: TrainingSet, vecs: np.ndarray, *, with_ancilla: bool = Tru
         raise DataError("indexed assembly requires pure-state training data")
     if len(ts) and dim != ts.data_dim:
         raise DimensionError(f"test dim {dim} != training dim {ts.data_dim}")
-    bias, weights = ((None, ts.effective_weights()) if ts.bias is None
-                     else ts.effective_bias_and_weights())
-    labels = ts.labels if bias is None else np.append(int(bias < 0), ts.labels)
+    bias, weights = ts.effective_bias_and_weights()
+    labels = ts.labels if ts.bias is None else np.append(int(bias < 0), ts.labels)
     layout = block_layout(dim, ts.k, ancilla=with_ancilla, index_slots=labels.size)
     qmath.check_dense_budget((len(vecs), layout.dim), "assembled state stack")
     tests = _row_power(vecs, ts.k)
     train = np.sqrt(weights)[:, None] * _row_power(ts.states.reshape(-1, dim), ts.k)
     right = np.broadcast_to(train, (len(tests),) + train.shape)
-    if bias is not None:
+    if ts.bias is not None:
         right = np.concatenate([math.sqrt(abs(bias)) * tests[:, None], right], axis=1)
     return _slot_rows(tests, right, labels, ancilla=with_ancilla, slots=layout.dims[-1]), layout
 
@@ -417,12 +417,10 @@ def assemble_pure_stc_input(ts: TrainingSet, test: QState, *,
     return mixed_stc_state(ts, test, with_ancilla=with_ancilla)
 
 
-def mixed_stc_state(ts: TrainingSet, test: QState | DensityMatrix,
-                    weights: np.ndarray | None = None, k: int | None = None, *,
+def mixed_stc_state(ts: TrainingSet, test: QState | DensityMatrix, *,
                     with_ancilla: bool = True) -> ClassifierState:
     """Index-free joint input state, block layout, of the entries of ``ts``
-    with the weight distribution ``weights`` and k copies (by default those
-    of ``ts``), for pure and density-matrix data alike.
+    with their effective weights and k copies, pure or density-matrix data.
 
     The state is the mixture rho_t^(x)k (x) sum_y sigma_y (x) |y><y|, held
     as the products of the rows of test^(x)k and of the training side (see
@@ -430,27 +428,20 @@ def mixed_stc_state(ts: TrainingSet, test: QState | DensityMatrix,
     built, the stack is planned against the size budget, with
     rank(sigma_y) <= d**k.
     """
-    weights = ts.effective_weights() if weights is None else weights
-    k = ts.k if k is None else k
     if test.dim != ts.data_dim:
         raise DimensionError(f"test dim {test.dim} != training dim {ts.data_dim}")
-    layout = block_layout(test.dim, k, ancilla=with_ancilla)
+    layout = block_layout(test.dim, ts.k, ancilla=with_ancilla)
     factor = qmath.eigen_factor(test, "test state")
-    live = weights > 0.0
-    bound = (len(set(ts.labels[live].tolist())) * test.dim ** k if ts.is_mixed
+    live = ts.effective_weights() > 0.0
+    bound = (len(set(ts.labels[live].tolist())) * test.dim ** ts.k if ts.is_mixed
              else np.count_nonzero(live))
-    qmath.check_dense_budget((len(factor[0]) ** k * bound, layout.dim), "assembled state stack")
-    train = _train_rows(ts, weights, k)
-    signs = np.multiply.outer(_product_signs([factor] * k), train[2]).ravel()
-    rows = _product_rows(tensor_power(factor[0], k), train, np.arange(signs.size),
+    qmath.check_dense_budget((len(factor[0]) ** ts.k * bound, layout.dim), "assembled state stack")
+    train = _train_rows(ts)
+    signs = np.multiply.outer(_product_signs([factor] * ts.k), train[2]).ravel()
+    rows = _product_rows(tensor_power(factor[0], ts.k), train, np.arange(signs.size),
                          ancilla=with_ancilla)
     return ClassifierState(None, layout, vector=rows,
                            signs=None if np.all(signs > 0) else signs)
-
-
-def _pairs_set(train, k: int = 1) -> TrainingSet:
-    """(density matrix, label, ...) tuples as a training set of unit weights."""
-    return TrainingSet.from_states([(t[0], t[1], 1.0) for t in train], k=k)
 
 
 def assemble_mixed_stc_input(test: DensityMatrix,
@@ -459,9 +450,9 @@ def assemble_mixed_stc_input(test: DensityMatrix,
     """:func:`mixed_stc_state` of (density matrix, label, weight) tuples
     whose weights form a distribution."""
     weights = np.array([w for _, _, w in train], dtype=float)
-    if np.any(weights < 0) or abs(weights.sum() - 1.0) > 1e-9:
+    if np.any(weights < 0) or not abs(weights.sum() - 1.0) <= 1e-9:  # NaN fails
         raise DataError("training weights must form a distribution")
-    return mixed_stc_state(_pairs_set(train, k), test, weights, k, with_ancilla=with_ancilla)
+    return mixed_stc_state(TrainingSet.from_states(train, k=k), test, with_ancilla=with_ancilla)
 
 
 def assemble_bias_extended(ts: TrainingSet, test: QState) -> ClassifierState:
@@ -479,9 +470,15 @@ def assemble_bias_extended(ts: TrainingSet, test: QState) -> ClassifierState:
     return ClassifierState(None, layout, vector=rows[0])
 
 
-def _model_weights(models, train) -> list[np.ndarray]:
-    """Each model's weight vector, after checking that the model
-    probabilities and every weight vector over ``train`` are distributions."""
+def _weighted_set(train, weights, k: int) -> TrainingSet:
+    """(density matrix, label, ...) tuples and their renormalized weights."""
+    return TrainingSet.from_states([(t[0], t[1], w) for t, w in zip(train, weights)], k=k)
+
+
+def _model_weights(models, train) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The model probabilities, renormalized, and each model's weight
+    vector, after checking that the probabilities and every weight vector
+    over ``train`` are distributions."""
     if not models:
         raise DataError("ensemble needs at least one model")
     probs = np.array([model[0] for model in models], dtype=float)
@@ -489,9 +486,9 @@ def _model_weights(models, train) -> list[np.ndarray]:
     if any(a_s.size != len(train) for a_s in out):
         raise DataError("model weight vector length does not match training data")
     for name, qs in zip(["model probabilities"] + ["model weights"] * len(out), [probs] + out):
-        if np.any(qs < 0) or abs(qs.sum() - 1.0) > 1e-9:
+        if np.any(qs < 0) or not abs(qs.sum() - 1.0) <= 1e-9:  # NaN fails
             raise DataError(f"{name} must be a probability distribution")
-    return out
+    return probs / probs.sum(), out
 
 
 def assemble_ensemble_weights(test: DensityMatrix,
@@ -500,9 +497,9 @@ def assemble_ensemble_weights(test: DensityMatrix,
                               k: int, *, with_ancilla: bool = True) -> ClassifierState:
     """Mixture over weight-vector models; equals a single mixed assembly with
     the convex-combined weights."""
-    ts = _pairs_set(train, k)
-    eff = sum(q * a_s for (q, _), a_s in zip(models, _model_weights(models, train)))
-    return mixed_stc_state(ts, test, eff, k, with_ancilla=with_ancilla)
+    probs, weights = _model_weights(models, train)
+    eff = sum(q * a_s for q, a_s in zip(probs, weights))
+    return mixed_stc_state(_weighted_set(train, eff, k), test, with_ancilla=with_ancilla)
 
 
 def _pad_pair_state(data_dim: int, kind: str) -> np.ndarray:
@@ -559,17 +556,15 @@ def assemble_ensemble_exponents(test: DensityMatrix,
     value. The joint state is deferred: its stack, the member rows times
     the eigen-factor rows of the padding, is built only when read.
     """
-    ts = _pairs_set(train)
-    weights = _model_weights(models, train)
-    dim = test.dim
-    pad = qmath.eigen_factor(_pad_pair_state(dim, padding), f"{padding} padding state")
+    probs, weights = _model_weights(models, train)
+    pad = qmath.eigen_factor(_pad_pair_state(test.dim, padding), f"{padding} padding state")
     members = []
-    for (q, _, k_s), a_s in zip(models, weights):
+    for (_, _, k_s), q, a_s in zip(models, probs, weights):
         k_s = int(k_s)
         if not 1 <= k_s <= max_copies:
             raise DataError(f"model copy count {k_s} outside 1..{max_copies}")
-        members.append((float(q), mixed_stc_state(ts, test, a_s, k_s)))
-    layout = block_layout(dim, max_copies)
+        members.append((float(q), mixed_stc_state(_weighted_set(train, a_s, k_s), test)))
+    layout = block_layout(test.dim, max_copies)
     return ClassifierState(None, layout, members=tuple(members),
                            build=lambda: _padded_joint(layout, members, pad, max_copies))
 

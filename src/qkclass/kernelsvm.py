@@ -185,18 +185,16 @@ def gram(spec: KernelSpec, states: Sequence) -> GramMatrix:
 
 
 def vector_gram(spec: KernelSpec, vecs: np.ndarray) -> GramMatrix:
-    """Gram matrix of a stack of unit vectors; hs-trace takes them as their
-    projectors (on pure states it equals the squared overlap).
+    """Gram matrix of a stack of unit vectors. hs-trace takes them as their
+    projectors, whose trace inner product Tr(|a><a| |b><b|) = |<a|b>|**2 is
+    the squared overlap of the vectors: that Gram is computed, and no
+    projector is built, under the hs-trace spec.
 
     Its spectrum is computed at once: every caller writes it out, so
     :func:`svm_train` then certifies from it rather than factoring too.
     """
-    if spec.kind == HS_TRACE:
-        from .qmath import projectors
-        vecs = projectors(vecs)
-    g = gram(spec, vecs)
-    g.eigenvalues  # computed here, once
-    return g
+    g = gram(KernelSpec(SQUARED_OVERLAP, spec.k) if spec.kind == HS_TRACE else spec, vecs)
+    return GramMatrix(g.matrix, spec, g.eigenvalues)  # the spectrum, computed here once
 
 
 @dataclass(frozen=True)

@@ -45,6 +45,8 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 def check_hermitian(mat: np.ndarray, what: str):
     """Raise NumericError unless max |M - M^H| <= 1e-12; a NaN entry fails."""
+    if not mat.size:
+        raise DimensionError(f"{what} must not be empty, got shape {mat.shape}")
     if not np.abs(mat - mat.conj().T).max() <= ATOL_STRUCT:
         raise NumericError(f"{what} is not Hermitian within 1e-12")
 

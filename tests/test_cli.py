@@ -130,6 +130,20 @@ class TestToyGeneration:
         b = gen_toy("separable", 10, 2, seed=3)
         assert np.array_equal(a.features, b.features)
 
+    @pytest.mark.parametrize("m, dim", [(24, 4), (7, 2), (64, 3)])
+    def test_separable_rows_follow_the_per_row_stream(self, m, dim):
+        # Row i draws dim real then dim imaginary normals, in row order.
+        rng = np.random.default_rng(5)
+        rows = []
+        for i in range(m):
+            center = np.zeros(dim, dtype=complex)
+            center[0 if i < (m + 1) // 2 else dim - 1] = 1.0
+            sample = center + 0.25 * (rng.standard_normal(dim) + 1j * rng.standard_normal(dim))
+            rows.append(sample / np.linalg.norm(sample))
+        ds = gen_toy("separable", m, dim, seed=5)
+        assert np.array_equal(ds.features, np.array(rows))
+        assert ds.labels.tolist() == [0] * ((m + 1) // 2) + [1] * (m // 2)
+
     def test_random_has_both_classes(self):
         ds = gen_toy("random", 5, 2, seed=1)
         assert set(ds.labels.tolist()) == {0, 1}
@@ -660,6 +674,9 @@ class TestCliCommands:
         ["classify", "train.csv", "--test", "tests.csv", "--weights", "explicit",
          "--explicit-weights", "1,nan"],
         ["classify", "train.csv", "--test", "tests.csv", "--config", "huge.json"],
+        ["gen-toy", "--kind", "separable", "--noise", "nan"],
+        ["gen-toy", "--kind", "separable", "--noise", "inf"],
+        ["gen-toy", "--kind", "separable", "--noise", "-inf"],
     ])
     def test_non_finite_numbers_rejected(self, runner, workdir, args):
         write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])

@@ -238,9 +238,10 @@ class TestMixedAssembly:
         assert abs(np.trace(state.rho.entries) - 1.0) < 1e-12
         state.rho.validate()
 
-    def test_weights_must_be_distribution(self):
+    @pytest.mark.parametrize("weights", [[0.5], [math.nan, 1.0]])
+    def test_weights_must_be_distribution(self, weights):
         rng = np.random.default_rng(5)
-        train = [(random_density_matrix(2, rng), 0, 0.5)]
+        train = [(random_density_matrix(2, rng), i % 2, w) for i, w in enumerate(weights)]
         with pytest.raises(DataError):
             assemble_mixed_stc_input(random_density_matrix(2, rng), train, 1)
 
@@ -271,6 +272,12 @@ class TestBiasAssembly:
         ts = TrainingSet.from_states([(ket(1, 0), 0, 1.0)])
         with pytest.raises(DataError):
             assemble_bias_extended(ts, ket(1, 0))
+
+    def test_no_bias_gives_zero_and_effective_weights(self):
+        ts = TrainingSet.from_states([(ket(1, 0), 0, 1.0), (ket(0, 1), 1, 3.0)], k=2)
+        bias_term, weights = ts.effective_bias_and_weights()
+        assert bias_term == 0.0
+        assert np.array_equal(weights, ts.effective_weights())
 
 
 class TestVectorState:
@@ -348,12 +355,17 @@ class TestEnsembles:
         with pytest.raises(DataError):
             assemble_ensemble_exponents(test, [(1.0, [1.0], 3)], train, max_copies=2)
 
-    def test_model_probabilities_checked(self):
+    @pytest.mark.parametrize("probs", [[0.7], [math.nan, 1.0]])
+    @pytest.mark.parametrize("exponents", [False, True])
+    def test_model_probabilities_checked(self, probs, exponents):
         rng = np.random.default_rng(10)
         test = random_density_matrix(2, rng)
         train = [(random_density_matrix(2, rng), 0)]
-        with pytest.raises(DataError):
-            assemble_ensemble_weights(test, [(0.7, [1.0])], train, k=1)
+        with pytest.raises(DataError, match="model probabilities"):
+            if exponents:
+                assemble_ensemble_exponents(test, [(q, [1.0], 1) for q in probs], train, 1)
+            else:
+                assemble_ensemble_weights(test, [(q, [1.0]) for q in probs], train, k=1)
 
 
 def block_to_pair(k: int, ancilla: bool = True) -> tuple[int, ...]:
@@ -442,6 +454,36 @@ class TestStacks:
             data = [(s, y, w) for (s, y), w in zip(train, a)]
             assert p == q
             assert max_gap(member, dense_mixed_input(test, data, k), k) < 1e-12
+
+    @pytest.mark.parametrize("case", ["mixed", "weights", "exponents-maximally-mixed",
+                                      "exponents-symmetric", "weights-probabilities",
+                                      "exponents-probabilities"])
+    def test_off_by_1e_10_distributions_are_renormalized(self, case):
+        # Weights (or model probabilities) summing to 1 + 1e-10 pass the 1e-9
+        # distribution check; the state is that of the renormalized ones.
+        rng = np.random.default_rng(34)
+        test = random_density_matrix(2, rng, rank=2)
+        train = [(s, y) for s, y, _ in random_train(rng, 3, 2)]
+        off = (1.0 + 1e-10, 1.0) if case.endswith("probabilities") else (1.0, 1.0 + 1e-10)
+        q = off[0] * np.array([0.25, 0.75])
+        a, b = off[1] * np.array([0.2, 0.3, 0.5]), off[1] * np.array([0.6, 0.1, 0.3])
+
+        def assemble(q, a, b):
+            if case == "mixed":
+                data = [(s, y, w) for (s, y), w in zip(train, a)]
+                return assemble_mixed_stc_input(test, data, 2)
+            if case.startswith("weights"):
+                return assemble_ensemble_weights(test, [(q[0], a), (q[1], b)], train, k=2)
+            padding = "symmetric" if case.endswith("symmetric") else "maximally-mixed"
+            return assemble_ensemble_exponents(test, [(q[0], a, 1), (q[1], b, 2)], train, 2,
+                                               padding=padding)
+
+        state = assemble(q, a, b)
+        reference = assemble(q / q.sum(), a / a.sum(), b / b.sum())
+        signs = np.ones(len(state.stack)) if state.signs is None else state.signs
+        assert abs(signs @ np.linalg.norm(state.stack, axis=1) ** 2 - 1.0) < 1e-12
+        # The eigen-factor rows may differ by a phase; their rho may not.
+        assert np.abs(state.rho.entries - reference.rho.entries).max() < 1e-12
 
     def test_over_budget_stack_raises_before_allocating(self):
         # d=16, k=2, full rank: 131072 rows of 131072 amplitudes (256 GiB),

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import basis_state, maximally_mixed, random_density_matrix
 from smo_reference import reference_smo
 
-from qkclass import kernelsvm
+from qkclass import kernelsvm, qmath
 from qkclass.classifier import stc_classify, stc_classify_bias
 from qkclass.datasets import gen_toy
 from qkclass.encoding import TrainingSet
@@ -242,6 +243,25 @@ class TestGram:
     def test_gram_array_is_kept_uncopied(self):
         g = gram(KernelSpec(SQUARED_OVERLAP), [KET0, PLUS])
         assert GramMatrix(g.matrix, g.kernel).matrix is g.matrix
+
+    def test_hs_trace_vector_gram_is_the_squared_overlap_gram(self):
+        # Tr(|a><a| |b><b|) = |<a|b>|**2, so the hs-trace Gram of unit
+        # vectors builds no (m, d, d) projector stack (20 MiB here).
+        rng = np.random.default_rng(605)
+        vecs = np.stack([random_state_vector(256, rng).vec for _ in range(20)])
+        spec = KernelSpec(HS_TRACE, k=2)
+        tracemalloc.start()
+        try:
+            g = kernelsvm.vector_gram(spec, vecs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        overlap = kernelsvm.vector_gram(KernelSpec(SQUARED_OVERLAP, k=2), vecs)
+        assert g.kernel == spec
+        assert np.array_equal(g.matrix, overlap.matrix)
+        assert np.array_equal(g.eigenvalues, overlap.eigenvalues)
+        assert np.abs(g.matrix - gram(spec, qmath.projectors(vecs)).matrix).max() < 1e-12
 
 
 class TestPsdCertify:

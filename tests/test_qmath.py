@@ -5,6 +5,7 @@ import pytest
 from helpers import basis_state, maximally_mixed, random_density_matrix, reconstruct
 
 from qkclass import qmath
+from qkclass.circuit import Observable
 from qkclass.errors import DataError, DimensionError, NumericError
 from qkclass.qmath import (DensityMatrix, HermitianSpectrum, QState, fidelity,
                            hs_inner, partial_trace, random_state_vector, tensor)
@@ -221,6 +222,11 @@ class TestTypes:
     def test_non_finite_rejected(self):
         with pytest.raises(DataError):
             qmath.as_cvec([np.nan, 1.0])
+
+    @pytest.mark.parametrize("build", [DensityMatrix, Observable, HermitianSpectrum.of])
+    def test_empty_matrix_rejected(self, build):
+        with pytest.raises(DimensionError, match="empty"):
+            build(np.zeros((0, 0)))
 
 
 class TestSpectrum:
