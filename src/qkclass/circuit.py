@@ -34,7 +34,7 @@ import numpy as np
 from .encoding import ClassifierState
 from .errors import DataError, DimensionError, NumericError
 from .qmath import (ATOL_DERIVED, ATOL_STRUCT, HADAMARD, SIGMA_Z,
-                    HermitianSpectrum, check_dense_budget, check_hermitian,
+                    HermitianSpectrum, _as_array, check_dense_budget, check_hermitian,
                     eigen_factor, register_permutation_matrix, tensor)
 from .registers import ANCILLA, LABEL, Register, RegisterLayout, TEST, TRAIN
 
@@ -418,17 +418,9 @@ def swap_test_expectation(state: ClassifierState) -> float:
     return float(_signed_sum(_stack_value(state.stack, state.layout), state.signs))
 
 
-def _rows(state) -> tuple[np.ndarray, np.ndarray | None]:
-    """(rows, signs) of a state: a ClassifierState's own stack, else its
-    eigen-factor."""
-    if isinstance(state, ClassifierState):
-        return state.stack, state.signs
-    return eigen_factor(state, "state")
-
-
 def expectation(obs, state) -> float:
     """Tr(obs rho) as sum_i s_i <v_i|obs|v_i> over the signed rows of the
-    state (see :func:`_rows`); checked real to 1e-10.
+    state; checked real to 1e-10.
 
     Accepts an Observable or a bare matrix, and a ClassifierState (its
     stack; the density matrix is never built), QState or state vector (one
@@ -440,7 +432,8 @@ def expectation(obs, state) -> float:
     sign mask and a transpose); no operator matrix is formed. A bare matrix
     or a matrix-built Observable is applied densely.
     """
-    rows, signs = _rows(state)
+    rows, signs = ((state.stack, state.signs) if isinstance(state, ClassifierState)
+                   else eigen_factor(state, "state"))
     structured = isinstance(obs, Observable) and obs.structured
     mat = None if structured else (
         obs.matrix if isinstance(obs, Observable) else np.asarray(obs, dtype=complex))
@@ -461,17 +454,20 @@ def outcome_probabilities(obs: Observable, state) -> dict[int, float]:
 
     The spectral projectors are (identity +- obs) / 2, so the probabilities
     are (Tr rho +- <obs>) / 2, with <obs> from :func:`expectation`; no
-    projector is built, and every state is measured as signed rows. Tr rho,
-    the signed sum of the squared row norms, must be 1 to 1e-10, which is
-    the check that the two probabilities sum to 1.
+    projector is built and a matrix is eigen-factored once. Tr rho must be
+    1 to 1e-10, which is the check that the two probabilities sum to 1.
     """
     if not isinstance(obs, Observable) or not (
             obs.structured
             or np.abs(obs.matrix @ obs.matrix - np.eye(obs.dim)).max() <= ATOL_DERIVED):
         raise NumericError("outcome probabilities require a +-1 spectrum observable")
-    value = expectation(obs, state)
-    rows, signs = _rows(state)
-    total = complex(_signed_sum(np.einsum("ij,ij->i", rows.conj(), rows), signs)).real
+    value = expectation(obs, state)  # checks the state's shape and spectrum
+    if isinstance(state, ClassifierState):  # the signed sum of squared row norms
+        rows = state.stack
+        total = complex(_signed_sum(np.einsum("ij,ij->i", rows.conj(), rows), state.signs)).real
+    else:  # the trace of the matrix, or the squared norm of the vector
+        entries = _as_array(state)
+        total = float((np.vdot(entries, entries) if entries.ndim == 1 else np.trace(entries)).real)
     if abs(total - 1.0) > ATOL_DERIVED:
         raise NumericError(f"outcome probabilities sum to {total}")
     return {lam: min(max((total + lam * value) / 2.0, 0.0), 1.0) for lam in (1, -1)}

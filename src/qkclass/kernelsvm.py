@@ -1,26 +1,19 @@
 """Kernel functions, Gram matrices with PSD certification, and a dual SVM
 trainer whose multipliers and bias feed the quantum classifiers.
 
-Both kernels offered for training are positive semi-definite: the squared
-overlap of pure states and the trace inner product of density matrices.
 :func:`kernel_matrix` is the one kernel path: it evaluates a kernel over
 stacked inputs as one matrix product, and the single value, the Gram
 matrix, the regression and every classifier's kernel sum are read from it.
-A :class:`GramMatrix` computes its spectrum on first read, so training,
-which needs only a PSD verdict, need not pay for one. There are two
-certificates: :func:`psd_certify`'s eigenvalue rule, and one Cholesky
-factor of ``G + sI`` that :func:`svm_train` tries first when the spectrum
-is not known. The factor proves the eigenvalue rule by Higham's backward
-error bound for Cholesky and costs ~3 n**2 transient floats; whenever it
-proves nothing, the eigenvalue rule decides.
+Every kernel is PSD in exact arithmetic, as the Hilbert-Schmidt inner
+product is, so :func:`gram` attaches a bound on how far rounding and the
+clamp moved the smallest eigenvalue below 0, and :func:`svm_train`
+certifies from it alone. Every other matrix goes to :func:`psd_certify`'s
+eigenvalue rule; a :class:`GramMatrix` computes its spectrum on first read.
 The trainer is a self-contained SMO solver (maximal-violating-pair
-working-set selection, two-variable analytic updates) adequate up to a few
-thousand points. Its loop updates the selection vector -l * grad in place
-from two Gram rows per step and keeps its per-index scalars as Python
-floats; its iterates are those of the plain gradient update, bit for bit
-(see :func:`svm_train`). :func:`encode_rows` amplitude-encodes feature
-rows into the unit vectors the kernels, the training set and the
-classifiers read.
+working-set selection, two-variable analytic updates; see :func:`svm_train`)
+adequate up to a few thousand points.
+:func:`encode_rows` amplitude-encodes feature rows into the unit vectors
+the kernels, the training set and the classifiers read.
 """
 
 from __future__ import annotations
@@ -36,6 +29,8 @@ from .constants import (ATOL_STRUCT, DEFAULT_C, HS_TRACE, KERNEL_KINDS, REAL_OVE
 from .errors import DataError, DimensionError, NumericError
 
 SUPPORT_EPS = 1e-8
+PSD_RTOL = 1e-8
+_U = np.finfo(float).eps / 2  # unit roundoff
 KKT_TOL = 1e-6
 MAX_SMO_ITER = 100_000
 
@@ -104,6 +99,12 @@ def kernel_matrix(spec: KernelSpec, rows: Sequence, cols: Sequence) -> np.ndarra
     Squared-overlap and hs-trace values must lie in [0, 1] (to -1e-12 /
     +1e-10) and are clamped there.
     """
+    return _kernel_values(spec, rows, cols)[0]
+
+
+def _kernel_values(spec: KernelSpec, rows: Sequence, cols: Sequence) -> tuple:
+    """:func:`kernel_matrix`'s values, the stack of ``rows``, and the largest
+    amount by which the clamp to [0, 1] moved a value (0 for real overlap)."""
     a = _stack(spec.kind, rows)
     b = a if cols is rows else _stack(spec.kind, cols)
     if a.shape[1:] != b.shape[1:]:
@@ -120,14 +121,16 @@ def kernel_matrix(spec: KernelSpec, rows: Sequence, cols: Sequence) -> np.ndarra
         values = prod.real.copy() if spec.kind == REAL_OVERLAP else np.abs(prod)
     if spec.kind == SQUARED_OVERLAP:
         np.square(values, out=values)
+    clamp = 0.0
     if spec.kind != REAL_OVERLAP:
         lo, hi = values.min(), values.max()
         if not (lo >= -1e-12 and hi <= 1.0 + 1e-10):
             raise NumericError(f"{spec.kind} kernel values [{lo}, {hi}] outside [0, 1]")
+        clamp = max(0.0, -float(lo), float(hi) - 1.0)
         np.clip(values, 0.0, 1.0, out=values)
     if spec.k > 1:
         np.power(values, spec.k, out=values)
-    return values
+    return values, a, clamp
 
 
 def kernel_eval(spec: KernelSpec, a, b) -> float:
@@ -142,10 +145,10 @@ class GramMatrix:
     :attr:`eigenvalues` and kept, read-only; a spectrum that is already
     known may be passed to the constructor and is then used as given. The
     matrix is taken as ``np.asarray`` gives it (an array is not copied) and
-    must be square.
+    must be square. One built by hand has no PSD bound (see :func:`gram`).
     """
 
-    __slots__ = ("matrix", "kernel", "_eigenvalues")
+    __slots__ = ("matrix", "kernel", "_eigenvalues", "_psd_bound")
 
     def __init__(self, matrix: np.ndarray, kernel: KernelSpec,
                  eigenvalues: np.ndarray | None = None):
@@ -153,6 +156,7 @@ class GramMatrix:
         if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
             raise DimensionError(f"Gram matrix must be square, got shape {matrix.shape}")
         self.matrix, self.kernel, self._eigenvalues = matrix, kernel, eigenvalues
+        self._psd_bound = (None, math.inf)  # (the matrix it bounds, S): none
 
     @property
     def eigenvalues(self) -> np.ndarray:
@@ -174,27 +178,57 @@ class GramMatrix:
 def gram(spec: KernelSpec, states: Sequence) -> GramMatrix:
     """Symmetric Gram matrix G[n, m] = kernel(states[n], states[m]), over
     the inputs :func:`kernel_matrix` takes. The matrix is read-only and
-    exactly symmetric; its spectrum is left to the first read."""
-    g = kernel_matrix(spec, states, states)
+    exactly symmetric; its spectrum is left to the first read.
+
+    It carries S >= -lambda_min(G) for :func:`svm_train`. Exactly, G is
+    PSD: a real Gram in R^{2d} (real overlap), P o conj(P) for the Gram P
+    (squared overlap), their Schur powers (copies), and with A = H + K, its
+    Hermitian and anti-Hermitian parts, <H_i, H_j> - <K_i, K_j> (hs-trace;
+    the cross terms are imaginary). With u = 2**-53, m = 2d or 2d**2 real
+    products per entry, R the largest ||x_i||**2 or ||A_i||_F**2 (inputs
+    need not be unit), B = R**2 (squared overlap) or R, c the largest clamp
+    applied and M = (1 + (3m + 6)u) B + c, each entry is within
+    e = k M**(k-1) ((3m + 6)u B + c) + 4u M**k of the exact one: gamma_m R
+    per part of a product in any summation order, 2u for |.| and u for the
+    square, c, the power's Lipschitz factor k M**(k-1) and 2u, and u for
+    the mean. By ||E||_2 <= n max |E_ij|, and as the K term moves entries
+    by at most k M**(k-1) ||K_i|| ||K_j||, a rank-one bound,
+    S = n e + k M**(k-1) sum_i ||K_i||_F**2. Terms of order u**2 and u c
+    are left to the factor 2 in svm_train's test.
+    """
+    g, stack, clamp = _kernel_values(spec, states, states)
     # The product's two triangles can differ in the last bit; their mean is
     # exactly symmetric.
     g += g.T
     g *= 0.5
     g.setflags(write=False)
-    return GramMatrix(g, spec)
+    out = GramMatrix(g, spec)
+    flat = stack.reshape(len(stack), -1)
+    m = 2 * flat.shape[1]
+    with np.errstate(all="ignore"):  # a bound that is not finite certifies nothing
+        big = np.einsum("ij,ij->i", flat.conj(), flat).real.max()
+        base = big * big if spec.kind == SQUARED_OVERLAP else big
+        top = (1 + (3 * m + 6) * _U) * base + clamp
+        lip = spec.k * top ** (spec.k - 1)
+        twice_k = stack - stack.conj().transpose(0, 2, 1) if spec.kind == HS_TRACE else 0.0
+        anti = np.vdot(twice_k, twice_k).real / 4  # sum_i ||K_i||_F**2
+        slack = len(stack) * (lip * ((3 * m + 6) * _U * base + clamp)
+                              + 4 * _U * top ** spec.k) + lip * anti
+    # The bound counts double-precision rounding only.
+    out._psd_bound = (g, float(slack) if g.dtype == np.float64 else math.inf)
+    return out
 
 
 def vector_gram(spec: KernelSpec, vecs: np.ndarray) -> GramMatrix:
     """Gram matrix of a stack of unit vectors. hs-trace takes them as their
     projectors, whose trace inner product Tr(|a><a| |b><b|) = |<a|b>|**2 is
-    the squared overlap of the vectors: that Gram is computed, and no
-    projector is built, under the hs-trace spec.
-
-    Its spectrum is computed at once: every caller writes it out, so
-    :func:`svm_train` then certifies from it rather than factoring too.
+    the squared overlap of the vectors: that Gram and its bound are
+    computed, and no projector is built, under the hs-trace spec. Its
+    spectrum is computed at once, because every caller writes it out.
     """
     g = gram(KernelSpec(SQUARED_OVERLAP, spec.k) if spec.kind == HS_TRACE else spec, vecs)
-    return GramMatrix(g.matrix, spec, g.eigenvalues)  # the spectrum, computed here once
+    g.kernel, _ = spec, g.eigenvalues  # the spectrum, computed here once
+    return g
 
 
 @dataclass(frozen=True)
@@ -209,9 +243,9 @@ def psd_certify(g) -> PsdCertificate:
 
     This is the exact certificate: it reads a :class:`GramMatrix`'s
     spectrum (computing it on first read) or runs ``eigvalsh`` on a bare
-    matrix, after refusing a matrix whose asymmetry exceeds 1e-12. The
-    Cholesky certificate of :func:`svm_train` accepts a subset of what this
-    accepts, and defers to it on everything else.
+    matrix, after refusing a matrix whose asymmetry exceeds 1e-12.
+    :func:`svm_train` skips it only for a Gram whose bound proves that it
+    would accept.
     """
     if isinstance(g, GramMatrix):
         mat = g.matrix
@@ -224,41 +258,8 @@ def psd_certify(g) -> PsdCertificate:
         raise NumericError("PSD certification requires a symmetric matrix")
     eigs = g.eigenvalues if isinstance(g, GramMatrix) else np.linalg.eigvalsh(mat)
     lo = float(eigs[0])
-    threshold = -1e-8 * max(1.0, float(np.abs(eigs).max()))
+    threshold = -PSD_RTOL * max(1.0, float(np.abs(eigs).max()))
     return PsdCertificate(lo >= threshold, lo, threshold)
-
-
-def _cholesky_certifies(matrix: np.ndarray) -> bool:
-    """True when one Cholesky factor of G + sI, s = 0.5e-8 * max(1, max G_ii),
-    proves lambda_min(G) >= -2s, which :func:`psd_certify` accepts: every
-    |G_ii| is at most ||G||_2, so 2s is at most the size of its threshold.
-
-    A factor R computed for the n x n matrix A = G + sI satisfies
-    R^T R = A + dA with |dA| <= gamma_{n+1} |R^T| |R| (Higham, Accuracy and
-    Stability of Numerical Algorithms, 2nd ed., Thm 10.5), so
-    ||dA||_2 <= ||R||_F**2 gamma_{n+1} <= trace(A) gamma_{n+1} / (1 - gamma_{n+1}).
-    The guard 4 gamma_{n+1} trace(A) <= s keeps that below s/2, so
-    lambda_min(G) >= -3s/2. A matrix of another dtype or not exactly
-    symmetric, a failed guard or factorisation, or a factor that is not
-    finite returns False. Costs ~3 n**2 transient floats: the shifted copy,
-    LAPACK's working copy and the factor.
-    """
-    n = matrix.shape[0]
-    if matrix.dtype != np.float64 or not np.array_equal(matrix, matrix.T):
-        return False
-    shift = 0.5e-8 * max(1.0, float(matrix.diagonal().max()))
-    trace = float(np.trace(matrix)) + n * shift
-    u = np.finfo(float).eps / 2
-    gamma = (n + 1) * u / (1 - (n + 1) * u)
-    if not (math.isfinite(trace) and 4.0 * gamma * trace <= shift):
-        return False
-    shifted = matrix.copy()
-    shifted.flat[::n + 1] += shift
-    try:
-        factor = np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return False
-    return bool(np.isfinite(factor).all())
 
 
 @dataclass(frozen=True)
@@ -290,15 +291,14 @@ def svm_train(g: GramMatrix, labels: Sequence[int], C: float = DEFAULT_C,
 
     Checks, in this order: the labels (two classes of 0/1), the box
     constraint C (finite and positive), then that G is PSD (the dual could
-    be unbounded otherwise). A Gram whose spectrum is already known is
-    judged by :func:`psd_certify`. One whose spectrum is not is first
-    factored: a Cholesky factor of G + sI, s = 0.5e-8 * max(1, max G_ii),
-    with 4 gamma_{n+1} trace(G + sI) <= s proves lambda_min(G) >= -2s by
-    Higham's bound (Thm 10.5; see :func:`_cholesky_certifies`), which
-    :func:`psd_certify` accepts. It computes no spectrum and holds ~3 n**2
-    transient floats. Whenever the factor certifies nothing,
-    :func:`psd_certify` decides, so the verdict and the refusal are the
-    same for every input.
+    be unbounded otherwise). :func:`gram`'s bound S certifies G, with no
+    factor and no spectrum, when S + n**2 u <= 0.5e-8: eigvalsh returns the
+    eigenvalues of G + F, ||F||_2 <= p(n) u ||G||_2 (LAPACK Users' Guide,
+    sec. 4.7; p(n) = n**2 here), so psd_certify accepts at every ||G||_2
+    once (1 + 1e-8)(S + n**2 u) <= 1e-8. Every other Gram (built by hand,
+    given another matrix, or a bound too large or NaN) goes to
+    :func:`psd_certify`: the verdict and the refusal are its own on every
+    input.
 
     The loop keeps the selection vector -l * grad itself, updated in place:
     a step of size t on the pair (i, j) moves alpha_i by l_i t and alpha_j
@@ -317,7 +317,8 @@ def svm_train(g: GramMatrix, labels: Sequence[int], C: float = DEFAULT_C,
         raise DataError("SVM training requires both classes")
     if not 0 < C < np.inf:
         raise DataError(f"box constraint C must be finite and positive, got {C}")
-    if g._eigenvalues is not None or not _cholesky_certifies(g.matrix):
+    bounded, slack = g._psd_bound
+    if not (bounded is g.matrix and slack + g.size ** 2 * _U <= 0.5 * PSD_RTOL):
         cert = psd_certify(g)
         if not cert.certified:
             raise NumericError(

@@ -326,6 +326,8 @@ def register_permutation_matrix(dims: Sequence[int], order: Sequence[int]) -> np
     basis vector e_j. A vector v permutes as P v, a matrix M as P M P^T."""
     dims = tuple(int(d) for d in dims)
     order = tuple(int(i) for i in order)
+    if sorted(order) != list(range(len(dims))):
+        raise DimensionError(f"register order {order} is not a permutation of range({len(dims)})")
     total = math.prod(dims)
     check_dense_budget((total, total), "dense permutation matrix")
     columns = np.eye(total, dtype=complex).reshape(dims + (total,))

@@ -287,6 +287,28 @@ class TestOutcomeProbabilities:
         with pytest.raises(NumericError):
             outcome_probabilities(bad, np.eye(2) / 2)
 
+    def test_a_density_matrix_is_eigen_factored_once(self, monkeypatch):
+        rng = np.random.default_rng(290)
+        obs = swap_operator(4)
+        rho = random_density_matrix(16, rng, rank=4)
+        vec = random_state_vector(16, rng)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        for state, dense, factors in ((rho, rho.entries, 1), (vec, vec.projector(), 0)):
+            for measure in (expectation, outcome_probabilities):
+                calls.clear()
+                got = measure(obs, state)
+                assert len(calls) == factors
+            for lam in (1, -1):
+                want = np.trace((np.eye(16) + lam * obs.matrix) / 2 @ dense).real
+                assert abs(got[lam] - want) < 1e-12
+
     def test_involutory_matrix_observable_accepted(self):
         probs = outcome_probabilities(Observable(SIGMA_Z), np.diag([0.25, 0.75]))
         assert probs[1] == pytest.approx(0.25) and probs[-1] == pytest.approx(0.75)

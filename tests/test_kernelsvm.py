@@ -482,9 +482,10 @@ class TestSvmTrain:
 
 
 class TestPsdGate:
-    """svm_train certifies a Gram of unknown spectrum by one Cholesky factor
-    of G + sI and leaves every other case to psd_certify: the verdict and the
-    refusal must be psd_certify's on every input."""
+    """svm_train certifies a Gram from gram() by its rounding bound and
+    leaves every other case to psd_certify: the verdict and the refusal must
+    be psd_certify's on every input, and a hand-built Gram always reaches
+    psd_certify."""
 
     @pytest.mark.parametrize("norm", [1.0, 250.0])
     @pytest.mark.parametrize("t", [0, 0.3, 0.5, 0.9, 0.999, 1.001, 1.1, 2])
@@ -501,13 +502,7 @@ class TestPsdGate:
             with pytest.raises(NumericError) as info:
                 svm_train(g, labels, C=1.0)
             assert str(info.value) == refusal(cert)
-        # s = 0.5e-8 * max(1, max G_ii) <= 0.5e-8 * max(1, norm): below
-        # lambda_min = -s the shifted matrix is indefinite and the factor
-        # fails; well above it, the factor certifies alone.
-        if t < 0.4 and norm == 1.0:
-            assert certify_calls == []
-        if t >= 0.9:
-            assert certify_calls == [g]
+        assert certify_calls == [g]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["diagonal", "off-diagonal"])
@@ -552,6 +547,131 @@ class TestPsdGate:
         with pytest.raises(NumericError, match=re.escape("(min eigenvalue -1.0); refusing")):
             svm_train(g, [0, 1])
         assert certify_calls == [g]
+
+
+def bound_certifies(g):
+    """The test svm_train applies to a Gram's rounding bound."""
+    return g._psd_bound[1] + g.size ** 2 * (np.finfo(float).eps / 2) <= 0.5e-8
+
+
+def real_density_stack(rng, n, dim):
+    """n real symmetric density matrices, each at least 1/2 of I / dim."""
+    stack = np.empty((n, dim, dim))
+    for i in range(n):
+        v = rng.standard_normal((dim, dim))
+        rho = v @ v.T
+        stack[i] = 0.5 * np.eye(dim) / dim + 0.5 * rho / np.trace(rho)
+    return stack
+
+
+def sweep_inputs(kind, raw, n, dim, rng):
+    """States or raw stacks of every shape gram() accepts. Raw vectors need
+    not be unit; a raw hs-trace stack adds anti-Hermitian parts t_i K0,
+    ||K0||_F = 1, small enough that every value stays in [0, 1]."""
+    if not raw:
+        return random_inputs(kind, rng, n, dim)
+    if kind != HS_TRACE:
+        vecs = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+        vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+        scale = rng.uniform(0.2, 1.0, n) if kind == SQUARED_OVERLAP else rng.uniform(0.1, 10, n)
+        return vecs * scale[:, None]
+    k0 = np.triu(rng.standard_normal((dim, dim)), 1)
+    k0 -= k0.T
+    k0 /= np.linalg.norm(k0)
+    size = raw * 0.45 / np.sqrt(dim)  # t_i t_j < 0.21 / dim < 0.25 / dim <= Tr(H_i H_j)
+    return real_density_stack(rng, n, dim) + size * rng.random(n)[:, None, None] * k0
+
+
+class TestPsdByConstruction:
+    """gram() bounds how far rounding and the clamp moved lambda_min below 0,
+    and svm_train certifies from that bound alone when it is small enough."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(KERNEL_KINDS), k=st.integers(1, 3), n=st.integers(2, 40),
+           dim=st.sampled_from([2, 4, 8]), raw=st.sampled_from([0, 1e-6, 1.0]),
+           seed=st.integers(0, 2**16))
+    def test_bound_holds_and_the_verdict_is_psd_certifys(self, kind, k, n, dim, raw, seed):
+        rng = np.random.default_rng(seed)
+        g = gram(KernelSpec(kind, k), sweep_inputs(kind, raw, n, dim, rng))
+        assert np.isfinite(g._psd_bound[1])
+        assert g._psd_bound[1] >= -np.linalg.eigvalsh(g.matrix)[0]
+        labels = np.arange(n) % 2
+        cert = psd_certify(GramMatrix(g.matrix, g.kernel))
+        if cert.certified:
+            svm_train(g, labels, C=1.0)
+        else:
+            with pytest.raises(NumericError) as info:
+                svm_train(g, labels, C=1.0)
+            assert str(info.value) == refusal(cert)
+        if bound_certifies(g):
+            assert cert.certified
+
+    @pytest.mark.parametrize("n, k, by_bound", [(40, 1, True), (40, 2, False), (120, 1, False)])
+    def test_clamp_near_the_tolerance_falls_back(self, certify_calls, n, k, by_bound):
+        # |x|**4 = 1 + 0.9e-10 on the diagonal, clamped to 1: n k 0.9e-10
+        # passes the bound's budget at n = 40, k = 2 and at n = 120.
+        rng = np.random.default_rng(n + k)
+        vecs = np.stack([random_state_vector(4, rng).vec for _ in range(n)])
+        g = gram(KernelSpec(SQUARED_OVERLAP, k), vecs * (1 + 0.9e-10) ** 0.25)
+        assert g._psd_bound[1] >= n * k * 0.89e-10
+        assert bound_certifies(g) == by_bound
+        svm_train(g, np.arange(n) % 2, C=1.0)
+        assert certify_calls == ([] if by_bound else [g])
+        assert psd_certify(g).certified
+
+    @pytest.mark.parametrize("sign, certified", [(1, True), (-1, False)])
+    def test_anti_hermitian_parts_leave_it_to_psd_certify(self, certify_calls, sign,
+                                                          certified):
+        # A = I/2 + K and I/2 + sign K, K real antisymmetric: Tr(A_i A_j) is
+        # real, 0.32 on the diagonal and 0.5 - 0.18 sign off it.
+        half, k0 = np.eye(2) / 2, np.array([[0.0, 0.3], [-0.3, 0.0]])
+        g = gram(KernelSpec(HS_TRACE), np.stack([half + k0, half + sign * k0]))
+        assert g._psd_bound[1] >= 0.36
+        cert = psd_certify(GramMatrix(g.matrix, g.kernel))
+        assert cert.certified == certified
+        if certified:
+            svm_train(g, [0, 1], C=1.0)
+        else:
+            assert cert.min_eigenvalue == pytest.approx(-0.36, abs=1e-12)
+            with pytest.raises(NumericError) as info:
+                svm_train(g, [0, 1], C=1.0)
+            assert str(info.value) == refusal(cert)
+        assert certify_calls == [g]
+
+    @pytest.mark.parametrize("kind, k, m", [(HS_TRACE, 1, 300), (SQUARED_OVERLAP, 1, 400),
+                                            (SQUARED_OVERLAP, 3, 100), (REAL_OVERLAP, 2, 100),
+                                            (HS_TRACE, 2, 60)])
+    def test_training_on_a_gram_output_runs_no_certificate(self, monkeypatch, certify_calls,
+                                                           kind, k, m):
+        rng = np.random.default_rng(700 + m + k)
+        states = random_inputs(kind, rng, m, 4)
+        labels = np.arange(m) % 2
+        grams = [] if kind == HS_TRACE else [kernelsvm.vector_gram(
+            KernelSpec(kind, k), np.stack([s.vec for s in states]))]
+        forbid(monkeypatch, "cholesky")
+        forbid(monkeypatch, "eigvalsh")
+        grams.append(gram(KernelSpec(kind, k), states))
+        for g in grams:
+            assert g._psd_bound[1] < 1e-10
+            svm_train(g, labels, C=1.0)
+        assert certify_calls == []
+
+    def test_a_hand_built_gram_always_reaches_psd_certify(self, certify_calls):
+        rng = np.random.default_rng(710)
+        g = gram(KernelSpec(HS_TRACE), random_inputs(HS_TRACE, rng, 40, 4))
+        labels = np.arange(40) % 2
+        hand = [GramMatrix(g.matrix, g.kernel),
+                GramMatrix(g.matrix, g.kernel, np.linalg.eigvalsh(g.matrix))]
+        for h in hand:
+            svm_train(h, labels, C=1.0)
+        assert certify_calls == hand
+        # A gram() output given another matrix no longer carries its bound.
+        bad = np.array([[1.0, 2.0], [2.0, 1.0]])
+        g = gram(KernelSpec(SQUARED_OVERLAP), [KET0, KET1])
+        g.matrix = bad
+        with pytest.raises(NumericError, match=re.escape(refusal(psd_certify(bad)))):
+            svm_train(g, [0, 1], C=1.0)
+        assert certify_calls == hand + [g]
 
 
 class TestSpectrumOnFirstRead:

@@ -256,6 +256,17 @@ class TestPermutations:
         back = qmath.register_permutation_matrix((2, 2, 3), (1, 2, 0)) @ moved
         assert np.allclose(back, vec)
 
+    @pytest.mark.parametrize("order", [(0, 0), (0, 1, 2), (1,), (0, 2), (-1, 0)])
+    def test_non_permutation_order_rejected_before_allocating(self, order):
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionError, match="not a permutation"):
+                qmath.register_permutation_matrix((2**9, 2**9), order)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**16
+
     def test_matrix_permutation_matches_matrix_builder(self):
         rng = np.random.default_rng(12)
         dims = (2, 2, 2)
