@@ -22,10 +22,9 @@ _HOMES = {
                    "hadamard_classify", "helstrom_operator",
                    "misclassification_probability", "qsvm_oracle_classify",
                    "single_shot_classify", "stc_classify", "stc_classify_bias"),
-    "circuit": ("Observable", "ShotRecord", "apply_swap_test_unitary",
-                "build_swap_test_unitary", "empirical_expectation", "expectation",
-                "outcome_probabilities", "run_swap_test", "sample_shots",
-                "swap_label_observable", "swap_operator"),
+    "circuit": ("Observable", "ShotRecord", "build_swap_test_unitary",
+                "empirical_expectation", "expectation", "outcome_probabilities",
+                "sample_shots", "swap_label_observable", "swap_operator"),
     "encoding": ("ClassifierState", "RawDatum", "TrainingSet", "amplitude_encode",
                  "assemble_bias_extended", "assemble_ensemble_exponents",
                  "assemble_ensemble_weights", "assemble_mixed_stc_input",

@@ -3,11 +3,12 @@
 The swap-test unitary is Hadamard on the ancilla, a controlled swap of every
 (test, train) copy pair, and a second Hadamard. Assembled states are stacks
 of component vectors with row signs, rho = sum_i s_i |v_i><v_i|, so a
-measured value is a signed sum over the rows. The measured observables (the
-ancilla-label parity, the ancilla-free swap-label observable and the
-register swap) are Pauli Z factors on named registers times a register
-permutation; they are stored in that form, and their dense matrices are
-built only when ``.matrix`` is read, from :func:`qkclass.qmath.tensor` and
+measured value is a signed sum over the rows. There is one kind of
+:class:`Observable`: Pauli Z factors on named registers times a register
+permutation. The ancilla-label parity, the ancilla-free swap-label
+observable and the register swap are all of that kind; each is stored in
+that form, and its dense matrix is built only when ``.matrix`` is read,
+from :func:`qkclass.qmath.tensor` and
 :func:`qkclass.qmath.register_permutation_matrix`.
 
 One blocked kernel runs the circuit and measures: it walks a stack in
@@ -15,17 +16,20 @@ blocks of rows whose buffers stay small (``BLOCK_BYTES``), runs the circuit
 on each block when asked, and returns each row's measured value, so neither
 the post-circuit stack nor any other stack-sized temporary is formed.
 ``swap_test_expectation`` (circuit, then the ancilla-label parity) and
-``expectation`` sum the signed row values; the batched classifiers read
-them per row. ``apply_swap_test_unitary`` / ``run_swap_test`` copy each
-block of the same pass into one output array. A state that is not a
+``expectation`` (an observable, no circuit) sum the signed row values; the
+batched classifiers read them per row. A state that is not a
 ClassifierState is measured as its :func:`qkclass.qmath.eigen_factor` rows.
-``build_swap_test_unitary`` returns the unitary as an explicit (cached,
-unitarity-checked) matrix for the reference checks.
+The dense references are ``build_swap_test_unitary``, the swap-test unitary
+as an explicit (cached, unitarity-checked) matrix, and
+``Observable.matrix``: a post-circuit vector is
+``build_swap_test_unitary(layout) @ v``, and a dense operator M is measured
+as np.trace(M @ rho).
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -40,41 +44,23 @@ from .registers import ANCILLA, LABEL, Register, RegisterLayout, TEST, TRAIN
 
 
 class Observable:
-    """Hermitian operator with a lazy spectrum.
+    """Pauli Z on some qubit registers of a layout, then a register
+    permutation: a Hermitian involution with a lazy spectrum.
 
-    An observable is either a dense matrix, as given to the constructor,
-    with no layout, or structured (:meth:`z_permutation`): Pauli Z on some
-    qubit registers of a layout, then a register permutation. A structured
-    observable is applied to the reshaped state rows by :func:`expectation`;
-    its ``matrix`` is the dense reference, built from the same description
-    on first access.
+    :func:`expectation` applies it to the reshaped state rows (a sign mask
+    and a transpose); ``matrix`` is the dense reference, built from the same
+    description on first access.
+
+    ``order[p]`` names the register that lands at position ``p``, as in
+    :func:`qkclass.qmath.register_permutation_matrix`. It must be an
+    involution between registers of equal dimension that leaves the Z
+    registers in place, so the two factors commute and the product is
+    Hermitian with eigenvalues +-1.
     """
 
     __slots__ = ("layout", "z_registers", "order", "_matrix", "_spectrum")
 
-    def __init__(self, matrix):
-        mat = np.array(matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionError(f"observable must be square, got shape {mat.shape}")
-        check_hermitian(mat, "observable")
-        mat.setflags(write=False)
-        self._init(None, None, None, mat)
-
-    def _init(self, layout, z_registers, order, matrix):
-        for name, value in zip(self.__slots__, (layout, z_registers, order, matrix, None)):
-            object.__setattr__(self, name, value)
-
-    @classmethod
-    def z_permutation(cls, layout: RegisterLayout, z_registers=(),
-                      order=None) -> "Observable":
-        """Pauli Z on each register in ``z_registers``, then the register
-        permutation ``order`` (``order[p]`` names the register that lands at
-        position ``p``, as in :func:`qkclass.qmath.register_permutation_matrix`).
-
-        ``order`` must be an involution between registers of equal dimension
-        that leaves the Z registers in place, so the two factors commute and
-        the product is Hermitian with eigenvalues +-1.
-        """
+    def __init__(self, layout: RegisterLayout, z_registers=(), order=None):
         dims = layout.dims
         n = len(dims)
         z_registers = tuple(sorted(set(int(i) for i in z_registers)))
@@ -90,24 +76,19 @@ class Observable:
                 raise DimensionError(f"Pauli Z needs a qubit register, got register {i}")
             if order[i] != i:
                 raise DimensionError(f"order {order} moves the Z register {i}")
-        obs = object.__new__(cls)
-        obs._init(layout, z_registers, order, None)
-        return obs
+        for name, value in zip(self.__slots__, (layout, z_registers, order, None, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Observable is immutable")
 
     @property
-    def structured(self) -> bool:
-        return self.z_registers is not None
-
-    @property
     def dim(self) -> int:
-        return self.layout.dim if self.structured else self._matrix.shape[0]
+        return self.layout.dim
 
     @property
     def matrix(self) -> np.ndarray:
-        """Dense matrix; built from the structured form on first access."""
+        """Dense reference matrix, built on first access."""
         if self._matrix is None:
             dims = self.layout.dims
             check_dense_budget((self.dim, self.dim), "dense observable")
@@ -152,8 +133,7 @@ def _pair_swap_order(layout: RegisterLayout) -> tuple[int, ...]:
 @lru_cache(maxsize=64)
 def ancilla_label_parity(layout: RegisterLayout) -> Observable:
     """Product of Pauli Z on the ancilla and on the label qubit."""
-    return Observable.z_permutation(
-        layout, (layout.index_of(ANCILLA), layout.index_of(LABEL)))
+    return Observable(layout, (layout.index_of(ANCILLA), layout.index_of(LABEL)))
 
 
 @lru_cache(maxsize=64)
@@ -162,7 +142,7 @@ def swap_operator(dim: int) -> Observable:
     if dim < 1:
         raise DimensionError("swap operator needs dimension >= 1")
     layout = RegisterLayout((Register(TEST, dim, 1), Register(TRAIN, dim, 1)))
-    return Observable.z_permutation(layout, order=(1, 0))
+    return Observable(layout, order=(1, 0))
 
 
 @lru_cache(maxsize=64)
@@ -174,8 +154,7 @@ def swap_label_observable(layout: RegisterLayout) -> Observable:
     """
     if not layout.pair_indices():
         raise DimensionError("layout has no (test, train) pairs to swap")
-    return Observable.z_permutation(
-        layout, (layout.index_of(LABEL),), _pair_swap_order(layout))
+    return Observable(layout, (layout.index_of(LABEL),), _pair_swap_order(layout))
 
 
 @lru_cache(maxsize=32)
@@ -250,7 +229,7 @@ def _split_tail(dims: tuple[int, ...], order: tuple[int, ...], floor: int = 0):
 @lru_cache(maxsize=16)
 def _observable_plan(layout: RegisterLayout, z_registers: tuple[int, ...],
                      order: tuple[int, ...]) -> _StackPlan:
-    """Plan that measures a structured observable, with no circuit."""
+    """Plan that measures an observable, with no circuit."""
     z = np.ones(layout.dims + (2,))
     for i in z_registers:
         z[(slice(None),) * i + (1,)] *= -1.0
@@ -339,7 +318,7 @@ def _stack_value(stack: np.ndarray, layout: RegisterLayout,
                  obs: Observable | None = None) -> np.ndarray:
     """<v_i|O|v_i> of each row v_i of a 2-D stack on ``layout``: after the
     swap-test circuit with O the ancilla-label parity when ``obs`` is None,
-    else with O the structured observable ``obs`` and no circuit. The rows
+    else with O the observable ``obs`` and no circuit. The rows
     are measured block by block, in buffers of at most ``BLOCK_BYTES``;
     neither the post-circuit stack nor any other stack-sized array is formed.
 
@@ -376,37 +355,6 @@ def _signed_sum(values: np.ndarray, signs: np.ndarray | None):
     return values.sum() if signs is None else signs @ values
 
 
-def apply_swap_test_unitary(x: np.ndarray, layout: RegisterLayout, *,
-                            rows: bool = False) -> np.ndarray:
-    """Apply the swap-test unitary to a state vector, or with ``rows=True``
-    to each row of a stack of component vectors, without materializing the
-    dense operator. Any other 2-D input, a density matrix in particular, is
-    rejected: evolve a density matrix as a :class:`ClassifierState` through
-    :func:`run_swap_test`, or with :func:`build_swap_test_unitary`.
-
-    The rows pass through the blocked circuit of :func:`swap_test_expectation`;
-    each block is copied into the output array.
-    """
-    plan = _swap_test_plan(layout)
-    arr = np.asarray(x, dtype=complex)
-    if arr.ndim != (2 if rows else 1) or arr.shape[-1] != layout.dim:
-        what = "stack of rows" if rows else "state vector"
-        raise DimensionError(
-            f"expected a {what} of layout dim {layout.dim}, got shape {arr.shape}")
-    stack = np.ascontiguousarray(arr.reshape(-1, layout.dim))
-    out = np.empty(stack.shape, dtype=complex)
-    for rows, block in _blocks(stack, plan):
-        np.multiply(block, 0.5, out=out[rows])
-    return out.reshape(arr.shape)
-
-
-def run_swap_test(state: ClassifierState) -> ClassifierState:
-    """Swap-test circuit applied to every row of an assembled state's stack;
-    the result is a stack on the same layout, with the same row signs."""
-    after = apply_swap_test_unitary(state.stack, state.layout, rows=True)
-    return ClassifierState(None, state.layout, vector=after, signs=state.signs)
-
-
 def swap_test_expectation(state: ClassifierState) -> float:
     """Ancilla-label parity <Z_a Z_l> after the swap-test circuit, summed over
     the signed rows of an assembled state with an ancilla.
@@ -418,57 +366,49 @@ def swap_test_expectation(state: ClassifierState) -> float:
     return float(_signed_sum(_stack_value(state.stack, state.layout), state.signs))
 
 
-def expectation(obs, state) -> float:
+def expectation(obs: Observable, state) -> float:
     """Tr(obs rho) as sum_i s_i <v_i|obs|v_i> over the signed rows of the
     state; checked real to 1e-10.
 
-    Accepts an Observable or a bare matrix, and a ClassifierState (its
-    stack; the density matrix is never built), QState or state vector (one
-    row), or DensityMatrix or square matrix. A density matrix is measured
-    through its eigen-factor rows, so it pays one ``eigh`` (3.4 ms at dim
-    128, 0.1 s at dim 512 on a 2-core Xeon) and must be Hermitian and PSD
-    to the floor, else NumericError; measure a large state as a
-    ClassifierState. A structured Observable acts on the reshaped rows (a
-    sign mask and a transpose); no operator matrix is formed. A bare matrix
-    or a matrix-built Observable is applied densely.
+    ``obs`` must be an :class:`Observable`; it acts on the reshaped rows (a
+    sign mask and a transpose), and no operator matrix is formed. For the
+    value of a dense matrix M, take np.trace(M @ rho). The state is a
+    ClassifierState (its stack; the density matrix is never built), QState
+    or state vector (one row), or DensityMatrix or square matrix. A density
+    matrix is measured through its eigen-factor rows, so it pays one
+    ``eigh`` (3.4 ms at dim 128, 0.1 s at dim 512 on a 2-core Xeon) and must
+    be Hermitian and PSD to the floor, else NumericError; measure a large
+    state as a ClassifierState.
     """
+    if not isinstance(obs, Observable):
+        raise DataError(f"expectation needs an Observable, got {type(obs).__name__}")
     rows, signs = ((state.stack, state.signs) if isinstance(state, ClassifierState)
                    else eigen_factor(state, "state"))
-    structured = isinstance(obs, Observable) and obs.structured
-    mat = None if structured else (
-        obs.matrix if isinstance(obs, Observable) else np.asarray(obs, dtype=complex))
-    dim = obs.dim if structured else mat.shape[0]
-    if rows.shape[-1] != dim:
-        raise DimensionError(f"dimension mismatch: observable {dim} vs state {rows.shape}")
-    val = complex(_signed_sum(_stack_value(rows, obs.layout, obs) if structured
-                              else np.einsum("ij,ij->i", rows.conj(), rows @ mat.T), signs))
+    if rows.shape[-1] != obs.dim:
+        raise DimensionError(f"dimension mismatch: observable {obs.dim} vs state {rows.shape}")
+    val = complex(_signed_sum(_stack_value(rows, obs.layout, obs), signs))
     if not abs(val.imag) <= ATOL_DERIVED:
         raise NumericError(f"expectation has imaginary residual {val.imag}")
     return float(val.real)
 
 
 def outcome_probabilities(obs: Observable, state) -> dict[int, float]:
-    """Probabilities of the +1 / -1 outcomes of an involutory observable: a
-    structured one, which is involutory by construction, or one built from a
-    matrix M with M M = I to 1e-10.
+    """Probabilities of the +1 / -1 outcomes of an observable, which is an
+    involution by construction.
 
     The spectral projectors are (identity +- obs) / 2, so the probabilities
     are (Tr rho +- <obs>) / 2, with <obs> from :func:`expectation`; no
     projector is built and a matrix is eigen-factored once. Tr rho must be
     1 to 1e-10, which is the check that the two probabilities sum to 1.
     """
-    if not isinstance(obs, Observable) or not (
-            obs.structured
-            or np.abs(obs.matrix @ obs.matrix - np.eye(obs.dim)).max() <= ATOL_DERIVED):
-        raise NumericError("outcome probabilities require a +-1 spectrum observable")
-    value = expectation(obs, state)  # checks the state's shape and spectrum
+    value = expectation(obs, state)  # checks the observable and the state
     if isinstance(state, ClassifierState):  # the signed sum of squared row norms
         rows = state.stack
         total = complex(_signed_sum(np.einsum("ij,ij->i", rows.conj(), rows), state.signs)).real
     else:  # the trace of the matrix, or the squared norm of the vector
         entries = _as_array(state)
         total = float((np.vdot(entries, entries) if entries.ndim == 1 else np.trace(entries)).real)
-    if abs(total - 1.0) > ATOL_DERIVED:
+    if not abs(total - 1.0) <= ATOL_DERIVED:
         raise NumericError(f"outcome probabilities sum to {total}")
     return {lam: min(max((total + lam * value) / 2.0, 0.0), 1.0) for lam in (1, -1)}
 
@@ -476,8 +416,10 @@ def outcome_probabilities(obs: Observable, state) -> dict[int, float]:
 def draw_shots(value: float, shots: int, seed: int) -> list[ShotRecord]:
     """``shots`` seeded measurements of a +-1 observable with expectation
     ``value``: the +1 count is one binomial draw with p(+1) = (1 + value)/2."""
-    if shots < 1:
-        raise DataError(f"shots must be >= 1, got {shots}")
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 1:
+        raise DataError(f"shots must be an integer >= 1, got {shots!r}")
+    if math.isnan(value):
+        raise DataError("cannot draw shots for an expectation value of NaN")
     p_plus = min(max((1.0 + value) / 2.0, 0.0), 1.0)
     n_plus = int(np.random.default_rng(seed).binomial(shots, p_plus))
     return [ShotRecord(1, n_plus, seed), ShotRecord(-1, shots - n_plus, seed)]

@@ -19,6 +19,7 @@ the kernels, the training set and the classifiers read.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -65,20 +66,21 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise DataError(f"unknown kernel kind {self.kind!r}")
-        if self.k < 1:
-            raise DataError(f"kernel copy exponent must be >= 1, got {self.k}")
+        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral) or self.k < 1:
+            raise DataError(f"kernel copy exponent must be an integer >= 1, got {self.k!r}")
 
 
 def _stack(kind: str, states: Sequence) -> np.ndarray:
     """The inputs as one array (vectors, or density matrices for hs-trace):
-    a stack as it is given, state objects after checking their type and that
-    they share one dimension."""
+    a stack as it is given, raised to at least double precision (a float64
+    or complex128 stack is not copied), state objects after checking their
+    type and that they share one dimension."""
     if isinstance(states, np.ndarray) and states.ndim != (3 if kind == HS_TRACE else 2):
         raise DimensionError(f"{kind} kernel cannot take a stack of shape {states.shape}")
     if len(states) == 0:
         raise DataError(f"{kind} kernel needs at least one state")
     if isinstance(states, np.ndarray):
-        return states
+        return states.astype(np.result_type(states, np.float64), copy=False)
     from .qmath import DensityMatrix, QState
     want = DensityMatrix if kind == HS_TRACE else QState
     if not all(isinstance(s, want) for s in states):
@@ -214,8 +216,7 @@ def gram(spec: KernelSpec, states: Sequence) -> GramMatrix:
         anti = np.vdot(twice_k, twice_k).real / 4  # sum_i ||K_i||_F**2
         slack = len(stack) * (lip * ((3 * m + 6) * _U * base + clamp)
                               + 4 * _U * top ** spec.k) + lip * anti
-    # The bound counts double-precision rounding only.
-    out._psd_bound = (g, float(slack) if g.dtype == np.float64 else math.inf)
+    out._psd_bound = (g, float(slack))
     return out
 
 

@@ -249,7 +249,7 @@ def eigen_factor(state, what: str = "matrix") -> tuple[np.ndarray, np.ndarray | 
     rows = (vecs[:, keep] * np.sqrt(np.abs(vals[keep]))).T
     signs = np.sign(vals[keep])
     err = float(np.abs((rows.T * signs) @ rows.conj() - m).max())
-    if err > ATOL_STRUCT:
+    if not err <= ATOL_STRUCT:  # a NaN entry fails
         raise NumericError(f"eigen-factor of the {what} rebuilds it only to {err}")
     return rows, (None if np.all(signs > 0) else signs)
 

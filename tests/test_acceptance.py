@@ -13,8 +13,8 @@ from helpers import basis_state, maximally_mixed, projector_onto, random_density
 
 from qkclass.circuit import (ancilla_label_parity, build_swap_test_unitary,
                              empirical_expectation, expectation,
-                             outcome_probabilities, run_swap_test,
-                             sample_shots, swap_label_observable)
+                             outcome_probabilities, sample_shots,
+                             swap_label_observable, swap_test_expectation)
 from qkclass.classifier import (TestMixture as Mixture,
                                 hadamard_classify,
                                 misclassification_probability, stc_classify,
@@ -273,8 +273,7 @@ def test_criterion_09_ensemble_linearity():
             a = rng.random(m) + 0.05
             models.append((float(q), a / a.sum()))
         ens = assemble_ensemble_weights(test, models, train, k=1)
-        after = run_swap_test(ens)
-        whole = expectation(ancilla_label_parity(ens.layout), after)
+        whole = swap_test_expectation(ens)
         member_sum = 0.0
         for q, a in models:
             member_sum += q * sum(_sign(y) * w * hs_inner(test, s)
@@ -288,9 +287,7 @@ def test_criterion_09_ensemble_linearity():
     ens = assemble_ensemble_exponents(
         test.to_density(), [(0.5, [1.0], 1), (0.5, [1.0], 2)],
         [(x.to_density(), 0)], max_copies=2)
-    member_value = sum(q * expectation(
-        ancilla_label_parity(member.layout), run_swap_test(member))
-        for q, member in ens.members)
+    member_value = sum(q * swap_test_expectation(member) for q, member in ens.members)
     spot = abs(member_value - 0.5 * (kappa + kappa ** 2))
     assert spot < 1e-10
     print(f"\n[criterion 09] PASS ensemble linearity: max weight-ensemble gap = "

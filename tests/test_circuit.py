@@ -7,12 +7,11 @@ from helpers import basis_state, projector_onto, random_density_matrix
 from qkclass import circuit as circuit_module
 from qkclass import qmath
 from qkclass.circuit import (Observable, ancilla_label_parity,
-                             apply_swap_test_unitary,
-                             build_swap_test_unitary,
+                             build_swap_test_unitary, draw_shots,
                              empirical_expectation, expectation,
-                             outcome_probabilities, run_swap_test,
-                             sample_shots, swap_label_observable,
-                             swap_operator, swap_test_expectation)
+                             outcome_probabilities, sample_shots,
+                             swap_label_observable, swap_operator,
+                             swap_test_expectation)
 from qkclass.classifier import classify_assembled
 from qkclass.encoding import (ClassifierState, TrainingSet, assemble_mixed_stc_input,
                               assemble_pure_stc_input, mixed_stc_state)
@@ -36,6 +35,11 @@ def effective_observable(n, k):
     """Ancilla-free classifier observable for k copies of n-qubit data,
     block order [test x k | train x k | label]."""
     return swap_label_observable(block_layout(2 ** n, k, ancilla=False))
+
+
+def one_qubit_z() -> Observable:
+    """Pauli Z on a single qubit."""
+    return Observable(RegisterLayout((Register(LABEL, 2),)), (0,))
 
 
 def pauli_sum_swap():
@@ -75,52 +79,24 @@ class TestSwapTestUnitary:
         rng = np.random.default_rng(layout.dim)
         v = build_swap_test_unitary(layout)
         assert np.abs(v @ v.conj().T - np.eye(layout.dim)).max() < 1e-12
+        # The blocked circuit measures what the dense unitary and parity give,
+        # on a vector and on a mixed state's eigen-factor rows.
+        parity = ancilla_label_parity(layout).matrix
         vec = random_state_vector(layout.dim, rng).vec
-        assert np.allclose(apply_swap_test_unitary(vec, layout), v @ vec, atol=1e-12)
-        # A mixed state evolves as the stack of its eigen-factor rows; the
-        # rebuilt rho' = V'^T conj(V') is U rho U^dagger.
+        state = ClassifierState(None, layout, vector=vec)
+        after = v @ vec
+        assert abs(swap_test_expectation(state) - np.vdot(after, parity @ after).real) < 1e-12
         rho = random_density_matrix(layout.dim, rng, rank=3)
-        out = run_swap_test(ClassifierState(rho, layout)).rho.entries
-        assert np.allclose(out, v @ rho.entries @ v.conj().T, atol=1e-12)
-
-    def test_batch_axis_matches_row_by_row(self):
-        rng = np.random.default_rng(2)
-        layout = pair_layout(2, 2)
-        stack = np.stack([random_state_vector(layout.dim, rng).vec for _ in range(5)])
-        out = apply_swap_test_unitary(stack, layout, rows=True)
-        assert out.shape == stack.shape
-        for row, got in zip(stack, out):
-            assert np.allclose(got, apply_swap_test_unitary(row, layout), rtol=0, atol=1e-15)
-        with pytest.raises(DimensionError):
-            apply_swap_test_unitary(stack[:, :-1], layout, rows=True)
-        with pytest.raises(DimensionError):
-            apply_swap_test_unitary(stack[0], layout, rows=True)
-
-    @pytest.mark.parametrize("rank", [3, 16])
-    def test_bare_2d_input_is_rejected(self, rank):
-        # A bare square array is a density matrix, never a stack: the
-        # vector form rejects it instead of returning rho U^T, and a stack
-        # of full rank (as many rows as the layout has amplitudes) has to be
-        # named as rows.
-        rng = np.random.default_rng(3)
-        layout = pair_layout(2, 1)
-        rho = random_density_matrix(layout.dim, rng, rank=rank)
-        with pytest.raises(DimensionError, match="state vector"):
-            apply_swap_test_unitary(rho.entries, layout)
-        rows, signs = qmath.eigen_factor(rho)
-        assert signs is None
-        with pytest.raises(DimensionError, match="state vector"):
-            apply_swap_test_unitary(rows, layout)
-        out = apply_swap_test_unitary(rows, layout, rows=True)
-        u = build_swap_test_unitary(layout)
-        assert np.allclose(out.T @ out.conj(), u @ rho.entries @ u.conj().T, atol=1e-12)
+        after = v @ rho.entries @ v.conj().T
+        assert abs(swap_test_expectation(ClassifierState(rho, layout))
+                   - np.trace(parity @ after).real) < 1e-12
 
     def test_swap_invariant_input_unchanged(self):
         rng = np.random.default_rng(1)
         psi = random_state_vector(2, rng)
         layout = block_layout(2, 1)
         vec = tensor(basis_state(2, 0), psi.vec, psi.vec, basis_state(2, 0))
-        out = apply_swap_test_unitary(vec, layout)
+        out = build_swap_test_unitary(layout) @ vec
         assert np.allclose(out, vec, atol=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2])
@@ -135,7 +111,7 @@ class TestSwapTestUnitary:
         test = random_state_vector(2, rng)
         ts = TrainingSet.from_states(list(zip(xs, ys, ws)), k=k)
         state = assemble_pure_stc_input(ts, test, with_index=True)
-        got = apply_swap_test_unitary(state.vector, state.layout)
+        got = build_swap_test_unitary(state.layout) @ state.vector
         t_block = tensor_power(test.vec, k)
         expect = np.zeros_like(got)
         for m, (x, y, w) in enumerate(zip(xs, ys, ws)):
@@ -164,11 +140,8 @@ class TestSwapTestUnitary:
         weights = rng.random(m) + 0.1
         test = random_state_vector(2 ** n, rng)
         ts = TrainingSet.from_states(list(zip(states, labels, weights)), k=k)
-        indexed = assemble_pure_stc_input(ts, test, with_index=True)
-        vec = apply_swap_test_unitary(indexed.vector, indexed.layout)
-        with_index = expectation(ancilla_label_parity(indexed.layout), vec)
-        index_free = run_swap_test(assemble_pure_stc_input(ts, test))
-        without_index = expectation(ancilla_label_parity(index_free.layout), index_free)
+        with_index = swap_test_expectation(assemble_pure_stc_input(ts, test, with_index=True))
+        without_index = swap_test_expectation(assemble_pure_stc_input(ts, test))
         assert abs(with_index - without_index) < 1e-10
 
 
@@ -200,7 +173,9 @@ class TestEffectiveObservable:
         x = random_state_vector(2, rng)
         state = tensor(x.vec, x.vec, basis_state(2, 0))
         obs = effective_observable(1, 1)
-        assert abs(expectation(obs.matrix, np.outer(state, state.conj())) - 1.0) < 1e-12
+        rho = np.outer(state, state.conj())
+        assert abs(np.trace(obs.matrix @ rho).real - 1.0) < 1e-12
+        assert abs(expectation(obs, rho) - 1.0) < 1e-12
 
     @pytest.mark.parametrize("n,k", [(1, 1), (1, 2), (2, 1)])
     def test_conjugated_parity_equals_effective_observable_block(self, n, k):
@@ -230,24 +205,33 @@ class TestEffectiveObservable:
 
 class TestExpectation:
     def test_sigma_z_on_ground_state(self):
-        assert expectation(SIGMA_Z, np.diag([1.0, 0.0]).astype(complex)) == pytest.approx(1.0)
+        ground = np.diag([1.0, 0.0]).astype(complex)
+        assert expectation(one_qubit_z(), ground) == pytest.approx(1.0)
 
     def test_identity_gives_trace(self):
         rho = random_density_matrix(4, np.random.default_rng(3))
-        assert expectation(np.eye(4, dtype=complex), rho) == pytest.approx(1.0)
+        identity = Observable(RegisterLayout((Register(TEST, 4, 1),)))
+        assert expectation(identity, rho) == pytest.approx(1.0)
+
+    def test_only_an_observable_is_measured(self):
+        # A dense operator M is measured as np.trace(M @ rho), not here.
+        ground = np.diag([1.0, 0.0]).astype(complex)
+        with pytest.raises(DataError, match="Observable"):
+            expectation(SIGMA_Z, ground)
+        with pytest.raises(DataError, match="Observable"):
+            sample_shots(SIGMA_Z, ground, 10, seed=1)
 
     def test_single_datum_kernel_value(self):
         rng = np.random.default_rng(4)
         x = random_state_vector(2, rng)
         test = random_state_vector(2, rng)
         ts = TrainingSet.from_states([(x, 0, 1.0)])
-        after = run_swap_test(assemble_pure_stc_input(ts, test))
-        value = expectation(ancilla_label_parity(after.layout), after)
+        value = swap_test_expectation(assemble_pure_stc_input(ts, test))
         assert abs(value - abs(test.overlap(x)) ** 2) < 1e-10
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionError):
-            expectation(SIGMA_Z, np.eye(4) / 4)
+            expectation(one_qubit_z(), np.eye(4) / 4)
 
 
 class TestOutcomeProbabilities:
@@ -283,9 +267,9 @@ class TestOutcomeProbabilities:
         assert abs(value - (probs[1] - probs[-1])) < 1e-10
 
     def test_requires_pm_one_spectrum(self):
-        bad = Observable(np.diag([2.0, 0.5]).astype(complex))
-        with pytest.raises(NumericError):
-            outcome_probabilities(bad, np.eye(2) / 2)
+        # Every Observable has it by construction; a matrix is refused.
+        with pytest.raises(DataError, match="Observable"):
+            outcome_probabilities(np.diag([2.0, 0.5]).astype(complex), np.eye(2) / 2)
 
     def test_a_density_matrix_is_eigen_factored_once(self, monkeypatch):
         rng = np.random.default_rng(290)
@@ -310,7 +294,7 @@ class TestOutcomeProbabilities:
                 assert abs(got[lam] - want) < 1e-12
 
     def test_involutory_matrix_observable_accepted(self):
-        probs = outcome_probabilities(Observable(SIGMA_Z), np.diag([0.25, 0.75]))
+        probs = outcome_probabilities(one_qubit_z(), np.diag([0.25, 0.75]))
         assert probs[1] == pytest.approx(0.25) and probs[-1] == pytest.approx(0.75)
 
 
@@ -318,11 +302,11 @@ def test_nan_matrix_fails_every_hermitian_check():
     # A NaN entry makes each residual NaN, which must fail its check.
     bad = np.diag([np.nan, 1.0])
     with pytest.raises(NumericError, match="Hermitian"):
-        Observable(bad)
-    with pytest.raises(NumericError, match="Hermitian"):
         qmath.HermitianSpectrum.of(bad)
-    with pytest.raises(NumericError, match="imaginary residual"):
-        expectation(bad, np.array([1.0, 0.0]))
+    with pytest.raises(NumericError, match="rebuilds"):
+        expectation(one_qubit_z(), bad)
+    with pytest.raises(NumericError, match="sum to nan"):
+        outcome_probabilities(one_qubit_z(), np.array([np.nan, 0.0]))
 
 
 class TestSampling:
@@ -374,6 +358,20 @@ class TestSampling:
         state = self._even_odds_state()
         with pytest.raises(DataError):
             sample_shots(swap_label_observable(state.layout), state, 0, seed=1)
+
+    @pytest.mark.parametrize("shots", [2.5, True, 10.0, np.nan])
+    def test_shots_must_be_an_integer(self, shots):
+        state = self._even_odds_state()
+        with pytest.raises(DataError, match="integer"):
+            sample_shots(swap_label_observable(state.layout), state, shots, seed=1)
+        with pytest.raises(DataError, match="integer"):
+            draw_shots(0.0, shots, seed=1)
+        records = draw_shots(0.0, np.int64(10), seed=1)
+        assert sum(r.count for r in records) == 10
+
+    def test_nan_expectation_is_refused(self):
+        with pytest.raises(DataError, match="NaN"):
+            draw_shots(np.nan, 10, 1)
 
 
 STRUCTURED_LAYOUTS = [
@@ -442,11 +440,11 @@ class TestStructuredObservables:
     def test_matrix_below_the_psd_floor_is_not_a_state(self):
         not_a_state = np.diag([1.5, -0.5])
         with pytest.raises(NumericError):
-            expectation(SIGMA_Z, not_a_state)
+            expectation(one_qubit_z(), not_a_state)
         with pytest.raises(NumericError):
-            outcome_probabilities(Observable(SIGMA_Z), not_a_state)
+            outcome_probabilities(one_qubit_z(), not_a_state)
         with pytest.raises(NumericError):
-            sample_shots(Observable(SIGMA_Z), not_a_state, 10, seed=1)
+            sample_shots(one_qubit_z(), not_a_state, 10, seed=1)
 
     @pytest.mark.parametrize("z,order", [
         ((), (1, 2, 0)),          # a 3-cycle is not an involution
@@ -458,7 +456,7 @@ class TestStructuredObservables:
         layout = RegisterLayout((Register(ANCILLA, 2), Register(TEST, 4, 1),
                                  Register(LABEL, 2)))
         with pytest.raises(DimensionError):
-            Observable.z_permutation(layout, z, order)
+            Observable(layout, z, order)
 
 
 def signed_stack(rng, rows: int, dim: int, negative: int = 0):
@@ -505,16 +503,11 @@ class TestBlockedKernel:
     def test_circuit_and_parity_match_dense(self, layout, rows, negative):
         rng = np.random.default_rng(rows * 10 + negative + layout.dim)
         stack, signs = signed_stack(rng, rows, layout.dim, negative)
-        u = build_swap_test_unitary(layout)
-        after = stack @ u.T
-        assert np.abs(apply_swap_test_unitary(stack, layout, rows=True) - after).max() < 1e-12
+        after = stack @ build_swap_test_unitary(layout).T
         state = ClassifierState(None, layout, vector=stack, signs=signs)
-        assert np.abs(run_swap_test(state).stack - after).max() < 1e-12
-        parity = ancilla_label_parity(layout)
-        expect = dense_value(parity.matrix, after, signs)
+        expect = dense_value(ancilla_label_parity(layout).matrix, after, signs)
         assert abs(swap_test_expectation(state) - expect) < 1e-12
         assert abs(classify_assembled(state).expectation - expect) < 1e-12
-        assert abs(expectation(parity, run_swap_test(state)) - expect) < 1e-12
 
     @pytest.mark.parametrize("layout", KERNEL_LAYOUTS[:4] + [
         pytest.param(pair_layout(2, 2, ancilla=False), id="pair-k2-bare"),

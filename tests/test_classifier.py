@@ -17,8 +17,7 @@ from qkclass.classifier import (STC_MODES, TIE, ClassifierOutput, classify_assem
                                 single_shot_classify, stc_classify,
                                 stc_classify_bias)
 from qkclass.classifier import TestMixture as Mixture
-from qkclass.circuit import (Observable, ancilla_label_parity, expectation,
-                             run_swap_test)
+from qkclass.circuit import Observable, swap_test_expectation
 from qkclass.encoding import (KEEP_NORMS, ClassifierState, RawDatum,
                               TrainingSet, assemble_bias_extended,
                               assemble_ensemble_exponents,
@@ -171,8 +170,7 @@ class TestStcClassify:
                     stc_classify(ts, test, mode="ancilla-circuit")
             with monkeypatch.context() as patch:
                 patch.setattr(classifier_module, "swap_label_observable",
-                              lambda layout: Observable.z_permutation(
-                                  layout, (layout.index_of(LABEL),)))
+                              lambda layout: Observable(layout, (layout.index_of(LABEL),)))
                 with pytest.raises(NumericError, match="per-term sum"):
                     stc_classify(ts, test, mode="minimal")
 
@@ -343,8 +341,7 @@ class TestRoundOffNegativeEigenvalues:
                                           padding="symmetric")
         expect = float(np.sum(signs * (0.4 * a1 * kernels + 0.6 * a2 * kernels ** 2)))
         assert abs(classify_assembled(ens).expectation - expect) < 1e-12
-        after = run_swap_test(ens)
-        assert abs(expectation(ancilla_label_parity(ens.layout), after) - expect) < 1e-12
+        assert abs(swap_test_expectation(ens) - expect) < 1e-12
         ts, _ = self._training(2)
         mix = Mixture(0.5, 0.5, test, DensityMatrix(np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)))
         assert 0.0 <= misclassification_probability(ts, mix) <= 1.0
@@ -828,9 +825,7 @@ class TestEnsembleLinearity:
                                           padding="symmetric")
         member_value = sum(q * classify_assembled(member).expectation
                            for q, member in ens.members)
-        direct = ClassifierState(ens.rho, ens.layout)
-        after = run_swap_test(direct)
-        circuit_value = expectation(ancilla_label_parity(ens.layout), after)
+        circuit_value = swap_test_expectation(ClassifierState(ens.rho, ens.layout))
         assert abs(circuit_value - member_value) < 1e-10
 
     def test_equal_exponents_degenerate_to_fixed_k(self):

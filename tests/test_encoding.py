@@ -8,8 +8,9 @@ from dense_reference import (dense_ensemble_exponents, dense_mixed_input,
 from helpers import basis_state, random_density_matrix
 
 from qkclass import constants, encoding, qmath
-from qkclass.circuit import (ancilla_label_parity, expectation, outcome_probabilities,
-                             run_swap_test, swap_label_observable)
+from qkclass.circuit import (ancilla_label_parity, build_swap_test_unitary, expectation,
+                             outcome_probabilities, swap_label_observable,
+                             swap_test_expectation)
 from qkclass.encoding import (ClassifierState, RawDatum, TrainingSet,
                               amplitude_encode, assemble_bias_extended,
                               assemble_ensemble_exponents,
@@ -557,21 +558,24 @@ class TestSignedStacks:
 
     @pytest.mark.parametrize("with_ancilla", [True, False])
     def test_measurements_count_the_signs(self, with_ancilla):
-        # Structured and dense observables and the outcome probabilities of
-        # a signed stack equal their dense values on the rebuilt rho.
+        # The observables, the swap-test circuit and the outcome
+        # probabilities of a signed stack equal their dense values on the
+        # rebuilt rho.
         rng = np.random.default_rng(63)
         test = DensityMatrix(self.NEGATIVE)
         train = [(random_density_matrix(4, rng), 0, 0.6), (test, 1, 0.4)]
         state = assemble_mixed_stc_input(test, train, 2, with_ancilla=with_ancilla)
         if with_ancilla:
-            state = run_swap_test(state)
             obs = ancilla_label_parity(state.layout)
+            u = build_swap_test_unitary(state.layout)
+            after = u @ state.rho.entries @ u.conj().T
+            assert abs(swap_test_expectation(state)
+                       - float(np.trace(obs.matrix @ after).real)) < 1e-12
         else:
             obs = swap_label_observable(state.layout)
         assert np.any(state.signs < 0)
         dense = float(np.trace(obs.matrix @ state.rho.entries).real)
         assert abs(expectation(obs, state) - dense) < 1e-12
-        assert abs(expectation(obs.matrix, state) - dense) < 1e-12
         probs = outcome_probabilities(obs, state)
         assert abs(probs[1] - (1 + dense) / 2) < 1e-12
 
@@ -622,11 +626,10 @@ class TestClassifierStateStack:
         v = state.stack
         assert v.shape == (3, layout.dim)
         assert np.abs(v.T @ v.conj() - rho.entries).max() < 1e-12
-        # measured on the rows, structured or dense, it is Tr(O rho)
+        # measured on the rows, it is Tr(O rho)
         obs = swap_label_observable(layout)
         expect = float(np.trace(obs.matrix @ rho.entries).real)
         assert abs(expectation(obs, state) - expect) < 1e-12
-        assert abs(expectation(obs.matrix, state) - expect) < 1e-12
 
     def test_eigen_factor_rejects_non_psd(self):
         with pytest.raises(NumericError):

@@ -84,6 +84,16 @@ class TestKernelEval:
         with pytest.raises(DataError):
             KernelSpec(SQUARED_OVERLAP, k=0)
 
+    @pytest.mark.parametrize("k", [1.5, True, 0, 2.0])
+    def test_copy_exponent_must_be_an_integer_of_at_least_one(self, k):
+        # TrainingSet's rule: a bool or a non-integral k is no copy count.
+        with pytest.raises(DataError, match="integer >= 1"):
+            KernelSpec(SQUARED_OVERLAP, k)
+
+    def test_numpy_integer_copy_exponent_accepted(self):
+        spec = KernelSpec(SQUARED_OVERLAP, np.int64(2))
+        assert kernel_eval(spec, KET0, PLUS) == pytest.approx(0.25)
+
 
 class TestKernelMatrix:
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -655,6 +665,25 @@ class TestPsdByConstruction:
             assert g._psd_bound[1] < 1e-10
             svm_train(g, labels, C=1.0)
         assert certify_calls == []
+
+    @pytest.mark.parametrize("kind", [REAL_OVERLAP, SQUARED_OVERLAP])
+    def test_single_precision_stack_is_trained_in_double(self, monkeypatch, certify_calls,
+                                                         kind):
+        # Rows a little inside the unit sphere: rounded to single precision
+        # they stay there, so no squared overlap exceeds 1.
+        rng = np.random.default_rng(720)
+        stack = np.stack([random_state_vector(4, rng).vec for _ in range(6)]) * (1 - 1e-6)
+        single = stack.astype(np.complex64)
+        g = gram(KernelSpec(kind), single)
+        assert g.matrix.dtype == np.float64
+        assert np.array_equal(g.matrix, gram(KernelSpec(kind), single.astype(complex)).matrix)
+        forbid(monkeypatch, "cholesky")
+        forbid(monkeypatch, "eigvalsh")
+        svm_train(g, np.arange(6) % 2, C=1.0)
+        assert certify_calls == []
+        # A double-precision stack enters the kernel as it is, uncopied.
+        for given in (stack, stack.real.copy()):
+            assert kernelsvm._stack(SQUARED_OVERLAP, given) is given
 
     def test_a_hand_built_gram_always_reaches_psd_certify(self, certify_calls):
         rng = np.random.default_rng(710)

@@ -5,7 +5,6 @@ import pytest
 from helpers import basis_state, maximally_mixed, random_density_matrix, reconstruct
 
 from qkclass import qmath
-from qkclass.circuit import Observable
 from qkclass.errors import DataError, DimensionError, NumericError
 from qkclass.qmath import (DensityMatrix, HermitianSpectrum, QState, fidelity,
                            hs_inner, partial_trace, random_state_vector, tensor)
@@ -223,7 +222,7 @@ class TestTypes:
         with pytest.raises(DataError):
             qmath.as_cvec([np.nan, 1.0])
 
-    @pytest.mark.parametrize("build", [DensityMatrix, Observable, HermitianSpectrum.of])
+    @pytest.mark.parametrize("build", [DensityMatrix, HermitianSpectrum.of])
     def test_empty_matrix_rejected(self, build):
         with pytest.raises(DimensionError, match="empty"):
             build(np.zeros((0, 0)))
