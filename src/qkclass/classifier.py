@@ -98,11 +98,30 @@ def _chunks(count: int, row_bytes: int):
     return (slice(lo, lo + size) for lo in range(0, count, size))
 
 
-def _outputs(values: np.ndarray, terms: np.ndarray, bias_terms):
-    """One output per test row: its value, its row of terms and its bias term."""
-    bias_terms = np.broadcast_to(bias_terms, values.shape).tolist()
-    for value, row, bias in zip(values.tolist(), terms, bias_terms):
-        yield ClassifierOutput(value, decide(value), tuple(enumerate(row.tolist())), bias)
+def _checked(values: np.ndarray, terms: np.ndarray, bias):
+    """A chunk's (values, terms, bias), after the checks
+    :class:`ClassifierOutput` makes of one output, run once over the chunk:
+    every value in [-1, 1] to 1e-10 (NaN fails), and each row's terms plus
+    its bias term reproduce its value to 1e-12."""
+    bad = np.flatnonzero(~(np.abs(values) <= 1.0 + 1e-10))
+    if bad.size:
+        raise NumericError(f"expectation {values[bad[0]]} outside [-1, 1]")
+    totals = terms.sum(axis=1) + bias
+    bad = np.flatnonzero(~(np.abs(totals - values) <= 1e-12))
+    if bad.size:
+        raise NumericError(f"per-term sum {totals[bad[0]]} does not reproduce "
+                           f"expectation {values[bad[0]]}")
+    return values, terms, bias
+
+
+def _outputs(chunks):
+    """One output per test row of a batch's (values, terms, bias) chunks: its
+    value, its row of terms and its bias term."""
+    for values, terms, bias in chunks:
+        bias_terms = np.broadcast_to(bias, values.shape).tolist()
+        for value, row, bias_term in zip(values.tolist(), terms, bias_terms):
+            yield ClassifierOutput(value, decide(value), tuple(enumerate(row.tolist())),
+                                   bias_term)
 
 
 def _check_circuit(simulated: np.ndarray, closed: np.ndarray, what: str):
@@ -132,13 +151,14 @@ def stc_classify(ts: TrainingSet, test, mode: str = "analytic") -> ClassifierOut
         tests = _coerce_test_pure(test)[0]
         if ts.is_mixed:
             tests = [QState(tests[0]).to_density()]
-    return next(_stc_batch(ts, tests, mode))
+    return next(_outputs(_stc_batch(ts, tests, mode)))
 
 
 def _stc_batch(ts: TrainingSet, tests, mode: str):
-    """Swap-test outputs of N tests (an (N, d) stack of unit vectors, or a
-    list of DensityMatrices, unless ``analytic``), chunk by chunk: one
-    :func:`kernel_matrix` call and one blocked circuit pass. Mode ``bias``
+    """Swap-test (values, terms, bias) of N tests (an (N, d) stack of unit
+    vectors, or a list of DensityMatrices, unless ``analytic``), one
+    :func:`_checked` chunk at a time: per chunk one :func:`kernel_matrix`
+    call and one blocked circuit pass. Mode ``bias``
     (:func:`stc_classify_bias`) checks its closed form on the
     bias-extended rows; the circuit modes sum each test's signed
     index-free input rows (:func:`encoding.mixed_stc_state`), built in
@@ -175,7 +195,7 @@ def _stc_batch(ts: TrainingSet, tests, mode: str):
             if residual > ATOL_DERIVED:
                 raise NumericError(f"circuit value has imaginary residual {residual}")
             values = values.real
-        yield from _outputs(values, terms, bias)
+        yield _checked(values, terms, bias)
 
 
 def stc_classify_bias(ts: TrainingSet, test) -> ClassifierOutput:
@@ -188,18 +208,20 @@ def stc_classify_bias(ts: TrainingSet, test) -> ClassifierOutput:
     matrix nor a dense operator is built, so the check costs about the
     state vector. The test is scored as a batch of one.
     """
-    return next(_stc_batch(ts, _coerce_test_pure(test)[0], "bias"))
+    return next(_outputs(_stc_batch(ts, _coerce_test_pure(test)[0], "bias")))
 
 
 def _interference_batch(ts: TrainingSet, tests: np.ndarray, norms: np.ndarray, amps,
                         labels: np.ndarray, what: str):
-    """One-gate interference outputs of an (N, d) stack of unit vectors t
-    with raw norms n (read in keep-norms mode). Branch u holds amps[0]_0 |0>
-    in index slot 0 and amps[0]_s |x_s> in slot s, branch x amps[1]_0 |0>
-    and amps[1]_s n |t>, on label labels[s]. Per chunk the closed form
-    Re<u|Z_label|x> / (|u| |x|) comes from one kernel_matrix call, and the
-    circuit, a Hadamard on the ancilla of (|0>|u> + |1>|x>)/sqrt(2) with
-    normalized branches, then Z on ancilla and label, must agree to 1e-10.
+    """One-gate interference (values, terms, bias) of an (N, d) stack of
+    unit vectors t with raw norms n (read in keep-norms mode). Branch u
+    holds amps[0]_0 |0> in index slot 0 and amps[0]_s |x_s> in slot s,
+    branch x amps[1]_0 |0> and amps[1]_s n |t>, on label labels[s]. Per
+    chunk the closed form Re<u|Z_label|x> / (|u| |x|) comes from one
+    kernel_matrix call, and the circuit, a Hadamard on the ancilla of
+    (|0>|u> + |1>|x>)/sqrt(2) with normalized branches, then Z on ancilla
+    and label, must agree to 1e-10. Each chunk is yielded through
+    :func:`_checked`.
     """
     if ts.is_mixed:
         raise DataError(f"the {what} classifier accepts pure-state data only")
@@ -228,7 +250,7 @@ def _interference_batch(ts: TrainingSet, tests: np.ndarray, norms: np.ndarray, a
         parity = ((np.abs(u_hat + x_hat) ** 2 - np.abs(u_hat - x_hat) ** 2) / 4.0).reshape(
             len(t), dim, 2, slots)
         _check_circuit((parity[:, :, 0] - parity[:, :, 1]).sum(axis=(1, 2)), closed, what)
-        yield from _outputs(closed, terms, scale * coefficients[0])
+        yield _checked(closed, terms, scale * coefficients[0])
 
 
 def hadamard_classify(ts: TrainingSet, test, with_bias: bool = False) -> ClassifierOutput:
@@ -239,7 +261,7 @@ def hadamard_classify(ts: TrainingSet, test, with_bias: bool = False) -> Classif
     product enters), unlike the swap-test classifier. Pure states and a
     single data copy only. The test is scored as a batch of one.
     """
-    return next(_hadamard_batch(ts, *_coerce_test_pure(test), with_bias))
+    return next(_outputs(_hadamard_batch(ts, *_coerce_test_pure(test), with_bias)))
 
 
 def _hadamard_batch(ts: TrainingSet, tests: np.ndarray, norms: np.ndarray, with_bias: bool):
@@ -266,7 +288,7 @@ def qsvm_oracle_classify(alphas: Sequence[float], b: float, ts: TrainingSet,
     the ancilla Z expectation (b + sum_m alpha_m |x_m| |x~| Re<x_m|x~>) / N.
     The test is scored as a batch of one.
     """
-    return next(_qsvm_batch(alphas, b, ts, *_coerce_test_pure(test)))
+    return next(_outputs(_qsvm_batch(alphas, b, ts, *_coerce_test_pure(test))))
 
 
 def _qsvm_batch(alphas: Sequence[float], b: float, ts: TrainingSet, tests: np.ndarray,
@@ -336,14 +358,15 @@ def misclassification_probability(ts: TrainingSet, mix: TestMixture) -> float:
     observable measured on rho_c^(x)k and the training state.
 
     Both class states go through one batch call, their rows streamed in
-    parts of at most ``PART_BYTES``. Each simulated E_c is checked by
-    :class:`ClassifierOutput` against its per-term sum
+    parts of at most ``PART_BYTES``. Each simulated E_c is checked
+    (:func:`_checked`) against its per-term sum
     sum_m sign_m w_m Tr(rho_c rho_m)**k to 1e-12, at every copy count k. A
     training set with a bias is refused: the single-shot classifier has none.
     """
     if ts.bias is not None:
         raise DataError("misclassification_probability takes a training set without a bias")
-    e0, e1 = (out.expectation for out in _stc_batch(ts, [mix.rho0, mix.rho1], "minimal"))
+    e0, e1 = np.concatenate([values for values, _, _ in
+                             _stc_batch(ts, [mix.rho0, mix.rho1], "minimal")]).tolist()
     value = 0.5 * (mix.p0 + mix.p1) - 0.5 * (mix.p0 * e0 - mix.p1 * e1)
     if not -1e-10 <= value <= 1.0 + 1e-10:
         raise NumericError(f"error probability {value} outside [0, 1]")

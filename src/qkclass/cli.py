@@ -174,10 +174,10 @@ def train_svm(dataset, kernel, k, box_c, fmt, out):
         "schema_version": SCHEMA_VERSION,
         "kernel": {"kind": kernel, "k": k},
         "box_c": box_c,
-        "multipliers": model.multipliers.tolist(),
+        "multipliers": model.multipliers,
         "bias": model.bias,
         "support_indices": list(model.support_indices),
-        "labels": model.labels.tolist(),
+        "labels": model.labels,
         "gram_summary": {
             "min_eigenvalue": float(g.eigenvalues[0]),
             "max_eigenvalue": float(g.eigenvalues[-1]),
@@ -201,8 +201,8 @@ def gram_command(dataset, kernel, k, fmt, out):
     payload = {
         "schema_version": SCHEMA_VERSION,
         "kernel": {"kind": kernel, "k": k},
-        "matrix": g.matrix.tolist(),
-        "eigenvalues": g.eigenvalues.tolist(),
+        "matrix": g.matrix,
+        "eigenvalues": g.eigenvalues,
         "certified_psd": cert.certified,
         "min_eigenvalue": cert.min_eigenvalue,
         "threshold": cert.threshold,

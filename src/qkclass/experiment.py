@@ -156,10 +156,38 @@ def _alphas_for_oracle(ts: TrainingSet, model) -> np.ndarray:
     return ts.weights * (1 - 2 * ts.labels)
 
 
+def _scored(chunks, count: int, width: int):
+    """Each test's (value, bias term, per-term row), in order, from a batch
+    classifier's (values, terms, bias) chunks over ``count`` tests and
+    ``width`` training entries. The per-term rows are the read-only rows of
+    one (count, width) table with fields ``index`` and ``value``, made once
+    the first chunk has come (its kernel temporaries freed) and filled
+    chunk by chunk."""
+    table, lo = None, 0
+    for values, terms, bias in chunks:
+        if table is None:
+            table = np.empty((count, width), dtype=[("index", np.int64), ("value", np.float64)])
+            table["index"] = np.arange(width)
+            rows = table.view()
+            rows.setflags(write=False)
+        table["value"][lo:lo + len(values)] = terms
+        bias_terms = np.broadcast_to(bias, values.shape).tolist()
+        for i, (value, bias_term) in enumerate(zip(values.tolist(), bias_terms), lo):
+            yield value, bias_term, rows[i]
+        lo += len(values)
+
+
 def run_experiment(config: ExperimentConfig, dataset: DatasetFile,
                    test_features: np.ndarray,
                    test_labels: np.ndarray | None = None) -> dict:
-    """Classify every test row and collect a machine-readable results object."""
+    """Classify every test row and collect a machine-readable results object.
+
+    The arrays stay numpy arrays until :func:`qkclass.fileio.write_results`
+    writes them as JSON lists: the ``svm`` multipliers, the ``gram_summary``
+    eigenvalues, and each record's ``per_term``, a read-only row of one
+    (N, m) structured array with fields ``index`` and ``value``, whose
+    ``tolist()`` is the ``[(m, value), ...]`` list.
+    """
     start = time.monotonic()
     if config.shots > 0 and config.classifier not in ("stc", "stc-bias"):
         raise DataError("shot sampling is defined for the swap-test classifiers only")
@@ -169,30 +197,31 @@ def run_experiment(config: ExperimentConfig, dataset: DatasetFile,
     if config.shots > 0:
         point_seeds = np.random.SeedSequence(config.seed).generate_state(
             max(1, len(test_features)))
-    outputs = ()
+    scored = ()
     if len(test_features):
         vecs, norms = encode_rows(test_features)
         if config.classifier in ("stc", "stc-bias"):
-            outputs = clf._stc_batch(ts, vecs, config.mode if config.classifier == "stc" else "bias")
+            chunks = clf._stc_batch(ts, vecs, config.mode if config.classifier == "stc" else "bias")
         elif config.classifier == "hc":
-            outputs = clf._hadamard_batch(ts, vecs, norms, ts.bias is not None)
+            chunks = clf._hadamard_batch(ts, vecs, norms, ts.bias is not None)
         else:
-            outputs = clf._qsvm_batch(_alphas_for_oracle(ts, model),
-                                      ts.bias if ts.bias is not None else 0.0, ts, vecs, norms)
+            chunks = clf._qsvm_batch(_alphas_for_oracle(ts, model),
+                                     ts.bias if ts.bias is not None else 0.0, ts, vecs, norms)
+        scored = _scored(chunks, len(vecs), len(ts))
     results = []
-    for i, out in enumerate(outputs):
+    for i, (value, bias_term, per_term) in enumerate(scored):
+        label = clf.decide(value)
         entry = {
             "index": i,
-            "expectation": out.expectation,
-            "predicted_label": (out.predicted_label if out.predicted_label != clf.TIE
-                                else 0 if config.tie_as_zero else "tie"),
-            "per_term": out.per_term or (),
-            "bias_term": out.bias_term,
+            "expectation": value,
+            "predicted_label": label if label != clf.TIE else 0 if config.tie_as_zero else "tie",
+            "per_term": per_term,
+            "bias_term": bias_term,
         }
         if test_labels is not None:
             entry["true_label"] = int(test_labels[i])
         if config.shots > 0:
-            records = draw_shots(out.expectation, config.shots, int(point_seeds[i]))
+            records = draw_shots(value, config.shots, int(point_seeds[i]))
             counts = {r.outcome: r.count for r in records}
             entry["shots"] = {
                 "seed": int(point_seeds[i]),
@@ -211,7 +240,7 @@ def run_experiment(config: ExperimentConfig, dataset: DatasetFile,
     }
     if model is not None:
         payload["svm"] = {
-            "multipliers": model.multipliers.tolist(),
+            "multipliers": model.multipliers,
             "bias": model.bias,
             "support_indices": list(model.support_indices),
             "kernel": {"kind": model.kernel.kind, "k": model.kernel.k},
@@ -219,6 +248,6 @@ def run_experiment(config: ExperimentConfig, dataset: DatasetFile,
         payload["gram_summary"] = {
             "min_eigenvalue": float(g.eigenvalues[0]),
             "max_eigenvalue": float(g.eigenvalues[-1]),
-            "eigenvalues": g.eigenvalues.tolist(),
+            "eigenvalues": g.eigenvalues,
         }
     return payload

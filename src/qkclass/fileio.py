@@ -28,18 +28,28 @@ def read_json(path: str, what: str):
             raise DataError(f"invalid {what}: {exc}") from exc
 
 
+def _one_per_line(value) -> bool:
+    """Whether a dict key's value is written one item per line: a non-empty
+    list of lists or dicts, or a 2-D array with at least one row."""
+    if getattr(value, "ndim", None) == 2:
+        return len(value) > 0
+    return isinstance(value, list) and bool(value) and all(
+        isinstance(v, (list, dict)) for v in value)
+
+
 def dump_json(payload: dict | list, handle, default=None):
     """Stream a dict or list as JSON: a list, or a dict key's list of lists or
-    dicts, one item per line; a dict one sorted key per line. Each piece is
-    ``json.dumps(piece, sort_keys=True, default=default)``, written as made."""
+    dicts or 2-D array, one item per line; a dict one sorted key per line.
+    Each piece is ``json.dumps(piece, sort_keys=True, default=default)``,
+    written as made, so an array's row reaches ``default`` only when it is
+    written and a 2-D array is written as its ``tolist()`` would be."""
     encode = json.JSONEncoder(sort_keys=True, default=default).encode
 
     def lines(items, brackets: str = "[]"):
         handle.write(brackets[0])
         for n, (prefix, value) in enumerate(items):
             handle.write((",\n" if n else "\n") + prefix)
-            if prefix and isinstance(value, list) and value and all(
-                    isinstance(v, (list, dict)) for v in value):
+            if prefix and _one_per_line(value):
                 lines(("", v) for v in value)
             else:
                 handle.write(encode(value))

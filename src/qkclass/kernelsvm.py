@@ -26,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .constants import (ATOL_STRUCT, DEFAULT_C, HS_TRACE, KERNEL_KINDS, REAL_OVERLAP,
-                        SQUARED_OVERLAP)
+                        SQUARED_OVERLAP, check_dense_budget)
 from .errors import DataError, DimensionError, NumericError
 
 SUPPORT_EPS = 1e-8
@@ -99,7 +99,8 @@ def kernel_matrix(spec: KernelSpec, rows: Sequence, cols: Sequence) -> np.ndarra
     (n, d, d) stack of them, Tr(rows[i] cols[j]) by one matrix product of
     the flattened stacks with an imaginary residual of at most 1e-12.
     Squared-overlap and hs-trace values must lie in [0, 1] (to -1e-12 /
-    +1e-10) and are clamped there.
+    +1e-10) and are clamped there. The (rows, cols) complex product is
+    checked against the size budget before it is formed.
     """
     return _kernel_values(spec, rows, cols)[0]
 
@@ -111,6 +112,7 @@ def _kernel_values(spec: KernelSpec, rows: Sequence, cols: Sequence) -> tuple:
     b = a if cols is rows else _stack(spec.kind, cols)
     if a.shape[1:] != b.shape[1:]:
         raise DimensionError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    check_dense_budget((len(a), len(b)), "kernel matrix")
     if spec.kind == HS_TRACE:
         # Tr(A B) = vec(A) . vec(B^T): one product of the flattened stacks.
         prod = a.reshape(len(a), -1) @ b.transpose(0, 2, 1).reshape(len(b), -1).T

@@ -227,7 +227,8 @@ def eigen_factor(state, what: str = "matrix") -> tuple[np.ndarray, np.ndarray | 
     """Rows F and signs s with rho = F^T diag(s) conj(F) = sum_i s_i |f_i><f_i|,
     the one form in which a state is measured.
 
-    A QState or 1-D vector is its own single row, with ``signs`` None. A
+    A QState or 1-D vector is its own single row, with ``signs`` None; a
+    vector with a non-finite entry raises DataError, as a QState does. A
     DensityMatrix or square array gives f_i = sqrt(|lambda_i|) times
     eigenvector i and s_i the sign of lambda_i, for each eigenvalue with
     |lambda_i| above ``EIGEN_CUT`` (a dropped one moves no entry by more
@@ -239,6 +240,8 @@ def eigen_factor(state, what: str = "matrix") -> tuple[np.ndarray, np.ndarray | 
     """
     m = _as_array(state)
     if m.ndim == 1:
+        if not np.all(np.isfinite(m)):
+            raise DataError(f"{what} vector contains non-finite entries")
         return m[None], None
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionError(f"{what} must be a vector or a square matrix, got shape {m.shape}")

@@ -1,17 +1,22 @@
-"""The library calls the ``mixed-circuit`` benchmark driver makes.
+"""The library calls and CLI commands the benchmark's workloads make.
 
 ``perfbench/mixed.py`` reaches the library through module attributes
 (``classifier.STC_MODES``, ``encoding.TrainingSet.from_states``, both
-ensemble assemblers, ``qmath.random_state_vector``, ...). One toy pass of
-that driver, checked by the benchmark's own plain-numpy oracle, keeps those
-names and their results tied to the code. Nothing under ``perfbench/`` is
-written.
+ensemble assemblers, ``qmath.random_state_vector``, ...). The
+``kernel-train`` workload runs CLI commands (``gen-toy``, ``train-svm``,
+``gram``, ``classify --weights trained``, ``emit-plot``) and reads the files
+they write. One toy pass of each, checked by the benchmark's own
+plain-numpy oracle, keeps those names, options and results tied to the
+code. Nothing under ``perfbench/`` is written.
 """
 
 import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
+
+from qkclass.cli import main
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -35,3 +40,26 @@ def test_mixed_driver_pass_satisfies_the_oracle(bench, tmp_path):
     assert oracle.check_mixed_circuit(str(inputs), str(out),
                                       single_shot_seed=mixed.SINGLE_SHOT_SEED,
                                       rotation=0) == {}
+
+
+def test_kernel_train_cli_pass_satisfies_the_oracle(bench, tmp_path):
+    _, oracle = bench
+    import workloads
+    workload, runner, seed = workloads.KernelTrain(), CliRunner(), 7
+    inputs, out = tmp_path / "inputs", tmp_path / "pass"
+    inputs.mkdir()
+    out.mkdir()
+    for kind, argv in workload.setup_commands(seed, str(inputs), True):
+        assert kind == "cli"
+        result = runner.invoke(main, argv)
+        assert result.exit_code == 0, result.output
+    workload.after_setup(str(inputs), True)
+    steps = workload.steps(str(inputs), str(out), True, seed, rotation=0)
+    assert [step.argv[0] for step in steps] == (
+        ["train-svm"] * workload.sets(True) + ["gram", "classify", "emit-plot"])
+    assert "--weights" in steps[-2].argv and "trained" in steps[-2].argv
+    for step in steps:
+        assert step.kind == "cli"
+        result = runner.invoke(main, step.argv)
+        assert result.exit_code == 0, result.output
+    assert oracle.check_kernel_train(str(inputs), str(out), rotation=0) == {}

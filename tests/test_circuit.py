@@ -305,8 +305,22 @@ def test_nan_matrix_fails_every_hermitian_check():
         qmath.HermitianSpectrum.of(bad)
     with pytest.raises(NumericError, match="rebuilds"):
         expectation(one_qubit_z(), bad)
-    with pytest.raises(NumericError, match="sum to nan"):
-        outcome_probabilities(one_qubit_z(), np.array([np.nan, 0.0]))
+
+
+@pytest.mark.parametrize("entry", [np.nan, np.inf, complex(0.0, np.nan)])
+@pytest.mark.parametrize("obs", [
+    ancilla_label_parity(block_layout(2, 1)),   # diagonal: Z factors only
+    swap_label_observable(block_layout(2, 1, ancilla=False)),  # permuting
+])
+def test_non_finite_vector_refused_before_measuring(obs, entry):
+    # A bare state vector is checked for finite entries as a QState is,
+    # so no NaN value and no misleading residual comes back.
+    v = np.zeros(obs.dim, dtype=complex)
+    v[1] = 1.0
+    v[0] = entry
+    for measure in (expectation, outcome_probabilities):
+        with pytest.raises(DataError, match="non-finite"):
+            measure(obs, v)
 
 
 class TestSampling:

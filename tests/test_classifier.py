@@ -207,7 +207,8 @@ class TestStcClassify:
         tests.append(DensityMatrix(SLIGHTLY_NEGATIVE))
         if part_bytes is not None:
             monkeypatch.setattr(encoding_module, "PART_BYTES", part_bytes)
-        outputs = list(classifier_module._stc_batch(ts, tests, mode))
+        outputs = list(classifier_module._outputs(
+            classifier_module._stc_batch(ts, tests, mode)))
         assert len(outputs) == len(tests)
         for test, out in zip(tests, outputs):
             state = assemble_mixed_stc_input(test, data, k,

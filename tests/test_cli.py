@@ -9,6 +9,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -351,6 +352,60 @@ class TestRunExperiment:
         assert json.loads(result.stderr)["error"]["type"] == "NumericError"
         assert not (workdir / "out.json").exists()
 
+    @pytest.mark.parametrize("mode", ["ancilla-circuit", "minimal"])
+    def test_perturbed_circuit_value_raises(self, monkeypatch, mode):
+        # These modes have no closed-form circuit check, so only the
+        # per-term check, run once per chunk at 1e-12, can refuse a
+        # simulated value 1e-9 off its kernel sum.
+        ds = gen_toy("separable", 6, 2, seed=5)
+        tests = gen_toy("random", 7, 2, seed=6).features
+        stack_value = classifier._stack_value
+
+        def perturbed(*args):
+            values = stack_value(*args).copy()
+            values[0] += 1e-9
+            return values
+
+        monkeypatch.setattr(classifier, "_stack_value", perturbed)
+        with pytest.raises(NumericError, match="per-term sum"):
+            run_experiment(ExperimentConfig(mode=mode), ds, tests)
+
+    def test_out_of_range_expectation_raises(self, monkeypatch):
+        # Terms scaled 100-fold still sum to their values, so only the range
+        # check can refuse them.
+        ds = gen_toy("separable", 6, 2, seed=5)
+        stc_terms = classifier._stc_terms
+        monkeypatch.setattr(classifier, "_stc_terms", lambda *args: 100 * stc_terms(*args))
+        with pytest.raises(NumericError, match=r"outside \[-1, 1\]"):
+            run_experiment(ExperimentConfig(), ds, ds.features)
+
+    def test_per_term_rows_are_read_only_rows_of_one_table(self):
+        ds = gen_toy("separable", 6, 2, seed=5)
+        tests = gen_toy("random", 4, 2, seed=6).features
+        results = run_experiment(ExperimentConfig(), ds, tests)["results"]
+        rows = [entry["per_term"] for entry in results]
+        assert all(not row.flags.writeable for row in rows)
+        assert len({id(row.base) for row in rows}) == 1
+        for entry, row in zip(results, rows):
+            assert [m for m, _ in row.tolist()] == list(range(len(ds)))
+            assert abs(sum(v for _, v in row.tolist()) - entry["expectation"]) <= 1e-12
+
+    def test_run_and_write_memory(self, workdir):
+        # m = N = 200: the complex kernel product of a chunk and the
+        # (index, value) table are 16 B a pair each, and never alive
+        # together. Per-term tuples (about 100 B a pair) break the bound.
+        m = n = 200
+        ds = gen_toy("separable", m, 8, seed=1)
+        tests = gen_toy("random", n, 8, seed=2).features
+        run_experiment(ExperimentConfig(), ds, tests[:2])
+        tracemalloc.start()
+        try:
+            write_results(run_experiment(ExperimentConfig(), ds, tests), "r.json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 16 * n * m
+
 
 def one_point(config, ts, model, row):
     """The one-point library call that scores ``row`` as run_experiment does."""
@@ -397,6 +452,32 @@ class TestResultsWriter:
         assert lines[-1] == "}" and text.endswith("}\n")
         assert [line for line in lines if WALL_CLOCK.fullmatch(line)] == [
             '"wall_clock_seconds": 1.25e-05']
+
+    @pytest.mark.parametrize("shape", [(3, 4), (1, 1), (2, 0), (0, 3)])
+    def test_two_dimensional_array_written_as_its_list(self, shape):
+        arr = np.arange(math.prod(shape), dtype=float).reshape(shape) / 7
+        written = []
+        for matrix in (arr, arr.tolist()):
+            handle = io.StringIO()
+            fileio.dump_json({"matrix": matrix, "n": 1}, handle, default=fileio.jsonable)
+            written.append(handle.getvalue())
+        assert written[0] == written[1]
+
+    def test_gram_payload_written_row_by_row(self, workdir):
+        # Only one row at a time becomes Python floats and text; a list copy
+        # of the whole matrix is about 4 times its bytes, its text 2 times.
+        g = kernelsvm.vector_gram(kernelsvm.KernelSpec(constants.SQUARED_OVERLAP),
+                                  kernelsvm.encode_rows(gen_toy("separable", 300, 8,
+                                                                seed=1).features)[0])
+        payload = {"matrix": g.matrix, "eigenvalues": g.eigenvalues}
+        tracemalloc.start()
+        try:
+            write_results(payload, "g.json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < g.matrix.nbytes / 4
+        assert json.loads((workdir / "g.json").read_text())["matrix"] == g.matrix.tolist()
 
     def test_repeated_writes_are_byte_identical(self, workdir):
         for name in ("a.json", "b.json"):
@@ -492,6 +573,22 @@ class TestCliCommands:
         payload = json.loads((workdir / "out.json").read_text())
         assert payload["results"][0]["expectation"] == pytest.approx(0.5)
         assert payload["schema_version"] == 1
+
+    def test_gram_command_memory(self, runner, workdir):
+        # m = 400: the kernel's complex product and its real values (24 B an
+        # entry) are the peak; a list copy of the matrix (about 32 B an
+        # entry) on top of the matrix breaks the bound.
+        m = 400
+        write_dataset(gen_toy("separable", m, 8, seed=1), "toy.csv")
+        assert runner.invoke(main, ["gram", "toy.csv", "-o", "gram.json"]).exit_code == 0
+        tracemalloc.start()
+        try:
+            result = runner.invoke(main, ["gram", "toy.csv", "-o", "gram.json"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 0, result.output
+        assert peak < 4 * 8 * m * m
 
     def test_gen_toy_then_train_svm(self, runner, workdir):
         assert runner.invoke(main, ["gen-toy", "--kind", "separable", "--m", "6",

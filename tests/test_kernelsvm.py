@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from helpers import basis_state, maximally_mixed, random_density_matrix
 from smo_reference import reference_smo
 
-from qkclass import kernelsvm, qmath
+from qkclass import constants, kernelsvm, qmath
 from qkclass.classifier import stc_classify, stc_classify_bias
 from qkclass.datasets import gen_toy
 from qkclass.encoding import TrainingSet
@@ -16,7 +16,8 @@ from qkclass.errors import DataError, DimensionError, NumericError
 from qkclass.kernelsvm import (DEFAULT_C, HS_TRACE, KERNEL_KINDS, KKT_TOL,
                                REAL_OVERLAP, SQUARED_OVERLAP, GramMatrix,
                                KernelSpec, encode_rows, gram, kernel_eval,
-                               kernel_matrix, psd_certify, regression, svm_train)
+                               kernel_matrix, psd_certify, regression, svm_train,
+                               vector_gram)
 from qkclass.qmath import DensityMatrix, QState, hs_inner, random_state_vector
 
 KET0 = QState(basis_state(2, 0))
@@ -190,6 +191,22 @@ class TestKernelMatrix:
         got = kernel_matrix(KernelSpec(HS_TRACE, k=k), rows, cols)
         assert got.shape == (dim + 3, dim)
         assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_product_checked_against_the_size_budget(self, monkeypatch, kind):
+        # The (rows, cols) complex product is checked before it is formed: at
+        # a 1000-byte budget, 16 * 50 = 800 bytes pass and 16 * 100 do not.
+        rng = np.random.default_rng(612)
+        states = random_inputs(kind, rng, 100, 2)
+        vecs = encode_rows(rng.standard_normal((100, 2)))[0]
+        monkeypatch.setattr(constants, "DENSE_BYTES_BUDGET", 1000)
+        assert kernel_matrix(KernelSpec(kind), states[:1], states[:50]).shape == (1, 50)
+        with pytest.raises(DimensionError, match=r"kernel matrix of shape \(1, 100\)"):
+            kernel_matrix(KernelSpec(kind), states[:1], states)
+        with pytest.raises(DimensionError, match=r"kernel matrix of shape \(100, 100\)"):
+            gram(KernelSpec(kind), states)
+        with pytest.raises(DimensionError, match=r"kernel matrix of shape \(100, 100\)"):
+            vector_gram(KernelSpec(kind), vecs)
 
     def test_non_hermitian_stack_rejected_on_imaginary_residual(self):
         rng = np.random.default_rng(611)
