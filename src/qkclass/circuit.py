@@ -29,12 +29,12 @@ as np.trace(M @ rho).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .constants import check_count
 from .encoding import ClassifierState
 from .errors import DataError, DimensionError, NumericError
 from .qmath import (ATOL_DERIVED, ATOL_STRUCT, HADAMARD, SIGMA_Z,
@@ -416,8 +416,7 @@ def outcome_probabilities(obs: Observable, state) -> dict[int, float]:
 def draw_shots(value: float, shots: int, seed: int) -> list[ShotRecord]:
     """``shots`` seeded measurements of a +-1 observable with expectation
     ``value``: the +1 count is one binomial draw with p(+1) = (1 + value)/2."""
-    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral) or shots < 1:
-        raise DataError(f"shots must be an integer >= 1, got {shots!r}")
+    check_count(shots, "shots")
     if math.isnan(value):
         raise DataError("cannot draw shots for an expectation value of NaN")
     p_plus = min(max((1.0 + value) / 2.0, 0.0), 1.0)

@@ -60,13 +60,8 @@ class ClassifierOutput:
     bias_term: float = 0.0
 
     def __post_init__(self):
-        if not -1.0 - 1e-10 <= self.expectation <= 1.0 + 1e-10:
-            raise NumericError(f"expectation {self.expectation} outside [-1, 1]")
-        if self.per_term is not None:
-            total = sum(v for _, v in self.per_term) + self.bias_term
-            if abs(total - self.expectation) > 1e-12:
-                raise NumericError(
-                    f"per-term sum {total} does not reproduce expectation {self.expectation}")
+        _checked(np.array([self.expectation], dtype=float), None if self.per_term is None
+                 else np.array([[v for _, v in self.per_term]], dtype=float), self.bias_term)
 
 
 def _coerce_test_pure(test) -> tuple[np.ndarray, np.ndarray]:
@@ -98,14 +93,16 @@ def _chunks(count: int, row_bytes: int):
     return (slice(lo, lo + size) for lo in range(0, count, size))
 
 
-def _checked(values: np.ndarray, terms: np.ndarray, bias):
-    """A chunk's (values, terms, bias), after the checks
-    :class:`ClassifierOutput` makes of one output, run once over the chunk:
-    every value in [-1, 1] to 1e-10 (NaN fails), and each row's terms plus
-    its bias term reproduce its value to 1e-12."""
+def _checked(values: np.ndarray, terms: np.ndarray | None, bias):
+    """A chunk's (values, terms, bias), after the checks every
+    :class:`ClassifierOutput` makes of itself, run once over the chunk:
+    every value in [-1, 1] to 1e-10 (NaN fails), and, unless ``terms`` is
+    None, each row's terms plus its bias term reproduce its value to 1e-12."""
     bad = np.flatnonzero(~(np.abs(values) <= 1.0 + 1e-10))
     if bad.size:
         raise NumericError(f"expectation {values[bad[0]]} outside [-1, 1]")
+    if terms is None:
+        return values, terms, bias
     totals = terms.sum(axis=1) + bias
     bad = np.flatnonzero(~(np.abs(totals - values) <= 1e-12))
     if bad.size:

@@ -10,6 +10,7 @@ size check, :func:`check_dense_budget`, without the linear-algebra layer.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from typing import Sequence
 
@@ -58,6 +59,14 @@ def check_dense_budget(shape: Sequence[int], what: str = "dense array") -> None:
         raise DimensionError(
             f"{what} of shape {tuple(shape)} needs {nbytes} bytes, over the "
             f"{DENSE_BYTES_BUDGET}-byte budget")
+
+
+def check_count(value, what: str) -> int:
+    """``value`` as an int when it is an integral count >= 1 (a bool is
+    not one); else DataError "<what> must be an integer >= 1"."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise DataError(f"{what} must be an integer >= 1, got {value!r}")
+    return int(value)
 
 
 def env_seed() -> int:

@@ -11,35 +11,35 @@ first factor most significant):
     [ancilla | test x k | train x k | label | index]
 
 Every assembled state is a stack of component vectors v_i with row signs
-s_i, rho = sum_i s_i |v_i><v_i|: one row for a pure superposition, a
-purification for a mixture. A sign is -1 only for the round-off negative
-eigen-part that a validated density matrix may carry, so the stack
-reproduces the given state exactly. The circuit is linear, so it acts row
-by row with the statistics of rho, and the dense rho is built only when
-read. Pure data is the rank-1 case of density-matrix data, and one builder,
-:func:`mixed_stc_state`, writes the index-free input of both: the products
-of the rows of test^(x)k (t^(x)k for a unit vector, the eigen-factor row
-products of a density matrix) with the training rows (sqrt(w_m) x_m^(x)k on
-label y_m per pure entry; the eigen-factor rows of each label's
-sigma_y = sum_{m: y_m = y} w_m rho_m^(x)k for density matrices). The
-batched classifiers build the same rows for many test states in parts of
-at most ``PART_BYTES``. One writer, :func:`_slot_rows`, fills the index
-slots and label blocks of every row.
+s_i, rho = sum_i s_i |v_i><v_i| (an exponent ensemble: one per member): one
+row for a pure superposition, a purification for a mixture. A sign is -1
+only for the round-off negative eigen-part that a validated density matrix
+may carry, so the stack reproduces the given state exactly. The circuit is
+linear, so it acts row by row with the statistics of rho, and the dense rho
+is built only when read. Pure data is the rank-1 case of density-matrix
+data, and one builder, :func:`mixed_stc_state`, writes the index-free input
+of both: the products of the rows of test^(x)k (t^(x)k for a unit vector,
+the eigen-factor row products of a density matrix) with the training rows
+(sqrt(w_m) x_m^(x)k on label y_m per pure entry; the eigen-factor rows of
+each label's sigma_y = sum_{m: y_m = y} w_m rho_m^(x)k for density
+matrices). The batched classifiers build the same rows for many test states
+in parts of at most ``PART_BYTES``. One writer, :func:`_slot_rows`, fills
+the index slots and label blocks of every row.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from . import qmath
+from .constants import check_count
 from .errors import DataError, DimensionError, NumericError
 from .kernelsvm import encode_rows
-from .qmath import DensityMatrix, QState, tensor, tensor_power
+from .qmath import DensityMatrix, QState, tensor_power
 from .registers import RegisterLayout, block_layout
 
 UNIT_VECTORS = "unit-vectors"
@@ -95,8 +95,7 @@ class TrainingSet:
         labels, weights = np.asarray(labels), np.array(weights, dtype=float)
         norms = (np.ones(weights.shape) if norms is None or mode == UNIT_VECTORS
                  else np.array(norms, dtype=float))
-        if isinstance(k, bool) or not isinstance(k, numbers.Integral) or k < 1:
-            raise DataError(f"copies k must be an integer >= 1, got {k!r}")
+        k = check_count(k, "copies k")
         if mode not in (UNIT_VECTORS, KEEP_NORMS):
             raise DataError(f"unknown normalization mode {mode!r}")
         if bias is not None and not math.isfinite(bias):
@@ -131,7 +130,7 @@ class TrainingSet:
         scale = 1.0 / total if labels.size else 1.0
         weights, bias = weights * scale, None if bias is None else bias * scale
         for name, value in (("states", states), ("labels", labels.astype(int)),
-                            ("weights", weights), ("norms", norms), ("k", int(k)),
+                            ("weights", weights), ("norms", norms), ("k", k),
                             ("bias", bias), ("mode", mode)):
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
@@ -205,48 +204,37 @@ class TrainingSet:
 
 
 class ClassifierState:
-    """An assembled joint state, its register layout, and optional extras.
+    """An assembled state on its register layout: a signed stack of rows, or
+    the (probability, member state) pairs of an ensemble, never both.
 
-    Every assembly in this module puts its state on the block layout
+    Every assembly in this module uses the block layout
     (:func:`qkclass.registers.block_layout`); a state built directly may
-    use any layout. The state is a stack of component vectors V, shape
-    (r, layout.dim), with row signs s: rho = V^T diag(s) conj(V) =
-    sum_i s_i |v_i><v_i|. Every sign is +1 (``signs`` is None) unless the
-    state carries the round-off negative eigen-part that a validated
-    density matrix may have (see :func:`qkclass.qmath.eigen_factor`). ``vector`` gives the stack, or one
-    1-D vector as a stack of one; the signed squared norms must sum to 1
-    within 1e-12. A state given by its density matrix alone is
-    eigen-factored into a stack. The stack is held as a read-only view, not
-    a copy; ``rho`` is built from it, after the size check and with the
-    usual :class:`DensityMatrix` checks, only when first asked for.
-    ``members`` carries the (probability, member state) decomposition of an
-    ensemble whose members use different copy counts and therefore
-    different layouts; such a state may be given ``build`` instead of a
-    stack, a function returning (stack, signs) that runs on the first read.
+    use any layout. A stack V, shape (r, layout.dim), with row signs s is
+    rho = V^T diag(s) conj(V) = sum_i s_i |v_i><v_i|. Every sign is +1
+    (``signs`` is None) unless the state carries the round-off negative
+    eigen-part of a validated density matrix, which is given as its
+    :func:`qkclass.qmath.eigen_factor` rows and signs. One 1-D vector is a
+    stack of one; the signed squared norms must sum to 1 within 1e-12. The
+    stack is held as a read-only view; ``rho`` is built from it only when
+    first asked for. An ensemble whose members use different copy counts
+    is its ``members`` alone, measured member by member: reading its
+    ``stack``, ``signs``, ``vector`` or ``rho`` raises DataError.
     """
 
-    __slots__ = ("layout", "members", "_stack", "_signs", "_build", "_rho")
+    __slots__ = ("layout", "members", "_stack", "_signs", "_rho")
 
-    def __init__(self, rho: DensityMatrix | None, layout: RegisterLayout,
-                 vector: np.ndarray | None = None,
-                 members: tuple[tuple[float, "ClassifierState"], ...] | None = None,
-                 signs: np.ndarray | None = None, build=None):
-        if rho is None and vector is None and build is None:
-            raise DataError("a classifier state needs a density matrix or a vector")
-        if rho is not None and layout.dim != rho.dim:
-            raise DimensionError(
-                f"layout dim {layout.dim} does not match state dim {rho.dim}")
-        for name, value in (("layout", layout), ("members", members), ("_rho", rho),
-                            ("_build", build), ("_stack", None), ("_signs", None)):
+    def __init__(self, layout: RegisterLayout, stack: np.ndarray | None = None,
+                 signs: np.ndarray | None = None,
+                 members: tuple[tuple[float, "ClassifierState"], ...] | None = None):
+        if (stack is None) == (members is None) or (stack is None and signs is not None):
+            raise DataError("a classifier state takes a stack and its signs, or members alone")
+        for name, value in (("layout", layout), ("members", members), ("_rho", None),
+                            ("_stack", None), ("_signs", None)):
             object.__setattr__(self, name, value)
-        if build is None and vector is None:
-            vector, signs = qmath.eigen_factor(rho, "density matrix")
-        if build is None:
-            self._set_stack(vector, signs)
-
-    def _set_stack(self, vector, signs):
-        stack = np.asarray(vector, dtype=complex)
-        dim = self.layout.dim
+        if members is not None:
+            return
+        stack = np.asarray(stack, dtype=complex)
+        dim = layout.dim
         if stack.ndim not in (1, 2) or stack.size == 0 or stack.shape[-1] != dim:
             raise DimensionError(f"layout dim {dim} does not match vector shape {stack.shape}")
         stack = stack.reshape(-1, dim)
@@ -271,13 +259,13 @@ class ClassifierState:
     @property
     def stack(self) -> np.ndarray:
         if self._stack is None:
-            self._set_stack(*self._build())
+            raise DataError("an ensemble of members has no joint stack; measure its members")
         return self._stack
 
     @property
     def signs(self) -> np.ndarray | None:
         """Row signs, or None when every row counts +1."""
-        self.stack  # builds a deferred stack
+        self.stack  # refuses an ensemble of members
         return self._signs
 
     @property
@@ -295,8 +283,9 @@ class ClassifierState:
         return self._rho
 
     def __repr__(self):
-        rows = "deferred" if self._stack is None else self._stack.shape[0]
-        return f"ClassifierState(dim={self.layout.dim}, rows={rows})"
+        size = (f"members={len(self.members)}" if self._stack is None
+                else f"rows={self._stack.shape[0]}")
+        return f"ClassifierState(dim={self.layout.dim}, {size})"
 
 
 def _product_signs(factors) -> np.ndarray:
@@ -413,7 +402,7 @@ def assemble_pure_stc_input(ts: TrainingSet, test: QState, *,
         raise DataError("training set carries a bias; use assemble_bias_extended")
     if with_index:
         rows, layout = _indexed_rows(ts, test.vec[None], with_ancilla=with_ancilla)
-        return ClassifierState(None, layout, vector=rows[0])
+        return ClassifierState(layout, rows[0])
     return mixed_stc_state(ts, test, with_ancilla=with_ancilla)
 
 
@@ -440,8 +429,14 @@ def mixed_stc_state(ts: TrainingSet, test: QState | DensityMatrix, *,
     signs = np.multiply.outer(_product_signs([factor] * ts.k), train[2]).ravel()
     rows = _product_rows(tensor_power(factor[0], ts.k), train, np.arange(signs.size),
                          ancilla=with_ancilla)
-    return ClassifierState(None, layout, vector=rows,
-                           signs=None if np.all(signs > 0) else signs)
+    return ClassifierState(layout, rows, None if np.all(signs > 0) else signs)
+
+
+def _check_distribution(qs: np.ndarray, message: str) -> None:
+    """Raise DataError(message) unless ``qs`` is nonnegative and sums to 1
+    within 1e-9; a NaN fails."""
+    if np.any(qs < 0) or not abs(qs.sum() - 1.0) <= 1e-9:
+        raise DataError(message)
 
 
 def assemble_mixed_stc_input(test: DensityMatrix,
@@ -449,9 +444,8 @@ def assemble_mixed_stc_input(test: DensityMatrix,
                              k: int, *, with_ancilla: bool = True) -> ClassifierState:
     """:func:`mixed_stc_state` of (density matrix, label, weight) tuples
     whose weights form a distribution."""
-    weights = np.array([w for _, _, w in train], dtype=float)
-    if np.any(weights < 0) or not abs(weights.sum() - 1.0) <= 1e-9:  # NaN fails
-        raise DataError("training weights must form a distribution")
+    _check_distribution(np.array([w for _, _, w in train], dtype=float),
+                        "training weights must form a distribution")
     return mixed_stc_state(TrainingSet.from_states(train, k=k), test, with_ancilla=with_ancilla)
 
 
@@ -467,7 +461,7 @@ def assemble_bias_extended(ts: TrainingSet, test: QState) -> ClassifierState:
     if ts.bias is None:
         raise DataError("training set has no bias; use assemble_pure_stc_input")
     rows, layout = _indexed_rows(ts, test.vec[None])
-    return ClassifierState(None, layout, vector=rows[0])
+    return ClassifierState(layout, rows[0])
 
 
 def _weighted_set(train, weights, k: int) -> TrainingSet:
@@ -486,8 +480,7 @@ def _model_weights(models, train) -> tuple[np.ndarray, list[np.ndarray]]:
     if any(a_s.size != len(train) for a_s in out):
         raise DataError("model weight vector length does not match training data")
     for name, qs in zip(["model probabilities"] + ["model weights"] * len(out), [probs] + out):
-        if np.any(qs < 0) or not abs(qs.sum() - 1.0) <= 1e-9:  # NaN fails
-            raise DataError(f"{name} must be a probability distribution")
+        _check_distribution(qs, f"{name} must be a probability distribution")
     return probs / probs.sum(), out
 
 
@@ -502,69 +495,24 @@ def assemble_ensemble_weights(test: DensityMatrix,
     return mixed_stc_state(_weighted_set(train, eff, k), test, with_ancilla=with_ancilla)
 
 
-def _pad_pair_state(data_dim: int, kind: str) -> np.ndarray:
-    """Constant state of one unused (test, train) copy pair."""
-    d2 = data_dim * data_dim
-    if kind == "maximally-mixed":
-        return np.eye(d2, dtype=complex) / d2
-    if kind == "symmetric":
-        # Uniform state on the symmetric subspace: swap-invariant, so a swap
-        # test on a padded slot contributes a factor of exactly 1.
-        swap = np.eye(d2).reshape(data_dim, data_dim, d2).transpose(1, 0, 2).reshape(d2, d2)
-        proj = (np.eye(d2) + swap) / 2.0
-        return proj / np.trace(proj).real
-    raise DataError(f"unknown padding kind {kind!r}")
-
-
-def _padded_joint(layout: RegisterLayout, members, pad, max_copies: int):
-    """Stack and signs of sum_s q_s member_s with the padding rows on each
-    member's unused (test, train) copies: row (i, j) of a member's block is
-    sqrt(q_s) member row i with pad-product row j written onto the test and
-    train copies k_s + 1..K by one einsum. The budget check runs before any
-    block exists."""
-    d = layout.dims[1]
-    members = [(q, m, len(m.layout.pair_indices())) for q, m in members if q]
-    count = sum(m.stack.shape[0] * pad[0].shape[0] ** (max_copies - k) for _, m, k in members)
-    qmath.check_dense_budget((count, layout.dim), "assembled state stack")
-    blocks, signs = [], []
-    for q, member, k in members:
-        n = max_copies - k
-        pads = tensor(np.full((1, 1), math.sqrt(q)), *[pad[0]] * n)
-        rows = member.stack.reshape(-1, 2, d ** k, d ** k, 2)  # ancilla, tests, trains, label
-        pad_axes = list(range(6, 6 + 2 * n))  # (test, train) per padded copy
-        blocks.append(np.einsum(rows, [0, 1, 2, 3, 4], pads.reshape((-1,) + (d,) * 2 * n),
-                                [5] + pad_axes, [0, 5, 1, 2] + pad_axes[0::2] + [3]
-                                + pad_axes[1::2] + [4]).reshape(-1, layout.dim))
-        signs.append(_product_signs([(member.stack, member.signs)] + [pad] * n))
-    signs = np.concatenate(signs)
-    return np.concatenate(blocks), None if np.all(signs > 0) else signs
-
-
 def assemble_ensemble_exponents(test: DensityMatrix,
                                 models: Sequence[tuple[float, Sequence[float], int]],
                                 train: Sequence[tuple[DensityMatrix, int]],
-                                max_copies: int, *,
-                                padding: str = "maximally-mixed") -> ClassifierState:
-    """Mixture over models with different copy counts k_s <= max_copies.
+                                max_copies: int) -> ClassifierState:
+    """Mixture over models with different copy counts k_s <= max_copies, on
+    the ``block_layout(test.dim, max_copies)`` layout.
 
-    Each member state occupies its k_s test and train copies; each unused
-    (test, train) copy pair is filled with a constant pair state so every
-    member lives on the same registers. The default maximally mixed padding is not swap
-    invariant, so ensemble expectation values are evaluated member by
-    member (the ``members`` field); ``padding="symmetric"`` additionally
-    makes the full swap-test circuit over all slots reproduce the same
-    value. The joint state is deferred: its stack, the member rows times
-    the eigen-factor rows of the padding, is built only when read.
+    The state is its (probability, member) pairs, member s the index-free
+    input of model s with its k_s copies: the ensemble's expectation value
+    is the probability-weighted sum of its members' values, so no joint
+    state over max_copies copy pairs is built.
     """
+    max_copies = check_count(max_copies, "max_copies")
     probs, weights = _model_weights(models, train)
-    pad = qmath.eigen_factor(_pad_pair_state(test.dim, padding), f"{padding} padding state")
     members = []
     for (_, _, k_s), q, a_s in zip(models, probs, weights):
-        k_s = int(k_s)
-        if not 1 <= k_s <= max_copies:
+        k_s = check_count(k_s, "model copy count")
+        if k_s > max_copies:
             raise DataError(f"model copy count {k_s} outside 1..{max_copies}")
         members.append((float(q), mixed_stc_state(_weighted_set(train, a_s, k_s), test)))
-    layout = block_layout(test.dim, max_copies)
-    return ClassifierState(None, layout, members=tuple(members),
-                           build=lambda: _padded_joint(layout, members, pad, max_copies))
-
+    return ClassifierState(block_layout(test.dim, max_copies), members=tuple(members))

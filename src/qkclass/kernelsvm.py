@@ -19,14 +19,13 @@ the kernels, the training set and the classifiers read.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from .constants import (ATOL_STRUCT, DEFAULT_C, HS_TRACE, KERNEL_KINDS, REAL_OVERLAP,
-                        SQUARED_OVERLAP, check_dense_budget)
+                        SQUARED_OVERLAP, check_count, check_dense_budget)
 from .errors import DataError, DimensionError, NumericError
 
 SUPPORT_EPS = 1e-8
@@ -66,8 +65,7 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise DataError(f"unknown kernel kind {self.kind!r}")
-        if isinstance(self.k, bool) or not isinstance(self.k, numbers.Integral) or self.k < 1:
-            raise DataError(f"kernel copy exponent must be an integer >= 1, got {self.k!r}")
+        check_count(self.k, "kernel copy exponent")
 
 
 def _stack(kind: str, states: Sequence) -> np.ndarray:

@@ -13,6 +13,15 @@ from helpers import basis_state
 from qkclass.qmath import tensor, tensor_power
 
 
+def block_to_pair(k: int, ancilla: bool = True) -> tuple[int, ...]:
+    """Register order taking the block layout [ancilla | test x k | train x k
+    | label] to the pair order [ancilla | (test, train) x k | label] of the
+    dense references, for :func:`qkclass.qmath.register_permutation_matrix`."""
+    shift = int(ancilla)
+    pairs = [shift + c for i in range(k) for c in (i, k + i)]
+    return tuple(range(shift)) + tuple(pairs) + (shift + 2 * k,)
+
+
 def label_projector(label: int) -> np.ndarray:
     return np.outer(basis_state(2, label), basis_state(2, label))
 

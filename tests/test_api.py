@@ -18,7 +18,7 @@ ERRORS = ('DataError', 'DimensionError', 'NumericError', 'QKClassError')
 
 SIGNATURES = {
     'ClassifierOutput': "(expectation: 'float', predicted_label: 'int | str', per_term: 'tuple[tuple[int, float], ...] | None' = None, bias_term: 'float' = 0.0) -> None",
-    'ClassifierState': '(rho: \'DensityMatrix | None\', layout: \'RegisterLayout\', vector: \'np.ndarray | None\' = None, members: "tuple[tuple[float, \'ClassifierState\'], ...] | None" = None, signs: \'np.ndarray | None\' = None, build=None)',
+    'ClassifierState': '(layout: \'RegisterLayout\', stack: \'np.ndarray | None\' = None, signs: \'np.ndarray | None\' = None, members: "tuple[tuple[float, \'ClassifierState\'], ...] | None" = None)',
     'DensityMatrix': "(entries, *, check_psd: 'bool' = True)",
     'GramMatrix': "(matrix: 'np.ndarray', kernel: 'KernelSpec', eigenvalues: 'np.ndarray | None' = None)",
     'HermitianSpectrum': "(eigenvalues: 'np.ndarray', eigenvectors: 'np.ndarray') -> None",
@@ -32,7 +32,7 @@ SIGNATURES = {
     'TrainingSet': "(states, labels, weights, *, norms=None, k: 'int' = 1, bias: 'float | None' = None, mode: 'str' = 'unit-vectors')",
     'amplitude_encode': "(x) -> 'QState'",
     'assemble_bias_extended': "(ts: 'TrainingSet', test: 'QState') -> 'ClassifierState'",
-    'assemble_ensemble_exponents': "(test: 'DensityMatrix', models: 'Sequence[tuple[float, Sequence[float], int]]', train: 'Sequence[tuple[DensityMatrix, int]]', max_copies: 'int', *, padding: 'str' = 'maximally-mixed') -> 'ClassifierState'",
+    'assemble_ensemble_exponents': "(test: 'DensityMatrix', models: 'Sequence[tuple[float, Sequence[float], int]]', train: 'Sequence[tuple[DensityMatrix, int]]', max_copies: 'int') -> 'ClassifierState'",
     'assemble_ensemble_weights': "(test: 'DensityMatrix', models: 'Sequence[tuple[float, Sequence[float]]]', train: 'Sequence[tuple[DensityMatrix, int]]', k: 'int', *, with_ancilla: 'bool' = True) -> 'ClassifierState'",
     'assemble_mixed_stc_input': "(test: 'DensityMatrix', train: 'Sequence[tuple[DensityMatrix, int, float]]', k: 'int', *, with_ancilla: 'bool' = True) -> 'ClassifierState'",
     'assemble_pure_stc_input': "(ts: 'TrainingSet', test: 'QState', *, with_index: 'bool' = False, with_ancilla: 'bool' = True) -> 'ClassifierState'",

@@ -83,12 +83,12 @@ class TestSwapTestUnitary:
         # on a vector and on a mixed state's eigen-factor rows.
         parity = ancilla_label_parity(layout).matrix
         vec = random_state_vector(layout.dim, rng).vec
-        state = ClassifierState(None, layout, vector=vec)
+        state = ClassifierState(layout, vec)
         after = v @ vec
         assert abs(swap_test_expectation(state) - np.vdot(after, parity @ after).real) < 1e-12
         rho = random_density_matrix(layout.dim, rng, rank=3)
         after = v @ rho.entries @ v.conj().T
-        assert abs(swap_test_expectation(ClassifierState(rho, layout))
+        assert abs(swap_test_expectation(ClassifierState(layout, *qmath.eigen_factor(rho)))
                    - np.trace(parity @ after).real) < 1e-12
 
     def test_swap_invariant_input_unchanged(self):
@@ -518,7 +518,7 @@ class TestBlockedKernel:
         rng = np.random.default_rng(rows * 10 + negative + layout.dim)
         stack, signs = signed_stack(rng, rows, layout.dim, negative)
         after = stack @ build_swap_test_unitary(layout).T
-        state = ClassifierState(None, layout, vector=stack, signs=signs)
+        state = ClassifierState(layout, stack, signs)
         expect = dense_value(ancilla_label_parity(layout).matrix, after, signs)
         assert abs(swap_test_expectation(state) - expect) < 1e-12
         assert abs(classify_assembled(state).expectation - expect) < 1e-12
@@ -530,7 +530,7 @@ class TestBlockedKernel:
     def test_measured_observables_match_dense(self, layout, rows, negative):
         rng = np.random.default_rng(rows * 10 + negative + layout.dim + 1)
         stack, signs = signed_stack(rng, rows, layout.dim, negative)
-        state = ClassifierState(None, layout, vector=stack, signs=signs)
+        state = ClassifierState(layout, stack, signs)
         observables = [swap_label_observable(layout)]
         if layout.has(ANCILLA):
             observables.append(ancilla_label_parity(layout))

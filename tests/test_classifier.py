@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from dense_reference import block_to_pair, dense_ensemble_exponents
 from helpers import basis_state, label_sign, maximally_mixed, random_density_matrix
 
 from qkclass import circuit as circuit_module
@@ -25,7 +26,7 @@ from qkclass.encoding import (KEEP_NORMS, ClassifierState, RawDatum,
                               assemble_mixed_stc_input)
 from qkclass.errors import DataError, DimensionError, NumericError
 from qkclass.qmath import (DensityMatrix, QState, hs_inner, random_state_vector,
-                           tensor_power)
+                           register_permutation_matrix, tensor_power)
 from qkclass.registers import LABEL
 
 KET0 = QState(basis_state(2, 0))
@@ -146,12 +147,8 @@ class TestStcClassify:
                                             with_ancilla=with_ancilla)
             assert abs(classify_assembled(ens).expectation - expect) < 1e-10
         expect = float(np.sum(signs * (0.3 * a1 * kernels + 0.7 * a2 * kernels ** 2)))
-        for padding in ("maximally-mixed", "symmetric"):
-            ens = assemble_ensemble_exponents(test, [(0.3, a1, 1), (0.7, a2, 2)], pairs, 2,
-                                              padding=padding)
-            assert abs(classify_assembled(ens).expectation - expect) < 1e-10
-        joint = ClassifierState(None, ens.layout, vector=ens.stack, signs=ens.signs)
-        assert abs(classify_assembled(joint).expectation - expect) < 1e-10
+        ens = assemble_ensemble_exponents(test, [(0.3, a1, 1), (0.7, a2, 2)], pairs, 2)
+        assert abs(classify_assembled(ens).expectation - expect) < 1e-10
 
     def test_circuit_modes_are_checked_against_the_kernel_sum(self, monkeypatch):
         # Skipping the circuit kernel's swap step, or measuring Z on the
@@ -338,11 +335,10 @@ class TestRoundOffNegativeEigenvalues:
         ens = assemble_ensemble_weights(test, [(0.4, a1), (0.6, a2)], pairs, 2)
         expect = float(np.sum(signs * (0.4 * a1 + 0.6 * a2) * kernels ** 2))
         assert abs(classify_assembled(ens).expectation - expect) < 1e-12
-        ens = assemble_ensemble_exponents(test, [(0.4, a1, 1), (0.6, a2, 2)], pairs, 2,
-                                          padding="symmetric")
+        ens = assemble_ensemble_exponents(test, [(0.4, a1, 1), (0.6, a2, 2)], pairs, 2)
         expect = float(np.sum(signs * (0.4 * a1 * kernels + 0.6 * a2 * kernels ** 2)))
         assert abs(classify_assembled(ens).expectation - expect) < 1e-12
-        assert abs(swap_test_expectation(ens) - expect) < 1e-12
+        assert abs(sum(q * swap_test_expectation(m) for q, m in ens.members) - expect) < 1e-12
         ts, _ = self._training(2)
         mix = Mixture(0.5, 0.5, test, DensityMatrix(np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)))
         assert 0.0 <= misclassification_probability(ts, mix) <= 1.0
@@ -801,32 +797,22 @@ class TestEnsembleLinearity:
                     for q, member in ens.members)
         assert abs(classify_assembled(ens).expectation - parts) < 1e-12
 
-    def test_exponent_joint_stack_is_built_only_when_read(self):
-        # Classification evaluates the members; the padded joint stack is
-        # built on the first read of stack or rho, and then matches rho.
-        rng = np.random.default_rng(45)
-        test = random_density_matrix(2, rng)
-        train = [(random_density_matrix(2, rng), 0), (random_density_matrix(2, rng), 1)]
-        models = [(0.6, [0.5, 0.5], 1), (0.4, [0.1, 0.9], 3)]
-        ens = assemble_ensemble_exponents(test, models, train, max_copies=3)
-        classify_assembled(ens)
-        assert "deferred" in repr(ens)
-        v = ens.stack
-        assert "deferred" not in repr(ens) and ens.stack is v
-        assert np.abs(v.T @ v.conj() - ens.rho.entries).max() < 1e-15
-
-    def test_symmetric_padding_supports_full_circuit(self):
-        # With swap-invariant padding the single circuit over all slots
-        # reproduces the member-wise ensemble value.
+    @pytest.mark.parametrize("max_copies", [2, 3])
+    def test_symmetric_padding_supports_full_circuit(self, max_copies):
+        # Padding each unused (test, train) copy pair with the uniform state
+        # on the symmetric subspace, which is swap invariant, makes the one
+        # circuit over all max_copies slots reproduce the member-wise value.
         rng = np.random.default_rng(44)
         test = random_density_matrix(2, rng)
         train = [(random_density_matrix(2, rng), 0), (random_density_matrix(2, rng), 1)]
         models = [(0.5, [0.5, 0.5], 1), (0.5, [0.2, 0.8], 2)]
-        ens = assemble_ensemble_exponents(test, models, train, max_copies=2,
-                                          padding="symmetric")
+        ens = assemble_ensemble_exponents(test, models, train, max_copies)
         member_value = sum(q * classify_assembled(member).expectation
                            for q, member in ens.members)
-        circuit_value = swap_test_expectation(ClassifierState(ens.rho, ens.layout))
+        p = register_permutation_matrix(ens.layout.dims, block_to_pair(max_copies))
+        joint = p.T @ dense_ensemble_exponents(test, models, train, max_copies, "symmetric") @ p
+        circuit_value = swap_test_expectation(ClassifierState(ens.layout,
+                                                              *qmath.eigen_factor(joint)))
         assert abs(circuit_value - member_value) < 1e-10
 
     def test_equal_exponents_degenerate_to_fixed_k(self):

@@ -3,8 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from dense_reference import (dense_ensemble_exponents, dense_mixed_input,
-                             dense_pure_mixture)
+from dense_reference import block_to_pair, dense_mixed_input, dense_pure_mixture
 from helpers import basis_state, random_density_matrix
 
 from qkclass import constants, encoding, qmath
@@ -287,16 +286,17 @@ class TestVectorState:
         vec = np.zeros(layout.dim // 2, dtype=complex)
         vec[0] = 1.0
         with pytest.raises(DimensionError):
-            ClassifierState(None, layout, vector=vec)
+            ClassifierState(layout, vec)
         with pytest.raises(DimensionError, match="layout dim"):
-            ClassifierState(DensityMatrix(np.eye(layout.dim // 2) / (layout.dim // 2)), layout)
+            half = layout.dim // 2
+            ClassifierState(layout, *qmath.eigen_factor(np.eye(half) / half))
 
     def test_vector_must_have_unit_norm(self):
         layout = block_layout(2, 1, ancilla=True)
         vec = np.zeros(layout.dim, dtype=complex)
         vec[0] = 1.0 + 1e-9
         with pytest.raises(NumericError):
-            ClassifierState(None, layout, vector=vec)
+            ClassifierState(layout, vec)
 
     def test_indexed_rho_is_outer_product(self):
         rng = np.random.default_rng(11)
@@ -345,9 +345,12 @@ class TestEnsembles:
         train = [(random_density_matrix(2, rng), 0)]
         ens = assemble_ensemble_exponents(
             test, [(0.5, [1.0], 1), (0.5, [1.0], 2)], train, max_copies=2)
-        assert ens.members is not None and len(ens.members) == 2
-        assert abs(np.trace(ens.rho.entries) - 1.0) < 1e-12
-        ens.rho.validate()
+        assert ens.layout == block_layout(2, 2)
+        assert [(q, m.layout) for q, m in ens.members] == [(0.5, block_layout(2, 1)),
+                                                          (0.5, block_layout(2, 2))]
+        for _, member in ens.members:
+            assert abs(np.trace(member.rho.entries) - 1.0) < 1e-12
+            member.rho.validate()
 
     def test_exponent_bounds_checked(self):
         rng = np.random.default_rng(9)
@@ -355,6 +358,24 @@ class TestEnsembles:
         train = [(random_density_matrix(2, rng), 0)]
         with pytest.raises(DataError):
             assemble_ensemble_exponents(test, [(1.0, [1.0], 3)], train, max_copies=2)
+
+    @pytest.mark.parametrize("max_copies,k_s", [(2, 1.7), (2, True), (2.0, 1), (True, 1),
+                                                 (0, 1), (2, 0), (2, np.float64(2.0))])
+    def test_copy_counts_must_be_integers(self, max_copies, k_s):
+        # A fractional copy count is refused, not truncated; a bool is no count.
+        rng = np.random.default_rng(9)
+        test = random_density_matrix(2, rng)
+        train = [(random_density_matrix(2, rng), 0)]
+        with pytest.raises(DataError, match="must be an integer >= 1"):
+            assemble_ensemble_exponents(test, [(1.0, [1.0], k_s)], train, max_copies)
+
+    def test_numpy_integer_copy_counts_accepted(self):
+        rng = np.random.default_rng(9)
+        test = random_density_matrix(2, rng)
+        train = [(random_density_matrix(2, rng), 0)]
+        ens = assemble_ensemble_exponents(test, [(1.0, [1.0], np.int64(2))], train,
+                                          np.int32(2))
+        assert ens.layout == ens.members[0][1].layout == block_layout(2, 2)
 
     @pytest.mark.parametrize("probs", [[0.7], [math.nan, 1.0]])
     @pytest.mark.parametrize("exponents", [False, True])
@@ -367,15 +388,6 @@ class TestEnsembles:
                 assemble_ensemble_exponents(test, [(q, [1.0], 1) for q in probs], train, 1)
             else:
                 assemble_ensemble_weights(test, [(q, [1.0]) for q in probs], train, k=1)
-
-
-def block_to_pair(k: int, ancilla: bool = True) -> tuple[int, ...]:
-    """Register order taking the block layout [ancilla | test x k | train x k
-    | label] to the pair order [ancilla | (test, train) x k | label] of the
-    dense references, for :func:`qkclass.qmath.register_permutation_matrix`."""
-    shift = int(ancilla)
-    pairs = [shift + c for i in range(k) for c in (i, k + i)]
-    return tuple(range(shift)) + tuple(pairs) + (shift + 2 * k,)
 
 
 def max_gap(state, reference, k=None, ancilla=True) -> float:
@@ -440,24 +452,20 @@ class TestStacks:
             assert max_gap(ens, dense_mixed_input(test, mean, k), k) < 1e-12
 
     @pytest.mark.parametrize("max_copies", [2, 3])
-    @pytest.mark.parametrize("padding", ["maximally-mixed", "symmetric"])
-    def test_exponent_ensemble_matches_dense_reference(self, padding, max_copies):
-        # At max_copies=3 the k=1 member carries two padded copy pairs.
+    def test_exponent_ensemble_matches_dense_reference(self, max_copies):
+        # Each member is the mixed input of its own model and copy count.
         rng = np.random.default_rng(31)
         test = random_density_matrix(2, rng, rank=1)
         train = [(s, y) for s, y, _ in random_train(rng, 3, 2)]
         models = [(0.4, [0.2, 0.3, 0.5], 1), (0.6, [0.6, 0.1, 0.3], max_copies)]
-        ens = assemble_ensemble_exponents(test, models, train, max_copies, padding=padding)
+        ens = assemble_ensemble_exponents(test, models, train, max_copies)
         assert ens.layout == block_layout(2, max_copies)
-        assert max_gap(ens, dense_ensemble_exponents(test, models, train, max_copies, padding),
-                       max_copies) < 1e-12
         for (q, a, k), (p, member) in zip(models, ens.members):
             data = [(s, y, w) for (s, y), w in zip(train, a)]
             assert p == q
             assert max_gap(member, dense_mixed_input(test, data, k), k) < 1e-12
 
-    @pytest.mark.parametrize("case", ["mixed", "weights", "exponents-maximally-mixed",
-                                      "exponents-symmetric", "weights-probabilities",
+    @pytest.mark.parametrize("case", ["mixed", "weights", "exponents", "weights-probabilities",
                                       "exponents-probabilities"])
     def test_off_by_1e_10_distributions_are_renormalized(self, case):
         # Weights (or model probabilities) summing to 1 + 1e-10 pass the 1e-9
@@ -475,16 +483,18 @@ class TestStacks:
                 return assemble_mixed_stc_input(test, data, 2)
             if case.startswith("weights"):
                 return assemble_ensemble_weights(test, [(q[0], a), (q[1], b)], train, k=2)
-            padding = "symmetric" if case.endswith("symmetric") else "maximally-mixed"
-            return assemble_ensemble_exponents(test, [(q[0], a, 1), (q[1], b, 2)], train, 2,
-                                               padding=padding)
+            return assemble_ensemble_exponents(test, [(q[0], a, 1), (q[1], b, 2)], train, 2)
 
         state = assemble(q, a, b)
         reference = assemble(q / q.sum(), a / a.sum(), b / b.sum())
-        signs = np.ones(len(state.stack)) if state.signs is None else state.signs
-        assert abs(signs @ np.linalg.norm(state.stack, axis=1) ** 2 - 1.0) < 1e-12
-        # The eigen-factor rows may differ by a phase; their rho may not.
-        assert np.abs(state.rho.entries - reference.rho.entries).max() < 1e-12
+        pairs = (zip(state.members, reference.members) if case.startswith("exponents")
+                 else [((1.0, state), (1.0, reference))])
+        for (p, state), (p_ref, reference) in pairs:
+            assert abs(p - p_ref) < 1e-12
+            signs = np.ones(len(state.stack)) if state.signs is None else state.signs
+            assert abs(signs @ np.linalg.norm(state.stack, axis=1) ** 2 - 1.0) < 1e-12
+            # The eigen-factor rows may differ by a phase; their rho may not.
+            assert np.abs(state.rho.entries - reference.rho.entries).max() < 1e-12
 
     def test_over_budget_stack_raises_before_allocating(self):
         # d=16, k=2, full rank: 131072 rows of 131072 amplitudes (256 GiB),
@@ -547,14 +557,16 @@ class TestSignedStacks:
         assert max_gap(state, dense_mixed_input(test, train, k, with_ancilla=with_ancilla),
                        k, with_ancilla) < 1e-12
 
-    @pytest.mark.parametrize("padding", ["maximally-mixed", "symmetric"])
-    def test_exponent_ensemble_matches_dense_reference(self, padding):
+    def test_exponent_ensemble_matches_dense_reference(self):
         rng = np.random.default_rng(62)
         test = DensityMatrix(self.NEGATIVE)
         train = [(s, y) for s, y, _ in random_train(rng, 3, 4, rank=2)]
         models = [(0.4, [0.2, 0.3, 0.5], 1), (0.6, [0.6, 0.1, 0.3], 2)]
-        ens = assemble_ensemble_exponents(test, models, train, max_copies=2, padding=padding)
-        assert max_gap(ens, dense_ensemble_exponents(test, models, train, 2, padding), 2) < 1e-12
+        ens = assemble_ensemble_exponents(test, models, train, max_copies=2)
+        for (_, a, k), (_, member) in zip(models, ens.members):
+            data = [(s, y, w) for (s, y), w in zip(train, a)]
+            assert member.signs is not None and np.any(member.signs < 0)
+            assert max_gap(member, dense_mixed_input(test, data, k), k) < 1e-12
 
     @pytest.mark.parametrize("with_ancilla", [True, False])
     def test_measurements_count_the_signs(self, with_ancilla):
@@ -583,14 +595,14 @@ class TestSignedStacks:
         layout = block_layout(2, 1, ancilla=False)
         stack = np.zeros((3, layout.dim), dtype=complex)
         stack[0, 0], stack[1, 5], stack[2, 6] = 1.0, 0.5, 0.5
-        state = ClassifierState(None, layout, vector=stack, signs=[1.0, 1.0, -1.0])
+        state = ClassifierState(layout, stack, [1.0, 1.0, -1.0])
         assert np.allclose(np.diag(state.rho.entries)[[0, 5, 6]], [1.0, 0.25, -0.25])
         with pytest.raises(NumericError):
-            ClassifierState(None, layout, vector=stack)
+            ClassifierState(layout, stack)
         with pytest.raises(DataError):
-            ClassifierState(None, layout, vector=stack, signs=[1.0, 1.0, -0.5])
+            ClassifierState(layout, stack, [1.0, 1.0, -0.5])
         with pytest.raises(DataError):
-            ClassifierState(None, layout, vector=stack, signs=[1.0, -1.0])
+            ClassifierState(layout, stack, [1.0, -1.0])
 
 
 class TestClassifierStateStack:
@@ -598,7 +610,7 @@ class TestClassifierStateStack:
         layout = block_layout(2, 1, ancilla=True)
         vec = np.zeros(layout.dim, dtype=complex)
         vec[3] = 1.0
-        state = ClassifierState(None, layout, vector=vec)
+        state = ClassifierState(layout, vec)
         assert state.stack.shape == (1, layout.dim)
         assert np.array_equal(state.vector, vec)
         assert not state.stack.flags.writeable
@@ -607,21 +619,21 @@ class TestClassifierStateStack:
         layout = block_layout(2, 1, ancilla=False)
         stack = np.zeros((2, layout.dim), dtype=complex)
         stack[0, 0] = stack[1, 5] = math.sqrt(0.5)
-        state = ClassifierState(None, layout, vector=stack)
+        state = ClassifierState(layout, stack)
         assert state.vector is None
         assert np.allclose(np.diag(state.rho.entries)[[0, 5]], [0.5, 0.5], atol=1e-15)
         with pytest.raises(NumericError):
-            ClassifierState(None, layout, vector=stack * (1.0 + 1e-9))
+            ClassifierState(layout, stack * (1.0 + 1e-9))
         with pytest.raises(NumericError):
-            ClassifierState(None, layout, vector=np.full((2, layout.dim), np.nan))
+            ClassifierState(layout, np.full((2, layout.dim), np.nan))
         with pytest.raises(DimensionError):
-            ClassifierState(None, layout, vector=np.zeros((0, layout.dim)))
+            ClassifierState(layout, np.zeros((0, layout.dim)))
 
-    def test_density_matrix_state_is_factored_on_demand(self):
+    def test_density_matrix_state_is_its_eigen_factor(self):
         rng = np.random.default_rng(33)
         layout = block_layout(2, 1, ancilla=False)
         rho = random_density_matrix(layout.dim, rng, rank=3)
-        state = ClassifierState(rho, layout)
+        state = ClassifierState(layout, *qmath.eigen_factor(rho))
         assert state.vector is None
         v = state.stack
         assert v.shape == (3, layout.dim)
@@ -630,6 +642,31 @@ class TestClassifierStateStack:
         obs = swap_label_observable(layout)
         expect = float(np.trace(obs.matrix @ rho.entries).real)
         assert abs(expectation(obs, state) - expect) < 1e-12
+
+    def test_a_state_is_a_stack_or_members(self):
+        layout = block_layout(2, 1, ancilla=True)
+        vec = np.eye(1, layout.dim)[0]
+        member = ClassifierState(layout, vec)
+        for bad in ({}, {"stack": vec, "members": ((1.0, member),)},
+                    {"signs": [1.0], "members": ((1.0, member),)}):
+            with pytest.raises(DataError, match="a stack and its signs, or members alone"):
+                ClassifierState(layout, **bad)
+
+    def test_an_ensemble_of_members_refuses_joint_reads(self):
+        # Only the members are held: reading or measuring a joint stack of
+        # an ensemble raises DataError, not AttributeError.
+        rng = np.random.default_rng(34)
+        test = random_density_matrix(2, rng)
+        train = [(random_density_matrix(2, rng), 0), (random_density_matrix(2, rng), 1)]
+        ens = assemble_ensemble_exponents(test, [(0.5, [0.5, 0.5], 1), (0.5, [0.3, 0.7], 2)],
+                                          train, 2)
+        assert repr(ens) == "ClassifierState(dim=64, members=2)"
+        obs = swap_label_observable(ens.layout)
+        for read in (lambda: ens.stack, lambda: ens.signs, lambda: ens.vector,
+                     lambda: ens.rho, lambda: swap_test_expectation(ens),
+                     lambda: expectation(obs, ens), lambda: outcome_probabilities(obs, ens)):
+            with pytest.raises(DataError, match="ensemble of members"):
+                read()
 
     def test_eigen_factor_rejects_non_psd(self):
         with pytest.raises(NumericError):
