@@ -113,12 +113,16 @@ def _checked(values: np.ndarray, terms: np.ndarray | None, bias):
 
 def _outputs(chunks):
     """One output per test row of a batch's (values, terms, bias) chunks: its
-    value, its row of terms and its bias term."""
+    value, its row of terms and its bias term. The chunks come checked
+    (:func:`_checked`), so the outputs are built without checking each row
+    again."""
     for values, terms, bias in chunks:
         bias_terms = np.broadcast_to(bias, values.shape).tolist()
         for value, row, bias_term in zip(values.tolist(), terms, bias_terms):
-            yield ClassifierOutput(value, decide(value), tuple(enumerate(row.tolist())),
-                                   bias_term)
+            out = object.__new__(ClassifierOutput)
+            out.__dict__.update(expectation=value, predicted_label=decide(value),
+                                per_term=tuple(enumerate(row.tolist())), bias_term=bias_term)
+            yield out
 
 
 def _check_circuit(simulated: np.ndarray, closed: np.ndarray, what: str):

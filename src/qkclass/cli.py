@@ -8,21 +8,22 @@ numeric or dimension errors, including a ``MemoryError`` or a numpy
 ``LinAlgError`` raised by the computation. Errors print a JSON object to
 stderr.
 
-Each command imports the layers it runs inside its own body, so a process
-loads only those: ``emit-plot`` no numpy at all, ``gen-toy`` the dataset
-layer, ``train-svm`` and ``gram`` the dataset and kernel/SVM layers, and
-``classify`` and ``sample`` the classifier stack. At module level this file
-needs only click, the option vocabularies of :mod:`qkclass.constants`, the
-error types and the numpy-free reader and writers of :mod:`qkclass.fileio`.
+The commands and their options are one stdlib ``argparse`` table,
+:data:`COMMANDS`. Each command imports the layers it runs inside its own
+body, so a process loads only those: ``emit-plot`` no numpy at all,
+``gen-toy`` the dataset layer, ``train-svm`` and ``gram`` the dataset and
+kernel/SVM layers, and ``classify`` and ``sample`` the classifier stack. At
+module level this file needs only ``argparse``, the option vocabularies of
+:mod:`qkclass.constants`, the error types and the numpy-free reader and
+writers of :mod:`qkclass.fileio`.
 """
 
 from __future__ import annotations
 
-import functools
+import argparse
 import json
+import os
 import sys
-
-import click
 
 from . import __version__
 from .constants import (CLASSIFIERS, DEFAULT_C, KERNEL_KINDS, SCHEMA_VERSION, SEED_ENV_VAR,
@@ -42,19 +43,6 @@ def _reported_errors() -> tuple:
     return (QKClassError, MemoryError) + (() if np is None else (np.linalg.LinAlgError,))
 
 
-def handles_errors(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except _reported_errors() as exc:
-            error = {"type": type(exc).__name__, "message": str(exc)}
-            click.echo(json.dumps({"error": error}), err=True)
-            sys.exit(EXIT_DATA if isinstance(exc, DataError) else EXIT_NUMERIC)
-
-    return wrapper
-
-
 def _write_json(payload: dict, out: str | None):
     if out is None:
         dump_json(payload, sys.stdout, default=jsonable)
@@ -62,118 +50,75 @@ def _write_json(payload: dict, out: str | None):
         write_results(payload, out)
 
 
-def _parse_bias(_ctx, _param, value):
-    if value is None or value == "trained":
+def _input_file(path: str) -> str:
+    if not os.path.exists(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} does not exist")
+    return _output_file(path)
+
+
+def _output_file(path: str) -> str:
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"file {path!r} is a directory")
+    return path
+
+
+def _bias(value: str):
+    if value == "trained":
         return value
     try:
         return float(value)
     except ValueError:
-        raise click.BadParameter("expected a number or 'trained'")
+        raise argparse.ArgumentTypeError("expected a number or 'trained'")
 
 
-def _parse_weight_list(_ctx, _param, value):
-    if value is None:
-        return None
+def _weight_list(value: str) -> tuple:
     try:
         return tuple(float(tok) for tok in value.split(","))
     except ValueError:
-        raise click.BadParameter("expected a comma-separated list of numbers")
+        raise argparse.ArgumentTypeError("expected a comma-separated list of numbers")
 
 
-@click.group()
-@click.version_option(version=__version__)
-def main():
-    """Exact simulation of quantum kernel-based binary classifiers."""
-
-
-_config_options = [
-    click.option("--config", "config_path", type=click.Path(exists=True, dir_okay=False),
-                 default=None, help="JSON config file; CLI flags take precedence."),
-    click.option("--classifier", type=click.Choice(CLASSIFIERS), default=None),
-    click.option("--mode", type=click.Choice(STC_MODES),
-                 default=None, help="Evaluation mode for the swap-test classifier."),
-    click.option("--kernel", type=click.Choice(KERNEL_KINDS), default=None),
-    click.option("--k", type=int, default=None, help="Copies of test and training data."),
-    click.option("--weights", type=click.Choice(WEIGHT_MODES), default=None),
-    click.option("--explicit-weights", callback=_parse_weight_list, default=None,
-                 help="Comma-separated weights for weights mode 'explicit'."),
-    click.option("--bias", callback=_parse_bias, default=None,
-                 help="Bias value, or 'trained' to reuse the SVM bias."),
-    click.option("--box-c", type=float, default=None, help="SVM box constraint."),
-    click.option("--shots", type=int, default=None,
-                 help="Projective shots per test point (0 = exact expectation)."),
-    click.option("--seed", type=int, default=None,
-                 help=f"RNG seed (default from ${SEED_ENV_VAR} if set)."),
-    click.option("--tie-as-zero/--tie-as-tie", "tie_as_zero", default=None,
-                 help="Map tied expectation values to label 0 instead of 'tie'."),
-    click.option("--keep-norms/--unit-vectors", "keep_norms", default=None,
-                 help="Retain raw vector norms instead of unit-normalizing."),
-]
-
-
-def config_options(fn):
-    for option in reversed(_config_options):
-        fn = option(fn)
-    return fn
-
-
-def _merged_config(config_path, **cli_values):
+def _merged_config(args):
     from .experiment import load_config_file, merge_config
-    file_values = load_config_file(config_path) if config_path else {}
-    return merge_config(cli_values, file_values)
+    file_values = load_config_file(args.config_path) if args.config_path else {}
+    return merge_config(vars(args), file_values)
 
 
-@main.command()
-@click.argument("dataset", type=click.Path(exists=True, dir_okay=False))
-@click.option("--test", "test_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="Test file: CSV feature rows or a JSON list of feature lists.")
-@click.option("--labeled-tests", is_flag=True, default=False,
-              help="Treat the test file as labelled (dataset schema); labels are echoed.")
-@click.option("--format", "fmt", type=click.Choice(("csv", "json")), default=None)
-@click.option("-o", "--out", type=click.Path(dir_okay=False), default=None,
-              help="Results JSON path (stdout if omitted).")
-@config_options
-@handles_errors
-def classify(dataset, test_path, labeled_tests, fmt, out, config_path, **cli_values):
-    """Classify test points against a labelled dataset."""
-    _run(_merged_config(config_path, **cli_values), dataset, test_path, labeled_tests, fmt, out)
-
-
-def _run(config, dataset, test_path, labeled_tests, fmt, out):
+def _run(config, args):
     from .datasets import ingest, load_test_points
     from .experiment import run_experiment
-    ds = ingest(dataset, fmt)
-    tests, test_labels = load_test_points(test_path, labeled=labeled_tests)
-    payload = run_experiment(config, ds, tests, test_labels)
-    _write_json(payload, out)
+    ds = ingest(args.dataset, args.fmt)
+    tests, test_labels = load_test_points(args.test_path, labeled=args.labeled_tests)
+    _write_json(run_experiment(config, ds, tests, test_labels), args.out)
 
 
-def _dataset_gram(dataset, fmt, kernel, k):
+def _classify(args):
+    _run(_merged_config(args), args)
+
+
+def _sample(args):
+    config = _merged_config(args)
+    if config.shots < 1:
+        raise DataError("sample requires shots >= 1 (pass --shots)")
+    _run(config, args)
+
+
+def _dataset_gram(args):
     """The dataset file and the Gram matrix of its amplitude-encoded rows."""
     from .datasets import ingest
     from .kernelsvm import KernelSpec, encode_rows, vector_gram
-    ds = ingest(dataset, fmt)
-    return ds, vector_gram(KernelSpec(kernel, k=k), encode_rows(ds.features)[0])
+    ds = ingest(args.dataset, args.fmt)
+    return ds, vector_gram(KernelSpec(args.kernel, k=args.k), encode_rows(ds.features)[0])
 
 
-@main.command("train-svm")
-@click.argument("dataset", type=click.Path(exists=True, dir_okay=False))
-@click.option("--kernel", type=click.Choice(KERNEL_KINDS), default=SQUARED_OVERLAP)
-@click.option("--k", type=int, default=1)
-@click.option("--box-c", type=float, default=DEFAULT_C)
-@click.option("--format", "fmt", type=click.Choice(("csv", "json")), default=None)
-@click.option("-o", "--out", type=click.Path(dir_okay=False), default=None)
-@handles_errors
-def train_svm(dataset, kernel, k, box_c, fmt, out):
-    """Train the dual SVM on a dataset and emit the model."""
+def _train_svm(args):
     from .kernelsvm import svm_train
-    ds, g = _dataset_gram(dataset, fmt, kernel, k)
-    model = svm_train(g, ds.labels, C=box_c)
+    ds, g = _dataset_gram(args)
+    model = svm_train(g, ds.labels, C=args.box_c)
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "kernel": {"kind": kernel, "k": k},
-        "box_c": box_c,
+        "kernel": {"kind": args.kernel, "k": args.k},
+        "box_c": args.box_c,
         "multipliers": model.multipliers,
         "bias": model.bias,
         "support_indices": list(model.support_indices),
@@ -183,81 +128,167 @@ def train_svm(dataset, kernel, k, box_c, fmt, out):
             "max_eigenvalue": float(g.eigenvalues[-1]),
         },
     }
-    _write_json(payload, out)
+    _write_json(payload, args.out)
 
 
-@main.command("gram")
-@click.argument("dataset", type=click.Path(exists=True, dir_okay=False))
-@click.option("--kernel", type=click.Choice(KERNEL_KINDS), default=SQUARED_OVERLAP)
-@click.option("--k", type=int, default=1)
-@click.option("--format", "fmt", type=click.Choice(("csv", "json")), default=None)
-@click.option("-o", "--out", type=click.Path(dir_okay=False), default=None)
-@handles_errors
-def gram_command(dataset, kernel, k, fmt, out):
-    """Gram matrix, its eigenvalues, and the PSD certificate."""
+def _gram(args):
     from .kernelsvm import psd_certify
-    _, g = _dataset_gram(dataset, fmt, kernel, k)
+    _, g = _dataset_gram(args)
     cert = psd_certify(g)
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "kernel": {"kind": kernel, "k": k},
+        "kernel": {"kind": args.kernel, "k": args.k},
         "matrix": g.matrix,
         "eigenvalues": g.eigenvalues,
         "certified_psd": cert.certified,
         "min_eigenvalue": cert.min_eigenvalue,
         "threshold": cert.threshold,
     }
-    _write_json(payload, out)
+    _write_json(payload, args.out)
 
 
-@main.command()
-@click.argument("dataset", type=click.Path(exists=True, dir_okay=False))
-@click.option("--test", "test_path", required=True,
-              type=click.Path(exists=True, dir_okay=False))
-@click.option("--labeled-tests", is_flag=True, default=False,
-              help="Treat the test file as labelled (dataset schema); labels are echoed.")
-@click.option("--format", "fmt", type=click.Choice(("csv", "json")), default=None)
-@click.option("-o", "--out", type=click.Path(dir_okay=False), default=None)
-@config_options
-@handles_errors
-def sample(dataset, test_path, labeled_tests, fmt, out, config_path, **cli_values):
-    """Shot-sampled swap-test classification of test points."""
-    config = _merged_config(config_path, **cli_values)
-    if config.shots < 1:
-        raise DataError("sample requires shots >= 1 (pass --shots)")
-    _run(config, dataset, test_path, labeled_tests, fmt, out)
+def _gen_toy(args):
+    from .datasets import gen_toy, write_dataset
+    seed = env_seed() if args.seed is None else args.seed
+    ds = gen_toy(args.kind, args.m, args.dim, seed, args.noise)
+    write_dataset(ds, args.out)
+    print(json.dumps({"written": args.out, "rows": len(ds), "seed": seed}))
 
 
-@main.command("gen-toy")
-@click.option("--kind", type=click.Choice(TOY_KINDS), default="separable")
-@click.option("--m", type=int, default=8, help="Number of points.")
-@click.option("--dim", type=int, default=2, help="Feature dimension.")
-@click.option("--seed", type=int, default=None)
-@click.option("--noise", type=float, default=0.25)
-@click.option("-o", "--out", type=click.Path(dir_okay=False), required=True,
-              help="Output dataset path (.csv or .json).")
-@handles_errors
-def gen_toy(kind, m, dim, seed, noise, out):
-    """Generate a seeded toy dataset."""
-    from .datasets import gen_toy as toy_dataset
-    from .datasets import write_dataset
-    if seed is None:
-        seed = env_seed()
-    ds = toy_dataset(kind, m, dim, seed, noise)
-    write_dataset(ds, out)
-    click.echo(json.dumps({"written": out, "rows": len(ds), "seed": seed}))
+def _emit_plot(args):
+    payload = read_json(args.results, "results file")
+    emit_plot_data(payload, args.out)
+    print(json.dumps({"written": args.out, "rows": len(payload.get("results", []))}))
 
 
-@main.command("emit-plot")
-@click.argument("results", type=click.Path(exists=True, dir_okay=False))
-@click.option("-o", "--out", type=click.Path(dir_okay=False), required=True)
-@handles_errors
-def emit_plot(results, out):
-    """Flatten a results JSON file into plot-ready CSV."""
-    payload = read_json(results, "results file")
-    emit_plot_data(payload, out)
-    click.echo(json.dumps({"written": out, "rows": len(payload.get("results", []))}))
+DATASET = (("dataset",), {"type": _input_file})
+FORMAT = (("--format",), {"dest": "fmt", "choices": ("csv", "json")})
+OUT = (("-o", "--out"), {"type": _output_file, "help": "Output path (stdout if omitted)."})
+REQUIRED_OUT = (("-o", "--out"), {"type": _output_file, "required": True})
+TESTS = [
+    (("--test",), {"dest": "test_path", "required": True, "type": _input_file,
+                   "help": "Test file: CSV feature rows or a JSON list of feature lists."}),
+    (("--labeled-tests",), {"action": "store_true",
+                            "help": "Treat the test file as labelled (dataset schema); "
+                                    "labels are echoed."}),
+]
+KERNEL_OPTIONS = [
+    (("--kernel",), {"choices": KERNEL_KINDS, "default": SQUARED_OVERLAP}),
+    (("--k",), {"type": int, "default": 1}),
+]
+# The experiment settings of classify and sample. Every default is None, "not
+# given", so a config file's value applies; each flag pair shares one dest.
+CONFIG_OPTIONS = [
+    (("--config",), {"dest": "config_path", "type": _input_file,
+                     "help": "JSON config file; command-line flags take precedence."}),
+    (("--classifier",), {"choices": CLASSIFIERS}),
+    (("--mode",), {"choices": STC_MODES, "help": "Evaluation mode for the swap-test classifier."}),
+    (("--kernel",), {"choices": KERNEL_KINDS}),
+    (("--k",), {"type": int, "help": "Copies of test and training data."}),
+    (("--weights",), {"choices": WEIGHT_MODES}),
+    (("--explicit-weights",), {"type": _weight_list,
+                               "help": "Comma-separated weights for weights mode 'explicit'."}),
+    (("--bias",), {"type": _bias, "help": "Bias value, or 'trained' to reuse the SVM bias."}),
+    (("--box-c",), {"type": float, "help": "SVM box constraint."}),
+    (("--shots",), {"type": int,
+                    "help": "Projective shots per test point (0 = exact expectation)."}),
+    (("--seed",), {"type": int, "help": f"RNG seed (default from ${SEED_ENV_VAR} if set)."}),
+    (("--tie-as-zero",), {"dest": "tie_as_zero", "action": "store_true", "default": None,
+                          "help": "Map tied expectation values to label 0 instead of 'tie'."}),
+    (("--tie-as-tie",), {"dest": "tie_as_zero", "action": "store_false", "default": None}),
+    (("--keep-norms",), {"dest": "keep_norms", "action": "store_true", "default": None,
+                         "help": "Retain raw vector norms instead of unit-normalizing."}),
+    (("--unit-vectors",), {"dest": "keep_norms", "action": "store_false", "default": None}),
+]
+
+# name -> (run, summary, arguments): every command and option of the CLI.
+COMMANDS = {
+    "classify": (_classify, "Classify test points against a labelled dataset.",
+                 [DATASET, *TESTS, FORMAT, OUT, *CONFIG_OPTIONS]),
+    "train-svm": (_train_svm, "Train the dual SVM on a dataset and emit the model.",
+                  [DATASET, *KERNEL_OPTIONS, (("--box-c",), {"type": float, "default": DEFAULT_C}),
+                   FORMAT, OUT]),
+    "gram": (_gram, "Gram matrix, its eigenvalues, and the PSD certificate.",
+             [DATASET, *KERNEL_OPTIONS, FORMAT, OUT]),
+    "sample": (_sample, "Shot-sampled swap-test classification of test points.",
+               [DATASET, *TESTS, FORMAT, OUT, *CONFIG_OPTIONS]),
+    "gen-toy": (_gen_toy, "Generate a seeded toy dataset.", [
+        (("--kind",), {"choices": TOY_KINDS, "default": "separable"}),
+        (("--m",), {"type": int, "default": 8, "help": "Number of points."}),
+        (("--dim",), {"type": int, "default": 2, "help": "Feature dimension."}),
+        (("--seed",), {"type": int}),
+        (("--noise",), {"type": float, "default": 0.25}),
+        REQUIRED_OUT,
+    ]),
+    "emit-plot": (_emit_plot, "Flatten a results JSON file into plot-ready CSV.",
+                  [(("results",), {"type": _input_file}), REQUIRED_OUT]),
+}
+
+VALUE_OPTIONS = frozenset(flag for _, _, arguments in COMMANDS.values()
+                          for flags, spec in arguments if "action" not in spec
+                          for flag in flags if flag.startswith("-"))
+
+
+def _parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="qkclass", description="Exact simulation of quantum kernel-based binary classifiers.",
+        add_help=False, allow_abbrev=False)
+    parser.add_argument("--help", action="help", help="Show this message and exit.")
+    parser.add_argument("--version", action="version", version=f"%(prog)s, version {__version__}")
+    commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    for name, (run, summary, arguments) in COMMANDS.items():
+        command = commands.add_parser(name, help=summary, description=summary,
+                                      add_help=False, allow_abbrev=False)
+        command.add_argument("--help", action="help", help="Show this message and exit.")
+        for flags, spec in arguments:
+            command.add_argument(*flags, **spec)
+        command.set_defaults(run=run)
+    return parser
+
+
+def _attached(argv) -> list[str]:
+    """``argv`` with each option that takes a value joined to the token after
+    it (``--bias -1e-3`` -> ``--bias=-1e-3``), so that a value may start with
+    '-'. Tokens after ``--`` are left as they are."""
+    out, tokens = [], iter(argv)
+    for token in tokens:
+        if token == "--":
+            return [*out, token, *tokens]
+        value = next(tokens, None) if token in VALUE_OPTIONS else None
+        out.append(token if value is None else f"{token}={value}")
+    return out
+
+
+def main(argv=None) -> int:
+    """Run one command line (``sys.argv[1:]`` if ``argv`` is None) and return
+    its exit code: 0, 2 for a usage error (argparse's message on stderr), or 3
+    and 4 for a reported error (a JSON object on stderr)."""
+    try:
+        args = _parser().parse_args(_attached(sys.argv[1:] if argv is None else argv))
+    except SystemExit as exc:  # argparse exits after --help, --version and usage errors
+        return exc.code
+    try:
+        args.run(args)
+    except _reported_errors() as exc:
+        error = {"type": type(exc).__name__, "message": str(exc)}
+        print(json.dumps({"error": error}), file=sys.stderr)
+        return EXIT_DATA if isinstance(exc, DataError) else EXIT_NUMERIC
+    return 0
+
+
+def _standalone(args=None, prog_name="qkclass", standalone_mode=True):
+    """``main.main(args, prog_name=..., standalone_mode=...)``, the call form
+    that ``perfbench/traced.py`` uses to run a step in-process. Runs
+    :func:`main` on ``args``; raises ``SystemExit`` with the exit code, except
+    that with ``standalone_mode`` false a successful run returns None. The
+    program name is always ``qkclass``."""
+    code = main(args)
+    if standalone_mode or code:
+        raise SystemExit(code)
+
+
+main.main = _standalone
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

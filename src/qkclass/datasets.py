@@ -216,14 +216,19 @@ def gen_toy(kind: str, m: int, dim: int, seed: int, noise: float = 0.25) -> Data
         raise DataError("toy sets need at least two points")
     if kind == "separable":
         labels = (np.arange(m) >= (m + 1) // 2).astype(int)
-        centers = np.zeros((m, dim), dtype=complex)
-        centers[np.arange(m), labels * (dim - 1)] = 1.0
         # Row by row, dim real then dim imaginary draws: the stream of one draw per row.
         draws = rng.standard_normal((m, 2, dim))
-        samples = centers + noise * (draws[:, 0] + 1j * draws[:, 1])
+        samples = np.empty((m, dim), dtype=complex)
+        samples.real, samples.imag = draws[:, 0], draws[:, 1]
+        del draws
+        # In place, center + noise * draw: adding 0.0 everywhere gives a zero
+        # product (noise 0) the +0.0 that the sum with the all-zero centers gives.
+        samples *= noise
+        samples += 0.0
+        samples[np.arange(m), labels * (dim - 1)] += 1.0
         # Each norm of its row alone, which a batched norm may round differently.
-        return DatasetFile(samples / np.array([np.linalg.norm(row) for row in samples])[:, None],
-                           labels)
+        samples /= np.array([np.linalg.norm(row) for row in samples])[:, None]
+        return DatasetFile(samples, labels)
     features = rng.standard_normal((m, dim)) + 1j * rng.standard_normal((m, dim))
     labels = rng.integers(0, 2, size=m)
     labels[0], labels[-1] = 0, 1

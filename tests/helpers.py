@@ -1,7 +1,13 @@
-"""State builders and spectral helpers that only the tests use."""
+"""State builders, spectral helpers and the in-process CLI runner that only
+the tests use."""
+
+import contextlib
+import io
+from typing import NamedTuple
 
 import numpy as np
 
+from qkclass.cli import main
 from qkclass.errors import DataError, DimensionError
 from qkclass.qmath import ATOL_DERIVED, DensityMatrix, random_state_vector
 
@@ -47,3 +53,18 @@ def label_sign(label: int) -> int:
     if label not in (0, 1):
         raise DataError(f"label must be 0 or 1, got {label!r}")
     return 1 - 2 * label
+
+
+class CliResult(NamedTuple):
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(argv) -> CliResult:
+    """One in-process run of the command line ``argv``: its exit code and
+    what it wrote to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return CliResult(code, out.getvalue(), err.getvalue())

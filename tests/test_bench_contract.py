@@ -14,9 +14,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
-
-from qkclass.cli import main
+from helpers import run_cli
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -45,14 +43,14 @@ def test_mixed_driver_pass_satisfies_the_oracle(bench, tmp_path):
 def test_kernel_train_cli_pass_satisfies_the_oracle(bench, tmp_path):
     _, oracle = bench
     import workloads
-    workload, runner, seed = workloads.KernelTrain(), CliRunner(), 7
+    workload, seed = workloads.KernelTrain(), 7
     inputs, out = tmp_path / "inputs", tmp_path / "pass"
     inputs.mkdir()
     out.mkdir()
     for kind, argv in workload.setup_commands(seed, str(inputs), True):
         assert kind == "cli"
-        result = runner.invoke(main, argv)
-        assert result.exit_code == 0, result.output
+        result = run_cli(argv)
+        assert result.exit_code == 0, result.stderr
     workload.after_setup(str(inputs), True)
     steps = workload.steps(str(inputs), str(out), True, seed, rotation=0)
     assert [step.argv[0] for step in steps] == (
@@ -60,6 +58,6 @@ def test_kernel_train_cli_pass_satisfies_the_oracle(bench, tmp_path):
     assert "--weights" in steps[-2].argv and "trained" in steps[-2].argv
     for step in steps:
         assert step.kind == "cli"
-        result = runner.invoke(main, step.argv)
-        assert result.exit_code == 0, result.output
+        result = run_cli(step.argv)
+        assert result.exit_code == 0, result.stderr
     assert oracle.check_kernel_train(str(inputs), str(out), rotation=0) == {}

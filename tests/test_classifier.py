@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -66,6 +67,32 @@ class TestLabelConventions:
             ClassifierOutput(1.5, 0)
         with pytest.raises(NumericError):
             ClassifierOutput(0.5, 0, per_term=((0, 0.4),))
+
+    def test_direct_output_runs_both_checks_at_their_tolerances(self):
+        ClassifierOutput(-1.0 - 5e-11, 1)
+        for value in (1.0 + 2e-10, -1.0 - 2e-10, math.nan):
+            with pytest.raises(NumericError, match=r"expectation .* outside \[-1, 1\]"):
+                ClassifierOutput(value, 0)
+        ClassifierOutput(0.5, 0, per_term=((0, 0.25), (1, 0.05)), bias_term=0.2 + 1e-13)
+        with pytest.raises(NumericError, match="per-term sum .* does not reproduce expectation"):
+            ClassifierOutput(0.5, 0, per_term=((0, 0.25), (1, 0.05)), bias_term=0.2 + 1e-11)
+
+    def test_batch_outputs_are_checked_once_per_chunk(self, monkeypatch):
+        # The public single-test classifiers check their one chunk; the
+        # output built from it is not checked again.
+        calls = []
+
+        def counting(values, terms, bias):
+            calls.append(len(values))
+            return checked(values, terms, bias)
+
+        checked = classifier_module._checked
+        monkeypatch.setattr(classifier_module, "_checked", counting)
+        ts = TrainingSet.from_states([(KET0, 0, 1.0), (KET1, 1, 1.0)])
+        out = stc_classify(ts, QState([0.6, 0.8]))
+        assert calls == [1]
+        assert out == ClassifierOutput(out.expectation, 1, out.per_term, 0.0)
+        assert out.expectation == pytest.approx(0.5 * (0.36 - 0.64), abs=1e-12)
 
 
 class TestStcClassify:

@@ -14,14 +14,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from helpers import run_cli
 
 from qkclass import circuit as circuit_module
 from qkclass import classifier, cli, constants, encoding, experiment, fileio, kernelsvm
 from qkclass.classifier import stc_classify
-from qkclass.cli import main
 from qkclass.constants import CLASSIFIERS, SEED_ENV_VAR, STC_MODES
 from qkclass.datasets import (DatasetFile, format_complex, gen_toy, ingest,
                               parse_complex, write_dataset)
@@ -33,11 +32,6 @@ from qkclass.fileio import emit_plot_data, write_results
 
 # The form in which perfbench/oracle.py finds the timing field to mask it.
 WALL_CLOCK = re.compile(r'"wall_clock_seconds": [-+0-9.eE]+')
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 @pytest.fixture
@@ -145,6 +139,39 @@ class TestToyGeneration:
         assert np.array_equal(ds.features, np.array(rows))
         assert ds.labels.tolist() == [0] * ((m + 1) // 2) + [1] * (m // 2)
 
+    @pytest.mark.parametrize("m, dim", [(2, 2), (7, 3), (24, 4), (100, 8)])
+    @pytest.mark.parametrize("seed", [1, 113])
+    @pytest.mark.parametrize("noise", ["0.25", "0.7", "0", "-0.0"])
+    def test_separable_csv_bytes_match_the_formula(self, workdir, m, dim, seed, noise):
+        # The formula the generator computes in place, with the all-zero
+        # centers it adds: at noise 0 every off-center zero is +0.0.
+        rng = np.random.default_rng(seed)
+        labels = (np.arange(m) >= (m + 1) // 2).astype(int)
+        centers = np.zeros((m, dim), dtype=complex)
+        centers[np.arange(m), labels * (dim - 1)] = 1.0
+        draws = rng.standard_normal((m, 2, dim))
+        samples = centers + float(noise) * (draws[:, 0] + 1j * draws[:, 1])
+        reference = samples / np.array([np.linalg.norm(row) for row in samples])[:, None]
+        write_dataset(DatasetFile(reference, labels), "reference.csv")
+        result = run_cli(["gen-toy", "--m", str(m), "--dim", str(dim), "--seed", str(seed),
+                          "--noise", noise, "-o", "toy.csv"])
+        assert result.exit_code == 0, result.stderr
+        assert (workdir / "toy.csv").read_bytes() == (workdir / "reference.csv").read_bytes()
+        assert gen_toy("separable", m, dim, seed, float(noise)).features.tobytes() == \
+            reference.tobytes()
+
+    def test_separable_set_is_built_in_place(self):
+        # m=1600, dim 8: the draws (0.195 MiB) and one complex array of the
+        # same size; the formula's temporaries peak at 0.93 MiB.
+        gen_toy("separable", 16, 8, seed=1)
+        tracemalloc.start()
+        try:
+            gen_toy("separable", 1600, 8, seed=1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 2**20
+
     def test_random_has_both_classes(self):
         ds = gen_toy("random", 5, 2, seed=1)
         assert set(ds.labels.tolist()) == {0, 1}
@@ -161,10 +188,9 @@ class TestToyGeneration:
                 gen_toy(kind, m, dim, seed=0)
 
 
-def gen_toy_file(runner, *options):
-    result = runner.invoke(main, ["gen-toy", "--kind", "separable", "--seed", "3",
-                                  *options, "-o", "toy.csv"])
-    assert result.exit_code == 0, result.output
+def gen_toy_file(*options):
+    result = run_cli(["gen-toy", "--kind", "separable", "--seed", "3", *options, "-o", "toy.csv"])
+    assert result.exit_code == 0, result.stderr
 
 
 def two_point_dataset():
@@ -329,7 +355,7 @@ class TestRunExperiment:
         {"classifier": "stc-bias", "bias": 0.3},
         {"mode": "ancilla-circuit"}, {"mode": "minimal", "k": 2},
     ])
-    def test_corrupted_circuit_in_a_batch_raises(self, runner, workdir, monkeypatch,
+    def test_corrupted_circuit_in_a_batch_raises(self, workdir, monkeypatch,
                                                  overrides):
         # Skipping the circuit kernel's swap step changes the measured value
         # of the rows; a multi-row run must reject it, and the CLI must map
@@ -347,8 +373,8 @@ class TestRunExperiment:
                             lambda src, plan, out: np.copyto(out, src))
         with pytest.raises(NumericError):
             run_experiment(ExperimentConfig(**overrides), ds, tests)
-        result = runner.invoke(main, argv)
-        assert result.exit_code == 4, result.output
+        result = run_cli(argv)
+        assert result.exit_code == 4, result.stderr
         assert json.loads(result.stderr)["error"]["type"] == "NumericError"
         assert not (workdir / "out.json").exists()
 
@@ -490,11 +516,11 @@ class TestResultsWriter:
         ["classify", "train.csv", "--test", "train.csv", "--labeled-tests",
          "--weights", "trained", "--shots", "10"],
     ])
-    def test_stdout_has_the_file_bytes(self, runner, workdir, args):
+    def test_stdout_has_the_file_bytes(self, workdir, args):
         write_lines(workdir / "train.csv", ["1,0,0", "0.6,0.8,0", "0,1,1"])
-        to_file = runner.invoke(main, [*args, "-o", "out.json"])
-        to_stdout = runner.invoke(main, args)
-        assert to_file.exit_code == to_stdout.exit_code == 0, to_stdout.output
+        to_file = run_cli([*args, "-o", "out.json"])
+        to_stdout = run_cli(args)
+        assert to_file.exit_code == to_stdout.exit_code == 0, to_stdout.stderr
         masked = [WALL_CLOCK.sub('"wall_clock_seconds": 0', text)
                   for text in ((workdir / "out.json").read_text(), to_stdout.stdout)]
         assert masked[0] == masked[1]
@@ -564,90 +590,87 @@ class TestEmitPlot:
 
 
 class TestCliCommands:
-    def test_classify_end_to_end(self, runner, workdir):
+    def test_classify_end_to_end(self, workdir):
         write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])
         write_lines(workdir / "tests.csv", ["1,0"])
-        result = runner.invoke(main, ["classify", "train.csv", "--test", "tests.csv",
-                                      "-o", "out.json"])
-        assert result.exit_code == 0, result.output
+        result = run_cli(["classify", "train.csv", "--test", "tests.csv", "-o", "out.json"])
+        assert result.exit_code == 0, result.stderr
         payload = json.loads((workdir / "out.json").read_text())
         assert payload["results"][0]["expectation"] == pytest.approx(0.5)
         assert payload["schema_version"] == 1
 
-    def test_gram_command_memory(self, runner, workdir):
+    def test_gram_command_memory(self, workdir):
         # m = 400: the kernel's complex product and its real values (24 B an
         # entry) are the peak; a list copy of the matrix (about 32 B an
         # entry) on top of the matrix breaks the bound.
         m = 400
         write_dataset(gen_toy("separable", m, 8, seed=1), "toy.csv")
-        assert runner.invoke(main, ["gram", "toy.csv", "-o", "gram.json"]).exit_code == 0
+        assert run_cli(["gram", "toy.csv", "-o", "gram.json"]).exit_code == 0
         tracemalloc.start()
         try:
-            result = runner.invoke(main, ["gram", "toy.csv", "-o", "gram.json"])
+            result = run_cli(["gram", "toy.csv", "-o", "gram.json"])
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 0, result.stderr
         assert peak < 4 * 8 * m * m
 
-    def test_gen_toy_then_train_svm(self, runner, workdir):
-        assert runner.invoke(main, ["gen-toy", "--kind", "separable", "--m", "6",
-                                    "--seed", "2", "-o", "toy.csv"]).exit_code == 0
-        result = runner.invoke(main, ["train-svm", "toy.csv", "-o", "model.json"])
-        assert result.exit_code == 0, result.output
+    def test_gen_toy_then_train_svm(self, workdir):
+        assert run_cli(["gen-toy", "--kind", "separable", "--m", "6",
+                        "--seed", "2", "-o", "toy.csv"]).exit_code == 0
+        result = run_cli(["train-svm", "toy.csv", "-o", "model.json"])
+        assert result.exit_code == 0, result.stderr
         model = json.loads((workdir / "model.json").read_text())
         signed = [a * (1 - 2 * y) for a, y in zip(model["multipliers"], model["labels"])]
         assert abs(sum(signed)) < 1e-8
 
-    def test_sample_command(self, runner, workdir):
+    def test_sample_command(self, workdir):
         write_lines(workdir / "train.csv", ["0,1,0"])
         write_lines(workdir / "tests.csv", ["1,0"])
-        result = runner.invoke(main, ["sample", "train.csv", "--test", "tests.csv",
-                                      "--shots", "200", "--seed", "5",
-                                      "-o", "out.json"])
-        assert result.exit_code == 0, result.output
+        result = run_cli(["sample", "train.csv", "--test", "tests.csv",
+                          "--shots", "200", "--seed", "5",
+                          "-o", "out.json"])
+        assert result.exit_code == 0, result.stderr
         payload = json.loads((workdir / "out.json").read_text())
         shots = payload["results"][0]["shots"]
         assert shots["plus"] + shots["minus"] == 200
 
-    def test_sample_accepts_labeled_tests(self, runner, workdir):
+    def test_sample_accepts_labeled_tests(self, workdir):
         write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])
-        result = runner.invoke(main, ["sample", "train.csv", "--test", "train.csv",
-                                      "--labeled-tests", "--shots", "100",
-                                      "--seed", "5", "-o", "out.json"])
-        assert result.exit_code == 0, result.output
+        result = run_cli(["sample", "train.csv", "--test", "train.csv",
+                          "--labeled-tests", "--shots", "100",
+                          "--seed", "5", "-o", "out.json"])
+        assert result.exit_code == 0, result.stderr
         payload = json.loads((workdir / "out.json").read_text())
         assert payload["results"][0]["true_label"] == 0
 
-    def test_emit_plot_command(self, runner, workdir):
+    def test_emit_plot_command(self, workdir):
         write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])
         write_lines(workdir / "tests.csv", ["1,0", "0,1"])
-        runner.invoke(main, ["classify", "train.csv", "--test", "tests.csv",
-                             "-o", "res.json"])
-        result = runner.invoke(main, ["emit-plot", "res.json", "-o", "plot.csv"])
-        assert result.exit_code == 0, result.output
+        run_cli(["classify", "train.csv", "--test", "tests.csv", "-o", "res.json"])
+        result = run_cli(["emit-plot", "res.json", "-o", "plot.csv"])
+        assert result.exit_code == 0, result.stderr
         rows = read_rows(workdir / "plot.csv")
         assert len(rows) == 3
 
-    def test_usage_error_exit_code(self, runner, workdir):
-        result = runner.invoke(main, ["classify", "missing.csv", "--test", "x.csv"])
+    def test_usage_error_exit_code(self, workdir):
+        result = run_cli(["classify", "missing.csv", "--test", "x.csv"])
         assert result.exit_code == 2
 
-    def test_data_error_exit_code_and_payload(self, runner, workdir):
+    def test_data_error_exit_code_and_payload(self, workdir):
         write_lines(workdir / "bad.csv", ["1,0,7"])
         write_lines(workdir / "tests.csv", ["1,0"])
-        result = runner.invoke(main, ["classify", "bad.csv", "--test", "tests.csv",
-                                      "-o", "out.json"])
+        result = run_cli(["classify", "bad.csv", "--test", "tests.csv", "-o", "out.json"])
         assert result.exit_code == 3
         error = json.loads(result.stderr)
         assert error["error"]["type"] == "DataError"
         assert not (workdir / "out.json").exists()
 
-    def test_numeric_error_exit_code(self, runner, workdir):
+    def test_numeric_error_exit_code(self, workdir):
         write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])
         write_lines(workdir / "tests.csv", ["1,0"])
-        result = runner.invoke(main, ["classify", "train.csv", "--test", "tests.csv",
-                                      "--classifier", "stc-bias", "-o", "out.json"])
+        result = run_cli(["classify", "train.csv", "--test", "tests.csv",
+                          "--classifier", "stc-bias", "-o", "out.json"])
         # stc-bias without a bias is a data error
         assert result.exit_code == 3
 
@@ -661,12 +684,12 @@ class TestCliCommands:
          "--bias", "0.3", "--k", "6"],
         ["gen-toy", "--m", "1000000", "--dim", "1000"],
     ])
-    def test_dimension_error_exit_code(self, runner, workdir, argv):
+    def test_dimension_error_exit_code(self, workdir, argv):
         write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])
         write_lines(workdir / "tests.csv", ["1,0,0,0"])
         write_lines(workdir / "train8.csv", ["1,0,0,0,0,0,0,0,0", "0,0,0,0,0,0,0,1,1"])
         write_lines(workdir / "tests8.csv", ["1,0,0,0,0,0,0,1"])
-        result = runner.invoke(main, argv + ["-o", "out.json"])
+        result = run_cli(argv + ["-o", "out.json"])
         assert result.exit_code == 4
         error = json.loads(result.stderr)
         assert error["error"]["type"] == "DimensionError"
@@ -676,27 +699,26 @@ class TestCliCommands:
         MemoryError("Unable to allocate 16.0 GiB for an array"),
         np.linalg.LinAlgError("Eigenvalues did not converge"),
     ])
-    def test_memory_and_linalg_errors_exit_numeric(self, runner, workdir, monkeypatch, error):
+    def test_memory_and_linalg_errors_exit_numeric(self, workdir, monkeypatch, error):
         def failing_gram(*args, **kwargs):
             raise error
 
         write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])
         monkeypatch.setattr(kernelsvm, "gram", failing_gram)
-        result = runner.invoke(main, ["gram", "train.csv", "-o", "gram.json"])
+        result = run_cli(["gram", "train.csv", "-o", "gram.json"])
         assert result.exit_code == 4
         payload = json.loads(result.stderr)
         assert payload["error"] == {"type": type(error).__name__, "message": str(error)}
         assert not (workdir / "gram.json").exists()
 
-    def test_empty_test_set(self, runner, workdir):
+    def test_empty_test_set(self, workdir):
         write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])
         (workdir / "tests.json").write_text("[]")
-        result = runner.invoke(main, ["classify", "train.csv", "--test", "tests.json",
-                                      "-o", "out.json"])
-        assert result.exit_code == 0, result.output
+        result = run_cli(["classify", "train.csv", "--test", "tests.json", "-o", "out.json"])
+        assert result.exit_code == 0, result.stderr
         payload = json.loads((workdir / "out.json").read_text())
         assert payload["results"] == []
-        result = runner.invoke(main, ["emit-plot", "out.json", "-o", "plot.csv"])
+        result = run_cli(["emit-plot", "out.json", "-o", "plot.csv"])
         assert result.exit_code == 0
         rows = read_rows(workdir / "plot.csv")
         assert rows == [list(fileio.PLOT_COLUMNS)]
@@ -706,21 +728,20 @@ class TestCliCommands:
         ["--classifier", "stc-bias", "--bias", "0.3"], ["--classifier", "hc", "--keep-norms"],
         ["--classifier", "qsvm", "--weights", "trained", "--bias", "trained"],
     ])
-    def test_empty_test_set_every_classifier(self, runner, workdir, args):
+    def test_empty_test_set_every_classifier(self, workdir, args):
         write_lines(workdir / "train.csv", ["1,0,0", "0.6,0.8,0", "0,1,1"])
         (workdir / "tests.json").write_text("[]")
-        result = runner.invoke(main, ["classify", "train.csv", "--test", "tests.json",
-                                      *args, "-o", "out.json"])
-        assert result.exit_code == 0, result.output
+        result = run_cli(["classify", "train.csv", "--test", "tests.json", *args, "-o", "out.json"])
+        assert result.exit_code == 0, result.stderr
         assert json.loads((workdir / "out.json").read_text())["results"] == []
 
-    def test_config_file_flow(self, runner, workdir):
+    def test_config_file_flow(self, workdir):
         write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])
         write_lines(workdir / "tests.csv", ["0.6,0.8"])
         (workdir / "conf.json").write_text(json.dumps({"k": 2, "seed": 7}))
-        result = runner.invoke(main, ["classify", "train.csv", "--test", "tests.csv",
-                                      "--config", "conf.json", "-o", "out.json"])
-        assert result.exit_code == 0, result.output
+        result = run_cli(["classify", "train.csv", "--test", "tests.csv",
+                          "--config", "conf.json", "-o", "out.json"])
+        assert result.exit_code == 0, result.stderr
         payload = json.loads((workdir / "out.json").read_text())
         assert payload["config"]["k"] == 2 and payload["seed"] == 7
         # k=2: 0.5 * 0.36**2 - 0.5 * 0.64**2
@@ -732,32 +753,31 @@ class TestCliCommands:
         {"weights": "explicit", "explicit_weights": [1, "a"]},
         {"shots": 1.5}, {"k": 2.5}, {"tie_as_zero": "no"}, {"bias": "trained"},
     ])
-    def test_config_file_value_types_checked(self, runner, workdir, config):
+    def test_config_file_value_types_checked(self, workdir, config):
         write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])
         write_lines(workdir / "tests.csv", ["0.6,0.8"])
         (workdir / "conf.json").write_text(json.dumps(config))
-        result = runner.invoke(main, ["classify", "train.csv", "--test", "tests.csv",
-                                      "--config", "conf.json", "-o", "out.json"])
-        assert result.exit_code == 3, (result.output, result.stderr)
+        result = run_cli(["classify", "train.csv", "--test", "tests.csv",
+                          "--config", "conf.json", "-o", "out.json"])
+        assert result.exit_code == 3, (result.stdout, result.stderr)
         assert json.loads(result.stderr)["error"]["type"] == "DataError"
         assert not (workdir / "out.json").exists()
 
     @pytest.mark.parametrize("weight", ["abc", None, [1.0], -1.0])
-    def test_json_dataset_weight_must_be_a_number(self, runner, workdir, weight):
+    def test_json_dataset_weight_must_be_a_number(self, workdir, weight):
         (workdir / "train.json").write_text(json.dumps(
             [[[1.0, 0.0], 0, 1.0], [[0.0, 1.0], 1, weight]]))
         write_lines(workdir / "tests.csv", ["0.6,0.8"])
-        result = runner.invoke(main, ["classify", "train.json", "--test", "tests.csv",
-                                      "-o", "out.json"])
-        assert result.exit_code == 3, (result.output, result.stderr)
+        result = run_cli(["classify", "train.json", "--test", "tests.csv", "-o", "out.json"])
+        assert result.exit_code == 3, (result.stdout, result.stderr)
         error = json.loads(result.stderr)["error"]
         assert error["type"] == "DataError" and "row 2" in error["message"]
 
-    def test_unlabeled_json_test_entry_must_be_a_list(self, runner, workdir):
+    def test_unlabeled_json_test_entry_must_be_a_list(self, workdir):
         write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])
         (workdir / "t.json").write_text("[[1, 0], 5]")
-        result = runner.invoke(main, ["classify", "train.csv", "--test", "t.json"])
-        assert result.exit_code == 3, (result.output, result.stderr)
+        result = run_cli(["classify", "train.csv", "--test", "t.json"])
+        assert result.exit_code == 3, (result.stdout, result.stderr)
         error = json.loads(result.stderr)["error"]
         assert error["type"] == "DataError" and "row 2" in error["message"]
 
@@ -775,55 +795,53 @@ class TestCliCommands:
         ["gen-toy", "--kind", "separable", "--noise", "inf"],
         ["gen-toy", "--kind", "separable", "--noise", "-inf"],
     ])
-    def test_non_finite_numbers_rejected(self, runner, workdir, args):
+    def test_non_finite_numbers_rejected(self, workdir, args):
         write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])
         write_lines(workdir / "tests.csv", ["0.6,0.8"])
         (workdir / "nan.json").write_text('{"box_c": NaN, "weights": "trained"}')
         (workdir / "huge.json").write_text(
             '{"weights": "explicit", "explicit_weights": [1, 1%s]}' % ("0" * 400))
-        result = runner.invoke(main, [*args, "-o", "out.json"])
-        assert result.exit_code == 3, (result.output, result.stderr)
+        result = run_cli([*args, "-o", "out.json"])
+        assert result.exit_code == 3, (result.stdout, result.stderr)
         error = json.loads(result.stderr)["error"]
         assert error["type"] == "DataError" and "finite" in error["message"]
         assert not (workdir / "out.json").exists()
 
-    def test_gram_command(self, runner, workdir):
+    def test_gram_command(self, workdir):
         write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])
-        result = runner.invoke(main, ["gram", "train.csv", "-o", "gram.json"])
-        assert result.exit_code == 0, result.output
+        result = run_cli(["gram", "train.csv", "-o", "gram.json"])
+        assert result.exit_code == 0, result.stderr
         payload = json.loads((workdir / "gram.json").read_text())
         assert payload["certified_psd"] is True
         assert np.allclose(payload["matrix"], np.eye(2))
 
-    def test_hs_trace_gram_equals_squared_overlap(self, runner, workdir):
-        gen_toy_file(runner, "--m", "8", "--dim", "4")
+    def test_hs_trace_gram_equals_squared_overlap(self, workdir):
+        gen_toy_file("--m", "8", "--dim", "4")
         matrices = {}
         for kind in ("hs-trace", "squared-overlap"):
-            result = runner.invoke(main, ["gram", "toy.csv", "--kernel", kind,
-                                          "-o", f"{kind}.json"])
-            assert result.exit_code == 0, result.output
+            result = run_cli(["gram", "toy.csv", "--kernel", kind, "-o", f"{kind}.json"])
+            assert result.exit_code == 0, result.stderr
             payload = json.loads((workdir / f"{kind}.json").read_text())
             matrices[kind] = np.array(payload["matrix"])
         assert np.abs(matrices["hs-trace"] - matrices["squared-overlap"]).max() <= 1e-12
 
-    def test_hs_trace_training(self, runner, workdir):
-        gen_toy_file(runner, "--m", "8", "--dim", "4")
-        result = runner.invoke(main, ["train-svm", "toy.csv", "--kernel", "hs-trace",
-                                      "-o", "model.json"])
-        assert result.exit_code == 0, result.output
-        result = runner.invoke(main, ["classify", "toy.csv", "--test", "toy.csv",
-                                      "--labeled-tests", "--kernel", "hs-trace",
-                                      "--weights", "trained", "-o", "out.json"])
-        assert result.exit_code == 0, result.output
+    def test_hs_trace_training(self, workdir):
+        gen_toy_file("--m", "8", "--dim", "4")
+        result = run_cli(["train-svm", "toy.csv", "--kernel", "hs-trace", "-o", "model.json"])
+        assert result.exit_code == 0, result.stderr
+        result = run_cli(["classify", "toy.csv", "--test", "toy.csv",
+                          "--labeled-tests", "--kernel", "hs-trace",
+                          "--weights", "trained", "-o", "out.json"])
+        assert result.exit_code == 0, result.stderr
 
-    def test_sample_stc_bias(self, runner, workdir):
+    def test_sample_stc_bias(self, workdir):
         write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])
         write_lines(workdir / "tests.csv", ["0.6,0.8"])
         shots = 10_000
-        result = runner.invoke(main, ["sample", "train.csv", "--test", "tests.csv",
-                                      "--classifier", "stc-bias", "--bias", "0.3",
-                                      "--shots", str(shots), "--seed", "3", "-o", "out.json"])
-        assert result.exit_code == 0, result.output
+        result = run_cli(["sample", "train.csv", "--test", "tests.csv",
+                          "--classifier", "stc-bias", "--bias", "0.3",
+                          "--shots", str(shots), "--seed", "3", "-o", "out.json"])
+        assert result.exit_code == 0, result.stderr
         record = json.loads((workdir / "out.json").read_text())["results"][0]
         e = record["expectation"]
         assert record["bias_term"] != 0.0
@@ -831,52 +849,41 @@ class TestCliCommands:
         sigma = math.sqrt((1 - e * e) / shots)
         assert abs(record["shots"]["empirical_expectation"] - e) < 5 * sigma
 
-    def test_sample_two_copies_of_dim_eight(self, runner, workdir):
-        gen_toy_file(runner, "--m", "8", "--dim", "8")
-        result = runner.invoke(main, ["sample", "toy.csv", "--test", "toy.csv",
-                                      "--labeled-tests", "--k", "2", "--shots", "1000",
-                                      "--seed", "1", "-o", "out.json"])
-        assert result.exit_code == 0, result.output
+    def test_sample_two_copies_of_dim_eight(self, workdir):
+        gen_toy_file("--m", "8", "--dim", "8")
+        result = run_cli(["sample", "toy.csv", "--test", "toy.csv",
+                          "--labeled-tests", "--k", "2", "--shots", "1000",
+                          "--seed", "1", "-o", "out.json"])
+        assert result.exit_code == 0, result.stderr
         records = json.loads((workdir / "out.json").read_text())["results"]
         assert len(records) == 8
         assert all(r["shots"]["total"] == 1000 for r in records)
 
-    def test_stdout_when_no_output_path(self, runner, workdir):
+    def test_stdout_when_no_output_path(self, workdir):
         write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])
         write_lines(workdir / "tests.csv", ["1,0"])
-        result = runner.invoke(main, ["classify", "train.csv", "--test", "tests.csv"])
+        result = run_cli(["classify", "train.csv", "--test", "tests.csv"])
         assert result.exit_code == 0
-        assert json.loads(result.output)["results"][0]["predicted_label"] == 0
+        assert json.loads(result.stdout)["results"][0]["predicted_label"] == 0
 
 
 class TestTrainingGramSpectrum:
-    def test_vector_gram_commands_never_factor(self, runner, workdir, monkeypatch):
+    def test_vector_gram_commands_never_factor(self, workdir, monkeypatch):
         # vector_gram computes the spectrum these commands write, so
         # svm_train certifies from it and never runs the Cholesky gate.
         def cholesky(*args, **kwargs):
             raise AssertionError("np.linalg.cholesky called")
 
         monkeypatch.setattr(np.linalg, "cholesky", cholesky)
-        gen_toy_file(runner, "--m", "40", "--dim", "4")
+        gen_toy_file("--m", "40", "--dim", "4")
         write_lines(workdir / "tests.csv", ["1,0,0,0", "0.6,0.8,0,0"])
         for argv in (["train-svm", "toy.csv", "-o", "model.json"],
                      ["train-svm", "toy.csv", "--kernel", "hs-trace", "-o", "model.json"],
                      ["gram", "toy.csv", "-o", "gram.json"],
                      ["classify", "toy.csv", "--test", "tests.csv", "--weights", "trained",
                       "-o", "out.json"]):
-            result = runner.invoke(main, argv)
-            assert result.exit_code == 0, (argv, result.output, result.exception)
-
-
-def run_main(argv) -> tuple[int, str]:
-    """(exit code, stderr) of one in-process CLI run."""
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        try:
-            main(argv, standalone_mode=False)
-        except SystemExit as exc:
-            return exc.code, err.getvalue()
-    return 0, err.getvalue()
+            result = run_cli(argv)
+            assert result.exit_code == 0, (argv, result.stderr)
 
 
 class TestCliSweep:
@@ -896,15 +903,16 @@ class TestCliSweep:
     def test_every_run_exits_0_3_or_4(self, classifier, mode, k, dim, m, weights, seed):
         with tempfile.TemporaryDirectory() as tmp:
             toy, tests, out = (os.path.join(tmp, name) for name in ("toy.csv", "t.csv", "o.json"))
-            assert run_main(["gen-toy", "--kind", "separable", "--m", str(m), "--dim", str(dim),
-                             "--seed", str(seed), "-o", toy]) == (0, "")
+            code, _, err = run_cli(["gen-toy", "--kind", "separable", "--m", str(m),
+                                    "--dim", str(dim), "--seed", str(seed), "-o", toy])
+            assert (code, err) == (0, "")
             write_lines(Path(tests), [",".join(["0.6", "0.8"] + ["0"] * (dim - 2))])
             argv = ["classify", toy, "--test", tests, "--classifier", classifier,
                     "--mode", mode, "--k", str(k), "--weights", weights, "--box-c", "10",
                     "-o", out]
             if classifier == "stc-bias":
                 argv += ["--bias", "trained" if weights == "trained" else "0.25"]
-            code, err = run_main(argv)
+            code, _, err = run_cli(argv)
             assert code in (0, 3, 4), (argv, code, err)
             if code == 0:
                 assert len(json.loads(Path(out).read_text())["results"]) == 1
@@ -923,14 +931,14 @@ import numpy
 lazy = [name for name in ("numpy.ma", "numpy.random") if name not in sys.modules]
 from qkclass.cli import main
 for argv in json.loads(sys.argv[1]):
-    main(argv, standalone_mode=False)
+    assert main(argv) == 0, argv
     print(json.dumps([argv, [name for name in lazy if name in sys.modules]]))
 """
 
 
 class TestImportHygiene:
-    def test_training_and_exact_classify_load_neither_ma_nor_random(self, runner, workdir):
-        gen_toy_file(runner, "--m", "12", "--dim", "4")
+    def test_training_and_exact_classify_load_neither_ma_nor_random(self, workdir):
+        gen_toy_file("--m", "12", "--dim", "4")
         write_lines(workdir / "tests.csv", ["1,0,0,0", "0.6,0.8,0,0"])
         classify = ["classify", "toy.csv", "--test", "tests.csv", "-o", "out.json"]
         trained = ["--weights", "trained", "--bias", "trained"]
@@ -948,18 +956,18 @@ class TestImportHygiene:
         assert [argv for argv, _ in lines] == commands
         assert all(loaded == [] for _, loaded in lines), lines
 
-    def test_shot_seeds_come_from_the_seed_sequence(self, runner, workdir):
-        gen_toy_file(runner, "--m", "6", "--dim", "2")
+    def test_shot_seeds_come_from_the_seed_sequence(self, workdir):
+        gen_toy_file("--m", "6", "--dim", "2")
         write_lines(workdir / "tests.csv", ["1,0", "0,1", "0.6,0.8"])
-        result = runner.invoke(main, ["sample", "toy.csv", "--test", "tests.csv",
-                                      "--shots", "50", "--seed", "11", "-o", "out.json"])
-        assert result.exit_code == 0, result.output
+        result = run_cli(["sample", "toy.csv", "--test", "tests.csv",
+                          "--shots", "50", "--seed", "11", "-o", "out.json"])
+        assert result.exit_code == 0, result.stderr
         records = json.loads((workdir / "out.json").read_text())["results"]
         assert [r["shots"]["seed"] for r in records] == \
             np.random.SeedSequence(11).generate_state(3).tolist()
-        result = runner.invoke(main, ["classify", "toy.csv", "--test", "tests.csv",
-                                      "--seed", "11", "-o", "exact.json"])
-        assert result.exit_code == 0, result.output
+        result = run_cli(["classify", "toy.csv", "--test", "tests.csv",
+                          "--seed", "11", "-o", "exact.json"])
+        assert result.exit_code == 0, result.stderr
         assert all("shots" not in r
                    for r in json.loads((workdir / "exact.json").read_text())["results"])
 
@@ -969,10 +977,7 @@ class TestImportHygiene:
 FRESH_PROBE = """
 import json, sys
 from qkclass.cli import main
-try:
-    main(sys.argv[1:], prog_name="qkclass")
-except SystemExit as exc:
-    code = exc.code
+code = main(sys.argv[1:])
 print(json.dumps({"exit": code, "modules": sorted(sys.modules)}), file=sys.stderr)
 """
 
@@ -994,12 +999,11 @@ class TestFreshCommandImports:
     """Each command in its own interpreter, so no earlier command's imports
     mask what a later one loads."""
 
-    def test_emit_plot_loads_no_numpy(self, runner, workdir):
-        gen_toy_file(runner, "--m", "6", "--dim", "2")
+    def test_emit_plot_loads_no_numpy(self, workdir):
+        gen_toy_file("--m", "6", "--dim", "2")
         write_lines(workdir / "tests.csv", ["1,0", "0.6,0.8"])
-        result = runner.invoke(main, ["classify", "toy.csv", "--test", "tests.csv",
-                                      "-o", "out.json"])
-        assert result.exit_code == 0, result.output
+        result = run_cli(["classify", "toy.csv", "--test", "tests.csv", "-o", "out.json"])
+        assert result.exit_code == 0, result.stderr
         stdout, _, code, modules = run_fresh(["emit-plot", "out.json", "-o", "plot.csv"],
                                              workdir)
         assert code == 0 and json.loads(stdout) == {"written": "plot.csv", "rows": 2}
@@ -1020,8 +1024,8 @@ class TestFreshCommandImports:
         ["gram", "toy.csv", "-o", "gram.json"],
     ])
     def test_training_commands_load_only_the_dataset_and_kernel_layers(
-            self, runner, workdir, argv):
-        gen_toy_file(runner, "--m", "8", "--dim", "4")
+            self, workdir, argv):
+        gen_toy_file("--m", "8", "--dim", "4")
         _, _, code, modules = run_fresh(argv, workdir)
         assert code == 0
         assert not modules & set(HEAVY), sorted(modules & set(HEAVY))
@@ -1035,6 +1039,115 @@ class TestFreshCommandImports:
         assert code == 0 and errors == []
         assert stdout.split() == ["qkclass,", "version", "0.1.0"]
         assert "numpy" not in modules
+
+    def test_no_command_loads_click(self, workdir):
+        gen_toy_file("--m", "6", "--dim", "2")
+        write_lines(workdir / "tests.csv", ["1,0", "0.6,0.8"])
+        for argv in (["--version"],
+                     ["gen-toy", "--seed", "3", "-o", "again.csv"],
+                     ["train-svm", "toy.csv", "-o", "model.json"],
+                     ["gram", "toy.csv", "-o", "gram.json"],
+                     ["classify", "toy.csv", "--test", "tests.csv", "-o", "out.json"],
+                     ["sample", "toy.csv", "--test", "tests.csv", "--shots", "10", "-o", "s.json"],
+                     ["emit-plot", "out.json", "-o", "plot.csv"]):
+            _, errors, code, modules = run_fresh(argv, workdir)
+            assert code == 0 and errors == [], (argv, errors)
+            assert not {m for m in modules if m.split(".")[0] == "click"}, argv
+
+
+class TestArgumentTable:
+    """The argparse table keeps the commands, flags, defaults and exit codes
+    of the command line."""
+
+    @pytest.fixture
+    def files(self, workdir):
+        write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])
+        write_lines(workdir / "tests.csv", ["0.6,0.8"])
+        return workdir
+
+    def test_standalone_call_form(self, files):
+        # cli.main.main(args=..., prog_name=..., standalone_mode=False) returns on
+        # success and raises SystemExit with the code otherwise.
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main.main(args=["gram", "train.csv", "-o", "gram.json"],
+                                 prog_name="qkclass", standalone_mode=False) is None
+        assert json.loads((files / "gram.json").read_text())["certified_psd"] is True
+        write_lines(files / "bad.csv", ["1,0,7"])
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exit_info:
+            cli.main.main(args=["gram", "bad.csv", "-o", "bad.json"], prog_name="qkclass",
+                          standalone_mode=False)
+        assert exit_info.value.code == 3
+        assert json.loads(err.getvalue())["error"]["type"] == "DataError"
+        with contextlib.redirect_stdout(io.StringIO()), pytest.raises(SystemExit) as exit_info:
+            cli.main.main(args=["gram", "train.csv", "-o", "gram.json"])
+        assert exit_info.value.code == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["classify", "train.csv", "--test", "tests.csv", "--no-such-flag"],
+        ["classify", "train.csv", "--test", "tests.csv", "--kern", "hs-trace"],
+        ["classify", "train.csv", "--test", "tests.csv", "--kernel", "linear"],
+        ["train-svm", "train.csv", "--kernel", "linear"],
+        ["classify", "train.csv"],
+        ["classify", "missing.csv", "--test", "tests.csv"],
+        ["classify", "train.csv", "--test", "tests.csv", "--config", "missing.json"],
+        ["emit-plot", "missing.json", "-o", "plot.csv"],
+        ["classify", "train.csv", "--test", "tests.csv", "--bias", "abc"],
+        ["classify", "train.csv", "--test", "tests.csv", "--weights", "explicit",
+         "--explicit-weights", "1,x"],
+        ["classify", "train.csv", "--test", "tests.csv", "--k", "2.5"],
+        ["classify", "train.csv", "--test", "tests.csv", "-o", "."],
+        ["gen-toy", "--m", "6"],
+        ["gen-toy", "-o"],
+        ["no-such-command"],
+        [],
+        ["-h"],
+    ])
+    def test_usage_errors_exit_2(self, files, argv):
+        result = run_cli(argv)
+        assert result.exit_code == 2
+        assert result.stdout == "" and "usage: qkclass" in result.stderr
+        assert sorted(os.listdir(files)) == ["tests.csv", "train.csv"]
+
+    def test_help_exits_0(self, files):
+        for argv in (["--help"], ["classify", "--help"], ["emit-plot", "--help"]):
+            result = run_cli(argv)
+            assert result.exit_code == 0 and result.stdout.startswith("usage: qkclass"), argv
+
+    def test_an_option_value_may_start_with_a_dash(self, files):
+        result = run_cli(["classify", "train.csv", "--test", "tests.csv", "--classifier",
+                          "stc-bias", "--bias", "-1e-3", "-o", "out.json"])
+        assert result.exit_code == 0, result.stderr
+        assert json.loads((files / "out.json").read_text())["config"]["bias"] == -1e-3
+        result = run_cli(["classify", "train.csv", "--test", "tests.csv", "--weights", "explicit",
+                          "--explicit-weights", "-1,2", "-o", "out.json"])
+        assert result.exit_code == 3
+        assert json.loads(result.stderr)["error"]["type"] == "DataError"
+
+    @pytest.mark.parametrize("key, flags", [
+        ("tie_as_zero", ("--tie-as-zero", "--tie-as-tie")),
+        ("keep_norms", ("--keep-norms", "--unit-vectors")),
+    ])
+    @pytest.mark.parametrize("command", ["classify", "sample"])
+    def test_flag_pairs_leave_the_config_file_value_when_unset(self, files, key, flags,
+                                                               command):
+        on, off = flags
+        argv = [command, "train.csv", "--test", "tests.csv", "--shots", "5", "-o", "out.json"]
+
+        def echoed(*extra, config=None):
+            if config is not None:
+                (files / "conf.json").write_text(json.dumps(config))
+                extra = (*extra, "--config", "conf.json")
+            result = run_cli([*argv, *extra])
+            assert result.exit_code == 0, result.stderr
+            return json.loads((files / "out.json").read_text())["config"][key]
+
+        assert echoed() is False
+        assert echoed(on) is True and echoed(off) is False
+        for value in (True, False):
+            assert echoed(config={key: value}) is value
+        assert echoed(off, config={key: True}) is False
+        assert echoed(on, config={key: False}) is True
 
 
 class TestLazyPackage:
@@ -1080,12 +1193,12 @@ class TestReadme:
         value, label = capsys.readouterr().out.splitlines()[0].split()
         assert abs(float(value) - (-0.14)) <= 1e-12 and label == "1"
 
-    def test_round_trip_runs_as_written(self, runner, workdir):
+    def test_round_trip_runs_as_written(self, workdir):
         commands = readme_round_trip()
         assert [argv[:2] for argv in commands] == [
             ["qkclass", "gen-toy"], ["qkclass", "train-svm"], ["qkclass", "classify"],
             ["qkclass", "sample"], ["qkclass", "emit-plot"]]
         for argv in commands:
-            result = runner.invoke(main, argv[1:])
-            assert result.exit_code == 0, (argv, result.output, result.stderr)
+            result = run_cli(argv[1:])
+            assert result.exit_code == 0, (argv, result.stdout, result.stderr)
         assert (workdir / "plot.csv").exists()
