@@ -26,7 +26,7 @@ from .circuit import _stack_value, expectation, swap_label_observable, swap_test
 from .constants import STC_MODES, check_dense_budget
 from .encoding import ClassifierState, TrainingSet
 from .errors import DataError, DimensionError, NumericError
-from .kernelsvm import HS_TRACE, REAL_OVERLAP, SQUARED_OVERLAP, KernelSpec, kernel_matrix
+from .kernelsvm import HS_TRACE, REAL_OVERLAP, KernelSpec, kernel_matrix
 from .qmath import ATOL_DERIVED, DensityMatrix, QState
 from .registers import ANCILLA, block_layout
 
@@ -75,15 +75,12 @@ def _coerce_test_pure(test) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _stc_terms(ts: TrainingSet, tests, weights: np.ndarray) -> np.ndarray:
-    """Swap-test terms T[n, m] = sign_m w_m kernel(tests[n], x_m)**k: the
-    squared overlap of pure tests, the trace inner product of density matrices."""
+    """Swap-test terms T[n, m] = sign_m w_m Tr(rho_n sigma_m)**k, which for
+    pure tests and training states is their squared overlap."""
     if not len(ts):
         return np.zeros((len(tests), 0))
-    if isinstance(tests[0], DensityMatrix):
-        spec, train = KernelSpec(HS_TRACE, ts.k), ts.density_matrices()
-    else:
-        spec, train = KernelSpec(SQUARED_OVERLAP, ts.k), ts.states
-    return kernel_matrix(spec, tests, train) * ((1 - 2 * ts.labels) * weights)
+    train = ts.density_matrices() if isinstance(tests[0], DensityMatrix) else ts.states
+    return kernel_matrix(KernelSpec(HS_TRACE, ts.k), tests, train) * ((1 - 2 * ts.labels) * weights)
 
 
 def _chunks(count: int, row_bytes: int):

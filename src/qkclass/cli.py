@@ -106,9 +106,11 @@ def _sample(args):
 def _dataset_gram(args):
     """The dataset file and the Gram matrix of its amplitude-encoded rows."""
     from .datasets import ingest
-    from .kernelsvm import KernelSpec, encode_rows, vector_gram
+    from .kernelsvm import KernelSpec, encode_rows, gram
     ds = ingest(args.dataset, args.fmt)
-    return ds, vector_gram(KernelSpec(args.kernel, k=args.k), encode_rows(ds.features)[0])
+    g = gram(KernelSpec(args.kernel, k=args.k), encode_rows(ds.features)[0])
+    g.eigenvalues  # written by every caller: computed now, before training
+    return ds, g
 
 
 def _train_svm(args):

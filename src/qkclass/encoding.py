@@ -73,7 +73,7 @@ class TrainingSet:
     read-only stacked arrays that are checked once, at construction:
 
     * ``states``: (M, d) unit vectors, or (M, d, d) density matrices when
-      any entry is mixed;
+      any entry is mixed, checked as :class:`DensityMatrix` checks one;
     * ``labels``: (M,) labels 0 or 1;
     * ``weights``: (M,) nonnegative weights, renormalized to sum to 1;
     * ``norms``: (M,) raw vector norms, finite and positive, in keep-norms
@@ -118,6 +118,9 @@ class TrainingSet:
                 else np.trace(states, axis1=1, axis2=2))
         if not np.all(np.abs(size - 1.0) <= qmath.ATOL_STRUCT):
             raise NumericError("training states must be unit vectors or unit-trace matrices")
+        if states.ndim == 3 and len(states):
+            qmath.check_hermitian(states, "density matrix")
+            qmath.check_psd_floor(float(np.linalg.eigvalsh(states).min()))
         with np.errstate(over="ignore"):
             total = weights.sum()
         if not math.isfinite(total):

@@ -22,7 +22,7 @@ from .datasets import DatasetFile
 from .encoding import TrainingSet
 from .errors import DataError
 from .fileio import read_json
-from .kernelsvm import KernelSpec, encode_rows, svm_train, vector_gram
+from .kernelsvm import KernelSpec, encode_rows, gram, svm_train
 
 # Types of the typed config fields; a bool is no number, a float is finite.
 _FIELD_TYPES = (("k", int), ("shots", int), ("seed", int), ("box_c", float),
@@ -131,7 +131,8 @@ def build_training_set(config: ExperimentConfig, dataset: DatasetFile):
                             f"for {len(dataset)} rows")
         weights = np.asarray(config.explicit_weights, dtype=float)
     else:
-        g = vector_gram(KernelSpec(config.kernel, k=config.k), vecs)
+        g = gram(KernelSpec(config.kernel, k=config.k), vecs)
+        g.eigenvalues  # written with the results: computed now, while little else is held
         model = svm_train(g, dataset.labels, C=config.box_c)
         weights = np.asarray(model.multipliers, dtype=float)
         if weights.sum() <= 0:

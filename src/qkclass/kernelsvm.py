@@ -24,8 +24,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .constants import (ATOL_STRUCT, DEFAULT_C, HS_TRACE, KERNEL_KINDS, REAL_OVERLAP,
-                        SQUARED_OVERLAP, check_count, check_dense_budget)
+from .constants import (DEFAULT_C, HS_TRACE, KERNEL_KINDS, REAL_OVERLAP, SQUARED_OVERLAP,
+                        check_count, check_dense_budget)
 from .errors import DataError, DimensionError, NumericError
 
 SUPPORT_EPS = 1e-8
@@ -69,36 +69,44 @@ class KernelSpec:
 
 
 def _stack(kind: str, states: Sequence) -> np.ndarray:
-    """The inputs as one array (vectors, or density matrices for hs-trace):
-    a stack as it is given, raised to at least double precision (a float64
-    or complex128 stack is not copied), state objects after checking their
-    type and that they share one dimension."""
-    if isinstance(states, np.ndarray) and states.ndim != (3 if kind == HS_TRACE else 2):
+    """The inputs as one float64 or complex128 array in C order: a stack as
+    it is given (one of that type and order is not copied), state objects
+    after checking their type and that they share one dimension. A pure
+    state is a vector under every kind; hs-trace also takes density
+    matrices, and a raw (n, d, d) stack must be Hermitian to 1e-12."""
+    if isinstance(states, np.ndarray) and not 2 <= states.ndim <= (3 if kind == HS_TRACE else 2):
         raise DimensionError(f"{kind} kernel cannot take a stack of shape {states.shape}")
     if len(states) == 0:
         raise DataError(f"{kind} kernel needs at least one state")
     if isinstance(states, np.ndarray):
-        return states.astype(np.result_type(states, np.float64), copy=False)
+        out = np.asarray(states, complex if np.iscomplexobj(states) else float, order="C")
+        if out.ndim == 3:
+            from .qmath import check_hermitian
+            check_hermitian(out, f"{kind} kernel input")
+        return out
     from .qmath import DensityMatrix, QState
-    want = DensityMatrix if kind == HS_TRACE else QState
+    want = DensityMatrix if kind == HS_TRACE and isinstance(states[0], DensityMatrix) else QState
     if not all(isinstance(s, want) for s in states):
-        raise DataError(f"{kind} kernel requires homogeneous {want.__name__} inputs")
+        raise DataError(f"{kind} kernel requires homogeneous inputs: all QState"
+                        + (", or all DensityMatrix" if kind == HS_TRACE else ""))
     dims = {s.dim for s in states}
     if len(dims) > 1:
         raise DimensionError(f"dimension mismatch: {sorted(dims)}")
-    return np.stack([s.entries if kind == HS_TRACE else s.vec for s in states])
+    return np.stack([s.entries if want is DensityMatrix else s.vec for s in states])
 
 
 def kernel_matrix(spec: KernelSpec, rows: Sequence, cols: Sequence) -> np.ndarray:
     """K[i, j] = kernel(rows[i], cols[j]) ** spec.k over the stacked inputs.
 
-    Squared overlap |A^H B|**2 and real overlap Re(A^H B) take QStates or
-    an (n, d) stack of unit vectors; hs-trace takes DensityMatrices or an
-    (n, d, d) stack of them, Tr(rows[i] cols[j]) by one matrix product of
-    the flattened stacks with an imaginary residual of at most 1e-12.
-    Squared-overlap and hs-trace values must lie in [0, 1] (to -1e-12 /
-    +1e-10) and are clamped there. The (rows, cols) complex product is
-    checked against the size budget before it is formed.
+    Every kind takes pure states (QStates or an (n, d) stack of unit
+    vectors); hs-trace also takes Hermitian matrices (DensityMatrices or an
+    (n, d, d) stack), but not mixed with vectors. Squared overlap and
+    hs-trace of vectors, Tr(|a><a| |b><b|) = |<a|b>|**2, square the modulus
+    of one complex product A^H B; real overlap Re(A^H B) and hs-trace of
+    matrices, Tr(A B) = Re vec(A) . vec(conj B), are one real product of
+    the flattened float views. Squared-overlap and hs-trace values must lie
+    in [0, 1] (to -1e-12 / +1e-10) and are clamped there. The (rows, cols)
+    product is checked against the size budget before it is formed.
     """
     return _kernel_values(spec, rows, cols)[0]
 
@@ -108,20 +116,17 @@ def _kernel_values(spec: KernelSpec, rows: Sequence, cols: Sequence) -> tuple:
     amount by which the clamp to [0, 1] moved a value (0 for real overlap)."""
     a = _stack(spec.kind, rows)
     b = a if cols is rows else _stack(spec.kind, cols)
+    if a.ndim != b.ndim:
+        raise DataError(f"{spec.kind} kernel cannot pair pure-state vectors with density matrices")
     if a.shape[1:] != b.shape[1:]:
         raise DimensionError(f"dimension mismatch: {a.shape[1]} vs {b.shape[1]}")
+    if a.dtype != b.dtype:  # a float and a complex stack: one float view per row
+        a, b = (x.astype(complex, copy=False) for x in (a, b))
     check_dense_budget((len(a), len(b)), "kernel matrix")
-    if spec.kind == HS_TRACE:
-        # Tr(A B) = vec(A) . vec(B^T): one product of the flattened stacks.
-        prod = a.reshape(len(a), -1) @ b.transpose(0, 2, 1).reshape(len(b), -1).T
-        residual = max(prod.imag.max(), -prod.imag.min())
-        if residual > ATOL_STRUCT:
-            raise NumericError(f"trace inner product has imaginary residual {residual}")
-        values = prod.real.copy()
+    if spec.kind == REAL_OVERLAP or a.ndim == 3:
+        values = a.reshape(len(a), -1).view(float) @ b.reshape(len(b), -1).view(float).T
     else:
-        prod = a.conj() @ b.T
-        values = prod.real.copy() if spec.kind == REAL_OVERLAP else np.abs(prod)
-    if spec.kind == SQUARED_OVERLAP:
+        values = np.abs(a.conj() @ b.T)
         np.square(values, out=values)
     clamp = 0.0
     if spec.kind != REAL_OVERLAP:
@@ -183,20 +188,18 @@ def gram(spec: KernelSpec, states: Sequence) -> GramMatrix:
     exactly symmetric; its spectrum is left to the first read.
 
     It carries S >= -lambda_min(G) for :func:`svm_train`. Exactly, G is
-    PSD: a real Gram in R^{2d} (real overlap), P o conj(P) for the Gram P
-    (squared overlap), their Schur powers (copies), and with A = H + K, its
-    Hermitian and anti-Hermitian parts, <H_i, H_j> - <K_i, K_j> (hs-trace;
-    the cross terms are imaginary). With u = 2**-53, m = 2d or 2d**2 real
-    products per entry, R the largest ||x_i||**2 or ||A_i||_F**2 (inputs
-    need not be unit), B = R**2 (squared overlap) or R, c the largest clamp
-    applied and M = (1 + (3m + 6)u) B + c, each entry is within
+    PSD: a real Gram of the float views (real overlap, and hs-trace of
+    Hermitian matrices), P o conj(P) for the Gram P of pure states (squared
+    overlap and hs-trace), and their Schur powers (copies). With u = 2**-53,
+    m the row length of the float view (real products per entry), R the
+    largest ||x_i||**2 or ||A_i||_F**2 (inputs need not be unit), B = R**2
+    (squared modulus) or R, c the largest clamp applied and
+    M = (1 + (3m + 6)u) B + c, each entry is within
     e = k M**(k-1) ((3m + 6)u B + c) + 4u M**k of the exact one: gamma_m R
     per part of a product in any summation order, 2u for |.| and u for the
     square, c, the power's Lipschitz factor k M**(k-1) and 2u, and u for
-    the mean. By ||E||_2 <= n max |E_ij|, and as the K term moves entries
-    by at most k M**(k-1) ||K_i|| ||K_j||, a rank-one bound,
-    S = n e + k M**(k-1) sum_i ||K_i||_F**2. Terms of order u**2 and u c
-    are left to the factor 2 in svm_train's test.
+    the mean. By ||E||_2 <= n max |E_ij|, S = n e. Terms of order u**2 and
+    u c are left to the factor 2 in svm_train's test.
     """
     g, stack, clamp = _kernel_values(spec, states, states)
     # The product's two triangles can differ in the last bit; their mean is
@@ -205,31 +208,16 @@ def gram(spec: KernelSpec, states: Sequence) -> GramMatrix:
     g *= 0.5
     g.setflags(write=False)
     out = GramMatrix(g, spec)
-    flat = stack.reshape(len(stack), -1)
-    m = 2 * flat.shape[1]
+    flat = stack.reshape(len(stack), -1).view(float)
+    m = flat.shape[1]
     with np.errstate(all="ignore"):  # a bound that is not finite certifies nothing
-        big = np.einsum("ij,ij->i", flat.conj(), flat).real.max()
-        base = big * big if spec.kind == SQUARED_OVERLAP else big
+        big = np.einsum("ij,ij->i", flat, flat).max()
+        base = big * big if spec.kind != REAL_OVERLAP and stack.ndim == 2 else big
         top = (1 + (3 * m + 6) * _U) * base + clamp
-        lip = spec.k * top ** (spec.k - 1)
-        twice_k = stack - stack.conj().transpose(0, 2, 1) if spec.kind == HS_TRACE else 0.0
-        anti = np.vdot(twice_k, twice_k).real / 4  # sum_i ||K_i||_F**2
-        slack = len(stack) * (lip * ((3 * m + 6) * _U * base + clamp)
-                              + 4 * _U * top ** spec.k) + lip * anti
+        slack = len(stack) * (spec.k * top ** (spec.k - 1) * ((3 * m + 6) * _U * base + clamp)
+                              + 4 * _U * top ** spec.k)
     out._psd_bound = (g, float(slack))
     return out
-
-
-def vector_gram(spec: KernelSpec, vecs: np.ndarray) -> GramMatrix:
-    """Gram matrix of a stack of unit vectors. hs-trace takes them as their
-    projectors, whose trace inner product Tr(|a><a| |b><b|) = |<a|b>|**2 is
-    the squared overlap of the vectors: that Gram and its bound are
-    computed, and no projector is built, under the hs-trace spec. Its
-    spectrum is computed at once, because every caller writes it out.
-    """
-    g = gram(KernelSpec(SQUARED_OVERLAP, spec.k) if spec.kind == HS_TRACE else spec, vecs)
-    g.kernel, _ = spec, g.eigenvalues  # the spectrum, computed here once
-    return g
 
 
 @dataclass(frozen=True)
@@ -293,13 +281,16 @@ def svm_train(g: GramMatrix, labels: Sequence[int], C: float = DEFAULT_C,
     Checks, in this order: the labels (two classes of 0/1), the box
     constraint C (finite and positive), then that G is PSD (the dual could
     be unbounded otherwise). :func:`gram`'s bound S certifies G, with no
-    factor and no spectrum, when S + n**2 u <= 0.5e-8: eigvalsh returns the
-    eigenvalues of G + F, ||F||_2 <= p(n) u ||G||_2 (LAPACK Users' Guide,
-    sec. 4.7; p(n) = n**2 here), so psd_certify accepts at every ||G||_2
-    once (1 + 1e-8)(S + n**2 u) <= 1e-8. Every other Gram (built by hand,
-    given another matrix, or a bound too large or NaN) goes to
-    :func:`psd_certify`: the verdict and the refusal are its own on every
-    input.
+    factor and no spectrum, when S <= (0.5e-8 - n**2 u) D, D = max(1,
+    max_i G_ii) finite: eigvalsh returns the eigenvalues of G + F,
+    ||F||_2 <= p(n) u ||G||_2 (LAPACK Users' Guide, sec. 4.7; p(n) = n**2
+    here), the least at least -S - n**2 u ||G||_2 and (Weyl) the largest
+    in modulus at least (1 - n**2 u) ||G||_2, so psd_certify's threshold
+    is at most -1e-8 (1 - n**2 u) max(1, ||G||_2); and as ||G||_2 >=
+    max_i G_ii, S + n**2 u ||G||_2 <= 0.5e-8 max(1, ||G||_2), which is
+    within it when n**2 u <= 1/2, as a positive factor implies. Every other
+    Gram (built by hand, given another matrix, or a bound too large or NaN)
+    goes to :func:`psd_certify`, whose verdict and refusal hold on every input.
 
     The loop keeps the selection vector -l * grad itself, updated in place:
     a step of size t on the pair (i, j) moves alpha_i by l_i t and alpha_j
@@ -319,7 +310,8 @@ def svm_train(g: GramMatrix, labels: Sequence[int], C: float = DEFAULT_C,
     if not 0 < C < np.inf:
         raise DataError(f"box constraint C must be finite and positive, got {C}")
     bounded, slack = g._psd_bound
-    if not (bounded is g.matrix and slack + g.size ** 2 * _U <= 0.5 * PSD_RTOL):
+    if not (bounded is g.matrix and slack <= (0.5 * PSD_RTOL - g.size ** 2 * _U)
+            * max(1.0, g.matrix.diagonal().max()) < math.inf):
         cert = psd_certify(g)
         if not cert.certified:
             raise NumericError(

@@ -44,11 +44,17 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def check_hermitian(mat: np.ndarray, what: str):
-    """Raise NumericError unless max |M - M^H| <= 1e-12; a NaN entry fails."""
+    """Raise NumericError unless max |M - M^H| <= 1e-12 (over a stack, each M); NaN fails."""
     if not mat.size:
         raise DimensionError(f"{what} must not be empty, got shape {mat.shape}")
-    if not np.abs(mat - mat.conj().T).max() <= ATOL_STRUCT:
+    if not np.abs(mat - mat.conj().swapaxes(-1, -2)).max() <= ATOL_STRUCT:
         raise NumericError(f"{what} is not Hermitian within 1e-12")
+
+
+def check_psd_floor(lo: float):
+    """Raise NumericError unless the least eigenvalue ``lo`` is >= PSD_FLOOR; NaN fails."""
+    if not lo >= PSD_FLOOR:
+        raise NumericError(f"minimum eigenvalue {lo} is below {PSD_FLOOR}")
 
 
 def as_cvec(x) -> np.ndarray:
@@ -133,9 +139,7 @@ class DensityMatrix:
         return float(np.linalg.eigvalsh(self.entries)[0])
 
     def validate_psd(self):
-        lo = self.min_eigenvalue()
-        if not lo >= PSD_FLOOR:
-            raise NumericError(f"minimum eigenvalue {lo} is below {PSD_FLOOR}")
+        check_psd_floor(self.min_eigenvalue())
 
     def validate(self):
         """Re-run every invariant, including the eigenvalue floor."""

@@ -492,9 +492,8 @@ class TestResultsWriter:
     def test_gram_payload_written_row_by_row(self, workdir):
         # Only one row at a time becomes Python floats and text; a list copy
         # of the whole matrix is about 4 times its bytes, its text 2 times.
-        g = kernelsvm.vector_gram(kernelsvm.KernelSpec(constants.SQUARED_OVERLAP),
-                                  kernelsvm.encode_rows(gen_toy("separable", 300, 8,
-                                                                seed=1).features)[0])
+        g = kernelsvm.gram(kernelsvm.KernelSpec(constants.SQUARED_OVERLAP),
+                           kernelsvm.encode_rows(gen_toy("separable", 300, 8, seed=1).features)[0])
         payload = {"matrix": g.matrix, "eigenvalues": g.eigenvalues}
         tracemalloc.start()
         try:
@@ -868,9 +867,9 @@ class TestCliCommands:
 
 
 class TestTrainingGramSpectrum:
-    def test_vector_gram_commands_never_factor(self, workdir, monkeypatch):
-        # vector_gram computes the spectrum these commands write, so
-        # svm_train certifies from it and never runs the Cholesky gate.
+    def test_training_commands_never_factor(self, workdir, monkeypatch):
+        # These commands compute the spectrum they write, and svm_train
+        # certifies from the bound or from it, never by a Cholesky gate.
         def cholesky(*args, **kwargs):
             raise AssertionError("np.linalg.cholesky called")
 

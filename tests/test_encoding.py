@@ -141,6 +141,17 @@ class TestTrainingSet:
         with pytest.raises(NumericError, match="unit vectors or unit-trace"):
             TrainingSet(states, [0], [1.0])
 
+    @pytest.mark.parametrize("bad, message", [
+        (np.diag([1.5, -0.5]), r"minimum eigenvalue -0\.5\d* is below -1e-10"),
+        (np.array([[0.5, 0.3], [-0.3, 0.5]]), "density matrix is not Hermitian within 1e-12")])
+    def test_density_stack_checked_as_density_matrix_checks_one(self, bad, message):
+        # A unit-trace stack that is not Hermitian or not PSD is refused with
+        # DensityMatrix's own message, so no classifier mode ever scores it.
+        with pytest.raises(NumericError, match=message):
+            DensityMatrix(bad)
+        with pytest.raises(NumericError, match=message):
+            TrainingSet(np.stack([np.eye(2) / 2, bad]), [0, 1], [1.0, 1.0])
+
     def test_keep_norms_effective_weights(self):
         ts = TrainingSet.from_raw(
             [RawDatum([2.0, 0.0], 0), RawDatum([0.0, 1.0], 1)],

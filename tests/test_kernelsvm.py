@@ -16,8 +16,7 @@ from qkclass.errors import DataError, DimensionError, NumericError
 from qkclass.kernelsvm import (DEFAULT_C, HS_TRACE, KERNEL_KINDS, KKT_TOL,
                                REAL_OVERLAP, SQUARED_OVERLAP, GramMatrix,
                                KernelSpec, encode_rows, gram, kernel_eval,
-                               kernel_matrix, psd_certify, regression, svm_train,
-                               vector_gram)
+                               kernel_matrix, psd_certify, regression, svm_train)
 from qkclass.qmath import DensityMatrix, QState, hs_inner, random_state_vector
 
 KET0 = QState(basis_state(2, 0))
@@ -74,10 +73,13 @@ class TestKernelEval:
         assert kernel_eval(spec, KET0, PLUS) == pytest.approx(1 / np.sqrt(2))
 
     def test_type_mismatch(self):
-        with pytest.raises(DataError):
+        # hs-trace takes pure states as vectors: Tr(|a><a| |b><b|) = |<a|b>|**2.
+        assert (kernel_eval(KernelSpec(HS_TRACE), KET0, PLUS)
+                == kernel_eval(KernelSpec(SQUARED_OVERLAP), KET0, PLUS))
+        with pytest.raises(DataError, match="homogeneous inputs: all QState"):
             kernel_eval(KernelSpec(SQUARED_OVERLAP), KET0, KET0.to_density())
-        with pytest.raises(DataError):
-            kernel_eval(KernelSpec(HS_TRACE), KET0, KET0)
+        with pytest.raises(DataError, match="cannot pair pure-state vectors with density"):
+            kernel_eval(KernelSpec(HS_TRACE), KET0, KET0.to_density())
 
     def test_bad_spec(self):
         with pytest.raises(DataError):
@@ -150,9 +152,10 @@ class TestKernelMatrix:
                           [KET0])
 
     @pytest.mark.parametrize("kind,stack", [(SQUARED_OVERLAP, np.array([[np.nan, 0.0]])),
-                                            (HS_TRACE, np.full((1, 2, 2), np.nan))])
+                                            (HS_TRACE, np.array([[np.nan, 0.0]]))])
     def test_nan_stack_fails_the_range_check(self, kind, stack):
         # NaN kernel values must fail the [0, 1] check, not pass it as NaN.
+        # (A NaN matrix stack fails the Hermitian check before any product.)
         with pytest.raises(NumericError, match="outside"):
             kernel_matrix(KernelSpec(kind), stack, stack)
         with pytest.raises(NumericError, match="outside"):
@@ -206,13 +209,36 @@ class TestKernelMatrix:
         with pytest.raises(DimensionError, match=r"kernel matrix of shape \(100, 100\)"):
             gram(KernelSpec(kind), states)
         with pytest.raises(DimensionError, match=r"kernel matrix of shape \(100, 100\)"):
-            vector_gram(KernelSpec(kind), vecs)
+            gram(KernelSpec(kind), vecs)
 
-    def test_non_hermitian_stack_rejected_on_imaginary_residual(self):
-        rng = np.random.default_rng(611)
-        raw = 0.3 * (rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2)))
-        with pytest.raises(NumericError, match="imaginary residual"):
-            kernel_matrix(KernelSpec(HS_TRACE), raw, raw)
+    @pytest.mark.parametrize("make", [
+        lambda rng: 0.3 * (rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))),
+        lambda rng: np.full((1, 2, 2), np.nan),
+        # Hermitian but for one entry moved by 2e-12 (5e-13 passes).
+        lambda rng: np.stack([np.eye(2) / 2, np.array([[0.5, 2e-12], [0.0, 0.5]])])])
+    def test_non_hermitian_stack_rejected(self, make):
+        raw = make(np.random.default_rng(611))
+        for call in (lambda: kernel_matrix(KernelSpec(HS_TRACE), raw, raw),
+                     lambda: kernel_matrix(KernelSpec(HS_TRACE), [maximally_mixed(2)], raw),
+                     lambda: gram(KernelSpec(HS_TRACE), raw)):
+            with pytest.raises(NumericError, match="hs-trace kernel input is not Hermitian"):
+                call()
+        near = np.stack([np.eye(2) / 2, np.array([[0.5, 5e-13], [0.0, 0.5]])])
+        assert kernel_matrix(KernelSpec(HS_TRACE), near, near).shape == (2, 2)
+
+    def test_vectors_and_matrices_are_not_mixed(self):
+        rho = maximally_mixed(2)
+        vecs = np.stack([KET0.vec, PLUS.vec])
+        for rows, cols in (([KET0], [rho]), ([rho], [KET0]), (vecs, [rho]),
+                           (vecs, rho.entries[None]), ([KET0, rho], [KET0]),
+                           ([rho, KET0], [rho])):
+            with pytest.raises(DataError, match="pure-state vectors|all QState, or all Dens"):
+                kernel_matrix(KernelSpec(HS_TRACE), rows, cols)
+        with pytest.raises(DataError, match="all QState, or all DensityMatrix"):
+            gram(KernelSpec(HS_TRACE), [KET0, rho])
+        for kind in (SQUARED_OVERLAP, REAL_OVERLAP):
+            with pytest.raises(DimensionError, match="cannot take a stack of shape"):
+                kernel_matrix(KernelSpec(kind), rho.entries[None], rho.entries[None])
 
 
 class TestGram:
@@ -271,23 +297,28 @@ class TestGram:
         g = gram(KernelSpec(SQUARED_OVERLAP), [KET0, PLUS])
         assert GramMatrix(g.matrix, g.kernel).matrix is g.matrix
 
-    def test_hs_trace_vector_gram_is_the_squared_overlap_gram(self):
+    @pytest.mark.parametrize("as_states", [False, True])
+    def test_hs_trace_gram_of_pure_states_is_the_squared_overlap_gram(self, as_states):
         # Tr(|a><a| |b><b|) = |<a|b>|**2, so the hs-trace Gram of unit
         # vectors builds no (m, d, d) projector stack (20 MiB here).
         rng = np.random.default_rng(605)
-        vecs = np.stack([random_state_vector(256, rng).vec for _ in range(20)])
+        states = [random_state_vector(256, rng) for _ in range(20)]
+        vecs = np.stack([s.vec for s in states])
+        given = states if as_states else vecs
         spec = KernelSpec(HS_TRACE, k=2)
         tracemalloc.start()
         try:
-            g = kernelsvm.vector_gram(spec, vecs)
+            g = gram(spec, given)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak < 2**20
-        overlap = kernelsvm.vector_gram(KernelSpec(SQUARED_OVERLAP, k=2), vecs)
+        overlap = gram(KernelSpec(SQUARED_OVERLAP, k=2), given)
         assert g.kernel == spec
         assert np.array_equal(g.matrix, overlap.matrix)
-        assert np.array_equal(g.eigenvalues, overlap.eigenvalues)
+        assert g._psd_bound[1] == overlap._psd_bound[1]
+        assert np.array_equal(kernel_matrix(spec, given[:3], given),
+                              kernel_matrix(KernelSpec(SQUARED_OVERLAP, k=2), given[:3], given))
         assert np.abs(g.matrix - gram(spec, qmath.projectors(vecs)).matrix).max() < 1e-12
 
 
@@ -578,7 +609,8 @@ class TestPsdGate:
 
 def bound_certifies(g):
     """The test svm_train applies to a Gram's rounding bound."""
-    return g._psd_bound[1] + g.size ** 2 * (np.finfo(float).eps / 2) <= 0.5e-8
+    return g._psd_bound[1] <= ((0.5e-8 - g.size ** 2 * (np.finfo(float).eps / 2))
+                               * max(1.0, g.matrix.diagonal().max()))
 
 
 def real_density_stack(rng, n, dim):
@@ -593,8 +625,8 @@ def real_density_stack(rng, n, dim):
 
 def sweep_inputs(kind, raw, n, dim, rng):
     """States or raw stacks of every shape gram() accepts. Raw vectors need
-    not be unit; a raw hs-trace stack adds anti-Hermitian parts t_i K0,
-    ||K0||_F = 1, small enough that every value stays in [0, 1]."""
+    not be unit; a raw hs-trace stack scales Hermitian density matrices by
+    1 - raw t_i, t_i in [0, 0.8), so every value stays in [0, 1]."""
     if not raw:
         return random_inputs(kind, rng, n, dim)
     if kind != HS_TRACE:
@@ -602,11 +634,7 @@ def sweep_inputs(kind, raw, n, dim, rng):
         vecs /= np.linalg.norm(vecs, axis=1)[:, None]
         scale = rng.uniform(0.2, 1.0, n) if kind == SQUARED_OVERLAP else rng.uniform(0.1, 10, n)
         return vecs * scale[:, None]
-    k0 = np.triu(rng.standard_normal((dim, dim)), 1)
-    k0 -= k0.T
-    k0 /= np.linalg.norm(k0)
-    size = raw * 0.45 / np.sqrt(dim)  # t_i t_j < 0.21 / dim < 0.25 / dim <= Tr(H_i H_j)
-    return real_density_stack(rng, n, dim) + size * rng.random(n)[:, None, None] * k0
+    return real_density_stack(rng, n, dim) * (1 - raw * rng.uniform(0, 0.8, n))[:, None, None]
 
 
 class TestPsdByConstruction:
@@ -646,24 +674,31 @@ class TestPsdByConstruction:
         assert certify_calls == ([] if by_bound else [g])
         assert psd_certify(g).certified
 
-    @pytest.mark.parametrize("sign, certified", [(1, True), (-1, False)])
-    def test_anti_hermitian_parts_leave_it_to_psd_certify(self, certify_calls, sign,
-                                                          certified):
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_anti_hermitian_parts_are_refused_up_front(self, certify_calls, sign):
         # A = I/2 + K and I/2 + sign K, K real antisymmetric: Tr(A_i A_j) is
-        # real, 0.32 on the diagonal and 0.5 - 0.18 sign off it.
+        # real, but A is no Hermitian matrix, so no Gram (and no bound for
+        # its anti-Hermitian parts) is formed.
         half, k0 = np.eye(2) / 2, np.array([[0.0, 0.3], [-0.3, 0.0]])
-        g = gram(KernelSpec(HS_TRACE), np.stack([half + k0, half + sign * k0]))
-        assert g._psd_bound[1] >= 0.36
-        cert = psd_certify(GramMatrix(g.matrix, g.kernel))
-        assert cert.certified == certified
-        if certified:
-            svm_train(g, [0, 1], C=1.0)
-        else:
-            assert cert.min_eigenvalue == pytest.approx(-0.36, abs=1e-12)
-            with pytest.raises(NumericError) as info:
-                svm_train(g, [0, 1], C=1.0)
-            assert str(info.value) == refusal(cert)
-        assert certify_calls == [g]
+        with pytest.raises(NumericError, match="not Hermitian within 1e-12"):
+            gram(KernelSpec(HS_TRACE), np.stack([half + k0, half + sign * k0]))
+        assert certify_calls == []
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_large_raw_norms_certify_by_the_relative_bound(self, monkeypatch, certify_calls,
+                                                          k):
+        # Row norms up to 10: S grows with max ||x_i||**(2k), past the
+        # absolute budget 0.5e-8 at k = 3, but stays far below the budget
+        # scaled by max_i G_ii = max ||x_i||**(2k).
+        rng = np.random.default_rng(730 + k)
+        vecs = rng.standard_normal((40, 4)) + 1j * rng.standard_normal((40, 4))
+        vecs *= (rng.uniform(0.1, 10, 40) / np.linalg.norm(vecs, axis=1))[:, None]
+        g = gram(KernelSpec(REAL_OVERLAP, k), vecs)
+        assert (g._psd_bound[1] + 40 ** 2 * np.finfo(float).eps / 2 <= 0.5e-8) == (k < 3)
+        forbid(monkeypatch, "cholesky")
+        forbid(monkeypatch, "eigvalsh")
+        svm_train(g, np.arange(40) % 2, C=1.0)
+        assert certify_calls == []
 
     @pytest.mark.parametrize("kind, k, m", [(HS_TRACE, 1, 300), (SQUARED_OVERLAP, 1, 400),
                                             (SQUARED_OVERLAP, 3, 100), (REAL_OVERLAP, 2, 100),
@@ -673,11 +708,11 @@ class TestPsdByConstruction:
         rng = np.random.default_rng(700 + m + k)
         states = random_inputs(kind, rng, m, 4)
         labels = np.arange(m) % 2
-        grams = [] if kind == HS_TRACE else [kernelsvm.vector_gram(
-            KernelSpec(kind, k), np.stack([s.vec for s in states]))]
         forbid(monkeypatch, "cholesky")
         forbid(monkeypatch, "eigvalsh")
-        grams.append(gram(KernelSpec(kind, k), states))
+        grams = [gram(KernelSpec(kind, k), states)]
+        if kind != HS_TRACE:
+            grams.append(gram(KernelSpec(kind, k), np.stack([s.vec for s in states])))
         for g in grams:
             assert g._psd_bound[1] < 1e-10
             svm_train(g, labels, C=1.0)
