@@ -11,10 +11,14 @@ that form, and its dense matrix is built only when ``.matrix`` is read,
 from :func:`qkclass.qmath.tensor` and
 :func:`qkclass.qmath.register_permutation_matrix`.
 
-One blocked kernel runs the circuit and measures: it walks a stack in
-blocks of rows whose buffers stay small (``BLOCK_BYTES``), runs the circuit
-on each block when asked, and returns each row's measured value, so neither
-the post-circuit stack nor any other stack-sized temporary is formed.
+One blocked kernel, ``_stack_value``, runs the circuit and measures. One
+cached plan per layout and observable gives it the Z signs, the register
+permutation (the pair swap of the circuit, or the observable's order) and
+the trailing registers that permutation leaves in place; one loop walks the
+stack in blocks of rows whose buffers stay small (``BLOCK_BYTES``), runs
+the circuit on each block when asked, and returns each row's measured
+value, so neither the post-circuit stack nor any other stack-sized
+temporary is formed.
 ``swap_test_expectation`` (circuit, then the ancilla-label parity) and
 ``expectation`` (an observable, no circuit) sum the signed row values; the
 batched classifiers read them per row. A state that is not a
@@ -34,7 +38,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .constants import check_count
+from .constants import check_count, check_seed
 from .encoding import ClassifierState
 from .errors import DataError, DimensionError, NumericError
 from .qmath import (ATOL_DERIVED, ATOL_STRUCT, HADAMARD, SIGMA_Z,
@@ -188,165 +192,117 @@ def build_swap_test_unitary(layout: RegisterLayout) -> np.ndarray:
 BLOCK_BYTES = 120 * 1024
 
 
-@dataclass(frozen=True)
-class _StackPlan:
-    """How :func:`_stack_value` walks the rows of one layout.
-
-    ``ancilla`` is the axis of the ancilla register in a row shaped
-    ``dims`` when the swap-test circuit runs, None when it does not. ``perm``
-    is the register permutation of the plan, an axis permutation of
-    (rows,) + ``head``: with a circuit, the swap of every (test, train) pair
-    on one ancilla half; without one, the measured observable's order (None
-    for the identity). The registers after ``head`` are left in place by it
-    and move as one raw item of ``item`` bytes, so a permuted copy runs over
-    items, not over single amplitudes. The measured observable multiplies
-    each amplitude by its Pauli Z sign; ``z`` holds each sign twice, for
-    the (real, imaginary) float view of a row.
-    """
-
-    dims: tuple[int, ...]
-    ancilla: int | None
-    head: tuple[int, ...]
-    perm: tuple[int, ...] | None
-    item: int
-    z: np.ndarray
-
-
-def _split_tail(dims: tuple[int, ...], order: tuple[int, ...], floor: int = 0):
-    """(head, perm, item) of a register permutation ``order`` of ``dims``:
-    the registers before its trailing run of fixed ones (none of them
-    before position ``floor``), the permutation as axes of (rows,) + head,
-    and the bytes of the run."""
-    cut = len(dims)
-    while cut > floor and order[cut - 1] == cut - 1:
-        cut -= 1
-    perm = (0,) + tuple(1 + i for i in order[:cut])
-    return dims[:cut], perm, 16 * math.prod(dims[cut:])
-
-
 # A plan holds 16 bytes of signs per amplitude, as much as one row, so
 # only a few plans are kept.
 @lru_cache(maxsize=16)
-def _observable_plan(layout: RegisterLayout, z_registers: tuple[int, ...],
-                     order: tuple[int, ...]) -> _StackPlan:
-    """Plan that measures an observable, with no circuit."""
-    z = np.ones(layout.dims + (2,))
+def _plan(layout: RegisterLayout, z_registers: tuple[int, ...] | None = None,
+          order: tuple[int, ...] | None = None):
+    """(ancilla, z, head, perm, item): how :func:`_stack_value` walks the
+    rows of ``layout``.
+
+    With no observable given (``z_registers`` None), the swap-test circuit
+    runs and the ancilla-label parity is measured: ``ancilla`` is the axis
+    of the ancilla register in a row shaped ``layout.dims``, and the
+    permutation is the swap of every (test, train) pair on one ancilla half.
+    Otherwise ``ancilla`` is None, and Pauli Z on ``z_registers`` after the
+    register permutation ``order`` is measured with no circuit. ``z`` holds
+    each amplitude's Pauli Z sign twice, for the (real, imaginary) float
+    view of a row. ``perm`` is the permutation as axes of (rows,) + ``head``;
+    the registers after ``head`` are left in place by it and move as one raw
+    item of ``item`` bytes, so a permuted copy runs over items, not over
+    single amplitudes. An observable with an empty ``head`` is diagonal.
+    """
+    dims, ancilla = layout.dims, None
+    if z_registers is None:
+        ancilla, order = layout.index_of(ANCILLA), _pair_swap_order(layout)
+        if order == tuple(range(len(dims))):
+            raise DimensionError("layout has no (test, train) pairs to swap")
+        z_registers = ancilla_label_parity(layout).z_registers
+    z = np.ones(dims + (2,))
     for i in z_registers:
         z[(slice(None),) * i + (1,)] *= -1.0
     z = z.ravel()
     z.setflags(write=False)
-    head, perm, item = _split_tail(layout.dims, order)
-    return _StackPlan(layout.dims, None, head, None if not head else perm, item, z)
+    # The permutation on the registers of one ancilla half, of which only
+    # those after the ancilla are contiguous; without a circuit, on all.
+    rest = [i for i in range(len(dims)) if i != ancilla]
+    moved = [rest.index(order[i]) for i in rest]
+    cut = len(rest)
+    while cut > (ancilla or 0) and moved[cut - 1] == cut - 1:
+        cut -= 1
+    perm = (0,) + tuple(1 + i for i in moved[:cut])
+    head = tuple(dims[i] for i in rest[:cut])
+    return ancilla, z, head, perm, 16 * math.prod(dims[i] for i in rest[cut:])
 
 
-@lru_cache(maxsize=16)
-def _swap_test_plan(layout: RegisterLayout) -> _StackPlan:
-    """Plan that runs the swap-test circuit, then measures the ancilla-label
-    parity."""
-    dims = layout.dims
-    a = layout.index_of(ANCILLA)
-    order = _pair_swap_order(layout)
-    if order == tuple(range(len(dims))):
-        raise DimensionError("layout has no (test, train) pairs to swap")
-    rest = [i for i in range(len(dims)) if i != a]
-    # Only registers after the ancilla are contiguous within a half.
-    head, perm, item = _split_tail(tuple(dims[i] for i in rest),
-                                   tuple(rest.index(order[i]) for i in rest), a)
-    parity = ancilla_label_parity(layout)
-    return _StackPlan(dims, a, head, perm, item,
-                      _observable_plan(layout, parity.z_registers, parity.order).z)
-
-
-def _items(arr: np.ndarray, plan: _StackPlan) -> np.ndarray:
-    """View of a (rows, ...) array as (rows,) + plan.head raw items. The
-    reshape only merges the trailing registers, which are contiguous in
-    every array passed here, so it is a view and writes reach ``arr``."""
-    flat = arr.reshape(arr.shape[:1] + plan.head + (-1,))
-    return flat.view(np.dtype((np.void, plan.item)))[..., 0]
-
-
-def _permute(src: np.ndarray, plan: _StackPlan, out: np.ndarray) -> None:
-    """out = the plan's register permutation of src, both as :func:`_items`
-    views. It is the swap step of the circuit, and the permutation of a
-    measured observable."""
-    np.copyto(out, src.transpose(plan.perm))
-
-
-def _block_rows(stack: np.ndarray) -> int:
-    """Rows per block: as many as fit in ``BLOCK_BYTES``, at least one."""
-    return max(1, min(stack.shape[0], BLOCK_BYTES // (16 * stack.shape[1])))
-
-
-def _blocks(stack: np.ndarray, plan: _StackPlan):
-    """Yield (rows, block) over consecutive row blocks of a C-contiguous
-    2-D stack, ``rows`` the block's slice of the stack.
-
-    Without a circuit a block is a view of the stack. With one it is twice
-    the block after the swap-test unitary (the two Hadamards without their
-    1/sqrt(2) factors): with t0, t1 the ancilla-0 and ancilla-1 halves and
-    S the swap of every (test, train) pair, 2 out0 = t0 + t1 + S(t0 - t1)
-    and 2 out1 = t0 + t1 - S(t0 - t1). It is written into one block buffer
-    that every block reuses.
-    """
-    count, dim = stack.shape
-    size = _block_rows(stack)
-    if plan.ancilla is None:
-        for start in range(0, count, size):
-            rows = slice(start, start + size)
-            yield rows, stack[rows]
-        return
-    h0, h1 = ((slice(None),) * (1 + plan.ancilla) + (h,) for h in (0, 1))
-    target = np.empty((size, dim), dtype=complex)
-    t_all, o_all = (x.reshape((-1,) + plan.dims) for x in (stack, target))
-    o1_items = _items(o_all[h1], plan)
-    plus_all, diff_all = np.empty((2, size) + o_all[h0].shape[1:], dtype=complex)
-    diff_items = _items(diff_all, plan)
-    for start in range(0, count, size):
-        rows = slice(start, min(start + size, count))
-        n = rows.stop - start
-        t, o, plus = t_all[rows], o_all[:n], plus_all[:n]
-        t0, t1, o0, o1 = t[h0], t[h1], o[h0], o[h1]
-        np.add(t0, t1, out=plus)
-        np.subtract(t0, t1, out=diff_all[:n])
-        _permute(diff_items[:n], plan, o1_items[:n])
-        np.add(plus, o1, out=o0)
-        np.subtract(plus, o1, out=o1)
-        yield rows, target[:n]
+def _permute(src: np.ndarray, perm: tuple[int, ...], out: np.ndarray) -> None:
+    """out = src with its axes permuted by ``perm``: the swap step of the
+    circuit, and the permutation of a measured observable."""
+    np.copyto(out, src.transpose(perm))
 
 
 def _stack_value(stack: np.ndarray, layout: RegisterLayout,
                  obs: Observable | None = None) -> np.ndarray:
     """<v_i|O|v_i> of each row v_i of a 2-D stack on ``layout``: after the
     swap-test circuit with O the ancilla-label parity when ``obs`` is None,
-    else with O the observable ``obs`` and no circuit. The rows
-    are measured block by block, in buffers of at most ``BLOCK_BYTES``;
-    neither the post-circuit stack nor any other stack-sized array is formed.
+    else with O the observable ``obs`` and no circuit.
 
-    A diagonal O gives sum_x z(x) |v(x)|^2 per row, a square and one
-    matrix-vector product on the float view, real by construction; a
+    The rows are measured in consecutive blocks of as many rows as fit in
+    ``BLOCK_BYTES`` (at least one), and every block reuses the same few
+    buffers; neither the post-circuit stack nor any other stack-sized array
+    is formed. A post-circuit block is twice the block after the swap-test
+    unitary (the two Hadamards without their 1/sqrt(2) factors): with t0,
+    t1 the ancilla-0 and ancilla-1 halves and S the swap of every (test,
+    train) pair, 2 out0 = t0 + t1 + S(t0 - t1) and 2 out1 = t0 + t1 -
+    S(t0 - t1). A diagonal O gives sum_x z(x) |v(x)|^2 per row, a square and
+    one matrix-vector product on the float view, real by construction; a
     permuting O gives the complex vdot(v, z (v with its registers permuted)).
     """
-    plan = (_swap_test_plan(layout) if obs is None
-            else _observable_plan(layout, obs.z_registers, obs.order))
+    ancilla, z, head, perm, item = (_plan(layout) if obs is None
+                                    else _plan(layout, obs.z_registers, obs.order))
     stack = np.ascontiguousarray(stack)
-    circuit = plan.ancilla is not None
-    diagonal = circuit or plan.perm is None
-    if not circuit:
-        scratch = np.empty((_block_rows(stack), stack.shape[1]), dtype=complex)
-    if not diagonal:
-        stack_items, scratch_items = _items(stack, plan), _items(scratch, plan)
-    values = np.empty(stack.shape[0], dtype=float if diagonal else complex)
-    for rows, block in _blocks(stack, plan):
-        n = block.shape[0]
-        # A post-circuit block is the kernel's own buffer, free to overwrite.
-        part = block if circuit else scratch[:n]
+    count, dim = stack.shape
+    size = max(1, min(count, BLOCK_BYTES // (16 * dim)))
+    circuit = ancilla is not None
+    diagonal = circuit or not head
+    values = np.empty(count, dtype=float if diagonal else complex)
+    # The post-circuit block, or the squared or permuted rows of a block.
+    block = np.empty((size, dim), dtype=complex)
+
+    def items(arr):
+        # (rows,) + head raw items; the reshape only merges the trailing
+        # registers, contiguous in every array here, so writes reach arr.
+        flat = arr.reshape(arr.shape[:1] + head + (-1,))
+        return flat.view(np.dtype((np.void, item)))[..., 0]
+
+    if circuit:
+        h0, h1 = ((slice(None),) * (1 + ancilla) + (h,) for h in (0, 1))
+        t_all, o_all = (x.reshape((-1,) + layout.dims) for x in (stack, block))
+        o1_items = items(o_all[h1])
+        plus_all, diff_all = np.empty((2, size) + o_all[h0].shape[1:], dtype=complex)
+        diff_items = items(diff_all)
+    elif not diagonal:
+        stack_items, block_items = items(stack), items(block)
+    for start in range(0, count, size):
+        rows = slice(start, min(start + size, count))
+        n = rows.stop - start
+        part = block[:n]
+        if circuit:
+            t, o, plus = t_all[rows], o_all[:n], plus_all[:n]
+            t0, t1, o0, o1 = t[h0], t[h1], o[h0], o[h1]
+            np.add(t0, t1, out=plus)
+            np.subtract(t0, t1, out=diff_all[:n])
+            _permute(diff_items[:n], perm, o1_items[:n])
+            np.add(plus, o1, out=o0)
+            np.subtract(plus, o1, out=o1)
+        measured = part if circuit else stack[rows]
         if diagonal:
-            values[rows] = np.square(block.view(float), out=part.view(float)) @ plan.z
+            values[rows] = np.square(measured.view(float), out=part.view(float)) @ z
             continue
-        _permute(stack_items[rows], plan, scratch_items[:n])
-        np.multiply(part.view(float), plan.z, out=part.view(float))
-        values[rows] = np.einsum("ij,ij->i", block.conj(), part)
-    # A post-circuit block holds twice the state (see _blocks).
+        _permute(stack_items[rows], perm, block_items[:n])
+        np.multiply(part.view(float), z, out=part.view(float))
+        values[rows] = np.einsum("ij,ij->i", measured.conj(), part)
+    # A post-circuit block holds twice the state.
     return values / 4.0 if circuit else values
 
 
@@ -403,8 +359,8 @@ def outcome_probabilities(obs: Observable, state) -> dict[int, float]:
     """
     value = expectation(obs, state)  # checks the observable and the state
     if isinstance(state, ClassifierState):  # the signed sum of squared row norms
-        rows = state.stack
-        total = complex(_signed_sum(np.einsum("ij,ij->i", rows.conj(), rows), state.signs)).real
+        flat = np.ascontiguousarray(state.stack).view(float)
+        total = float(_signed_sum(np.einsum("ij,ij->i", flat, flat), state.signs))
     else:  # the trace of the matrix, or the squared norm of the vector
         entries = _as_array(state)
         total = float((np.vdot(entries, entries) if entries.ndim == 1 else np.trace(entries)).real)
@@ -420,7 +376,7 @@ def draw_shots(value: float, shots: int, seed: int) -> list[ShotRecord]:
     if math.isnan(value):
         raise DataError("cannot draw shots for an expectation value of NaN")
     p_plus = min(max((1.0 + value) / 2.0, 0.0), 1.0)
-    n_plus = int(np.random.default_rng(seed).binomial(shots, p_plus))
+    n_plus = int(np.random.default_rng(check_seed(seed)).binomial(shots, p_plus))
     return [ShotRecord(1, n_plus, seed), ShotRecord(-1, shots - n_plus, seed)]
 
 

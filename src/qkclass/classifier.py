@@ -23,7 +23,7 @@ import numpy as np
 
 from . import encoding, qmath
 from .circuit import _stack_value, expectation, swap_label_observable, swap_test_expectation
-from .constants import STC_MODES, check_dense_budget
+from .constants import STC_MODES, check_dense_budget, check_seed
 from .encoding import ClassifierState, TrainingSet
 from .errors import DataError, DimensionError, NumericError
 from .kernelsvm import HS_TRACE, REAL_OVERLAP, KernelSpec, kernel_matrix
@@ -327,6 +327,7 @@ def single_shot_classify(ts: TrainingSet, test, seed: int) -> int:
     with E the analytic expectation; the draw is ``random() < p(+1)`` on a
     generator seeded with ``seed``.
     """
+    seed = check_seed(seed)
     value = stc_classify(ts, test).expectation
     rng = np.random.default_rng(seed)
     outcome = 1 if rng.random() < (1.0 + value) / 2.0 else -1

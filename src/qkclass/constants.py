@@ -61,19 +61,26 @@ def check_dense_budget(shape: Sequence[int], what: str = "dense array") -> None:
             f"{DENSE_BYTES_BUDGET}-byte budget")
 
 
-def check_count(value, what: str) -> int:
-    """``value`` as an int when it is an integral count >= 1 (a bool is
-    not one); else DataError "<what> must be an integer >= 1"."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise DataError(f"{what} must be an integer >= 1, got {value!r}")
+def check_count(value, what: str, least: int = 1) -> int:
+    """``value`` as an int when it is an integer >= ``least`` (a bool is
+    not one); else DataError "<what> must be an integer >= <least>"."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise DataError(f"{what} must be an integer >= {least}, got {value!r}")
     return int(value)
 
 
+def check_seed(value, what: str = "seed") -> int:
+    """``value`` as an int when it is a random seed, an integer >= 0 (a bool
+    is not one); else DataError, before numpy refuses it."""
+    return check_count(value, what, 0)
+
+
 def env_seed() -> int:
-    """The integer in ``QKCLASS_SEED``, or the default seed 0 when it is unset."""
+    """The seed in ``QKCLASS_SEED``, or the default seed 0 when it is unset."""
     if SEED_ENV_VAR not in os.environ:
         return 0
     try:
-        return int(os.environ[SEED_ENV_VAR])
+        value = int(os.environ[SEED_ENV_VAR])
     except ValueError:
         raise DataError(f"{SEED_ENV_VAR} must be an integer")
+    return check_seed(value, SEED_ENV_VAR)

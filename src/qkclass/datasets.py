@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .constants import TOY_KINDS, check_dense_budget
+from .constants import TOY_KINDS, check_dense_budget, check_seed
 from .errors import DataError
 from .fileio import dump_json, read_json
 
@@ -206,7 +206,7 @@ def gen_toy(kind: str, m: int, dim: int, seed: int, noise: float = 0.25) -> Data
     if not math.isfinite(noise):
         raise DataError(f"toy noise must be finite, got {noise!r}")
     check_dense_budget((2, dim) if kind == "orthogonal-pair" else (m, dim), "toy feature matrix")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_seed(seed))
     if kind == "orthogonal-pair":
         features = np.zeros((2, dim), dtype=complex)
         features[0, 0] = 1.0

@@ -17,7 +17,7 @@ from . import classifier as clf
 from . import encoding
 from .circuit import draw_shots, empirical_expectation
 from .constants import (CLASSIFIERS, DEFAULT_C, KERNEL_KINDS, SCHEMA_VERSION, STC_MODES,
-                        WEIGHT_MODES, env_seed)
+                        WEIGHT_MODES, check_seed, env_seed)
 from .datasets import DatasetFile
 from .encoding import TrainingSet
 from .errors import DataError
@@ -76,6 +76,7 @@ class ExperimentConfig:
             raise DataError("k must be >= 1")
         if self.shots < 0:
             raise DataError("shots must be >= 0")
+        check_seed(self.seed)
         if self.weights == "explicit":
             if not self.explicit_weights:
                 raise DataError("explicit weights mode needs a weight list")

@@ -5,7 +5,9 @@
 ensemble assemblers, ``qmath.random_state_vector``, ...). The
 ``kernel-train`` workload runs CLI commands (``gen-toy``, ``train-svm``,
 ``gram``, ``classify --weights trained``, ``emit-plot``) and reads the files
-they write. One toy pass of each, checked by the benchmark's own
+they write; the ``pure-circuit`` workload's CLI steps (stc-bias, the two
+circuit modes at k=2, ``sample``, hc and qsvm) are the ones that run the
+swap-test kernel. One toy pass of each, checked by the benchmark's own
 plain-numpy oracle, keeps those names, options and results tied to the
 code. Nothing under ``perfbench/`` is written.
 """
@@ -61,3 +63,26 @@ def test_kernel_train_cli_pass_satisfies_the_oracle(bench, tmp_path):
         result = run_cli(step.argv)
         assert result.exit_code == 0, result.stderr
     assert oracle.check_kernel_train(str(inputs), str(out), rotation=0) == {}
+
+
+def test_pure_circuit_cli_pass_satisfies_the_oracle(bench, tmp_path):
+    _, oracle = bench
+    import workloads
+    workload, seed = workloads.PureCircuit(), 7
+    inputs, out = tmp_path / "inputs", tmp_path / "pass"
+    inputs.mkdir()
+    out.mkdir()
+    for kind, argv in workload.setup_commands(seed, str(inputs), True):
+        assert kind == "cli"
+        result = run_cli(argv)
+        assert result.exit_code == 0, result.stderr
+    workload.after_setup(str(inputs), True)
+    steps = workload.steps(str(inputs), str(out), True, seed, rotation=0)
+    modes = [step.argv[step.argv.index("--mode") + 1] for step in steps if "--mode" in step.argv]
+    assert modes == ["ancilla-circuit", "minimal"]
+    for step in steps:
+        assert step.kind == "cli"
+        result = run_cli(step.argv)
+        assert result.exit_code == 0, result.stderr
+    assert oracle.check_pure_circuit(str(inputs), str(out), seed=seed,
+                                     shots=workload.shots) == {}

@@ -387,6 +387,15 @@ class TestSampling:
         with pytest.raises(DataError, match="NaN"):
             draw_shots(np.nan, 10, 1)
 
+    @pytest.mark.parametrize("seed", [-3, True, 1.0, "7"])
+    def test_seed_must_be_an_integer_at_least_zero(self, seed):
+        state = self._even_odds_state()
+        with pytest.raises(DataError, match="seed must be an integer >= 0"):
+            sample_shots(swap_label_observable(state.layout), state, 10, seed=seed)
+        with pytest.raises(DataError, match="seed must be an integer >= 0"):
+            draw_shots(0.0, 10, seed=seed)
+        assert draw_shots(0.0, 10, seed=np.int64(0)) == draw_shots(0.0, 10, seed=0)
+
 
 STRUCTURED_LAYOUTS = [
     block_layout(2, 1), block_layout(2, 2), block_layout(4, 1),
@@ -560,6 +569,30 @@ class TestBlockedKernel:
         u = build_swap_test_unitary(state.layout)
         parity = ancilla_label_parity(state.layout).matrix
         assert abs(value - dense_value(parity, state.stack @ u.T, state.signs)) < 1e-12
+
+    def test_measured_observables_allocate_under_a_quarter_of_the_stack(self, monkeypatch):
+        # The same data without the ancilla: 128 rows of 512 amplitudes
+        # (1 MiB), measured with no circuit at the default block size. The
+        # trace in outcome_probabilities is read from the stack in place.
+        monkeypatch.undo()
+        rng = np.random.default_rng(1200)
+        states = [random_density_matrix(4, rng, rank=2) for _ in range(32)]
+        ts = TrainingSet.from_states([(s, i % 2, 1.0) for i, s in enumerate(states)], k=2)
+        state = mixed_stc_state(ts, random_density_matrix(4, rng, rank=2), with_ancilla=False)
+        assert state.stack.nbytes == 2**20
+        obs = swap_label_observable(state.layout)
+        for measure in (expectation, outcome_probabilities):
+            tracemalloc.start()
+            try:
+                measure(obs, state)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < state.stack.nbytes / 4, measure.__name__
+        expect = dense_value(obs.matrix, state.stack, state.signs)
+        probs = outcome_probabilities(obs, state)
+        assert abs(probs[1] - probs[-1] - expect) < 1e-12
+        assert abs(probs[1] + probs[-1] - 1.0) < 1e-12
 
 
 class TestEmbedding:

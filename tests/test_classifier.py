@@ -307,6 +307,11 @@ class TestStcClassify:
             out = stc_classify(ts, half)
             assert out.expectation == pytest.approx(0.5 * (1 - 2 * y), abs=1e-12)
 
+    def test_unknown_mode_refused(self):
+        ts = TrainingSet.from_states([(KET0, 0, 1.0)])
+        with pytest.raises(DataError, match="unknown mode"):
+            stc_classify(ts, KET0, mode="x")
+
     def test_expectation_bounded(self):
         rng = np.random.default_rng(12)
         for seed in range(10):
@@ -477,6 +482,20 @@ class TestStcClassifyBias:
 
 
 class TestHadamardClassifier:
+    @pytest.mark.parametrize("with_bias,bias,test,error", [
+        (False, None, QState(basis_state(4, 0)), DimensionError),
+        (True, None, KET0, DataError),
+        (False, 0.5, KET0, DataError),
+    ])
+    def test_refusals(self, with_bias, bias, test, error):
+        ts = TrainingSet.from_states([(KET0, 0, 1.0), (KET1, 1, 1.0)], bias=bias)
+        with pytest.raises(error):
+            hadamard_classify(ts, test, with_bias=with_bias)
+
+    def test_empty_set_with_a_bias_refused(self):
+        with pytest.raises(DataError, match="empty"):
+            hadamard_classify(TrainingSet.from_states([], bias=0.5), KET0, with_bias=True)
+
     def test_real_amplitudes_match_stc_signs(self):
         rng = np.random.default_rng(21)
         states = []
@@ -592,6 +611,11 @@ class TestQsvmOracle:
         with pytest.raises(DataError):
             qsvm_oracle_classify([0.0], 0.0, ts, KET0)
 
+    def test_one_multiplier_per_training_point(self):
+        ts = TrainingSet.from_states([(KET0, 0, 1.0), (KET1, 1, 1.0), (PLUS, 0, 1.0)])
+        with pytest.raises(DataError, match="2 multipliers for 3"):
+            qsvm_oracle_classify([1.0, 2.0], 0.0, ts, KET0)
+
     @pytest.mark.parametrize("seed", range(3))
     def test_closed_form_on_random_instances(self, seed):
         rng = np.random.default_rng(3000 + seed)
@@ -626,6 +650,12 @@ class TestSingleShot:
         # binomial 3 sigma around 1/2 over 4000 draws
         assert abs(freq - 0.5) < 3 * 0.5 / np.sqrt(4000)
 
+    @pytest.mark.parametrize("seed", [-1, True, 0.5])
+    def test_seed_must_be_an_integer_at_least_zero(self, seed):
+        ts = TrainingSet.from_states([(KET1, 0, 1.0)])
+        with pytest.raises(DataError, match="seed must be an integer >= 0"):
+            single_shot_classify(ts, KET0, seed)
+
 
 class TestMisclassification:
     def _aligned_instance(self, swap_labels=False):
@@ -637,6 +667,12 @@ class TestMisclassification:
     def test_hand_derived_quarter(self):
         ts, mix = self._aligned_instance()
         assert misclassification_probability(ts, mix) == pytest.approx(0.25, abs=1e-12)
+
+    def test_mixture_refusals(self):
+        with pytest.raises(DataError, match="priors"):
+            Mixture(0.7, 0.7, KET0.to_density(), KET1.to_density())
+        with pytest.raises(DimensionError):
+            Mixture(0.5, 0.5, KET0.to_density(), QState(basis_state(4, 0)).to_density())
 
     def test_swapped_labels_complement(self):
         ts, mix = self._aligned_instance(swap_labels=True)

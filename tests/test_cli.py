@@ -187,6 +187,11 @@ class TestToyGeneration:
             with pytest.raises(DimensionError, match="toy feature matrix"):
                 gen_toy(kind, m, dim, seed=0)
 
+    @pytest.mark.parametrize("seed", [-1, True, 2.0])
+    def test_seed_must_be_an_integer_at_least_zero(self, seed):
+        with pytest.raises(DataError, match="seed must be an integer >= 0"):
+            gen_toy("separable", 4, 2, seed=seed)
+
 
 def gen_toy_file(*options):
     result = run_cli(["gen-toy", "--kind", "separable", "--seed", "3", *options, "-o", "toy.csv"])
@@ -548,6 +553,15 @@ class TestConfigMerging:
         assert merge_config({"seed": 5}, {}).seed == 5
         assert merge_config({}, {"seed": 6}).seed == 6
 
+    def test_seed_must_be_an_integer_at_least_zero(self, workdir, monkeypatch):
+        with pytest.raises(DataError, match="seed must be an integer >= 0"):
+            ExperimentConfig(seed=-3)
+        assert ExperimentConfig(seed=0).seed == 0
+        monkeypatch.setenv(SEED_ENV_VAR, "-4")
+        with pytest.raises(DataError, match=f"{SEED_ENV_VAR} must be an integer >= 0"):
+            constants.env_seed()
+        assert merge_config({"seed": 5}, {}).seed == 5
+
     def test_unknown_config_keys_rejected(self, workdir):
         (workdir / "c.json").write_text(json.dumps({"shots": 5, "bogus": 1}))
         with pytest.raises(DataError, match="bogus"):
@@ -758,6 +772,35 @@ class TestCliCommands:
         (workdir / "conf.json").write_text(json.dumps(config))
         result = run_cli(["classify", "train.csv", "--test", "tests.csv",
                           "--config", "conf.json", "-o", "out.json"])
+        assert result.exit_code == 3, (result.stdout, result.stderr)
+        assert json.loads(result.stderr)["error"]["type"] == "DataError"
+        assert not (workdir / "out.json").exists()
+
+    @pytest.mark.parametrize("argv,env", [
+        (["gen-toy", "--seed", "-1"], None),
+        (["gen-toy"], "-4"),
+        (["sample", "train.csv", "--test", "tests.csv", "--shots", "10", "--seed", "-3"], None),
+        (["classify", "train.csv", "--test", "tests.csv", "--seed", "-3"], None),
+        (["classify", "train.csv", "--test", "tests.csv", "--config", "seed.json"], None),
+        (["classify", "train.csv", "--test", "tests.csv"], "-4"),
+    ])
+    def test_negative_seed_is_a_data_error(self, workdir, monkeypatch, argv, env):
+        write_lines(workdir / "train.csv", ["1,0,0", "0,1,1"])
+        write_lines(workdir / "tests.csv", ["0.6,0.8"])
+        (workdir / "seed.json").write_text(json.dumps({"seed": -3}))
+        if env is not None:
+            monkeypatch.setenv(SEED_ENV_VAR, env)
+        result = run_cli([*argv, "-o", "out.json"])
+        assert result.exit_code == 3, (result.stdout, result.stderr)
+        error = json.loads(result.stderr)["error"]
+        assert error["type"] == "DataError" and "must be an integer >= 0" in error["message"]
+        assert not (workdir / "out.json").exists()
+
+    def test_explicit_weights_must_match_the_rows(self, workdir):
+        write_lines(workdir / "train.csv", [f"{i % 2},{1 - i % 2},{i % 2}" for i in range(6)])
+        write_lines(workdir / "tests.csv", ["0.6,0.8"])
+        result = run_cli(["classify", "train.csv", "--test", "tests.csv", "--weights", "explicit",
+                          "--explicit-weights", "1,2", "-o", "out.json"])
         assert result.exit_code == 3, (result.stdout, result.stderr)
         assert json.loads(result.stderr)["error"]["type"] == "DataError"
         assert not (workdir / "out.json").exists()

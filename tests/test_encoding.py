@@ -284,6 +284,22 @@ class TestBiasAssembly:
         with pytest.raises(DataError):
             assemble_bias_extended(ts, ket(1, 0))
 
+    def test_density_matrix_data_refused(self):
+        ts = TrainingSet.from_states([(ket(1, 0).to_density(), 0, 1.0),
+                                      (ket(0, 1).to_density(), 1, 1.0)], bias=0.5)
+        with pytest.raises(DataError, match="pure-state"):
+            assemble_bias_extended(ts, ket(1, 0))
+
+    def test_test_dimension_must_match_the_training_data(self):
+        data = [(ket(1, 0), 0, 1.0), (ket(0, 1), 1, 1.0)]
+        test = ket(1, 0, 0, 0)
+        with pytest.raises(DimensionError):
+            assemble_bias_extended(TrainingSet.from_states(data, bias=0.5), test)
+        for with_index in (False, True):
+            with pytest.raises(DimensionError):
+                assemble_pure_stc_input(TrainingSet.from_states(data), test,
+                                        with_index=with_index)
+
     def test_no_bias_gives_zero_and_effective_weights(self):
         ts = TrainingSet.from_states([(ket(1, 0), 0, 1.0), (ket(0, 1), 1, 3.0)], k=2)
         bias_term, weights = ts.effective_bias_and_weights()

@@ -99,6 +99,18 @@ class TestKernelEval:
 
 
 class TestKernelMatrix:
+    def test_real_overlap_of_a_float_stack_against_a_complex_one(self):
+        # A float and a complex stack are paired as two complex stacks.
+        rng = np.random.default_rng(41)
+        real = rng.normal(size=(3, 4))
+        cplx = rng.normal(size=(5, 4)) + 1j * rng.normal(size=(5, 4))
+        spec = KernelSpec(REAL_OVERLAP, k=2)
+        mixed = kernel_matrix(spec, real, cplx)
+        assert mixed.dtype == np.float64
+        assert np.array_equal(mixed, kernel_matrix(spec, real.astype(complex), cplx))
+        assert np.array_equal(kernel_matrix(spec, cplx, real),
+                              kernel_matrix(spec, cplx, real.astype(complex)))
+
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("kind", KERNEL_KINDS)
     @settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -784,6 +796,12 @@ class TestSpectrumOnFirstRead:
 
 
 class TestRegression:
+    def test_one_state_per_multiplier(self):
+        g = GramMatrix(np.eye(3), KernelSpec(SQUARED_OVERLAP), np.ones(3))
+        model = svm_train(g, [0, 1, 0], C=10.0)
+        with pytest.raises(DataError, match="2 states for 3 multipliers"):
+            regression(model, [KET0, KET1], PLUS)
+
     def test_zero_multipliers_return_bias(self):
         model_g = GramMatrix(np.eye(2), KernelSpec(SQUARED_OVERLAP),
                              np.linalg.eigvalsh(np.eye(2)))
